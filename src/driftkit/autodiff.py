@@ -6,7 +6,10 @@ once and is bitwise reproducible for a fixed graph.  Matrix products go
 through ``np.einsum`` rather than BLAS gemm: einsum computes each output row
 with a summation order that does not depend on how many rows sit in the
 batch, which keeps per-sample forward values identical whether they are
-evaluated alone or inside a minibatch.
+evaluated alone or inside a minibatch.  :func:`affine` is the same kernel on
+plain arrays, for forwards that need no gradient: both go through
+``MATMUL_SUBSCRIPTS``, so a tape-free evaluation reproduces the tape's
+forward values bitwise.
 
 Broadcasting is restricted to leading-dimension expansion (a shape may be
 prefixed with extra axes, nothing else); drift-field index algebra is always
@@ -22,9 +25,12 @@ import numpy as np
 
 __all__ = [
     "AutodiffError",
+    "MATMUL_SUBSCRIPTS",
     "Tensor",
+    "affine",
     "backward",
     "broadcast_to",
+    "check_finite",
     "clip",
     "concat",
     "matmul",
@@ -40,6 +46,9 @@ __all__ = [
 class AutodiffError(ValueError):
     """Raised on shape mismatches, domain errors or non-finite results."""
 
+
+# The one contraction every forward matrix product uses (see module docstring).
+MATMUL_SUBSCRIPTS = "ij,jk->ik"
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
@@ -267,7 +276,7 @@ def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul shapes {a.shape} x {b.shape}")
-    data = np.einsum("ij,jk->ik", a.data, b.data)
+    data = np.einsum(MATMUL_SUBSCRIPTS, a.data, b.data)
 
     def bw(g):
         if a.requires_grad:
@@ -276,6 +285,23 @@ def matmul(a, b):
             _accum(b, np.einsum("ij,ik->jk", a.data, g))
 
     return _node(data, "matmul", (a, b), bw)
+
+
+def check_finite(data: np.ndarray, what: str) -> np.ndarray:
+    """Return ``data`` unchanged, or raise if it holds a NaN or an infinity."""
+    if not np.isfinite(data).all():
+        raise AutodiffError(f"{what} has non-finite values")
+    return data
+
+
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tape-free ``x @ w + b`` with :func:`matmul`'s forward kernel.
+
+    The result is checked after the bias add; since tanh and clipping keep
+    finite values finite, checking every pre-activation covers a whole
+    tape-free MLP.
+    """
+    return check_finite(np.einsum(MATMUL_SUBSCRIPTS, x, w) + b, "affine output")
 
 
 def negate(a):

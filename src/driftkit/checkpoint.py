@@ -88,14 +88,11 @@ def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
 
 def restore_actor(doc: dict, use_ema: bool = False) -> GaussianActor:
     gen = restore_generator(doc, use_ema=use_ema)
-    actor = GaussianActor(gen)
     head = doc.get("actor_head")
-    if head is not None:
-        arrays = _unpack(head["params"])
-        for name, arr in arrays.items():
-            from .autodiff import Tensor
-            actor.head_params[name] = Tensor(arr, requires_grad=True)
-        actor.log_std_bounds = tuple(head["log_std_bounds"])
+    if head is None:
+        return GaussianActor(gen)
+    actor = GaussianActor(gen, log_std_bounds=tuple(head["log_std_bounds"]))
+    actor.load_head_arrays(_unpack(head["params"]))
     return actor
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .actor import GaussianActor
-from .autodiff import Tensor, no_grad
 from .config import SEED_KEY, ConfigError, load_config, snapshot_config
 from .drift import DriftConfig, DriftConfigError
 from .envs import (PointMassEnv, SpecError, load_dataset, mode_coverage,
@@ -169,9 +168,8 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
             def policy_fn(obs_hist, samples, rng_):
                 obs = np.repeat(obs_hist.reshape(1, -1), samples, axis=0)
                 z = rng_.standard_normal((samples, actor.generator.latent_dim))
-                with no_grad():
-                    chunk, _ = actor.generator.forward(Tensor(obs), Tensor(z))
-                return chunk.data
+                chunk, _ = actor.generator.infer(obs, z)
+                return chunk
 
             report["mode_coverage"] = mode_coverage(
                 policy_fn, dataset, cfg["eval.coverage_samples"], rng,

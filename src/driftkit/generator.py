@@ -4,6 +4,11 @@ A small tanh MLP maps (flattened observation history, latent) to a flattened
 H x d_a action chunk in exactly one forward evaluation.  The observation
 embedding activation doubles as the state feature consumed by the Stage-2
 scale head, so it is returned alongside the chunk.
+
+The network is written once (:func:`_backbone`) and evaluated either on the
+autodiff tape (:meth:`Generator.forward`, for training) or on plain arrays
+(:meth:`Generator.infer`, for every evaluation that needs no gradient).  Both
+use the same einsum kernel, so their values agree bitwise.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, concat, matmul, stop_gradient, tanh
+from .autodiff import Tensor, affine, check_finite, concat, matmul, stop_gradient, tanh
 from .drift import HypothesisBatch
 
 
@@ -79,15 +84,53 @@ def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:
     return grid[spec.exec_start:spec.exec_start + spec.exec_len].copy()
 
 
-PARAM_NAMES = ("obs_w", "obs_b", "lat_w", "lat_b", "trunk1_w", "trunk1_b",
-               "trunk2_w", "trunk2_b", "head_w", "head_b")
+def load_params(params: dict[str, Tensor], arrays: dict, owner: str) -> None:
+    """Replace every entry of ``params`` with the same-named array as a new leaf.
+
+    The names must match exactly and every shape must agree; nothing is
+    replaced unless all entries check out.
+    """
+    missing = sorted(set(params) - set(arrays))
+    unexpected = sorted(set(arrays) - set(params))
+    if missing or unexpected:
+        raise SpecError(f"{owner} parameters: missing {missing}, unexpected {unexpected}")
+    checked = {}
+    for name, current in params.items():
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != current.shape:
+            raise SpecError(f"{owner} parameter {name}: shape {arr.shape} "
+                            f"!= expected {current.shape}")
+        checked[name] = Tensor(arr, requires_grad=True)
+    params.update(checked)
+
+
+def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return matmul(x, w) + b
+
+
+def _tape_concat(parts):
+    return concat(parts, axis=1)
+
+
+def _array_concat(parts):
+    return np.concatenate(parts, axis=1)
+
+
+def _backbone(p, obs, z, linear, act, cat):
+    """(chunk, observation feature) of the generator MLP on either backend."""
+    feat = act(linear(obs, p["obs_w"], p["obs_b"]))
+    lat = act(linear(z, p["lat_w"], p["lat_b"]))
+    h1 = act(linear(cat([feat, lat]), p["trunk1_w"], p["trunk1_b"]))
+    h2 = act(linear(h1, p["trunk2_w"], p["trunk2_b"]))
+    return linear(h2, p["head_w"], p["head_b"]), feat
 
 
 class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
-    ``nfe_count`` increments once per forward evaluation; the deployment loop
-    asserts exactly one evaluation per control decision against it.
+    ``nfe_count`` increments once per network evaluation, whether through
+    :meth:`forward` or :meth:`infer`; the deployment loop asserts exactly one
+    evaluation per control decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -124,12 +167,7 @@ class Generator:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in PARAM_NAMES:
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != self.params[name].shape:
-                raise SpecError(f"parameter {name}: shape {arr.shape} "
-                                f"!= expected {self.params[name].shape}")
-            self.params[name] = Tensor(arr, requires_grad=True)
+        load_params(self.params, arrays, "generator")
 
     def clone(self) -> "Generator":
         twin = Generator(self.spec, self.obs_dim, self.latent_dim, self.hidden_dim)
@@ -138,37 +176,32 @@ class Generator:
 
     # -- forward --------------------------------------------------------
 
-    def obs_feature(self, obs_flat: Tensor) -> Tensor:
-        """State-only embedding c(o); independent of the latent by construction."""
-        p = self.params
-        return tanh(matmul(obs_flat, p["obs_w"]) + p["obs_b"])
-
     def forward(self, obs_flat: Tensor, z: Tensor) -> tuple[Tensor, Tensor]:
-        """One network evaluation on a batch of rows.
+        """One network evaluation on a batch of rows, recorded on the tape.
 
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
         self.nfe_count += 1
-        p = self.params
-        feat = self.obs_feature(obs_flat)
-        lat = tanh(matmul(z, p["lat_w"]) + p["lat_b"])
-        h1 = tanh(matmul(concat([feat, lat], axis=1), p["trunk1_w"]) + p["trunk1_b"])
-        h2 = tanh(matmul(h1, p["trunk2_w"]) + p["trunk2_b"])
-        chunk = matmul(h2, p["head_w"]) + p["head_b"]
-        return chunk, feat
+        return _backbone(self.params, obs_flat, z, _tape_linear, tanh, _tape_concat)
 
-    def generate(self, obs_hist: np.ndarray, z: np.ndarray, tau: int = 0) -> np.ndarray:
-        """Deterministic single-pass chunk for one observation history.
+    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One network evaluation without the tape: :meth:`forward`'s values as arrays.
 
-        The generation index is part of the interface but pinned to zero;
-        any other value is a configuration error.
+        Raises ``AutodiffError`` on a non-finite input or pre-activation, as
+        the tape would.
         """
-        if tau != 0:
-            raise SpecError("generation index must be 0 (single-step generation)")
+        self.nfe_count += 1
+        obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
+        arrays = {name: t.data for name, t in self.params.items()}
+        return _backbone(arrays, obs_flat, z, affine, np.tanh, _array_concat)
+
+    def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Deterministic single-pass chunk for one observation history."""
         obs = self._flatten_obs(obs_hist)
         z = np.asarray(z, dtype=np.float64).reshape(1, self.latent_dim)
-        chunk, _ = self.forward(Tensor(obs), Tensor(z))
-        return chunk.data[0].copy()
+        chunk, _ = self.infer(obs, z)
+        return chunk[0]
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs_hist, dtype=np.float64)

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, clip, exp, matmul, minimum, no_grad, tanh
-from .actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_action
-from .generator import Generator, executed_prefix
+from .autodiff import (Tensor, affine, backward, check_finite, clip, exp, matmul, minimum,
+                       no_grad, tanh)
+from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
+                    sample_gaussian)
+from .generator import Generator, executed_prefix, load_params
 from .training import AdamW, NumericalAbort
 
 RATIO_LOG_CLAMP = 40.0
@@ -82,22 +84,30 @@ class Critic:
         }
 
     def forward(self, obs_flat: Tensor) -> Tensor:
-        p = self.params
-        h = tanh(matmul(obs_flat, p["v1_w"]) + p["v1_b"])
-        h = tanh(matmul(h, p["v2_w"]) + p["v2_b"])
-        return (matmul(h, p["v3_w"]) + p["v3_b"])[:, 0]
+        return _value_mlp(self.params, obs_flat, _tape_linear, tanh)
 
     def value(self, obs_flat: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return self.forward(Tensor(obs_flat)).data.copy()
+        """:meth:`forward` without the tape, on an observation array."""
+        obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        arrays = {name: t.data for name, t in self.params.items()}
+        return _value_mlp(arrays, obs, affine, np.tanh)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, arr in arrays.items():
-            self.params[name] = Tensor(np.asarray(arr, dtype=np.float64),
-                                       requires_grad=True)
+        load_params(self.params, arrays, "critic")
+
+
+def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return matmul(x, w) + b
+
+
+def _value_mlp(p, obs, linear, act):
+    """Per-row values of the critic MLP on either backend."""
+    h = act(linear(obs, p["v1_w"], p["v1_b"]))
+    h = act(linear(h, p["v2_w"], p["v2_b"]))
+    return linear(h, p["v3_w"], p["v3_b"])[:, 0]
 
 
 @dataclass
@@ -125,8 +135,9 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Receding-horizon collection: one policy query per H_e environment steps.
 
-    The stored log-probabilities are computed through the same batched forward
-    used in update epochs, so an epoch-0 recomputation reproduces them bitwise.
+    Every query is tape-free.  The stored log-probabilities use the same
+    einsum kernel and formulas as the batched tape forward of the update
+    epochs, so an epoch-0 recomputation reproduces them bitwise.
     """
     spec = actor.spec
     obs_rows, z_rows, act_rows, logp_rows = [], [], [], []
@@ -138,11 +149,10 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     for _ in range(length):
         obs_flat = obs_hist.reshape(1, -1)
         z = rng.standard_normal((1, actor.generator.latent_dim))
-        with no_grad():
-            out = actor.forward(Tensor(obs_flat), Tensor(z))
-            chunk = sample_action(out, rng)[0]
-            prefix = executed_prefix(chunk, spec)
-            logp = prefix_log_prob(prefix.reshape(1, -1), out).data[0]
+        mean, log_std = actor.infer(obs_flat, z)
+        chunk = sample_gaussian(mean, log_std, rng)[0]
+        prefix = executed_prefix(chunk, spec)
+        logp = prefix_log_prob_arrays(prefix.reshape(1, -1), mean, log_std, spec)[0]
         value = critic.value(obs_flat)[0]
         next_hist, reward, done = env.step_prefix(prefix)
         obs_rows.append(obs_flat[0])
@@ -219,9 +229,8 @@ def anchor_loss(actor: GaussianActor, anchor: Generator, obs: np.ndarray,
                 latents: np.ndarray) -> Tensor:
     """Mean squared distance between live and frozen mean chunks on shared latents."""
     mean, _ = actor.generator.forward(Tensor(obs), Tensor(latents))
-    with no_grad():
-        frozen, _ = anchor.forward(Tensor(obs), Tensor(latents))
-    return (mean - Tensor(frozen.data)).square().sum(axis=1).mean()
+    frozen, _ = anchor.infer(obs, latents)
+    return (mean - Tensor(frozen)).square().sum(axis=1).mean()
 
 
 @dataclass

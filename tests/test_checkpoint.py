@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,42 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text(text)
     with pytest.raises(SpecError):
         load_checkpoint(path)
+
+
+def test_critic_loader_rejects_missing_extra_and_misshaped_entries():
+    critic = Critic(10, hidden_dim=8, seed=3)
+    good = critic.param_arrays()
+    missing = {k: v for k, v in good.items() if k != "v2_b"}
+    extra = dict(good, v4_w=np.zeros((8, 1)))
+    misshaped = dict(good, v3_w=np.zeros((8, 2)))
+    for arrays in (missing, extra, misshaped):
+        with pytest.raises(SpecError):
+            Critic(10, hidden_dim=8, seed=4).load_param_arrays(arrays)
+    # a rejected load leaves the previous parameters in place
+    target = Critic(10, hidden_dim=8, seed=4)
+    before = target.param_arrays()
+    with pytest.raises(SpecError):
+        target.load_param_arrays(misshaped)
+    for name, arr in before.items():
+        assert np.array_equal(target.params[name].data, arr)
+
+
+def test_actor_head_restore_rejects_bad_entries(tmp_path):
+    gen = Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=2)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, gen, actor=GaussianActor(gen))
+    doc = load_checkpoint(path)
+    head = doc["actor_head"]["params"]
+    misshaped = json.loads(json.dumps(doc))
+    misshaped["actor_head"]["params"]["scale_b"] = {
+        "shape": [SPEC.chunk_dim + 1], "data": [0.0] * (SPEC.chunk_dim + 1)}
+    missing = json.loads(json.dumps(doc))
+    del missing["actor_head"]["params"]["scale_w"]
+    renamed = json.loads(json.dumps(doc))
+    renamed["actor_head"]["params"]["scale_weights"] = head["scale_w"]
+    del renamed["actor_head"]["params"]["scale_w"]
+    inverted = json.loads(json.dumps(doc))
+    inverted["actor_head"]["log_std_bounds"] = [1.0, -5.0]
+    for bad in (misshaped, missing, renamed, inverted):
+        with pytest.raises(SpecError):
+            restore_actor(bad)

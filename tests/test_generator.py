@@ -66,12 +66,6 @@ def test_generate_matches_golden_file():
     np.testing.assert_array_equal(gen.generate(obs, z), np.array(GOLDEN_CHUNK))
 
 
-def test_nonzero_generation_index_rejected():
-    gen = tiny_generator()
-    with pytest.raises(SpecError):
-        gen.generate(np.zeros((1, 3)), np.zeros(4), tau=1)
-
-
 def test_single_hypothesis_reduces_to_generate():
     gen = tiny_generator()
     rng = np.random.default_rng(5)
