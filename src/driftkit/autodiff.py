@@ -29,15 +29,12 @@ __all__ = [
     "Tensor",
     "affine",
     "backward",
-    "broadcast_to",
     "check_finite",
     "clip",
     "concat",
     "matmul",
     "minimum",
     "no_grad",
-    "norm_last",
-    "softmax",
     "stop_gradient",
     "topo_nodes",
 ]
@@ -69,8 +66,12 @@ def no_grad():
 class Tensor:
     """Dense float64 array plus an optional gradient accumulator.
 
-    Tensors are immutable after creation; ``grad`` is the only field mutated,
-    and only by :func:`backward`.
+    A leaf's ``data`` may be rebound to a new array between graphs (the
+    optimizer updates parameters that way), but an array is never mutated in
+    place: every backward rule captures the arrays it needs at forward time,
+    so a recorded graph keeps differentiating the values it was built from.
+    ``grad`` is otherwise the only field that changes, and only by
+    :func:`backward`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_seq")
@@ -131,23 +132,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_lift(other), self)
 
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return tslice(self, key)
 
     def exp(self):
         return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
     def square(self):
         return square(self)
@@ -161,16 +150,10 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        return tmax(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def detach(self):
-        return stop_gradient(self)
 
 
 def _lift(value) -> Tensor:
@@ -276,13 +259,14 @@ def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul shapes {a.shape} x {b.shape}")
-    data = np.einsum(MATMUL_SUBSCRIPTS, a.data, b.data)
+    ad, bd = a.data, b.data
+    data = np.einsum(MATMUL_SUBSCRIPTS, ad, bd)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, np.einsum("ik,jk->ij", g, b.data))
+            _accum(a, np.einsum("ik,jk->ij", g, bd))
         if b.requires_grad:
-            _accum(b, np.einsum("ij,ik->jk", a.data, g))
+            _accum(b, np.einsum("ij,ik->jk", ad, g))
 
     return _node(data, "matmul", (a, b), bw)
 
@@ -304,11 +288,6 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_finite(np.einsum(MATMUL_SUBSCRIPTS, x, w) + b, "affine output")
 
 
-def negate(a):
-    a = _lift(a)
-    return _node(-a.data, "neg", (a,), lambda g: _accum(a, -g))
-
-
 def exp(a):
     a = _lift(a)
     data = np.exp(a.data)
@@ -316,25 +295,10 @@ def exp(a):
     return out
 
 
-def log(a):
-    a = _lift(a)
-    if np.any(a.data <= 0.0):
-        raise AutodiffError("log of non-positive input")
-    data = np.log(a.data)
-    return _node(data, "log", (a,), lambda g: _accum(a, g / a.data))
-
-
-def sqrt(a):
-    a = _lift(a)
-    if np.any(a.data < 0.0):
-        raise AutodiffError("sqrt of negative input")
-    data = np.sqrt(a.data)
-    return _node(data, "sqrt", (a,), lambda g: _accum(a, 0.5 * g / data))
-
-
 def square(a):
     a = _lift(a)
-    return _node(a.data * a.data, "square", (a,), lambda g: _accum(a, 2.0 * g * a.data))
+    ad = a.data
+    return _node(ad * ad, "square", (a,), lambda g: _accum(a, 2.0 * g * ad))
 
 
 def tanh(a):
@@ -376,63 +340,14 @@ def tmean(a, axis=None, keepdims=False):
     return _node(data, "mean", (a,), bw)
 
 
-def tmax(a, axis=None, keepdims=False):
-    """Max reduction; on ties the gradient routes to the first maximal entry."""
-    a = _lift(a)
-    data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        expanded = _restore_axes(g, a.shape, axis, keepdims)
-        full = _restore_axes(data, a.shape, axis, keepdims)
-        hit = a.data == full
-        if axis is None:
-            first = np.zeros(a.shape, dtype=bool)
-            first.flat[int(np.argmax(a.data))] = True
-        else:
-            ax = axis if not isinstance(axis, tuple) else axis[0]
-            idx = np.argmax(hit, axis=ax)
-            first = np.zeros(a.shape, dtype=bool)
-            np.put_along_axis(first, np.expand_dims(idx, ax), True, axis=ax)
-        _accum(a, expanded * first)
-
-    if isinstance(axis, tuple) and len(axis) > 1:
-        raise AutodiffError("tmax supports a single reduction axis")
-    return _node(data, "max", (a,), bw)
-
-
-def softmax(a, axis=-1):
-    """Numerically stable softmax along one axis (max-subtracted logits)."""
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        inner = (g * p).sum(axis=axis, keepdims=True)
-        _accum(a, p * (g - inner))
-
-    return _node(p, "softmax", (a,), bw)
-
-
-def norm_last(a):
-    """Euclidean norm along the last axis; zero rows get zero gradient."""
-    a = _lift(a)
-    n = np.sqrt(np.square(a.data).sum(axis=-1))
-
-    def bw(g):
-        safe = np.where(n == 0.0, 1.0, n)
-        _accum(a, (g / safe)[..., None] * a.data)
-
-    return _node(n, "norm_last", (a,), bw)
-
-
 def clip(a, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient is 1 strictly inside and 0 at or past the bounds."""
     a = _lift(a)
-    data = np.clip(a.data, lo, hi)
+    ad = a.data
+    data = np.clip(ad, lo, hi)
 
     def bw(g):
-        inside = (a.data > lo) & (a.data < hi)
+        inside = (ad > lo) & (ad < hi)
         _accum(a, g * inside)
 
     return _node(data, "clip", (a,), bw)
@@ -487,17 +402,6 @@ def reshape(a, shape):
         _accum(a, g.reshape(a.shape))
 
     return _node(data, "reshape", (a,), bw)
-
-
-def broadcast_to(a, shape):
-    a = _lift(a)
-    _, lead, _ = _expand_info(a.shape, tuple(shape))
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def bw(g):
-        _accum(a, _reduce_lead(g, lead))
-
-    return _node(data, "broadcast", (a,), bw)
 
 
 def stop_gradient(a):

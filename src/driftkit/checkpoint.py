@@ -9,6 +9,8 @@ identical state serializes to identical bytes.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -61,10 +63,22 @@ def checkpoint_document(generator: Generator, ema_params=None, rng_state=None,
 
 
 def save_checkpoint(path, generator: Generator, **kwargs) -> None:
+    """Write atomically: a temp file in the same directory, then ``os.replace``.
+
+    If serialisation fails, a previous file at ``path`` is left as it was and
+    the temp file is removed.
+    """
     doc = checkpoint_document(generator, **kwargs)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict:

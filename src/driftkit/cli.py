@@ -81,8 +81,6 @@ def cmd_train(cfg: dict, out: Path) -> int:
     drift_config = DriftConfig(
         hypothesis_count=cfg["drift.hypothesis_count"],
         temperatures=tuple(cfg["drift.temperatures"]),
-        negative_count=cfg["drift.negative_count"],
-        positive_count=cfg["drift.positive_count"],
         scale_floor=cfg["drift.scale_floor"],
         force_floor=cfg["drift.force_floor"],
         loss_mode=cfg["drift.loss_mode"])

@@ -38,8 +38,6 @@ SYNTH_KEYS = {
 DRIFT_KEYS = {
     "drift.hypothesis_count": (int, 4),
     "drift.temperatures": (list, [0.2]),
-    "drift.negative_count": (int, 0),
-    "drift.positive_count": (int, 1),
     "drift.scale_floor": (float, 1e-6),
     "drift.force_floor": (float, 1e-6),
     "drift.loss_mode": (str, "chunk"),

@@ -33,8 +33,6 @@ class DriftConfig:
 
     hypothesis_count: int = 4
     temperatures: tuple[float, ...] = DEFAULT_TEMPERATURES
-    negative_count: int = 0
-    positive_count: int = 1
     scale_floor: float = 1e-6
     force_floor: float = 1e-6
     loss_mode: str = "chunk"
@@ -48,18 +46,10 @@ class DriftConfig:
             raise DriftConfigError("temperatures must be positive")
         if len(set(self.temperatures)) != len(self.temperatures):
             raise DriftConfigError("temperatures must be distinct")
-        if self.negative_count < 0:
-            raise DriftConfigError("negative_count must be non-negative")
-        if self.positive_count < 1:
-            raise DriftConfigError("positive_count must be positive")
         if self.scale_floor <= 0 or self.force_floor <= 0:
             raise DriftConfigError("floors must be positive")
         if self.loss_mode not in LOSS_MODES:
             raise DriftConfigError(f"loss_mode must be one of {LOSS_MODES}")
-
-    @property
-    def pool_size(self) -> int:
-        return self.hypothesis_count + self.negative_count + self.positive_count
 
 
 @dataclass
@@ -255,15 +245,13 @@ def compute_drift_field(detached: np.ndarray, pool: ReferencePool,
 # -- regression loss (gradient-carrying) ---------------------------------
 
 
-def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float, mode: str = "chunk") -> Tensor:
+def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float) -> Tensor:
     """Mean squared gap between scale-normalized hypotheses and the frozen target.
 
     Equals the sample average of the per-sample losses; in the forward pass the
     value reduces to the mean squared drift magnitude because the target is the
     detached hypotheses plus the drift.
     """
-    if mode not in LOSS_MODES:
-        raise DriftConfigError(f"unknown loss mode {mode!r}")
     if values.shape != target.shape:
         raise DriftConfigError(f"values {values.shape} vs target {target.shape}")
     return square(values / scale - Tensor(target)).mean()
@@ -284,7 +272,7 @@ def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfi
     if config.loss_mode == "chunk":
         pool = build_reference_pool(batch, positives, negatives, weights)
         fld = compute_drift_field(batch.detached, pool, config)
-        return fixed_point_loss(batch.values, fld.target, fld.scale, "chunk"), fld
+        return fixed_point_loss(batch.values, fld.target, fld.scale), fld
 
     if slice_width is None or slice_width < 1:
         raise DriftConfigError("step_wise mode requires a positive slice_width")
@@ -303,7 +291,7 @@ def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfi
         neg = negatives[:, :, lo:hi] if negatives is not None else None
         pool = build_reference_pool(sl, positives[:, :, lo:hi], neg, weights)
         fld = compute_drift_field(sl.detached, pool, config)
-        piece = fixed_point_loss(sl.values, fld.target, fld.scale, "step_wise")
+        piece = fixed_point_loss(sl.values, fld.target, fld.scale)
         fields.append(fld)
         total = piece if total is None else total + piece
     return total / horizon, fields

@@ -84,11 +84,25 @@ def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:
     return grid[spec.exec_start:spec.exec_start + spec.exec_len].copy()
 
 
-def load_params(params: dict[str, Tensor], arrays: dict, owner: str) -> None:
-    """Replace every entry of ``params`` with the same-named array as a new leaf.
+def dense_params(rng: np.random.Generator, layers) -> dict[str, Tensor]:
+    """Leaf parameters of dense layers given as ``(name, fan_in, fan_out)``.
 
-    The names must match exactly and every shape must agree; nothing is
-    replaced unless all entries check out.
+    Each layer gets ``{name}_w`` drawn N(0, 1/fan_in) and a zero ``{name}_b``;
+    the weights are drawn in layer order.
+    """
+    params = {}
+    for name, fan_in, fan_out in layers:
+        params[f"{name}_w"] = Tensor(rng.normal(scale=1.0 / np.sqrt(fan_in),
+                                                size=(fan_in, fan_out)), requires_grad=True)
+        params[f"{name}_b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    return params
+
+
+def load_params(params: dict[str, Tensor], arrays: dict, owner: str) -> None:
+    """Rebind every leaf of ``params`` to the same-named array.
+
+    The names must match exactly, every shape must agree and every value must
+    be finite; nothing is rebound unless all entries check out.
     """
     missing = sorted(set(params) - set(arrays))
     unexpected = sorted(set(arrays) - set(params))
@@ -100,8 +114,9 @@ def load_params(params: dict[str, Tensor], arrays: dict, owner: str) -> None:
         if arr.shape != current.shape:
             raise SpecError(f"{owner} parameter {name}: shape {arr.shape} "
                             f"!= expected {current.shape}")
-        checked[name] = Tensor(arr, requires_grad=True)
-    params.update(checked)
+        checked[name] = check_finite(arr, f"{owner} parameter {name}")
+    for name, arr in checked.items():
+        params[name].data = arr
 
 
 def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -142,23 +157,10 @@ class Generator:
         self.latent_dim = latent_dim
         self.hidden_dim = hidden_dim
         self.nfe_count = 0
-        rng = np.random.default_rng(seed)
-        in_obs = spec.history_len * obs_dim
-        d = spec.chunk_dim
         h = hidden_dim
-        self.params: dict[str, Tensor] = {}
-        for name, shape, fan_in in (
-            ("obs_w", (in_obs, h), in_obs), ("obs_b", (h,), None),
-            ("lat_w", (latent_dim, h), latent_dim), ("lat_b", (h,), None),
-            ("trunk1_w", (2 * h, h), 2 * h), ("trunk1_b", (h,), None),
-            ("trunk2_w", (h, h), h), ("trunk2_b", (h,), None),
-            ("head_w", (h, d), h), ("head_b", (d,), None),
-        ):
-            if fan_in is None:
-                data = np.zeros(shape)
-            else:
-                data = rng.normal(scale=1.0 / np.sqrt(fan_in), size=shape)
-            self.params[name] = Tensor(data, requires_grad=True)
+        self.params: dict[str, Tensor] = dense_params(np.random.default_rng(seed), (
+            ("obs", spec.history_len * obs_dim, h), ("lat", latent_dim, h),
+            ("trunk1", 2 * h, h), ("trunk2", h, h), ("head", h, spec.chunk_dim)))
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params

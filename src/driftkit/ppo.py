@@ -18,7 +18,7 @@ from .autodiff import (Tensor, affine, backward, check_finite, clip, exp, matmul
                        no_grad, tanh)
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
-from .generator import Generator, executed_prefix, load_params
+from .generator import Generator, dense_params, executed_prefix, load_params
 from .training import AdamW, NumericalAbort
 
 RATIO_LOG_CLAMP = 40.0
@@ -68,20 +68,11 @@ class Critic:
     """Two-layer tanh MLP mapping the flattened observation history to a value."""
 
     def __init__(self, input_dim: int, hidden_dim: int = 64, seed: int = 0):
-        rng = np.random.default_rng(seed)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.params: dict[str, Tensor] = {
-            "v1_w": Tensor(rng.normal(scale=1.0 / np.sqrt(input_dim),
-                                      size=(input_dim, hidden_dim)), requires_grad=True),
-            "v1_b": Tensor(np.zeros(hidden_dim), requires_grad=True),
-            "v2_w": Tensor(rng.normal(scale=1.0 / np.sqrt(hidden_dim),
-                                      size=(hidden_dim, hidden_dim)), requires_grad=True),
-            "v2_b": Tensor(np.zeros(hidden_dim), requires_grad=True),
-            "v3_w": Tensor(rng.normal(scale=1.0 / np.sqrt(hidden_dim),
-                                      size=(hidden_dim, 1)), requires_grad=True),
-            "v3_b": Tensor(np.zeros(1), requires_grad=True),
-        }
+        h = hidden_dim
+        self.params: dict[str, Tensor] = dense_params(np.random.default_rng(seed), (
+            ("v1", input_dim, h), ("v2", h, h), ("v3", h, 1)))
 
     def forward(self, obs_flat: Tensor) -> Tensor:
         return _value_mlp(self.params, obs_flat, _tape_linear, tanh)
@@ -308,11 +299,6 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
             critic_grads = {name: grad_map.get(p, np.zeros_like(p.data))
                             for name, p in critic.params.items()}
             actor_opt.step(actor_params, actor_grads)
-            # actor.parameters() returns a merged view; push refreshed tensors back
-            for name in actor.generator.params:
-                actor.generator.params[name] = actor_params[name]
-            for name in actor.head_params:
-                actor.head_params[name] = actor_params[name]
             critic_opt.step(critic.params, critic_grads)
 
             ratios_acc.append(float(ratio.data.mean()))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, check_finite
 from .drift import DriftConfig, drift_loss
 from .generator import Generator, sample_hypotheses
 
@@ -84,7 +84,11 @@ def grad_clip(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, 
 
 
 class AdamW:
-    """Adam moments with decoupled weight decay; decay is scaled by the step's lr."""
+    """Adam moments with decoupled weight decay; decay is scaled by the step's lr.
+
+    :meth:`step` rebinds each parameter leaf's ``data`` to the updated array,
+    so every holder of a leaf sees the new values without copying them back.
+    """
 
     def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  weight_decay: float = 0.0, eps: float = 1e-8):
@@ -117,7 +121,7 @@ class AdamW:
             v_hat = self.v[name] / bc2
             new = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.eps)
                                  + self.weight_decay * p.data)
-            params[name] = Tensor(new, requires_grad=True)
+            p.data = check_finite(new, f"AdamW update of {name}")
 
     def state(self) -> dict:
         return {
@@ -160,14 +164,6 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
 
     Returns (loss value, per-parameter gradient arrays, mean field scale).
     """
-    if config.positive_count != 1:
-        raise TrainConfigError(
-            "training data provides exactly one aligned expert per sample; "
-            "set positive_count=1 (larger pools are reachable through the pool API)")
-    if config.negative_count != 0:
-        raise TrainConfigError(
-            "no negative-reference source is bundled; set negative_count=0 "
-            "(explicit negatives are reachable through the pool API)")
     batch, _ = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
     experts = np.asarray(expert_batch, dtype=np.float64)
     experts = experts.reshape(experts.shape[0], 1, -1)

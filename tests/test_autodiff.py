@@ -35,19 +35,13 @@ def _forward_np(build, arr):
 
 UNARY_CASES = [
     ("exp", lambda x: x.exp(), 1e-5),
-    ("log", lambda x: (x + 3.0).log(), 1e-5),
-    ("sqrt", lambda x: (x + 3.0).sqrt(), 1e-5),
     ("square", lambda x: x.square(), 1e-5),
     ("tanh", lambda x: x.tanh(), 1e-5),
-    ("neg", lambda x: -x, 1e-5),
     ("sum_axis", lambda x: x.sum(axis=1), 1e-5),
     ("mean_axis", lambda x: x.mean(axis=0), 1e-5),
-    ("softmax", lambda x: ad.softmax(x, axis=1).square(), 1e-5),
-    ("norm_last", lambda x: ad.norm_last(x), 1e-5),
     ("reshape", lambda x: x.reshape(12).square(), 1e-5),
     ("slice", lambda x: x[1:, :2].square(), 1e-5),
     ("clip", lambda x: ad.clip(x, -1.5, 1.5), 1e-3),
-    ("max_axis", lambda x: x.max(axis=1), 1e-3),
 ]
 
 
@@ -55,7 +49,7 @@ UNARY_CASES = [
 def test_unary_gradients_match_finite_differences(name, build, tol):
     rng = np.random.default_rng(hash(name) % 2**32)
     x0 = rng.uniform(-2.0, 2.0, size=(3, 4))
-    if name in ("clip", "max_axis"):
+    if name == "clip":
         # keep away from the non-smooth points
         x0 = np.where(np.abs(np.abs(x0) - 1.5) < 0.05, 0.3, x0)
     analytic = scalar_loss_grad(build, x0)
@@ -118,11 +112,6 @@ def test_matmul_gradient_matches_finite_differences():
     assert rel_err(scalar_loss_grad(wrt_b, b0), fd_grad(wrt_b, b0)) < 1e-6
 
 
-def test_softmax_of_constant_row_is_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
-    np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), rtol=0, atol=0)
-
-
 def test_stop_gradient_identity_and_annihilation():
     for shape in [(3,), (2, 3), (2, 3, 4)]:
         rng = np.random.default_rng(1)
@@ -181,7 +170,9 @@ def test_same_graph_is_bitwise_reproducible():
     def run():
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
-        loss = ad.softmax(ad.matmul(x, w).tanh(), axis=1).square().sum()
+        h = ad.matmul(x, w).tanh()
+        wide = ad.concat([h.exp(), ad.clip(h, -0.5, 0.5)], axis=1)
+        loss = (wide.square().mean(axis=0) / (h.square().sum() + 1.0)).sum()
         grads = backward(loss)
         return loss.data.copy(), grads[x].copy(), grads[w].copy()
 
@@ -209,11 +200,9 @@ def test_concat_roundtrip_gradients():
 
 def test_domain_and_shape_errors():
     with pytest.raises(AutodiffError):
-        Tensor([1.0, -1.0]).log()
-    with pytest.raises(AutodiffError):
-        Tensor([-0.5]).sqrt()
-    with pytest.raises(AutodiffError):
         Tensor([1.0]) / Tensor([0.0])
+    with np.errstate(over="ignore"), pytest.raises(AutodiffError):
+        Tensor([1000.0]).exp()
     with pytest.raises(AutodiffError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(AutodiffError):

@@ -66,6 +66,19 @@ def test_identical_state_serializes_to_identical_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_failed_save_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    gen = Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=12)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, gen)
+    previous = path.read_bytes()
+    # the unserialisable entry sorts after "params", so the temp file is
+    # partly written when json.dump gives up
+    with pytest.raises(TypeError):
+        save_checkpoint(path, gen, rng_state={"state": object()})
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_unsupported_version_rejected(tmp_path):
     gen = Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=5)
     path = tmp_path / "ckpt.json"

@@ -64,6 +64,13 @@ def test_unknown_config_key_rejected_with_exit_2(tmp_path):
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_removed_pool_size_key_rejected_with_exit_2(tmp_path, capsys):
+    data = synth_dir(tmp_path)
+    code, _ = train_dir(tmp_path, data, steps=1, extra={"drift.negative_count": 0})
+    assert code == 2
+    assert "unknown config keys for 'train': ['drift.negative_count']" in capsys.readouterr().err
+
+
 def test_malformed_json_rejected_with_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

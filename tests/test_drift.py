@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit.autodiff import Tensor, backward
 from driftkit.drift import (DriftConfig, DriftConfigError, HypothesisBatch,
@@ -292,8 +294,6 @@ def test_loss_gradient_matches_finite_differences_with_fixed_target():
 def test_loss_shape_mismatch_rejected():
     with pytest.raises(DriftConfigError):
         fixed_point_loss(Tensor(np.zeros((1, 1, 2))), np.zeros((1, 1, 3)), 1.0)
-    with pytest.raises(DriftConfigError):
-        fixed_point_loss(Tensor(np.zeros((1, 1, 2))), np.zeros((1, 1, 2)), 1.0, mode="bogus")
 
 
 # -- full pipeline vs oracle -----------------------------------------------
@@ -379,7 +379,7 @@ def test_equilibrium_field_statistically_symmetric():
     magnitude does not depend on which sample plays which role."""
     rng = np.random.default_rng(4242)
     g, s = 4, 6
-    config = DriftConfig(hypothesis_count=g, positive_count=g)
+    config = DriftConfig(hypothesis_count=g)
 
     def mixture(n):
         centers = np.where(rng.random((n, 1)) < 0.5, -0.6, 0.6)
@@ -398,6 +398,62 @@ def test_equilibrium_field_statistically_symmetric():
     se = np.sqrt(np.var(stats_a, ddof=1) / len(stats_a)
                  + np.var(stats_b, ddof=1) / len(stats_b))
     assert abs(mean_a - mean_b) < 2.0 * se
+
+
+# -- properties over random geometries --------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None)
+temperature_sets = st.lists(st.floats(min_value=0.02, max_value=2.0), min_size=1,
+                            max_size=3, unique=True)
+
+
+def pool_instance(seed, b, g, s, c_n):
+    """Hypotheses, positives, negatives and non-uniform weights for one pool."""
+    rng = np.random.default_rng(seed)
+    c_p = int(rng.integers(1, 4))
+    hyp = rng.uniform(-2, 2, size=(b, g, s))
+    pos = rng.uniform(-2, 2, size=(b, c_p, s))
+    neg = rng.uniform(-2, 2, size=(b, c_n, s))
+    weights = rng.uniform(0.1, 2.0, size=(b, g + c_n + c_p))
+    return hyp, pos, neg, weights
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
+       s=st.integers(1, 5), c_n=st.integers(0, 2), temperatures=temperature_sets)
+def test_property_mass_balance_per_hypothesis_and_temperature(seed, b, g, s, c_n,
+                                                              temperatures):
+    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
+    batch = HypothesisBatch.from_values(Tensor(hyp))
+    pool = build_reference_pool(batch, pos, neg, weights)
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
+    field = compute_drift_field(batch.detached, pool, config)
+    for alpha in field.coefficients.values():
+        negative_side = alpha[:, :, pool.negative_indices].sum(axis=2)
+        positive_side = alpha[:, :, pool.positive_indices].sum(axis=2)
+        np.testing.assert_allclose(negative_side, -positive_side, rtol=1e-12, atol=1e-15)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
+       s=st.integers(1, 5), c_n=st.integers(0, 2), temperatures=temperature_sets)
+def test_property_hypothesis_permutation_equivariance(seed, b, g, s, c_n, temperatures):
+    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
+    perm = np.random.default_rng(seed + 1).permutation(g)
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
+
+    def field_of(hypotheses, pool_weights):
+        batch = HypothesisBatch.from_values(Tensor(hypotheses))
+        pool = build_reference_pool(batch, pos, neg, pool_weights)
+        return compute_drift_field(batch.detached, pool, config)
+
+    base = field_of(hyp, weights)
+    # the pool's first G references are the hypotheses' own copies, so their
+    # weights move with them
+    permuted_weights = np.concatenate([weights[:, perm], weights[:, g:]], axis=1)
+    permuted = field_of(hyp[:, perm], permuted_weights)
+    np.testing.assert_allclose(permuted.aggregate, base.aggregate[:, perm], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(permuted.target, base.target[:, perm], rtol=0, atol=1e-12)
 
 
 # -- step-wise mode ---------------------------------------------------------
@@ -439,7 +495,5 @@ def test_config_validation():
         DriftConfig(temperatures=())
     with pytest.raises(DriftConfigError):
         DriftConfig(temperatures=(0.2, 0.2))
-    with pytest.raises(DriftConfigError):
-        DriftConfig(positive_count=0)
     with pytest.raises(DriftConfigError):
         DriftConfig(loss_mode="other")

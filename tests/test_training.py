@@ -6,13 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftkit.autodiff import Tensor
+from driftkit.autodiff import AutodiffError, Tensor, backward, clip, matmul
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
-from driftkit.training import (NumericalAbort, TrainConfig, TrainConfigError,
-                               drift_train_step, ema_decay_at, ema_update,
-                               grad_clip, train, warmup_lr)
+from driftkit.training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
+                               ema_decay_at, ema_update, grad_clip, train, warmup_lr)
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 
@@ -65,6 +64,39 @@ def test_step_wise_mode_trains_with_finite_losses():
     assert len(result.metrics) == 8
     assert all(np.isfinite(m["loss"]) for m in result.metrics)
     assert all(m["s_norm"] > 0 for m in result.metrics)
+
+
+def test_adamw_updates_leaves_in_place_and_old_graph_keeps_its_gradients():
+    # matmul, square and clip all read parameter leaves directly here; after
+    # the step their backward rules must still see the forward-time values
+    # (b starts inside the clip band and the step moves it outside)
+    rng = np.random.default_rng(17)
+    params = {"x": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+              "w": Tensor(rng.normal(size=(4, 2)), requires_grad=True),
+              "b": Tensor([0.01, -0.02], requires_grad=True)}
+    x, w, b = params["x"], params["w"], params["b"]
+    loss = ((matmul(x, w) + b).tanh().square().mean()
+            + w.square().sum() + clip(b, -0.05, 0.05).sum())
+    grads = backward(loss)
+    before = {name: grads[p].copy() for name, p in params.items()}
+    old_data = {name: p.data for name, p in params.items()}
+
+    AdamW(params.keys(), lr=0.5).step(params, before)
+    assert params["x"] is x and params["w"] is w and params["b"] is b
+    for name, p in params.items():
+        assert not np.array_equal(p.data, old_data[name])
+
+    after = backward(loss)
+    for name, p in params.items():
+        assert np.array_equal(after[p], before[name]), name
+
+
+def test_adamw_nonfinite_update_raises_and_keeps_the_leaf():
+    p = Tensor(np.ones(3), requires_grad=True)
+    old = p.data
+    with np.errstate(invalid="ignore"), pytest.raises(AutodiffError):
+        AdamW(["p"], lr=0.1).step({"p": p}, {"p": np.array([0.0, np.nan, 0.0])})
+    assert p.data is old
 
 
 def test_grad_clip_below_threshold_is_identity():
@@ -161,18 +193,6 @@ def test_empty_dataset_rejected():
     ds.chunks = ds.chunks[:0]
     with pytest.raises(TrainConfigError):
         train(ds, tiny_generator(), DriftConfig(), TrainConfig(steps=1))
-
-
-def test_train_step_rejects_unsupported_pool_sizes():
-    ds = toy_dataset()
-    gen = tiny_generator()
-    rng = np.random.default_rng(0)
-    obs = ds.observations[:4]
-    chunks = ds.chunks[:4].reshape(4, -1)
-    with pytest.raises(TrainConfigError):
-        drift_train_step(gen, obs, chunks, DriftConfig(positive_count=2), rng)
-    with pytest.raises(TrainConfigError):
-        drift_train_step(gen, obs, chunks, DriftConfig(negative_count=1), rng)
 
 
 def test_single_hypothesis_at_expert_has_zero_loss():
