@@ -28,11 +28,11 @@ DEFAULT_LOG_STD_INIT = float(np.log(0.15))
 
 @dataclass
 class ActorOutput:
-    """Per-row Gaussian parameters plus the executed-prefix mask."""
+    """Per-row Gaussian parameters plus the chunk geometry that locates the prefix."""
 
     mean: Tensor
     log_std: Tensor
-    prefix_mask: np.ndarray
+    spec: ChunkSpec
 
     def std(self) -> np.ndarray:
         return np.exp(self.log_std.data)
@@ -73,8 +73,7 @@ class GaussianActor:
         """One backbone evaluation yielding mean and clipped log-scale."""
         mean, feat = self.generator.forward(obs_flat, z)
         log_std = self._log_std(feat, self.head_params, _tape_linear, clip)
-        return ActorOutput(mean=mean, log_std=log_std,
-                           prefix_mask=self.spec.prefix_mask())
+        return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`forward` without the tape: (mean, clipped log-scale) arrays."""
@@ -133,7 +132,7 @@ def prefix_log_prob(x_exec: np.ndarray, output: ActorOutput) -> Tensor:
     prefix coordinates; coordinates outside the prefix contribute nothing to
     the value or the gradient.  Returns one scalar per batch row.
     """
-    spec_slice = _mask_slice(output.prefix_mask)
+    spec_slice = output.spec.exec_slice()
     x = _prefix_rows(x_exec, output.mean.shape, spec_slice)
     mu = output.mean[:, spec_slice]
     ls = output.log_std[:, spec_slice]
@@ -151,12 +150,5 @@ def prefix_log_prob_arrays(x_exec: np.ndarray, mean: np.ndarray, log_std: np.nda
 
 def prefix_entropy(output: ActorOutput) -> Tensor:
     """Diagonal-Gaussian entropy over the executed-prefix coordinates."""
-    spec_slice = _mask_slice(output.prefix_mask)
-    ls = output.log_std[:, spec_slice]
+    ls = output.log_std[:, output.spec.exec_slice()]
     return (0.5 * (1.0 + LOG_2PI) + ls).sum(axis=1)
-
-
-def _mask_slice(mask: np.ndarray) -> slice:
-    flat = mask.reshape(-1)
-    on = np.flatnonzero(flat)
-    return slice(int(on[0]), int(on[-1]) + 1)

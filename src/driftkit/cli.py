@@ -97,9 +97,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
                           hidden_dim=cfg["model.hidden_dim"], seed=cfg["model.init_seed"])
     result = train(dataset, generator, drift_config, train_config)
     write_metrics_csv(out / "metrics.csv", result.metrics)
+    snap = generator.clone() if result.checkpoints else None
     for step, arrays in result.checkpoints.items():
-        snap = Generator(spec, obs_dim=obs_dim, latent_dim=cfg["model.latent_dim"],
-                         hidden_dim=cfg["model.hidden_dim"])
         snap.load_param_arrays(arrays)
         ckpt.save_checkpoint(out / f"checkpoint_step{step}.json", snap)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,

@@ -7,11 +7,15 @@ mass-balanced signed coefficients, per-scale forces, RMS normalization and
 the aggregated field.  Gradients enter only through the squared regression
 of the live hypothesis tensor onto the detached target, with the global
 scale treated as a constant.
+
+The geometry works over any leading axes, (..., B, G, S) hypotheses against
+(..., B, U, S) references, one independent instance per leading index; the
+time slices of step-wise mode are such an axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,10 +72,12 @@ class HypothesisBatch:
 
 @dataclass
 class ReferencePool:
-    """Reference tensor (B, U, S) with weights and the signed index partition.
+    """Reference tensor (B, U, S) with (B, U) weights and the signed index partition.
 
     The first G references are always the detached hypotheses (repulsive
     side), optionally followed by explicit negatives, then the positives.
+    The geometry also takes refs with leading axes (..., B, U, S), which then
+    share the weights.
     """
 
     refs: np.ndarray
@@ -121,10 +127,13 @@ def build_reference_pool(batch: HypothesisBatch, positives: np.ndarray,
 
 @dataclass
 class DriftFieldTensors:
-    """All intermediates of one drift-field evaluation, for diagnostics and tests."""
+    """All intermediates of one drift-field evaluation, for diagnostics and tests.
+
+    Arrays keep the hypotheses' leading axes; ``scale`` has one entry per index.
+    """
 
     distances: np.ndarray
-    scale: float
+    scale: np.ndarray
     affinities: dict[float, np.ndarray] = field(default_factory=dict)
     coefficients: dict[float, np.ndarray] = field(default_factory=dict)
     forces: dict[float, np.ndarray] = field(default_factory=dict)
@@ -135,44 +144,51 @@ class DriftFieldTensors:
 # -- geometry (gradient-free) -------------------------------------------
 
 
+def _per_index(scale, trailing: int) -> np.ndarray:
+    """A per-leading-index scale, shaped to broadcast over ``trailing`` more axes."""
+    scale = np.asarray(scale, dtype=np.float64)
+    return scale.reshape(scale.shape + (1,) * trailing)
+
+
 def pairwise_distances(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every hypothesis (i, r) and reference (i, u)."""
+    """Euclidean distance between every hypothesis (..., i, r) and reference (..., i, u)."""
     detached = np.asarray(detached, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
-    if detached.ndim != 3 or refs.ndim != 3:
-        raise DriftConfigError("pairwise_distances expects 3-d inputs")
-    if detached.shape[0] != refs.shape[0] or detached.shape[2] != refs.shape[2]:
+    if detached.ndim < 3 or refs.ndim != detached.ndim:
+        raise DriftConfigError("pairwise_distances expects (..., B, G, S) and (..., B, U, S)")
+    if detached.shape[:-2] != refs.shape[:-2] or detached.shape[-1] != refs.shape[-1]:
         raise DriftConfigError(
             f"batch/space mismatch: {detached.shape} vs {refs.shape}")
-    diff = detached[:, :, None, :] - refs[:, None, :, :]
+    diff = detached[..., :, None, :] - refs[..., None, :, :]
     return np.sqrt(np.square(diff).sum(axis=-1))
 
 
-def global_scale(distances: np.ndarray, weights: np.ndarray, scale_floor: float) -> float:
-    """Weighted mean distance with a floor.
+def global_scale(distances: np.ndarray, weights: np.ndarray,
+                 scale_floor: float) -> np.ndarray:
+    """Weighted mean distance with a floor, one per leading index.
 
     Each reference weight is counted once per (i, u), so the distance average
     over (i, r, u) divides by G times the weight mass.
     """
-    g = distances.shape[1]
-    wsum = float(weights.sum())
-    if wsum <= 0.0:
+    g = distances.shape[-2]
+    wsum = weights.sum(axis=(-2, -1))
+    if np.any(wsum <= 0.0):
         raise DriftConfigError("reference weights have zero total mass")
-    raw = float((distances * weights[:, None, :]).sum() / (g * wsum))
-    return max(raw, scale_floor)
+    raw = (distances * weights[..., None, :]).sum(axis=(-3, -2, -1)) / (g * wsum)
+    return np.maximum(raw, scale_floor)
 
 
-def symmetric_affinity(distances: np.ndarray, scale: float, temperature: float,
+def symmetric_affinity(distances: np.ndarray, scale: float | np.ndarray, temperature: float,
                        weights: np.ndarray) -> np.ndarray:
     """Geometric mean of the reference-axis and hypothesis-axis softmaxes.
 
     Both softmaxes are taken over the same normalized logits -d/(R*scale);
     the per-reference weight multiplies the affinity post hoc.
     """
-    logits = -(distances / scale) / temperature
-    s_u = _softmax_np(logits, axis=2)
-    s_r = _softmax_np(logits, axis=1)
-    return np.sqrt(s_u * s_r) * weights[:, None, :]
+    logits = -(distances / _per_index(scale, 3)) / temperature
+    s_u = _softmax_np(logits, axis=-1)
+    s_r = _softmax_np(logits, axis=-2)
+    return np.sqrt(s_u * s_r) * weights[..., None, :]
 
 
 def _softmax_np(logits: np.ndarray, axis: int) -> np.ndarray:
@@ -190,42 +206,42 @@ def balanced_coefficients(affinity: np.ndarray, negative_indices: np.ndarray,
     """
     if len(positive_indices) == 0:
         raise DriftConfigError("positive index set is empty")
-    s_minus = affinity[:, :, negative_indices].sum(axis=2, keepdims=True)
-    s_plus = affinity[:, :, positive_indices].sum(axis=2, keepdims=True)
+    s_minus = affinity[..., negative_indices].sum(axis=-1, keepdims=True)
+    s_plus = affinity[..., positive_indices].sum(axis=-1, keepdims=True)
     alpha = np.empty_like(affinity)
-    alpha[:, :, negative_indices] = -affinity[:, :, negative_indices] * s_plus
-    alpha[:, :, positive_indices] = affinity[:, :, positive_indices] * s_minus
+    alpha[..., negative_indices] = -affinity[..., negative_indices] * s_plus
+    alpha[..., positive_indices] = affinity[..., positive_indices] * s_minus
     return alpha
 
 
 def per_scale_force(alpha: np.ndarray, refs: np.ndarray, detached: np.ndarray,
-                    scale: float) -> np.ndarray:
+                    scale: float | np.ndarray) -> np.ndarray:
     """Coefficient-weighted sum of scale-normalized displacements toward references."""
-    disp = (refs[:, None, :, :] - detached[:, :, None, :]) / scale
-    return np.einsum("bgu,bgud->bgd", alpha, disp)
+    disp = (refs[..., None, :, :] - detached[..., :, None, :]) / _per_index(scale, 4)
+    return np.einsum("...gu,...gud->...gd", alpha, disp)
 
 
 def rms_normalize(force: np.ndarray, force_floor: float) -> np.ndarray:
-    """Divide by the RMS of per-(i, r) force norms, floored to avoid blowup."""
-    mean_sq = float(np.square(force).sum(axis=-1).mean())
-    return force / np.sqrt(mean_sq + force_floor)
+    """Divide by the per-index RMS of per-(i, r) force norms, floored to avoid blowup."""
+    mean_sq = np.square(force).sum(axis=-1).mean(axis=(-2, -1))
+    return force / _per_index(np.sqrt(mean_sq + force_floor), 3)
 
 
 def aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
-                         scale: float) -> tuple[np.ndarray, np.ndarray]:
+                         scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the normalized per-temperature forces and build the detached target."""
     if not forces:
         raise DriftConfigError("at least one per-temperature force required")
     aggregate = forces[0].copy()
     for f in forces[1:]:
         aggregate += f
-    target = detached / scale + aggregate
+    target = detached / _per_index(scale, 3) + aggregate
     return aggregate, target
 
 
 def compute_drift_field(detached: np.ndarray, pool: ReferencePool,
                         config: DriftConfig) -> DriftFieldTensors:
-    """Run the full geometry pipeline on one (B, G, S) / (B, U, S) instance."""
+    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their pool."""
     d = pairwise_distances(detached, pool.refs)
     scale = global_scale(d, pool.weights, config.scale_floor)
     out = DriftFieldTensors(distances=d, scale=scale)
@@ -245,9 +261,10 @@ def compute_drift_field(detached: np.ndarray, pool: ReferencePool,
 # -- regression loss (gradient-carrying) ---------------------------------
 
 
-def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float) -> Tensor:
+def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarray) -> Tensor:
     """Mean squared gap between scale-normalized hypotheses and the frozen target.
 
+    ``scale`` is a number or an array that broadcasts against the values.
     Equals the sample average of the per-sample losses; in the forward pass the
     value reduces to the mean squared drift magnitude because the target is the
     detached hypotheses plus the drift.
@@ -263,35 +280,28 @@ def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfi
                slice_width: int | None = None):
     """Drift-field regression loss for one minibatch.
 
-    Chunk mode runs one pipeline over the flattened chunk space.  Step-wise
-    mode runs an independent pipeline on every ``slice_width``-sized time
-    slice of the flattened chunk and averages the per-slice losses over the
-    horizon.  Returns the scalar loss and the field tensors (one per slice in
-    step-wise mode).
+    Step-wise mode splits the flattened chunk into K time slices of
+    ``slice_width`` coordinates and runs an independent pipeline on each, as
+    the leading axis of one geometry pass; chunk mode is the one-slice case
+    over the full width.  The loss is the mean over all (B, G, S) entries,
+    which equals the mean of the per-slice losses because the slices have
+    equal size.  Returns the scalar loss and the field tensors, whose arrays
+    lead with the slice axis (``scale`` is (K,)).
     """
-    if config.loss_mode == "chunk":
-        pool = build_reference_pool(batch, positives, negatives, weights)
-        fld = compute_drift_field(batch.detached, pool, config)
-        return fixed_point_loss(batch.values, fld.target, fld.scale), fld
-
-    if slice_width is None or slice_width < 1:
+    b, g, s = batch.values.shape
+    width = s if config.loss_mode == "chunk" else slice_width
+    if width is None or width < 1:
         raise DriftConfigError("step_wise mode requires a positive slice_width")
-    s_total = batch.values.shape[2]
-    d_a = slice_width
-    if s_total % d_a != 0:
-        raise DriftConfigError(
-            f"chunk width {s_total} is not a multiple of slice width {d_a}")
-    horizon = s_total // d_a
-    total = None
-    fields = []
-    for h in range(horizon):
-        lo, hi = h * d_a, (h + 1) * d_a
-        sl = HypothesisBatch(values=batch.values[:, :, lo:hi],
-                             detached=batch.detached[:, :, lo:hi])
-        neg = negatives[:, :, lo:hi] if negatives is not None else None
-        pool = build_reference_pool(sl, positives[:, :, lo:hi], neg, weights)
-        fld = compute_drift_field(sl.detached, pool, config)
-        piece = fixed_point_loss(sl.values, fld.target, fld.scale)
-        fields.append(fld)
-        total = piece if total is None else total + piece
-    return total / horizon, fields
+    if s % width != 0:
+        raise DriftConfigError(f"chunk width {s} is not a multiple of slice width {width}")
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """(B, C, S) -> (K, B, C, width) in C order, so that each slice's sums add
+        in the order of a separate 3-d instance and keep its bits."""
+        return np.ascontiguousarray(np.moveaxis(x.reshape(b, x.shape[1], -1, width), 2, 0))
+
+    pool = build_reference_pool(batch, positives, negatives, weights)
+    fld = compute_drift_field(split(batch.detached), replace(pool, refs=split(pool.refs)),
+                              config)
+    target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
+    return fixed_point_loss(batch.values, target, np.repeat(fld.scale, width)), fld

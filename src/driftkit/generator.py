@@ -61,12 +61,6 @@ class ChunkSpec:
         lo = self.exec_start * self.action_dim
         return slice(lo, lo + self.exec_dim)
 
-    def prefix_mask(self) -> np.ndarray:
-        """Binary (H, d_a) mask selecting exactly the executed steps."""
-        mask = np.zeros((self.horizon, self.action_dim))
-        mask[self.exec_start:self.exec_start + self.exec_len, :] = 1.0
-        return mask
-
     def to_dict(self) -> dict:
         return {"horizon": self.horizon, "action_dim": self.action_dim,
                 "history_len": self.history_len, "exec_len": self.exec_len}

@@ -162,7 +162,8 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
                      rng: np.random.Generator):
     """One minibatch step: sample hypotheses, build the pool, regress, backprop.
 
-    Returns (loss value, per-parameter gradient arrays, mean field scale).
+    Returns (loss value, per-parameter gradient arrays, field scale averaged
+    over the loss slices).
     """
     batch, _ = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
     experts = np.asarray(expert_batch, dtype=np.float64)
@@ -174,11 +175,7 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
     for name, p in generator.params.items():
         g = grad_map.get(p)
         grads[name] = g if g is not None else np.zeros_like(p.data)
-    if config.loss_mode == "chunk":
-        scale = fields.scale
-    else:
-        scale = float(np.mean([f.scale for f in fields]))
-    return loss.item(), grads, scale
+    return loss.item(), grads, float(np.mean(fields.scale))
 
 
 def train(dataset, generator: Generator, drift_config: DriftConfig,

@@ -37,7 +37,7 @@ def fixed_output(mean, log_std, spec=SPEC):
     from driftkit.actor import ActorOutput
     return ActorOutput(mean=Tensor(mean, requires_grad=True),
                        log_std=Tensor(log_std, requires_grad=True),
-                       prefix_mask=spec.prefix_mask())
+                       spec=spec)
 
 
 def test_zero_head_gives_configured_init_scale():

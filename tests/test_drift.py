@@ -467,7 +467,7 @@ def test_step_wise_loss_matches_manual_slices():
     batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
     config = DriftConfig(hypothesis_count=g, loss_mode="step_wise")
     loss, fields = drift_loss(batch, pos, config, slice_width=d_a)
-    assert len(fields) == horizon
+    assert fields.scale.shape == (horizon,)
 
     chunk_cfg = DriftConfig(hypothesis_count=g, loss_mode="chunk")
     manual = 0.0
@@ -486,6 +486,82 @@ def test_step_wise_requires_slice_width():
     config = DriftConfig(hypothesis_count=2, loss_mode="step_wise")
     with pytest.raises(DriftConfigError):
         drift_loss(batch, rng.normal(size=(1, 1, 4)), config)
+    with pytest.raises(DriftConfigError):
+        drift_loss(batch, rng.normal(size=(1, 1, 4)), config, slice_width=3)
+
+
+def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width):
+    """Reference for step-wise ``drift_loss``: one 3-d pipeline and one tape loss
+    per time slice, averaged over the slices.
+
+    Returns (loss, per-slice fields, gradient with respect to the hypotheses).
+    """
+    values = Tensor(hyp, requires_grad=True)
+    batch = HypothesisBatch.from_values(values)
+    horizon = hyp.shape[2] // slice_width
+    total, fields = None, []
+    for h in range(horizon):
+        lo, hi = h * slice_width, (h + 1) * slice_width
+        sl = HypothesisBatch(values=batch.values[:, :, lo:hi],
+                             detached=batch.detached[:, :, lo:hi])
+        neg = negatives[:, :, lo:hi] if negatives is not None else None
+        pool = build_reference_pool(sl, positives[:, :, lo:hi], neg, weights)
+        fld = compute_drift_field(sl.detached, pool, config)
+        piece = fixed_point_loss(sl.values, fld.target, fld.scale)
+        fields.append(fld)
+        total = piece if total is None else total + piece
+    loss = total / horizon
+    return loss, fields, backward(loss)[values]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
+       horizon=st.integers(1, 5), d_a=st.integers(1, 3), c_n=st.integers(0, 2),
+       temperatures=temperature_sets)
+def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, c_n,
+                                                  temperatures):
+    hyp, pos, neg, weights = pool_instance(seed, b, g, horizon * d_a, c_n)
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures),
+                         loss_mode="step_wise")
+    values = Tensor(hyp, requires_grad=True)
+    loss, fld = drift_loss(HypothesisBatch.from_values(values), pos, config,
+                           negatives=neg, weights=weights, slice_width=d_a)
+    grad = backward(loss)[values]
+    ref_loss, ref_fields, ref_grad = step_wise_loss_loop(hyp, pos, config, neg, weights, d_a)
+
+    # each slice's geometry is the loop's bit for bit; only the one mean over
+    # all entries (against a sum of per-slice means over H) can move the loss
+    # and the gradient in the last ulp
+    assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-12, abs=0)
+    assert fld.scale.shape == (horizon,)
+    for h, ref in enumerate(ref_fields):
+        assert fld.scale[h] == ref.scale
+        np.testing.assert_array_equal(fld.target[h], ref.target)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
+       s=st.integers(1, 6), c_n=st.integers(0, 2), temperatures=temperature_sets)
+def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, c_n, temperatures):
+    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
+    values = Tensor(hyp, requires_grad=True)
+    loss, fld = drift_loss(HypothesisBatch.from_values(values), pos, config,
+                           negatives=neg, weights=weights)
+    grad = backward(loss)[values]
+
+    ref_values = Tensor(hyp, requires_grad=True)
+    ref_batch = HypothesisBatch.from_values(ref_values)
+    ref_field = compute_drift_field(ref_batch.detached,
+                                    build_reference_pool(ref_batch, pos, neg, weights), config)
+    ref_loss = fixed_point_loss(ref_values, ref_field.target, ref_field.scale)
+    ref_grad = backward(ref_loss)[ref_values]
+
+    assert fld.scale.shape == (1,) and fld.scale[0] == ref_field.scale
+    np.testing.assert_array_equal(fld.target[0], ref_field.target)
+    assert loss.item() == ref_loss.item()
+    np.testing.assert_array_equal(grad, ref_grad)
 
 
 def test_config_validation():

@@ -122,11 +122,12 @@ def test_executed_prefix_last_step_only():
                                   chunk.reshape(4, 2)[3:4])
 
 
-def test_prefix_mask_has_exact_ones():
+def test_exec_slice_selects_exactly_the_executed_steps():
     spec = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
-    mask = spec.prefix_mask()
-    assert mask.sum() == spec.exec_len * spec.action_dim
-    assert mask[1:9].all() and not mask[0].any() and not mask[9:].any()
+    sl = spec.exec_slice()
+    assert sl.stop - sl.start == spec.exec_len * spec.action_dim
+    chunk = np.arange(float(spec.chunk_dim))
+    np.testing.assert_array_equal(chunk[sl].reshape(8, 2), chunk.reshape(16, 2)[1:9])
 
 
 def test_one_forward_evaluation_per_generate():

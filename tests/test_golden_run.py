@@ -10,6 +10,10 @@ recorded once for this configuration:
   Stage-2 final);
 - the eval ``report.json`` without its ``wall_clock_per_decision_ms`` field.
 
+A second, smaller run pins the step-wise loss mode: a multi-temperature
+``train`` whose ``metrics.csv`` and final checkpoint are compared with
+``EXPECTED_STEP_WISE``.
+
 A refactor that keeps behaviour must leave every digest unchanged.  A change
 that moves them on purpose must record the new digests here together with a
 justification in ``CHANGES.md``.  The digests pin float64 numpy results, so
@@ -98,3 +102,32 @@ def run_pipeline(root) -> dict[str, str]:
 
 def test_fixed_pipeline_outputs_match_recorded_digests(tmp_path):
     assert run_pipeline(tmp_path) == EXPECTED
+
+
+EXPECTED_STEP_WISE = {
+    "metrics.csv":
+        "b1b716bb588302f4353966cfb3fffd1dcaa38230d7f14332121b0221e0e585c9",
+    "checkpoint_final.json":
+        "66bb6201aa586b513d53da2ca28db16965e4a5d59f4de562e173c07ea25efd5c",
+}
+
+
+def run_step_wise_train(root) -> dict[str, str]:
+    """Synthesize the tiny dataset and train on it in step-wise mode with three
+    temperatures; return {output name: SHA-256}."""
+    data, run = root / "data", root / "run"
+    synth = _write(root / "synth.json", {
+        "synth.modes": 2, "synth.conditions": 8, "synth.samples_per_condition": 2,
+        "synth.seed": 4, **TINY_CHUNK})
+    assert main(["synth", "--config", synth, "--out", str(data)]) == 0
+    train = _write(root / "train.json", {
+        "data.path": str(data / "dataset.csv"), "train.steps": 12,
+        "train.learning_rate": 3e-3, "train.warmup_steps": 3, "train.batch_size": 8,
+        "train.seed": 6, "model.latent_dim": 4, "model.hidden_dim": 16,
+        "drift.loss_mode": "step_wise", "drift.temperatures": [0.02, 0.05, 0.2]})
+    assert main(["train", "--config", train, "--out", str(run)]) == 0
+    return {name: _sha((run / name).read_bytes()) for name in EXPECTED_STEP_WISE}
+
+
+def test_step_wise_train_outputs_match_recorded_digests(tmp_path):
+    assert run_step_wise_train(tmp_path) == EXPECTED_STEP_WISE

@@ -104,9 +104,8 @@ def test_joint_ratio_equals_conditional_ratio():
         z = rng.normal(size=4)
 
         from driftkit.actor import ActorOutput
-        mask = SPEC.prefix_mask()
-        old = ActorOutput(Tensor(mu_old), Tensor(ls_old), mask)
-        new = ActorOutput(Tensor(mu_new), Tensor(ls_new), mask)
+        old = ActorOutput(Tensor(mu_old), Tensor(ls_old), SPEC)
+        new = ActorOutput(Tensor(mu_new), Tensor(ls_new), SPEC)
         with no_grad():
             lp_old = prefix_log_prob(x, old).data[0]
             lp_new = prefix_log_prob(x, new).data[0]
