@@ -2,7 +2,7 @@
 fine-tuned online with exact-likelihood PPO."""
 
 from .actor import ActorOutput, GaussianActor, prefix_entropy, prefix_log_prob, sample_action
-from .autodiff import Tensor, backward, no_grad, stop_gradient
+from .autodiff import Tensor, backward, no_grad
 from .drift import (DriftConfig, DriftFieldTensors, HypothesisBatch, ReferencePool,
                     build_reference_pool, compute_drift_field, fixed_point_loss, drift_loss)
 from .envs import ImitationDataset, PointMassEnv, mode_coverage, synth_multimodal
@@ -20,5 +20,5 @@ __all__ = [
     "compute_gae", "fixed_point_loss", "ppo_update", "drift_loss", "drift_train_step",
     "evaluate_policy", "executed_prefix", "mode_coverage", "no_grad",
     "prefix_entropy", "prefix_log_prob", "sample_action", "sample_hypotheses",
-    "stop_gradient", "synth_multimodal", "train",
+    "synth_multimodal", "train",
 ]

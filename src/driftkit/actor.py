@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, check_finite, clip, exp, matmul, square
-from .generator import ChunkSpec, Generator, SpecError, load_params
+from .autodiff import Tensor, check_finite, clip, exp, square
+from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
+from .generator import ChunkSpec, Dense, Generator, SpecError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -49,50 +50,35 @@ class GaussianActor:
         self.generator = generator
         self.log_std_bounds = (float(lo), float(hi))
         d = generator.spec.chunk_dim
-        self.head_params: dict[str, Tensor] = {
-            "scale_w": Tensor(np.zeros((generator.hidden_dim, d)), requires_grad=True),
-            "scale_b": Tensor(np.full(d, float(log_std_init)), requires_grad=True),
-        }
+        self.head = Dense("actor head", {
+            "scale_w": np.zeros((generator.hidden_dim, d)),
+            "scale_b": np.full(d, float(log_std_init)),
+        })
 
     @property
     def spec(self):
         return self.generator.spec
 
     def parameters(self) -> dict[str, Tensor]:
-        merged = dict(self.generator.params)
-        merged.update(self.head_params)
-        return merged
+        return {**self.generator.params, **self.head}
 
-    def load_head_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        load_params(self.head_params, arrays, "actor head")
-
-    def _log_std(self, feat, p, linear, clamp):
-        return clamp(linear(feat, p["scale_w"], p["scale_b"]), *self.log_std_bounds)
+    def _log_std(self, feat, clamp):
+        return clamp(self.head.linear(feat, "scale"), *self.log_std_bounds)
 
     def forward(self, obs_flat: Tensor, z: Tensor) -> ActorOutput:
         """One backbone evaluation yielding mean and clipped log-scale."""
         mean, feat = self.generator.forward(obs_flat, z)
-        log_std = self._log_std(feat, self.head_params, _tape_linear, clip)
+        log_std = self._log_std(feat, clip)
         return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`forward` without the tape: (mean, clipped log-scale) arrays."""
         mean, feat = self.generator.infer(obs_flat, z)
-        arrays = {name: t.data for name, t in self.head_params.items()}
-        return mean, self._log_std(feat, arrays, affine, np.clip)
-
-    def forward_arrays(self, obs_hist: np.ndarray, z: np.ndarray) -> ActorOutput:
-        obs = self.generator._flatten_obs(obs_hist)
-        z = np.asarray(z, dtype=np.float64).reshape(obs.shape[0], -1)
-        return self.forward(Tensor(obs), Tensor(z))
+        return mean, self._log_std(feat, np.clip)
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""
         return self.generator.generate(obs_hist, z)
-
-
-def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + b
 
 
 def sample_gaussian(mean: np.ndarray, log_std: np.ndarray,

@@ -35,7 +35,6 @@ __all__ = [
     "matmul",
     "minimum",
     "no_grad",
-    "stop_gradient",
     "topo_nodes",
 ]
 
@@ -402,20 +401,6 @@ def reshape(a, shape):
         _accum(a, g.reshape(a.shape))
 
     return _node(data, "reshape", (a,), bw)
-
-
-def stop_gradient(a):
-    """Identity in the forward pass, annihilator in the backward pass."""
-    a = _lift(a)
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._backward_fn = None
-    out._op = "stop_gradient"
-    out._seq = next(_SEQ)
-    return out
 
 
 # -- backward -----------------------------------------------------------

@@ -40,7 +40,7 @@ def checkpoint_document(generator: Generator, ema_params=None, rng_state=None,
         "obs_dim": generator.obs_dim,
         "latent_dim": generator.latent_dim,
         "hidden_dim": generator.hidden_dim,
-        "params": _pack(generator.param_arrays()),
+        "params": _pack(generator.params.arrays()),
     }
     if ema_params is not None:
         doc["ema_params"] = _pack(ema_params)
@@ -50,14 +50,14 @@ def checkpoint_document(generator: Generator, ema_params=None, rng_state=None,
         doc["optimizer"] = optimizer_state
     if actor is not None:
         doc["actor_head"] = {
-            "params": _pack({k: v.data for k, v in actor.head_params.items()}),
+            "params": _pack(actor.head.arrays()),
             "log_std_bounds": list(actor.log_std_bounds),
         }
     if critic is not None:
         doc["critic"] = {
             "input_dim": critic.input_dim,
             "hidden_dim": critic.hidden_dim,
-            "params": _pack(critic.param_arrays()),
+            "params": _pack(critic.params.arrays()),
         }
     return doc
 
@@ -96,7 +96,7 @@ def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
                     latent_dim=int(doc["latent_dim"]),
                     hidden_dim=int(doc["hidden_dim"]))
     key = "ema_params" if use_ema and "ema_params" in doc else "params"
-    gen.load_param_arrays(_unpack(doc[key]))
+    gen.params.load(_unpack(doc[key]))
     return gen
 
 
@@ -106,7 +106,7 @@ def restore_actor(doc: dict, use_ema: bool = False) -> GaussianActor:
     if head is None:
         return GaussianActor(gen)
     actor = GaussianActor(gen, log_std_bounds=tuple(head["log_std_bounds"]))
-    actor.load_head_arrays(_unpack(head["params"]))
+    actor.head.load(_unpack(head["params"]))
     return actor
 
 
@@ -115,5 +115,5 @@ def restore_critic(doc: dict) -> Critic | None:
     if entry is None:
         return None
     critic = Critic(int(entry["input_dim"]), int(entry["hidden_dim"]))
-    critic.load_param_arrays(_unpack(entry["params"]))
+    critic.params.load(_unpack(entry["params"]))
     return critic

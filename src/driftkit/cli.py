@@ -99,7 +99,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     write_metrics_csv(out / "metrics.csv", result.metrics)
     snap = generator.clone() if result.checkpoints else None
     for step, arrays in result.checkpoints.items():
-        snap.load_param_arrays(arrays)
+        snap.params.load(arrays)
         ckpt.save_checkpoint(out / f"checkpoint_step{step}.json", snap)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
                          ema_params=result.ema_params,

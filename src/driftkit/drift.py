@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, square, stop_gradient
+from .autodiff import Tensor, square
 
 DEFAULT_TEMPERATURES = (0.2,)
 MULTISCALE_TEMPERATURES = (0.02, 0.05, 0.2)
@@ -67,7 +67,7 @@ class HypothesisBatch:
     def from_values(cls, values: Tensor) -> "HypothesisBatch":
         if values.data.ndim != 3:
             raise DriftConfigError(f"hypotheses must be (B, G, S), got {values.shape}")
-        return cls(values=values, detached=stop_gradient(values).data)
+        return cls(values=values, detached=values.data)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, check_finite, concat, matmul, stop_gradient, tanh
+from .autodiff import Tensor, affine, check_finite, concat, matmul, tanh
 from .drift import HypothesisBatch
 
 
@@ -78,43 +78,68 @@ def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:
     return grid[spec.exec_start:spec.exec_start + spec.exec_len].copy()
 
 
-def dense_params(rng: np.random.Generator, layers) -> dict[str, Tensor]:
-    """Leaf parameters of dense layers given as ``(name, fan_in, fan_out)``.
+class Dense(dict):
+    """The leaf parameters of a network's dense layers, by name.
 
-    Each layer gets ``{name}_w`` drawn N(0, 1/fan_in) and a zero ``{name}_b``;
-    the weights are drawn in layer order.
+    Layer ``name`` owns the leaves ``{name}_w`` (fan_in, fan_out) and
+    ``{name}_b``.  The bundle builds the leaves, copies them out
+    (:meth:`arrays`), loads arrays into them (:meth:`load`, which rebinds each
+    leaf's ``data`` so every holder of the leaf sees it) and evaluates one
+    layer on either backend (:meth:`linear`).
     """
-    params = {}
-    for name, fan_in, fan_out in layers:
-        params[f"{name}_w"] = Tensor(rng.normal(scale=1.0 / np.sqrt(fan_in),
-                                                size=(fan_in, fan_out)), requires_grad=True)
-        params[f"{name}_b"] = Tensor(np.zeros(fan_out), requires_grad=True)
-    return params
 
+    def __init__(self, owner: str, arrays: dict):
+        super().__init__((name, Tensor(arr, requires_grad=True))
+                         for name, arr in arrays.items())
+        self.owner = owner
+        self._layers = {name[:-2]: (name, name[:-2] + "_b")
+                        for name in self if name.endswith("_w")}
 
-def load_params(params: dict[str, Tensor], arrays: dict, owner: str) -> None:
-    """Rebind every leaf of ``params`` to the same-named array.
+    @classmethod
+    def init(cls, owner: str, rng: np.random.Generator, layers) -> "Dense":
+        """Layers given as ``(name, fan_in, fan_out)``.
 
-    The names must match exactly, every shape must agree and every value must
-    be finite; nothing is rebound unless all entries check out.
-    """
-    missing = sorted(set(params) - set(arrays))
-    unexpected = sorted(set(arrays) - set(params))
-    if missing or unexpected:
-        raise SpecError(f"{owner} parameters: missing {missing}, unexpected {unexpected}")
-    checked = {}
-    for name, current in params.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != current.shape:
-            raise SpecError(f"{owner} parameter {name}: shape {arr.shape} "
-                            f"!= expected {current.shape}")
-        checked[name] = check_finite(arr, f"{owner} parameter {name}")
-    for name, arr in checked.items():
-        params[name].data = arr
+        Each weight is drawn N(0, 1/fan_in), in layer order; biases start at 0.
+        """
+        arrays = {}
+        for name, fan_in, fan_out in layers:
+            arrays[f"{name}_w"] = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+            arrays[f"{name}_b"] = np.zeros(fan_out)
+        return cls(owner, arrays)
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """A copy of every leaf's array."""
+        return {name: t.data.copy() for name, t in self.items()}
 
-def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + b
+    def load(self, arrays: dict) -> None:
+        """Rebind every leaf to the same-named array.
+
+        The names must match exactly, every shape must agree and every value
+        must be finite; nothing is rebound unless all entries check out.
+        """
+        missing = sorted(set(self) - set(arrays))
+        unexpected = sorted(set(arrays) - set(self))
+        if missing or unexpected:
+            raise SpecError(f"{self.owner} parameters: missing {missing}, "
+                            f"unexpected {unexpected}")
+        checked = {}
+        for name, current in self.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != current.shape:
+                raise SpecError(f"{self.owner} parameter {name}: shape {arr.shape} "
+                                f"!= expected {current.shape}")
+            checked[name] = check_finite(arr, f"{self.owner} parameter {name}")
+        for name, arr in checked.items():
+            self[name].data = arr
+
+    def linear(self, x, layer: str):
+        """``x @ w + b`` of one layer: recorded on the tape for a ``Tensor`` ``x``,
+        with :func:`affine` on the leaves' arrays for an array ``x``."""
+        w_name, b_name = self._layers[layer]
+        w, b = self[w_name], self[b_name]
+        if isinstance(x, Tensor):
+            return matmul(x, w) + b
+        return affine(x, w.data, b.data)
 
 
 def _tape_concat(parts):
@@ -125,13 +150,13 @@ def _array_concat(parts):
     return np.concatenate(parts, axis=1)
 
 
-def _backbone(p, obs, z, linear, act, cat):
+def _backbone(p: Dense, obs, z, act, cat):
     """(chunk, observation feature) of the generator MLP on either backend."""
-    feat = act(linear(obs, p["obs_w"], p["obs_b"]))
-    lat = act(linear(z, p["lat_w"], p["lat_b"]))
-    h1 = act(linear(cat([feat, lat]), p["trunk1_w"], p["trunk1_b"]))
-    h2 = act(linear(h1, p["trunk2_w"], p["trunk2_b"]))
-    return linear(h2, p["head_w"], p["head_b"]), feat
+    feat = act(p.linear(obs, "obs"))
+    lat = act(p.linear(z, "lat"))
+    h1 = act(p.linear(cat([feat, lat]), "trunk1"))
+    h2 = act(p.linear(h1, "trunk2"))
+    return p.linear(h2, "head"), feat
 
 
 class Generator:
@@ -152,22 +177,16 @@ class Generator:
         self.hidden_dim = hidden_dim
         self.nfe_count = 0
         h = hidden_dim
-        self.params: dict[str, Tensor] = dense_params(np.random.default_rng(seed), (
+        self.params = Dense.init("generator", np.random.default_rng(seed), (
             ("obs", spec.history_len * obs_dim, h), ("lat", latent_dim, h),
             ("trunk1", 2 * h, h), ("trunk2", h, h), ("head", h, spec.chunk_dim)))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        load_params(self.params, arrays, "generator")
+        return self.params.arrays()
 
     def clone(self) -> "Generator":
         twin = Generator(self.spec, self.obs_dim, self.latent_dim, self.hidden_dim)
-        twin.load_param_arrays(self.param_arrays())
+        twin.params.load(self.params.arrays())
         return twin
 
     # -- forward --------------------------------------------------------
@@ -178,7 +197,7 @@ class Generator:
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
         self.nfe_count += 1
-        return _backbone(self.params, obs_flat, z, _tape_linear, tanh, _tape_concat)
+        return _backbone(self.params, obs_flat, z, tanh, _tape_concat)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One network evaluation without the tape: :meth:`forward`'s values as arrays.
@@ -189,8 +208,7 @@ class Generator:
         self.nfe_count += 1
         obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
         z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
-        arrays = {name: t.data for name, t in self.params.items()}
-        return _backbone(arrays, obs_flat, z, affine, np.tanh, _array_concat)
+        return _backbone(self.params, obs_flat, z, np.tanh, _array_concat)
 
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""
@@ -230,4 +248,4 @@ def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
     chunk, _ = generator.forward(Tensor(obs_rep),
                                  Tensor(latents.reshape(b * count, -1)))
     values = chunk.reshape(b, count, generator.spec.chunk_dim)
-    return HypothesisBatch(values=values, detached=stop_gradient(values).data), latents
+    return HypothesisBatch.from_values(values), latents

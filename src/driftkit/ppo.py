@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, affine, backward, check_finite, clip, exp, matmul, minimum,
-                       no_grad, tanh)
+from .autodiff import Tensor, backward, check_finite, clip, exp, minimum, no_grad, tanh
+from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
-from .generator import Generator, dense_params, executed_prefix, load_params
-from .training import AdamW, NumericalAbort
+from .generator import Dense, Generator, executed_prefix
+from .training import AdamW, NumericalAbort, leaf_grads
 
 RATIO_LOG_CLAMP = 40.0
 
@@ -71,34 +71,26 @@ class Critic:
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         h = hidden_dim
-        self.params: dict[str, Tensor] = dense_params(np.random.default_rng(seed), (
+        self.params = Dense.init("critic", np.random.default_rng(seed), (
             ("v1", input_dim, h), ("v2", h, h), ("v3", h, 1)))
 
     def forward(self, obs_flat: Tensor) -> Tensor:
-        return _value_mlp(self.params, obs_flat, _tape_linear, tanh)
+        return _value_mlp(self.params, obs_flat, tanh)
 
     def value(self, obs_flat: np.ndarray) -> np.ndarray:
         """:meth:`forward` without the tape, on an observation array."""
         obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
-        arrays = {name: t.data for name, t in self.params.items()}
-        return _value_mlp(arrays, obs, affine, np.tanh)
+        return _value_mlp(self.params, obs, np.tanh)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        load_params(self.params, arrays, "critic")
+        return self.params.arrays()
 
 
-def _tape_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return matmul(x, w) + b
-
-
-def _value_mlp(p, obs, linear, act):
+def _value_mlp(p: Dense, obs, act):
     """Per-row values of the critic MLP on either backend."""
-    h = act(linear(obs, p["v1_w"], p["v1_b"]))
-    h = act(linear(h, p["v2_w"], p["v2_b"]))
-    return linear(h, p["v3_w"], p["v3_b"])[:, 0]
+    h = act(p.linear(obs, "v1"))
+    h = act(p.linear(h, "v2"))
+    return p.linear(h, "v3")[:, 0]
 
 
 @dataclass
@@ -294,12 +286,8 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
                     "loss": float(total.data)})
             grad_map = backward(total)
             actor_params = actor.parameters()
-            actor_grads = {name: grad_map.get(p, np.zeros_like(p.data))
-                           for name, p in actor_params.items()}
-            critic_grads = {name: grad_map.get(p, np.zeros_like(p.data))
-                            for name, p in critic.params.items()}
-            actor_opt.step(actor_params, actor_grads)
-            critic_opt.step(critic.params, critic_grads)
+            actor_opt.step(actor_params, leaf_grads(grad_map, actor_params))
+            critic_opt.step(critic.params, leaf_grads(grad_map, critic.params))
 
             ratios_acc.append(float(ratio.data.mean()))
             clipped = (ratio.data < 1.0 - config.clip_eps) | (ratio.data > 1.0 + config.clip_eps)

@@ -69,6 +69,15 @@ def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     return base * step / warmup_steps
 
 
+def leaf_grads(grad_map: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """:func:`backward`'s gradients by parameter name; zeros for a leaf the loss missed."""
+    grads = {}
+    for name, p in params.items():
+        g = grad_map.get(p)
+        grads[name] = np.zeros_like(p.data) if g is None else g
+    return grads
+
+
 def grad_clip(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
     """Rescale so the global norm is at most max_norm; direction preserved."""
     if max_norm <= 0:
@@ -171,11 +180,7 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
     slice_width = generator.spec.action_dim if config.loss_mode == "step_wise" else None
     loss, fields = drift_loss(batch, experts, config, slice_width=slice_width)
     grad_map = backward(loss)
-    grads = {}
-    for name, p in generator.params.items():
-        g = grad_map.get(p)
-        grads[name] = g if g is not None else np.zeros_like(p.data)
-    return loss.item(), grads, float(np.mean(fields.scale))
+    return loss.item(), leaf_grads(grad_map, generator.params), float(np.mean(fields.scale))
 
 
 def train(dataset, generator: Generator, drift_config: DriftConfig,
@@ -194,7 +199,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     opt = AdamW(generator.params.keys(), lr=config.learning_rate,
                 beta1=config.beta1, beta2=config.beta2,
                 weight_decay=config.weight_decay)
-    shadow = generator.param_arrays()
+    shadow = generator.params.arrays()
     result = TrainResult(ema_params=shadow)
 
     steps_per_epoch = max(1, (n + config.batch_size - 1) // config.batch_size)
@@ -226,7 +231,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
         result.metrics.append({"step": step, "loss": loss, "grad_norm": norm,
                                "s_norm": scale, "lr": lr})
         if config.checkpoint_every and step % config.checkpoint_every == 0:
-            result.checkpoints[step] = generator.param_arrays()
+            result.checkpoints[step] = generator.params.arrays()
 
     result.ema_params = shadow
     result.rng_state = rng.bit_generator.state

@@ -200,10 +200,10 @@ def test_criterion_3_gradient_suite():
     arrays = actor.generator.param_arrays()
     for name in arrays:
         arrays[name] = arrays[name] + 1e-3 * nudge.standard_normal(arrays[name].shape)
-    actor.generator.load_param_arrays(arrays)
+    actor.generator.params.load(arrays)
     anchor = actor.generator.clone()
     arrays["head_b"] = arrays["head_b"] + 0.05
-    actor.generator.load_param_arrays(arrays)
+    actor.generator.params.load(arrays)
     cfg = PPOConfig()
     adv = (buf.advantages - buf.advantages.mean()) / (buf.advantages.std() + 1e-8)
 
@@ -274,7 +274,7 @@ def test_criterion_5_ratio_equivalence(pretrained_doc):
             lp_old = prefix_log_prob(x, actor.forward(Tensor(obs), Tensor(z))).data[0]
         for name in arrays:
             arrays[name] = arrays[name] + 1e-3 * rng.standard_normal(arrays[name].shape)
-        gen.load_param_arrays(arrays)
+        gen.params.load(arrays)
         with no_grad():
             lp_new = prefix_log_prob(x, actor.forward(Tensor(obs), Tensor(z))).data[0]
         log_prior = float(-0.5 * z.size * np.log(2 * np.pi) - 0.5 * (z ** 2).sum())

@@ -27,9 +27,16 @@ def tiny_actor(head_scale=0.0, seed=99):
     actor = GaussianActor(gen)
     if head_scale:
         rng = np.random.default_rng(555)
-        actor.head_params["scale_w"] = Tensor(
-            rng.normal(scale=head_scale, size=(8, SPEC.chunk_dim)), requires_grad=True)
+        actor.head.load({"scale_w": rng.normal(scale=head_scale, size=(8, SPEC.chunk_dim)),
+                         "scale_b": actor.head["scale_b"].data})
     return actor
+
+
+def forward_arrays(actor, obs_hist, z):
+    """Tape forward of ``actor`` on observation histories and latents given as arrays."""
+    obs = actor.generator._flatten_obs(obs_hist)
+    z = np.asarray(z, dtype=np.float64).reshape(obs.shape[0], -1)
+    return actor.forward(Tensor(obs), Tensor(z))
 
 
 def fixed_output(mean, log_std, spec=SPEC):
@@ -43,7 +50,7 @@ def fixed_output(mean, log_std, spec=SPEC):
 def test_zero_head_gives_configured_init_scale():
     gen = Generator(SPEC, obs_dim=3, latent_dim=4, hidden_dim=8, seed=1)
     actor = GaussianActor(gen, log_std_init=0.0)
-    out = actor.forward_arrays(np.zeros((1, 3)), np.zeros(4))
+    out = forward_arrays(actor, np.zeros((1, 3)), np.zeros(4))
     np.testing.assert_array_equal(out.log_std.data, np.zeros((1, SPEC.chunk_dim)))
     np.testing.assert_array_equal(out.std(), np.ones((1, SPEC.chunk_dim)))
 
@@ -51,7 +58,7 @@ def test_zero_head_gives_configured_init_scale():
 def test_huge_head_output_is_clipped_to_upper_bound():
     gen = Generator(SPEC, obs_dim=3, latent_dim=4, hidden_dim=8, seed=1)
     actor = GaussianActor(gen, log_std_init=1e3)
-    out = actor.forward_arrays(np.ones((1, 3)), np.zeros(4))
+    out = forward_arrays(actor, np.ones((1, 3)), np.zeros(4))
     np.testing.assert_array_equal(out.log_std.data,
                                   np.full((1, SPEC.chunk_dim), DEFAULT_LOG_STD_BOUNDS[1]))
 
@@ -60,7 +67,7 @@ def test_forward_matches_golden_file():
     actor = tiny_actor(head_scale=0.1)
     obs = np.linspace(-1, 1, 3).reshape(1, 3)
     z = np.array([0.5, -0.25, 1.0, 0.0])
-    out = actor.forward_arrays(obs, z)
+    out = forward_arrays(actor, obs, z)
     np.testing.assert_array_equal(out.log_std.data[0], np.array(GOLDEN_LOG_STD))
 
 
@@ -70,14 +77,14 @@ def test_sample_with_zero_noise_returns_mean():
             return np.zeros(shape)
 
     actor = tiny_actor()
-    out = actor.forward_arrays(np.ones((1, 3)), np.full(4, 0.3))
+    out = forward_arrays(actor, np.ones((1, 3)), np.full(4, 0.3))
     x = sample_action(out, ZeroRng())
     np.testing.assert_array_equal(x, out.mean.data)
 
 
 def test_sample_std_matches_scale_head():
     actor = tiny_actor(head_scale=0.1)
-    out = actor.forward_arrays(np.ones((1, 3)), np.zeros(4))
+    out = forward_arrays(actor, np.ones((1, 3)), np.zeros(4))
     rng = np.random.default_rng(0)
     n = 100_000
     draws = np.stack([sample_action(out, rng)[0] for _ in range(10)])
@@ -206,7 +213,7 @@ def test_deploy_action_equals_actor_mean_and_counts_one_nfe():
     actor = tiny_actor(head_scale=0.1)
     obs = np.full((1, 3), 0.4)
     z = np.array([0.1, -0.2, 0.3, 0.4])
-    out = actor.forward_arrays(obs, z)
+    out = forward_arrays(actor, obs, z)
     before = actor.generator.nfe_count
     deployed = actor.deploy_action(obs, z)
     assert actor.generator.nfe_count - before == 1

@@ -112,23 +112,6 @@ def test_matmul_gradient_matches_finite_differences():
     assert rel_err(scalar_loss_grad(wrt_b, b0), fd_grad(wrt_b, b0)) < 1e-6
 
 
-def test_stop_gradient_identity_and_annihilation():
-    for shape in [(3,), (2, 3), (2, 3, 4)]:
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=shape), requires_grad=True)
-        sg = ad.stop_gradient(x)
-        np.testing.assert_array_equal(sg.data, x.data)
-        loss = (sg * x).sum() if len(shape) == 1 else (sg * x).sum()
-        grads = backward(loss)
-        # d/dx sum(sg(x) * x) = sg(x): the product rule sees sg as a constant
-        np.testing.assert_allclose(grads[x], x.data, rtol=0, atol=0)
-
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = ad.stop_gradient(x * 2.0).sum()
-    assert backward(loss) == {}
-    assert x.grad is None
-
-
 def test_backward_of_sum_is_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     grads = backward(x.sum())

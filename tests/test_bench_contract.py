@@ -1,0 +1,39 @@
+"""The names the benchmark tracer patches still exist where it looks for them.
+
+``bench/spans.py`` wraps driftkit functions and methods from outside the
+package, reading each one from its owner's own ``__dict__``: a module-level
+name (``driftkit.actor.matmul``) or a method defined on the class itself.  A
+rename, a dropped import or a method moved to a helper makes
+``Tracer.install()`` raise ``KeyError`` in a traced benchmark run; this test
+catches that without running the benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import driftkit
+import driftkit.checkpoint  # noqa: F401 -- the tracer patches it; the package does not import it
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patch_point_is_defined_on_its_owner():
+    spans = load_spans()
+    points = [(owner, attr) for owner, attr, _, _ in spans._patch_points(driftkit)]
+    points.append((driftkit.envs.PointMassEnv, "micro_step"))
+    missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
+               for owner, attr in points if attr not in vars(owner)]
+    assert not missing
+    originals = [vars(owner)[attr] for owner, attr in points]
+    with spans.Tracer(driftkit, run_id="contract"):
+        pass
+    assert [vars(owner)[attr] for owner, attr in points] == originals

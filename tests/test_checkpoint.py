@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from driftkit.actor import GaussianActor
+from driftkit.autodiff import AutodiffError
 from driftkit.checkpoint import (load_checkpoint, restore_actor, restore_critic,
                                  restore_generator, save_checkpoint)
 from driftkit.generator import ChunkSpec, Generator, SpecError
@@ -52,8 +51,8 @@ def test_actor_and_critic_roundtrip(tmp_path):
     actor2 = restore_actor(doc)
     critic2 = restore_critic(doc)
     assert actor2.log_std_bounds == (-4.0, 0.5)
-    for name, t in actor.head_params.items():
-        assert np.array_equal(actor2.head_params[name].data, t.data)
+    for name, t in actor.head.items():
+        assert np.array_equal(actor2.head[name].data, t.data)
     for name, t in critic.params.items():
         assert np.array_equal(critic2.params[name].data, t.data)
 
@@ -89,22 +88,53 @@ def test_unsupported_version_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_critic_loader_rejects_missing_extra_and_misshaped_entries():
-    critic = Critic(10, hidden_dim=8, seed=3)
-    good = critic.param_arrays()
-    missing = {k: v for k, v in good.items() if k != "v2_b"}
-    extra = dict(good, v4_w=np.zeros((8, 1)))
-    misshaped = dict(good, v3_w=np.zeros((8, 2)))
-    for arrays in (missing, extra, misshaped):
-        with pytest.raises(SpecError):
-            Critic(10, hidden_dim=8, seed=4).load_param_arrays(arrays)
-    # a rejected load leaves the previous parameters in place
-    target = Critic(10, hidden_dim=8, seed=4)
-    before = target.param_arrays()
-    with pytest.raises(SpecError):
-        target.load_param_arrays(misshaped)
-    for name, arr in before.items():
-        assert np.array_equal(target.params[name].data, arr)
+BUNDLES = {
+    "generator": lambda: Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=2).params,
+    "critic": lambda: Critic(10, hidden_dim=8, seed=3).params,
+    "actor_head": lambda: GaussianActor(
+        Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=2)).head,
+}
+
+
+def _misshaped(arrays):
+    name = next(k for k in arrays if k.endswith("_w"))
+    rows, cols = arrays[name].shape
+    return dict(arrays, **{name: np.zeros((rows, cols + 1))})
+
+
+def _nonfinite(arrays):
+    name = list(arrays)[-1]
+    bad = arrays[name].copy()
+    bad.flat[0] = np.nan
+    return dict(arrays, **{name: bad})
+
+
+BAD_ENTRIES = {
+    "missing": (lambda arrays: dict(list(arrays.items())[:-1]), SpecError),
+    "unexpected": (lambda arrays: dict(arrays, extra_w=np.zeros((2, 2))), SpecError),
+    "misshaped": (_misshaped, SpecError),
+    "nonfinite": (_nonfinite, AutodiffError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENTRIES))
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_bundle_load_rejects_bad_entries_and_keeps_its_leaves(bundle, case):
+    params = BUNDLES[bundle]()
+    leaves = dict(params)
+    before = {name: leaf.data for name, leaf in params.items()}
+    good = {name: np.ones_like(arr) for name, arr in params.arrays().items()}
+    corrupt, error = BAD_ENTRIES[case]
+    with pytest.raises(error):
+        params.load(corrupt(good))
+    for name, leaf in params.items():
+        assert leaf is leaves[name]
+        assert leaf.data is before[name]
+    # the same arrays without the bad entry load, into the same leaves
+    params.load(good)
+    for name, leaf in params.items():
+        assert leaf is leaves[name]
+        assert np.array_equal(leaf.data, good[name])
 
 
 def test_actor_head_restore_rejects_bad_entries(tmp_path):
@@ -112,17 +142,6 @@ def test_actor_head_restore_rejects_bad_entries(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, gen, actor=GaussianActor(gen))
     doc = load_checkpoint(path)
-    head = doc["actor_head"]["params"]
-    misshaped = json.loads(json.dumps(doc))
-    misshaped["actor_head"]["params"]["scale_b"] = {
-        "shape": [SPEC.chunk_dim + 1], "data": [0.0] * (SPEC.chunk_dim + 1)}
-    missing = json.loads(json.dumps(doc))
-    del missing["actor_head"]["params"]["scale_w"]
-    renamed = json.loads(json.dumps(doc))
-    renamed["actor_head"]["params"]["scale_weights"] = head["scale_w"]
-    del renamed["actor_head"]["params"]["scale_w"]
-    inverted = json.loads(json.dumps(doc))
-    inverted["actor_head"]["log_std_bounds"] = [1.0, -5.0]
-    for bad in (misshaped, missing, renamed, inverted):
-        with pytest.raises(SpecError):
-            restore_actor(bad)
+    doc["actor_head"]["log_std_bounds"] = [1.0, -5.0]
+    with pytest.raises(SpecError):
+        restore_actor(doc)

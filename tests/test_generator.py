@@ -45,7 +45,7 @@ def test_chunk_spec_boundaries():
 
 def test_zero_parameters_give_zero_chunk():
     gen = tiny_generator()
-    gen.load_param_arrays({k: np.zeros_like(v) for k, v in gen.param_arrays().items()})
+    gen.params.load({k: np.zeros_like(v) for k, v in gen.param_arrays().items()})
     chunk = gen.generate(np.ones((1, 3)), np.ones(4))
     np.testing.assert_array_equal(chunk, np.zeros(TINY_SPEC.chunk_dim))
 

@@ -28,7 +28,7 @@ def make_actor(seed: int) -> GaussianActor:
     gen = Generator(SPEC, obs_dim=OBS_DIM, latent_dim=LATENT_DIM, hidden_dim=8, seed=seed)
     actor = GaussianActor(gen)
     rng = np.random.default_rng(seed + 1)
-    actor.load_head_arrays({
+    actor.head.load({
         "scale_w": rng.normal(scale=0.5, size=(8, SPEC.chunk_dim)),
         "scale_b": rng.uniform(-3.0, 0.0, size=SPEC.chunk_dim),
     })
@@ -108,7 +108,7 @@ def test_infer_rejects_overflowing_pre_activation():
     gen = make_actor(0).generator
     arrays = gen.param_arrays()
     arrays["obs_w"] = np.full_like(arrays["obs_w"], 1e308)
-    gen.load_param_arrays(arrays)
+    gen.params.load(arrays)
     obs = np.full((2, N_OBS), 10.0)
     z = np.zeros((2, LATENT_DIM))
     with pytest.raises(AutodiffError):

@@ -173,7 +173,7 @@ def test_anchor_constant_offset_is_squared_norm():
     shift = 0.3
     arrays = actor.generator.param_arrays()
     arrays["head_b"] = arrays["head_b"] + shift
-    actor.generator.load_param_arrays(arrays)
+    actor.generator.params.load(arrays)
     rng = np.random.default_rng(1)
     obs = rng.normal(size=(4, OBS_DIM))
     z = rng.normal(size=(4, 4))
@@ -192,7 +192,7 @@ def test_anchor_increases_with_perturbation_size():
         arrays = actor.generator.param_arrays()
         arrays["trunk2_w"] = arrays["trunk2_w"].copy()
         arrays["trunk2_w"][0, 0] += delta
-        actor.generator.load_param_arrays(arrays)
+        actor.generator.params.load(arrays)
         losses.append(anchor_loss(actor, anchor, obs, z).item())
     assert 0 < losses[0] < losses[1] < losses[2]
 
@@ -202,7 +202,7 @@ def test_anchor_gradient_only_reaches_live_backbone():
     anchor = actor.generator.clone()
     arrays = actor.generator.param_arrays()
     arrays["head_b"] = arrays["head_b"] + 0.1
-    actor.generator.load_param_arrays(arrays)
+    actor.generator.params.load(arrays)
     rng = np.random.default_rng(2)
     obs = rng.normal(size=(3, OBS_DIM))
     z = rng.normal(size=(3, 4))
@@ -371,7 +371,7 @@ def test_total_objective_gradient_matches_finite_differences():
     arrays = actor.generator.param_arrays()
     for name in arrays:
         arrays[name] = arrays[name] + 1e-3 * nudge.standard_normal(arrays[name].shape)
-    actor.generator.load_param_arrays(arrays)
+    actor.generator.params.load(arrays)
     cfg = PPOConfig()
     adv = (buf.advantages - buf.advantages.mean()) / (buf.advantages.std() + 1e-8)
 

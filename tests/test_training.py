@@ -222,7 +222,7 @@ def test_nonfinite_loss_aborts_with_dump():
     arrays = gen.param_arrays()
     arrays["head_w"] = arrays["head_w"] * 1e308
     with np.errstate(all="ignore"), pytest.raises(Exception) as err:
-        gen.load_param_arrays(arrays)
+        gen.params.load(arrays)
         train(ds, gen, DriftConfig(), TrainConfig(steps=3, seed=0))
     assert isinstance(err.value, (NumericalAbort, ValueError))
 
