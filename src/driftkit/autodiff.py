@@ -2,14 +2,14 @@
 
 Every tensor op records a backward rule on a tape; :func:`backward` replays
 the tape in reverse creation order, so the traversal visits each node exactly
-once and is bitwise reproducible for a fixed graph.  Matrix products go
-through ``np.einsum`` rather than BLAS gemm: einsum computes each output row
-with a summation order that does not depend on how many rows sit in the
-batch, which keeps per-sample forward values identical whether they are
+once and is bitwise reproducible for a fixed graph.  Forward matrix products
+go through :func:`row_matmul`, which evaluates each output row as its own
+1 x k product: a row's summation order does not depend on how many rows sit
+in the batch, so per-sample forward values are identical whether they are
 evaluated alone or inside a minibatch.  :func:`affine` is the same kernel on
-plain arrays, for forwards that need no gradient: both go through
-``MATMUL_SUBSCRIPTS``, so a tape-free evaluation reproduces the tape's
-forward values bitwise.
+plain arrays, for forwards that need no gradient, so a tape-free evaluation
+reproduces the tape's forward values bitwise.  The backward products are
+plain BLAS gemm: gradients are never compared across batch compositions.
 
 Broadcasting is restricted to leading-dimension expansion (a shape may be
 prefixed with extra axes, nothing else); drift-field index algebra is always
@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "AutodiffError",
-    "MATMUL_SUBSCRIPTS",
     "Tensor",
     "affine",
     "backward",
@@ -35,6 +34,7 @@ __all__ = [
     "matmul",
     "minimum",
     "no_grad",
+    "row_matmul",
     "topo_nodes",
 ]
 
@@ -42,9 +42,6 @@ __all__ = [
 class AutodiffError(ValueError):
     """Raised on shape mismatches, domain errors or non-finite results."""
 
-
-# The one contraction every forward matrix product uses (see module docstring).
-MATMUL_SUBSCRIPTS = "ij,jk->ik"
 
 _SEQ = itertools.count()
 _GRAD_ENABLED = True
@@ -259,15 +256,27 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise AutodiffError(f"matmul shapes {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    data = np.einsum(MATMUL_SUBSCRIPTS, ad, bd)
+    data = row_matmul(ad, bd)
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, np.einsum("ik,jk->ij", g, bd))
+            _accum(a, g @ bd.T)
         if b.requires_grad:
-            _accum(b, np.einsum("ij,ik->jk", ad, g))
+            _accum(b, ad.T @ g)
 
     return _node(data, "matmul", (a, b), bw)
+
+
+def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a (B, k) ``x``, with each row computed as its own 1 x k product.
+
+    Every row goes through the same vector-matrix call whatever B is, so a
+    row's bits do not depend on the rest of the batch (see module docstring).
+    An overflow yields an infinity or a NaN without a warning; the caller's
+    finiteness check raises on it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(x[:, None, :], w)[:, 0]
 
 
 def check_finite(data: np.ndarray, what: str) -> np.ndarray:
@@ -284,7 +293,7 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     finite values finite, checking every pre-activation covers a whole
     tape-free MLP.
     """
-    return check_finite(np.einsum(MATMUL_SUBSCRIPTS, x, w) + b, "affine output")
+    return check_finite(row_matmul(x, w) + b, "affine output")
 
 
 def exp(a):

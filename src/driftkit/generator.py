@@ -8,7 +8,8 @@ scale head, so it is returned alongside the chunk.
 The network is written once (:func:`_backbone`) and evaluated either on the
 autodiff tape (:meth:`Generator.forward`, for training) or on plain arrays
 (:meth:`Generator.infer`, for every evaluation that needs no gradient).  Both
-use the same einsum kernel, so their values agree bitwise.
+use the same row-invariant kernel (:func:`autodiff.row_matmul`), so their
+values agree bitwise, and a row's values do not depend on its batch.
 """
 
 from __future__ import annotations

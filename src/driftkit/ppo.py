@@ -119,8 +119,9 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     """Receding-horizon collection: one policy query per H_e environment steps.
 
     Every query is tape-free.  The stored log-probabilities use the same
-    einsum kernel and formulas as the batched tape forward of the update
-    epochs, so an epoch-0 recomputation reproduces them bitwise.
+    row-invariant kernel (:func:`autodiff.row_matmul`) and formulas as the
+    batched tape forward of the update epochs, so an epoch-0 recomputation
+    reproduces them bitwise.
     """
     spec = actor.spec
     obs_rows, z_rows, act_rows, logp_rows = [], [], [], []
@@ -208,10 +209,10 @@ def clipped_surrogate(ratio: Tensor, advantages: np.ndarray, clip_eps: float) ->
     return minimum(ratio * adv, clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv).mean()
 
 
-def anchor_loss(actor: GaussianActor, anchor: Generator, obs: np.ndarray,
+def anchor_loss(mean: Tensor, anchor: Generator, obs: np.ndarray,
                 latents: np.ndarray) -> Tensor:
-    """Mean squared distance between live and frozen mean chunks on shared latents."""
-    mean, _ = actor.generator.forward(Tensor(obs), Tensor(latents))
+    """Mean squared distance between the live mean chunks of (obs, latents)
+    rows, as the actor's forward computed them, and the frozen anchor's."""
     frozen, _ = anchor.infer(obs, latents)
     return (mean - Tensor(frozen)).square().sum(axis=1).mean()
 
@@ -235,8 +236,9 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     """One PPO iteration over the buffer: epochs of shuffled minibatches.
 
     Old log-probabilities stay fixed from collection and the anchor never
-    moves.  Advantages are normalized once over the whole buffer before the
-    surrogate.
+    moves.  Each minibatch evaluates the live backbone once: the anchor term
+    reuses the mean of the actor's forward.  Advantages are normalized once
+    over the whole buffer before the surrogate.
     """
     if buffer.advantages is None:
         raise PPOConfigError("buffer advantages missing; run compute_gae first")
@@ -277,7 +279,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
             values = critic.forward(Tensor(obs))
             value_loss = 0.5 * (values - Tensor(buffer.returns[idx])).square().mean()
             entropy = prefix_entropy(out).mean()
-            anchor_term = anchor_loss(actor, anchor, obs, z)
+            anchor_term = anchor_loss(out.mean, anchor, obs, z)
             total = (-1.0 * surrogate + config.value_weight * value_loss
                      - config.entropy_weight * entropy + lam * anchor_term)
             if not np.isfinite(total.data):

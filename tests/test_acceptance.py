@@ -215,7 +215,7 @@ def test_criterion_3_gradient_suite():
         values_t = critic.forward(Tensor(buf.obs))
         v_loss = 0.5 * (values_t - Tensor(buf.returns)).square().mean()
         ent = prefix_entropy(out).mean()
-        anch = anchor_loss(actor, anchor, buf.obs, buf.latents)
+        anch = anchor_loss(out.mean, anchor, buf.obs, buf.latents)
         return (-1.0 * surr + cfg.value_weight * v_loss
                 - cfg.entropy_weight * ent + cfg.anchor_weight * anch)
 

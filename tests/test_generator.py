@@ -15,9 +15,9 @@ TINY_SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 # frozen output of Generator(seed=99) on a fixed (obs, z); regenerating it
 # requires an identical rng stream and forward path
 GOLDEN_CHUNK = [
-    0.01646098830308961, 0.07246300110999751, 0.3182766704563035,
-    -0.10889237615787148, 0.7430840315725079, -0.08189835580996296,
-    0.46706218712913994, -0.41636547854314154,
+    0.01646098830308959, 0.07246300110999757, 0.31827667045630337,
+    -0.1088923761578715, 0.7430840315725078, -0.08189835580996294,
+    0.46706218712913994, -0.4163654785431416,
 ]
 
 GOLDEN_LATENTS = [

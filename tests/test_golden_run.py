@@ -37,21 +37,21 @@ EXPECTED = {
     "data/dataset_meta.json":
         "90a78668c77952d92fe281d1f8e685597927649f037a45b206e56e9d5bd61135",
     "run/metrics.csv":
-        "0bbe9be807ac779f78759db54490b16bb7d977113d611ab14a382c7372c74301",
+        "bd5eae72b45ad412fac71bcc84c68808cef00239213906b92d87823b3ac8f5dc",
     "run/checkpoint_final.json":
-        "e13d1c56cab0e2f777c18717091410b27ed94381ca5beabbfb62072677969b6e",
+        "5b5127afc4d9f82424a766e1c2cdbff1af5f7839b5071115b79cebd15296bf99",
     "run/checkpoint_step10.json":
-        "17843d5975f5931890095c9d53244fb3ae0ae2b9f8f38150a12374b614567b78",
+        "71c301b275605db673a5dfd2abc8f5ae017d832898bfbae119b996a6cc72940d",
     "run/checkpoint_step20.json":
-        "be0f285da5ae8cb05efda71a481eaea75a7ada57aba247608970ebde61239168",
+        "d531ea320bf80112055a4150da2c386a565cc8fb9e8ca83c148cac3a86953597",
     "run/checkpoint_step30.json":
-        "12fce0f22ff7a98ee65ca606c0b199675eb153328f7f65d6a2aef129799e9ff3",
+        "cbda096ed1527753a9a9bdb5f5a3d7afc225e18e3fafa9608e019e4a51244109",
     "tuned/metrics.csv":
-        "80f4de05ee9e3faa0d9d1f058f2cf3ddd0146ea2d597b8fe72b4476664a3e2bb",
+        "4a7000e86d912b449d1a13ba20edde8b66cd8223155f0a8e7ad877e5ecd19758",
     "tuned/checkpoint_final.json":
-        "1eca38c7bb0a58dcc84cd18792c2414d6e99d9ce7fe0c458f522bde03e8ccdcb",
+        "4839714e167be0b7818bd7c9173fbc9be7a02fbed40e82ff4caca9e3b24f40d9",
     "eval/report.json":
-        "5a70d5af35b1e939de3e11ed9a3d2ce59e9864ef8866e12cae17592bebe04c48",
+        "4b36491c6dd4f9818283a46d6f0734426b90cf5667a3fe44b703c58aa9180599",
 }
 
 
@@ -106,9 +106,9 @@ def test_fixed_pipeline_outputs_match_recorded_digests(tmp_path):
 
 EXPECTED_STEP_WISE = {
     "metrics.csv":
-        "b1b716bb588302f4353966cfb3fffd1dcaa38230d7f14332121b0221e0e585c9",
+        "c80d1d4b75fb5e5011570f27dcf9b7dee4f1a59f91f3a87d0cc05c48fb4bcf3b",
     "checkpoint_final.json":
-        "66bb6201aa586b513d53da2ca28db16965e4a5d59f4de562e173c07ea25efd5c",
+        "c22f9fb8bccc2bb617012c4e40f660337ac0f88af06c8c7e96b1f4fa0d69cbf6",
 }
 
 

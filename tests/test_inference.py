@@ -1,5 +1,6 @@
-"""Tape-free inference: bitwise agreement with the tape forwards at any batch
-size and for any row, and the tape's finiteness contract."""
+"""Tape-free inference: a row-invariant dense kernel, bitwise agreement with
+the tape forwards at any batch size and for any row, and the tape's
+finiteness contract."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit.actor import GaussianActor, prefix_log_prob, prefix_log_prob_arrays
-from driftkit.autodiff import AutodiffError, Tensor
+from driftkit.autodiff import AutodiffError, Tensor, row_matmul
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import Critic
 
@@ -22,6 +23,50 @@ PROPERTY = settings(max_examples=40, deadline=None)
 batches = st.integers(min_value=1, max_value=24)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 scales = st.floats(min_value=0.01, max_value=20.0)
+
+
+# (fan_in, fan_out) of every dense layer at the benchmark geometry (history 2
+# x obs 6, latent 8, hidden 64, chunk 16 x 2): generator, scale head, critic.
+BENCH_LAYERS = [(12, 64), (8, 64), (128, 64), (64, 64), (64, 32), (64, 1)]
+
+
+def rows_view(rng, batch: int, fan_in: int, layout: str, scale: float) -> np.ndarray:
+    """A (batch, fan_in) operand: a fresh array, a view at a row offset, or a
+    view of every other row of a larger array."""
+    if layout == "contiguous":
+        return scale * rng.standard_normal((batch, fan_in))
+    if layout == "offset":
+        return (scale * rng.standard_normal((batch + 3, fan_in)))[3:]
+    return (scale * rng.standard_normal((2 * batch, fan_in)))[1::2]
+
+
+def assert_rows_computed_alone(x: np.ndarray, w: np.ndarray) -> None:
+    out = row_matmul(x, w)
+    assert out.shape == (x.shape[0], w.shape[1])
+    for i in range(x.shape[0]):
+        assert np.array_equal(out[i], row_matmul(x[i:i + 1].copy(), w)[0])
+        assert np.array_equal(out[i], row_matmul(x[i:i + 1], w)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.integers(min_value=1, max_value=512),
+       fan_in=st.sampled_from([1, 3, 5, 7] + [k for k, _ in BENCH_LAYERS]),
+       fan_out=st.sampled_from([1, 3, 5, 7] + [m for _, m in BENCH_LAYERS]),
+       layout=st.sampled_from(["contiguous", "offset", "strided"]),
+       seed=seeds, scale=scales)
+def test_kernel_rows_equal_rows_computed_alone(batch, fan_in, fan_out, layout, seed, scale):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+    assert_rows_computed_alone(rows_view(rng, batch, fan_in, layout, scale), w)
+
+
+@pytest.mark.parametrize("fan_in, fan_out", BENCH_LAYERS)
+@pytest.mark.parametrize("batch", [1, 8, 32, 128, 512])
+def test_kernel_is_row_invariant_at_the_benchmark_shapes(fan_in, fan_out, batch):
+    rng = np.random.default_rng(fan_in * 1000 + fan_out + batch)
+    w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+    for layout in ("contiguous", "offset", "strided"):
+        assert_rows_computed_alone(rows_view(rng, batch, fan_in, layout, 1.0), w)
 
 
 def make_actor(seed: int) -> GaussianActor:

@@ -3,6 +3,8 @@ surrogate arithmetic, anchor behavior, and the full-objective gradient."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -158,13 +160,19 @@ def test_surrogate_never_exceeds_unclipped():
 # -- anchor ------------------------------------------------------------------
 
 
+def live_anchor_loss(actor, anchor, obs, z):
+    """The anchor term as ``ppo_update`` forms it, on the actor's forward mean."""
+    out = actor.forward(Tensor(obs), Tensor(z))
+    return anchor_loss(out.mean, anchor, obs, z)
+
+
 def test_anchor_zero_for_identical_backbones():
     actor = tiny_actor()
     anchor = actor.generator.clone()
     rng = np.random.default_rng(0)
     obs = rng.normal(size=(4, OBS_DIM))
     z = rng.normal(size=(4, 4))
-    assert anchor_loss(actor, anchor, obs, z).item() == 0.0
+    assert live_anchor_loss(actor, anchor, obs, z).item() == 0.0
 
 
 def test_anchor_constant_offset_is_squared_norm():
@@ -178,7 +186,7 @@ def test_anchor_constant_offset_is_squared_norm():
     obs = rng.normal(size=(4, OBS_DIM))
     z = rng.normal(size=(4, 4))
     expected = SPEC.chunk_dim * shift ** 2
-    assert anchor_loss(actor, anchor, obs, z).item() == pytest.approx(expected, rel=1e-12)
+    assert live_anchor_loss(actor, anchor, obs, z).item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_anchor_increases_with_perturbation_size():
@@ -193,7 +201,7 @@ def test_anchor_increases_with_perturbation_size():
         arrays["trunk2_w"] = arrays["trunk2_w"].copy()
         arrays["trunk2_w"][0, 0] += delta
         actor.generator.params.load(arrays)
-        losses.append(anchor_loss(actor, anchor, obs, z).item())
+        losses.append(live_anchor_loss(actor, anchor, obs, z).item())
     assert 0 < losses[0] < losses[1] < losses[2]
 
 
@@ -206,7 +214,7 @@ def test_anchor_gradient_only_reaches_live_backbone():
     rng = np.random.default_rng(2)
     obs = rng.normal(size=(3, OBS_DIM))
     z = rng.normal(size=(3, 4))
-    loss = anchor_loss(actor, anchor, obs, z)
+    loss = live_anchor_loss(actor, anchor, obs, z)
     grads = backward(loss)
     live = set(map(id, actor.generator.params.values()))
     frozen = set(map(id, anchor.params.values()))
@@ -313,6 +321,42 @@ def test_epoch_zero_recomputation_gives_exact_unit_ratios():
     assert np.all(stats.first_epoch_ratios == 1.0)
 
 
+@pytest.mark.parametrize("length, minibatch", [(1, 2), (7, 3), (7, 4), (128, 48), (128, 5)])
+def test_epoch_zero_ratios_are_one_when_minibatches_do_not_divide_the_rollout(length, minibatch):
+    actor = tiny_actor(seed=4)
+    critic = Critic(OBS_DIM, hidden_dim=8, seed=1)
+    buf = make_buffer(actor, critic, n=length, seed=3)
+    # Before any step, every minibatch's tape forward (the ragged last one
+    # included) reproduces the log-probabilities collected one row at a time.
+    order = np.random.default_rng(9).permutation(length)
+    for lo in range(0, length, minibatch):
+        idx = order[lo:lo + minibatch]
+        out = actor.forward(Tensor(buf.obs[idx]), Tensor(buf.latents[idx]))
+        np.testing.assert_array_equal(prefix_log_prob(buf.exec_actions[idx], out).data,
+                                      buf.old_log_probs[idx])
+    stats = ppo_update(buf, actor, critic, actor.generator.clone(),
+                       PPOConfig(update_epochs=1, minibatch_size=minibatch),
+                       np.random.default_rng(2))
+    assert stats.first_epoch_ratios.shape == (length,)
+    assert np.all(stats.first_epoch_ratios == 1.0)
+
+
+@pytest.mark.parametrize("length, minibatch, epochs", [(8, 3, 2), (16, 16, 1), (7, 8, 3)])
+def test_update_evaluates_the_live_backbone_once_per_minibatch(length, minibatch, epochs):
+    actor = tiny_actor()
+    critic = Critic(OBS_DIM, hidden_dim=8, seed=0)
+    anchor = actor.generator.clone()
+    buf = make_buffer(actor, critic, n=length)
+    live_before, anchor_before = actor.generator.nfe_count, anchor.nfe_count
+    ppo_update(buf, actor, critic, anchor,
+               PPOConfig(update_epochs=epochs, minibatch_size=minibatch),
+               np.random.default_rng(1))
+    minibatches = epochs * math.ceil(length / minibatch)
+    # one epoch-0 recomputation, then one live forward per minibatch
+    assert actor.generator.nfe_count - live_before == 1 + minibatches
+    assert anchor.nfe_count - anchor_before == minibatches
+
+
 def test_anchor_weight_sweep_shrinks_drift_from_pretrained():
     rng_probe = np.random.default_rng(11)
     probe_obs = rng_probe.normal(size=(16, OBS_DIM))
@@ -383,7 +427,7 @@ def test_total_objective_gradient_matches_finite_differences():
         values = critic.forward(Tensor(buf.obs))
         v_loss = 0.5 * (values - Tensor(buf.returns)).square().mean()
         ent = prefix_entropy(out).mean()
-        anch = anchor_loss(actor, anchor, buf.obs, buf.latents)
+        anch = anchor_loss(out.mean, anchor, buf.obs, buf.latents)
         return (-1.0 * surr + cfg.value_weight * v_loss
                 - cfg.entropy_weight * ent + cfg.anchor_weight * anch)
 
