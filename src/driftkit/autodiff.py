@@ -207,13 +207,13 @@ def _reduce_lead(g: np.ndarray, n_lead: int) -> np.ndarray:
     return g.sum(axis=tuple(range(n_lead)))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _binary(a, b, op: str, fwd, da_fn, db_fn):
     a, b = _lift(a), _lift(b)
     out_shape, a_lead, b_lead = _expand_info(a.shape, b.shape)
     ad = np.broadcast_to(a.data, out_shape) if a_lead else a.data
     bd = np.broadcast_to(b.data, out_shape) if b_lead else b.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = fwd(ad, bd)
+    data = fwd(ad, bd)
 
     def bw(g):
         if a.requires_grad:
@@ -267,6 +267,7 @@ def matmul(a, b):
     return _node(data, "matmul", (a, b), bw)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` for a (B, k) ``x``, with each row computed as its own 1 x k product.
 
@@ -275,8 +276,7 @@ def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     An overflow yields an infinity or a NaN without a warning; the caller's
     finiteness check raises on it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.matmul(x[:, None, :], w)[:, 0]
+    return np.matmul(x[:, None, :], w)[:, 0]
 
 
 def check_finite(data: np.ndarray, what: str) -> np.ndarray:

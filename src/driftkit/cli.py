@@ -19,9 +19,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .actor import GaussianActor
-from .config import SEED_KEY, ConfigError, load_config, snapshot_config
+from .config import SEED_KEY, ConfigError, fields_of, load_config, snapshot_config
 from .drift import DriftConfig, DriftConfigError
-from .envs import (PointMassEnv, SpecError, load_dataset, mode_coverage,
+from .envs import (DT, PointMassEnv, SpecError, load_dataset, mode_coverage,
                    save_dataset, scripted_action, synth_multimodal)
 from .generator import ChunkSpec, Generator, executed_prefix
 from .ppo import (Critic, FINETUNE_METRICS_HEADER, PPOConfig, collect_rollouts,
@@ -45,11 +45,6 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(levelname)s %(message)s")
 
 
-def _chunk_spec(cfg: dict) -> ChunkSpec:
-    return ChunkSpec(horizon=cfg["chunk.horizon"], action_dim=cfg["chunk.action_dim"],
-                     history_len=cfg["chunk.history_len"], exec_len=cfg["chunk.exec_len"])
-
-
 def _require(cfg: dict, key: str) -> str:
     value = cfg.get(key)
     if not value:
@@ -65,7 +60,7 @@ def cmd_synth(cfg: dict, out: Path) -> int:
         modes=cfg["synth.modes"], conditions=cfg["synth.conditions"],
         samples_per_condition=cfg["synth.samples_per_condition"],
         noise=cfg["synth.noise"], seed=cfg["synth.seed"],
-        spec=_chunk_spec(cfg), gain=cfg["synth.gain"],
+        spec=ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec)), gain=cfg["synth.gain"],
         swing_amp=cfg["synth.swing_amp"], swing_len=cfg["synth.swing_len"],
         warmup_max=cfg["synth.warmup_max"])
     save_dataset(dataset, out / "dataset.csv", out / "dataset_meta.json")
@@ -78,20 +73,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     data_path = Path(_require(cfg, "data.path"))
     dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
     spec = dataset.spec
-    drift_config = DriftConfig(
-        hypothesis_count=cfg["drift.hypothesis_count"],
-        temperatures=tuple(cfg["drift.temperatures"]),
-        scale_floor=cfg["drift.scale_floor"],
-        force_floor=cfg["drift.force_floor"],
-        loss_mode=cfg["drift.loss_mode"])
-    train_config = TrainConfig(
-        batch_size=cfg["train.batch_size"], learning_rate=cfg["train.learning_rate"],
-        beta1=cfg["train.beta1"], beta2=cfg["train.beta2"],
-        weight_decay=cfg["train.weight_decay"], grad_clip=cfg["train.grad_clip"],
-        epochs=cfg["train.epochs"], steps=cfg["train.steps"],
-        warmup_steps=cfg["train.warmup_steps"], ema_decay=cfg["train.ema_decay"],
-        ema_power=cfg["train.ema_power"], seed=cfg["train.seed"],
-        checkpoint_every=cfg["train.checkpoint_every"])
+    drift_config = DriftConfig(**fields_of(cfg, "drift", DriftConfig))
+    train_config = TrainConfig(**fields_of(cfg, "train", TrainConfig))
     obs_dim = dataset.metadata["obs_dim"]
     generator = Generator(spec, obs_dim=obs_dim, latent_dim=cfg["model.latent_dim"],
                           hidden_dim=cfg["model.hidden_dim"], seed=cfg["model.init_seed"])
@@ -124,7 +107,7 @@ def _eval_scripted(cfg: dict, spec: ChunkSpec, episodes: int, seed: int) -> dict
             for _ in range(spec.horizon):
                 a = scripted_action(pos, env.goal)
                 actions.append(a)
-                pos = pos + a * env.dt
+                pos = pos + a * DT
             chunk = np.asarray(actions).reshape(-1)
             prefix = executed_prefix(chunk, spec)
             _, reward, done = env.step_prefix(prefix)
@@ -141,7 +124,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
     episodes = cfg["eval.episodes"] if episodes_override is None else episodes_override
     seed = cfg["eval.seed"]
     if cfg["eval.policy"] == "scripted":
-        spec = _chunk_spec(cfg)
+        spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
         report = _eval_scripted(cfg, spec, episodes, seed)
         report["policy"] = "scripted"
     elif cfg["eval.policy"] == "checkpoint":
@@ -188,14 +171,7 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
     actor = GaussianActor(generator, log_std_init=cfg["ppo.log_std_init"])
     spec = generator.spec
     critic = Critic(spec.history_len * generator.obs_dim, seed=cfg["ppo.critic_seed"])
-    ppo_config = PPOConfig(
-        clip_eps=cfg["ppo.clip"], value_weight=cfg["ppo.value_weight"],
-        entropy_weight=cfg["ppo.entropy_weight"], anchor_weight=cfg["ppo.anchor_weight"],
-        gamma=cfg["ppo.gamma"], gae_lambda=cfg["ppo.gae_lambda"],
-        rollout_length=cfg["ppo.rollout_length"], update_epochs=cfg["ppo.update_epochs"],
-        minibatch_size=cfg["ppo.minibatch_size"], actor_lr=cfg["ppo.actor_lr"],
-        critic_lr=cfg["ppo.critic_lr"], iterations=cfg["ppo.iterations"],
-        anchor_decay=cfg["ppo.anchor_decay"], seed=cfg["ppo.seed"])
+    ppo_config = PPOConfig(**fields_of(cfg, "ppo", PPOConfig))
     rng = np.random.default_rng(ppo_config.seed)
     env = PointMassEnv(spec, reward_mode=cfg["ppo.reward_mode"])
     actor_opt = AdamW(actor.parameters().keys(), lr=ppo_config.actor_lr)

@@ -1,20 +1,50 @@
 """Flat JSON run configuration with dotted-section keys.
 
-Every command validates its document against an explicit key table; unknown
-keys are rejected rather than ignored, and the resolved document (defaults
-filled in) is snapshotted into the run directory so reruns are reproducible.
+Every command validates its document against its key table; unknown keys are
+rejected rather than ignored, and the resolved document (defaults filled in)
+is snapshotted into the run directory so reruns are reproducible.  The
+``chunk.*``, ``drift.*``, ``train.*`` and ``ppo.*`` entries are read off the
+fields of ``ChunkSpec``, ``DriftConfig``, ``TrainConfig`` and ``PPOConfig``,
+which hold the only copy of their defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
-CHUNK_KEYS = {
-    "chunk.horizon": (int, 16),
-    "chunk.action_dim": (int, 2),
-    "chunk.history_len": (int, 2),
-    "chunk.exec_len": (int, 8),
-}
+from .actor import DEFAULT_LOG_STD_INIT
+from .drift import DriftConfig
+from .generator import ChunkSpec
+from .ppo import PPOConfig
+from .training import TrainConfig
+
+
+def dataclass_keys(prefix: str, cls) -> dict:
+    """``{"prefix.field": (kind, default)}`` for every field of a config dataclass.
+
+    The kind is read off the annotation: ``X | None`` accepts an ``X``, and
+    ``tuple[float, ...]`` a JSON list of numbers.
+    """
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if typing.get_origin(kind) is tuple:
+            kind = tuple
+        elif typing.get_args(kind):  # ``X | None``
+            kind = typing.get_args(kind)[0]
+        keys[f"{prefix}.{f.name}"] = (kind, f.default)
+    return keys
+
+
+def fields_of(cfg: dict, prefix: str, cls) -> dict:
+    """The resolved values of ``cls``'s fields, ready for ``cls(**...)``."""
+    return {f.name: cfg[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)}
+
+
+CHUNK_KEYS = dataclass_keys("chunk", ChunkSpec)
 
 MODEL_KEYS = {
     "model.latent_dim": (int, 8),
@@ -35,29 +65,11 @@ SYNTH_KEYS = {
     **CHUNK_KEYS,
 }
 
-DRIFT_KEYS = {
-    "drift.hypothesis_count": (int, 4),
-    "drift.temperatures": (list, [0.2]),
-    "drift.scale_floor": (float, 1e-6),
-    "drift.force_floor": (float, 1e-6),
-    "drift.loss_mode": (str, "chunk"),
-}
+DRIFT_KEYS = dataclass_keys("drift", DriftConfig)
 
 TRAIN_KEYS = {
     "data.path": (str, None),
-    "train.batch_size": (int, 32),
-    "train.learning_rate": (float, 1e-4),
-    "train.beta1": (float, 0.95),
-    "train.beta2": (float, 0.999),
-    "train.weight_decay": (float, 1e-6),
-    "train.grad_clip": (float, 1.0),
-    "train.epochs": (int, 100),
-    "train.steps": (int, None),
-    "train.warmup_steps": (int, 500),
-    "train.ema_decay": (float, 0.9999),
-    "train.ema_power": (float, 0.75),
-    "train.seed": (int, 0),
-    "train.checkpoint_every": (int, 0),
+    **dataclass_keys("train", TrainConfig),
     **DRIFT_KEYS,
     **MODEL_KEYS,
 }
@@ -77,22 +89,9 @@ EVAL_KEYS = {
 
 FINETUNE_KEYS = {
     "checkpoint.path": (str, None),
-    "ppo.clip": (float, 0.2),
-    "ppo.value_weight": (float, 0.5),
-    "ppo.entropy_weight": (float, 0.01),
-    "ppo.anchor_weight": (float, 1.0),
-    "ppo.anchor_decay": (bool, False),
-    "ppo.gamma": (float, 0.99),
-    "ppo.gae_lambda": (float, 0.95),
-    "ppo.rollout_length": (int, 128),
-    "ppo.update_epochs": (int, 4),
-    "ppo.minibatch_size": (int, 32),
-    "ppo.actor_lr": (float, 1e-3),
-    "ppo.critic_lr": (float, 1e-3),
-    "ppo.iterations": (int, 30),
-    "ppo.seed": (int, 0),
+    **dataclass_keys("ppo", PPOConfig),
     "ppo.reward_mode": (str, "sparse"),
-    "ppo.log_std_init": (float, -1.8971199848858813),
+    "ppo.log_std_init": (float, DEFAULT_LOG_STD_INIT),
     "ppo.use_ema": (bool, True),
     "ppo.critic_seed": (int, 0),
 }
@@ -144,8 +143,12 @@ def resolve_config(raw: dict, command: str) -> dict:
     return resolved
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _coerce(key: str, kind, value):
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -153,8 +156,8 @@ def _coerce(key: str, kind, value):
         return value
     if kind is str and (value is None or isinstance(value, str)):
         return value
-    if kind is list and isinstance(value, list):
-        return [float(v) for v in value]
+    if kind is tuple and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
     raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
 
 

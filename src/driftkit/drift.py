@@ -239,9 +239,14 @@ def aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
     return aggregate, target
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compute_drift_field(detached: np.ndarray, pool: ReferencePool,
                         config: DriftConfig) -> DriftFieldTensors:
-    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their pool."""
+    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their pool.
+
+    Hypotheses too large to square give an infinite or NaN target without a
+    warning; the loss's tensor check then raises ``AutodiffError``.
+    """
     d = pairwise_distances(detached, pool.refs)
     scale = global_scale(d, pool.weights, config.scale_floor)
     out = DriftFieldTensors(distances=d, scale=scale)

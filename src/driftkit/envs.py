@@ -38,25 +38,20 @@ def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.n
 
 
 class PointMassEnv:
-    """Velocity-command point mass: pos += a * dt inside [-1, 1]^2.
+    """Velocity-command point mass: pos += a * DT inside [-1, 1]^2.
 
     Dense reward is -dist(pos, goal) per micro-step; sparse reward pays 1 once
     the success threshold is reached.  Episodes end on success or at the
     micro-step cap.  reset(seed) is bitwise reproducible.
     """
 
-    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense",
-                 dt: float = DT, threshold: float = SUCCESS_THRESHOLD,
-                 episode_cap: int = EPISODE_CAP):
+    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
         if reward_mode not in ("dense", "sparse"):
             raise EnvError(f"unknown reward mode {reward_mode!r}")
         if spec.action_dim != ACTION_DIM:
             raise EnvError("point-mass actions are planar (action_dim must be 2)")
         self.spec = spec
         self.reward_mode = reward_mode
-        self.dt = dt
-        self.threshold = threshold
-        self.episode_cap = episode_cap
         self.pos = np.zeros(2)
         self.goal = np.zeros(2)
         self.last_action = np.zeros(2)
@@ -83,19 +78,19 @@ class PointMassEnv:
         if self.done:
             raise EnvError("step after episode end")
         a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        self.pos = np.clip(self.pos + a * self.dt,
+        self.pos = np.clip(self.pos + a * DT,
                            -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
         self.last_action = a
         self.t += 1
         dist = float(np.linalg.norm(self.pos - self.goal))
-        success = dist <= self.threshold
+        success = dist <= SUCCESS_THRESHOLD
         if self.reward_mode == "dense":
             reward = -dist
         else:
             reward = 1.0 if success else 0.0
         if success:
             self.succeeded = True
-        self.done = success or self.t >= self.episode_cap
+        self.done = success or self.t >= EPISODE_CAP
         self._history.append(_observe(self.pos, self.goal, self.last_action))
         return reward, self.done
 
@@ -205,7 +200,7 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
     """
     if modes < 1:
         raise SpecError("modes must be >= 1")
-    spec = spec or ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
+    spec = spec or ChunkSpec()
     signs = mode_signs(modes)
     rng = np.random.default_rng(seed)
     obs_rows, chunk_rows, mode_rows = [], [], []

@@ -30,10 +30,10 @@ class SpecError(ValueError):
 class ChunkSpec:
     """Receding-horizon geometry: predict H steps, execute H_e starting at T_o."""
 
-    horizon: int
-    action_dim: int
-    history_len: int
-    exec_len: int
+    horizon: int = 16
+    action_dim: int = 2
+    history_len: int = 2
+    exec_len: int = 8
 
     def __post_init__(self):
         if self.horizon < 1 or self.action_dim < 1:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, check_finite, clip, exp, minimum, no_grad, tanh
+from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp, minimum,
+                       no_grad, tanh)
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
@@ -33,7 +34,7 @@ class PPOConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PPOConfig:
-    clip_eps: float = 0.2
+    clip: float = 0.2
     value_weight: float = 0.5
     entropy_weight: float = 0.01
     anchor_weight: float = 1.0
@@ -49,8 +50,8 @@ class PPOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.clip_eps < 1.0):
-            raise PPOConfigError("clip_eps must lie in (0, 1)")
+        if not (0.0 < self.clip < 1.0):
+            raise PPOConfigError("clip must lie in (0, 1)")
         if not (0.0 < self.gamma <= 1.0):
             raise PPOConfigError("gamma must lie in (0, 1]")
         if not (0.0 <= self.gae_lambda <= 1.0):
@@ -272,27 +273,27 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
             idx = order[lo:lo + config.minibatch_size]
             obs = buffer.obs[idx]
             z = buffer.latents[idx]
-            out = actor.forward(Tensor(obs), Tensor(z))
-            new_logp = prefix_log_prob(buffer.exec_actions[idx], out)
-            ratio = ppo_ratio(new_logp, buffer.old_log_probs[idx])
-            surrogate = clipped_surrogate(ratio, norm_adv[idx], config.clip_eps)
-            values = critic.forward(Tensor(obs))
-            value_loss = 0.5 * (values - Tensor(buffer.returns[idx])).square().mean()
-            entropy = prefix_entropy(out).mean()
-            anchor_term = anchor_loss(out.mean, anchor, obs, z)
-            total = (-1.0 * surrogate + config.value_weight * value_loss
-                     - config.entropy_weight * entropy + lam * anchor_term)
-            if not np.isfinite(total.data):
-                raise NumericalAbort("non-finite PPO loss", dump={
-                    "epoch": epoch, "minibatch_indices": idx.tolist(),
-                    "loss": float(total.data)})
-            grad_map = backward(total)
-            actor_params = actor.parameters()
-            actor_opt.step(actor_params, leaf_grads(grad_map, actor_params))
-            critic_opt.step(critic.params, leaf_grads(grad_map, critic.params))
+            try:
+                out = actor.forward(Tensor(obs), Tensor(z))
+                new_logp = prefix_log_prob(buffer.exec_actions[idx], out)
+                ratio = ppo_ratio(new_logp, buffer.old_log_probs[idx])
+                surrogate = clipped_surrogate(ratio, norm_adv[idx], config.clip)
+                values = critic.forward(Tensor(obs))
+                value_loss = 0.5 * (values - Tensor(buffer.returns[idx])).square().mean()
+                entropy = prefix_entropy(out).mean()
+                anchor_term = anchor_loss(out.mean, anchor, obs, z)
+                total = (-1.0 * surrogate + config.value_weight * value_loss
+                         - config.entropy_weight * entropy + lam * anchor_term)
+                grad_map = backward(total)
+                actor_params = actor.parameters()
+                actor_opt.step(actor_params, leaf_grads(grad_map, actor_params))
+                critic_opt.step(critic.params, leaf_grads(grad_map, critic.params))
+            except AutodiffError as exc:
+                raise NumericalAbort(f"PPO epoch {epoch}: {exc}", dump={
+                    "epoch": epoch, "minibatch_indices": idx.tolist()}) from exc
 
             ratios_acc.append(float(ratio.data.mean()))
-            clipped = (ratio.data < 1.0 - config.clip_eps) | (ratio.data > 1.0 + config.clip_eps)
+            clipped = (ratio.data < 1.0 - config.clip) | (ratio.data > 1.0 + config.clip)
             clip_acc.append(float(clipped.mean()))
             vloss_acc.append(float(value_loss.data))
             ent_acc.append(float(entropy.data))

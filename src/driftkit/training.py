@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, check_finite
+from .autodiff import AutodiffError, Tensor, backward, check_finite
 from .drift import DriftConfig, drift_loss
 from .generator import Generator, sample_hypotheses
 
@@ -188,7 +188,8 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     """Run the Stage-1 loop; deterministic for a fixed seed.
 
     ``dataset`` must expose .observations (N, T_o, d_o) and .chunks (N, H, d_a).
-    A non-finite loss aborts immediately with the offending minibatch indices.
+    A non-finite value in the step (forward, backward or update) raises
+    :class:`NumericalAbort`, whose dump holds the step and its minibatch indices.
     """
     obs = np.asarray(dataset.observations, dtype=np.float64)
     chunks = np.asarray(dataset.chunks, dtype=np.float64)
@@ -216,16 +217,16 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
         idx = order[lo:lo + config.batch_size]
         cursor += 1
 
-        loss, grads, scale = drift_train_step(
-            generator, obs[idx], chunks[idx].reshape(len(idx), -1),
-            drift_config, rng)
-        if not np.isfinite(loss):
-            raise NumericalAbort(
-                f"non-finite loss at step {step}",
-                dump={"step": step, "minibatch_indices": idx.tolist(), "loss": loss})
-        grads, norm = grad_clip(grads, config.grad_clip)
-        lr = warmup_lr(config.learning_rate, step, config.warmup_steps)
-        opt.step(generator.params, grads, lr=lr)
+        try:
+            loss, grads, scale = drift_train_step(
+                generator, obs[idx], chunks[idx].reshape(len(idx), -1),
+                drift_config, rng)
+            grads, norm = grad_clip(grads, config.grad_clip)
+            lr = warmup_lr(config.learning_rate, step, config.warmup_steps)
+            opt.step(generator.params, grads, lr=lr)
+        except AutodiffError as exc:
+            raise NumericalAbort(f"step {step}: {exc}", dump={
+                "step": step, "minibatch_indices": idx.tolist()}) from exc
         shadow = ema_update(shadow, generator.params, opt.step_count - 1,
                             config.ema_decay, config.ema_power)
         result.metrics.append({"step": step, "loss": loss, "grad_norm": norm,

@@ -211,7 +211,7 @@ def test_criterion_3_gradient_suite():
         out = actor.forward(Tensor(buf.obs), Tensor(buf.latents))
         lp = prefix_log_prob(buf.exec_actions, out)
         ratio = ppo_ratio(lp, buf.old_log_probs)
-        surr = clipped_surrogate(ratio, adv, cfg.clip_eps)
+        surr = clipped_surrogate(ratio, adv, cfg.clip)
         values_t = critic.forward(Tensor(buf.obs))
         v_loss = 0.5 * (values_t - Tensor(buf.returns)).square().mean()
         ent = prefix_entropy(out).mean()

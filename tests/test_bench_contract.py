@@ -15,6 +15,8 @@ from pathlib import Path
 
 import driftkit
 import driftkit.checkpoint  # noqa: F401 -- the tracer patches it; the package does not import it
+from driftkit.actor import DEFAULT_LOG_STD_INIT
+from driftkit.config import FINETUNE_KEYS
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -37,3 +39,11 @@ def test_every_patch_point_is_defined_on_its_owner():
     with spans.Tracer(driftkit, run_id="contract"):
         pass
     assert [vars(owner)[attr] for owner, attr in points] == originals
+
+
+def test_finetune_keys_hold_the_run_defaults_the_benchmark_reads():
+    # bench/workloads.py takes ``FINETUNE_KEYS[key][1]`` as the CLI default
+    assert FINETUNE_KEYS["ppo.use_ema"] == (bool, True)
+    assert FINETUNE_KEYS["ppo.log_std_init"] == (float, DEFAULT_LOG_STD_INIT)
+    assert FINETUNE_KEYS["ppo.reward_mode"] == (str, "sparse")
+    assert all(len(entry) == 2 for entry in FINETUNE_KEYS.values())

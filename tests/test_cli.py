@@ -71,6 +71,17 @@ def test_removed_pool_size_key_rejected_with_exit_2(tmp_path, capsys):
     assert "unknown config keys for 'train': ['drift.negative_count']" in capsys.readouterr().err
 
 
+def test_numerical_blow_up_exits_3_with_abort_dump(tmp_path, capsys):
+    data = synth_dir(tmp_path)
+    code, out = train_dir(tmp_path, data, extra={"train.learning_rate": 1e300})
+    assert code == 3
+    assert "numerical abort: step 2" in capsys.readouterr().err
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump["step"] == 2
+    assert sorted(dump["minibatch_indices"]) == list(range(24))
+    assert not (out / "checkpoint_final.json").exists()
+
+
 def test_malformed_json_rejected_with_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,0 +1,65 @@
+"""The config schema: resolved defaults, key tables read off the dataclasses,
+coercion and rejection."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from driftkit.config import (CHUNK_KEYS, DRIFT_KEYS, FINETUNE_KEYS, TRAIN_KEYS,
+                             ConfigError, fields_of, resolve_config)
+from driftkit.drift import DriftConfig
+from driftkit.generator import ChunkSpec
+from driftkit.ppo import PPOConfig
+from driftkit.training import TrainConfig
+
+# SHA-256 of json.dumps(resolve_config({}, command), indent=2, sort_keys=True):
+# the default snapshot each command writes.  A changed digest means a default,
+# a key or a resolved value's JSON form moved.
+DEFAULT_SNAPSHOT_SHA256 = {
+    "synth": "ee9e59d14c12f75f857f4071fcaf2a1f0a0aa42683f722b0c7657da53c8f1dc0",
+    "train": "80f553b4c7f8d58a235d200187b92042b7d82eaa0097802b0c2bf02d4ea56b9c",
+    "eval": "1e0e670c5eb7529af0f8f9f7894c871903ab61ea0c436211a76574d55aacd66e",
+    "finetune": "efbf48705a6a6b4fd741fc93c7d5a1095c5567f18d74e550d8f546ea10ab55fb",
+}
+
+SECTIONS = [("chunk", ChunkSpec, CHUNK_KEYS), ("drift", DriftConfig, DRIFT_KEYS),
+            ("train", TrainConfig, TRAIN_KEYS), ("ppo", PPOConfig, FINETUNE_KEYS)]
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_SNAPSHOT_SHA256))
+def test_default_snapshot_keeps_its_bytes(command):
+    text = json.dumps(resolve_config({}, command), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SNAPSHOT_SHA256[command]
+
+
+@pytest.mark.parametrize("prefix, cls, table", SECTIONS)
+def test_section_defaults_build_the_dataclass_default(prefix, cls, table):
+    resolved = {key: default for key, (_, default) in table.items()}
+    assert cls(**fields_of(resolved, prefix, cls)) == cls()
+
+
+def test_values_are_coerced_to_the_field_kind():
+    cfg = resolve_config({"drift.temperatures": [1, 0.5], "train.learning_rate": 1,
+                          "train.steps": 7}, "train")
+    assert cfg["drift.temperatures"] == (1.0, 0.5)
+    assert isinstance(cfg["train.learning_rate"], float)
+    assert DriftConfig(**fields_of(cfg, "drift", DriftConfig)).temperatures == (1.0, 0.5)
+    assert TrainConfig(**fields_of(cfg, "train", TrainConfig)).steps == 7
+    assert resolve_config({"train.steps": None}, "train")["train.steps"] is None
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("finetune", {"ppo.clip_eps": 0.1}),
+    ("train", {"train.steps": 1.5}),
+    ("train", {"drift.temperatures": 0.2}),
+    ("train", {"drift.temperatures": ["x"]}),
+    ("train", {"drift.temperatures": [True]}),
+    ("finetune", {"ppo.anchor_decay": 1}),
+    ("synth", {"chunk.horizon": "16"}),
+])
+def test_unknown_keys_and_wrong_kinds_are_rejected(command, raw):
+    with pytest.raises(ConfigError):
+        resolve_config(raw, command)

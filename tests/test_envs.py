@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftkit.envs import (EnvError, PointMassEnv, load_dataset, mode_centers_for,
+from driftkit import envs
+from driftkit.envs import (DT, EnvError, PointMassEnv, load_dataset, mode_centers_for,
                            mode_coverage, save_dataset, scripted_action,
                            synth_multimodal)
 from driftkit.generator import ChunkSpec, executed_prefix
@@ -57,7 +58,7 @@ def test_scripted_controller_succeeds_on_100_seeds():
             for _ in range(SPEC.horizon):
                 a = scripted_action(pos, env.goal)
                 actions.append(a)
-                pos = pos + a * env.dt
+                pos = pos + a * DT
             chunk = np.asarray(actions).reshape(-1)
             _, _, done = env.step_prefix(executed_prefix(chunk, SPEC))
         assert env.succeeded, seed
@@ -92,10 +93,10 @@ def test_dense_reward_bounded_by_arena_diagonal():
         assert -diag <= reward <= 0.0
 
 
-def test_step_after_done_raises():
+def test_step_after_done_raises(monkeypatch):
     env = PointMassEnv(SPEC)
     env.reset(0)
-    env.episode_cap = 1
+    monkeypatch.setattr(envs, "EPISODE_CAP", 1)
     env.micro_step(np.zeros(2))
     with pytest.raises(EnvError):
         env.micro_step(np.zeros(2))

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
-from driftkit.autodiff import Tensor, backward, no_grad
+from driftkit.autodiff import AutodiffError, Tensor, backward, no_grad
 from driftkit.envs import PointMassEnv, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
                           compute_gae, ppo_update, evaluate_policy, ppo_ratio)
-from driftkit.training import AdamW, TrainConfig, train
+from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
 from .oracles import finite_diff, gae_bruteforce
@@ -423,7 +423,7 @@ def test_total_objective_gradient_matches_finite_differences():
         out = actor.forward(Tensor(buf.obs), Tensor(buf.latents))
         lp = prefix_log_prob(buf.exec_actions, out)
         ratio = ppo_ratio(lp, buf.old_log_probs)
-        surr = clipped_surrogate(ratio, adv, cfg.clip_eps)
+        surr = clipped_surrogate(ratio, adv, cfg.clip)
         values = critic.forward(Tensor(buf.obs))
         v_loss = 0.5 * (values - Tensor(buf.returns)).square().mean()
         ent = prefix_entropy(out).mean()
@@ -451,9 +451,23 @@ def test_total_objective_gradient_matches_finite_differences():
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4, name
 
 
+def test_non_finite_update_aborts_with_epoch_and_minibatch():
+    actor = tiny_actor()
+    critic = Critic(OBS_DIM, hidden_dim=8, seed=0)
+    anchor = actor.generator.clone()
+    buf = make_buffer(actor, critic)
+    cfg = PPOConfig(actor_lr=1e300, update_epochs=2, minibatch_size=4)
+    # the tape's square op may warn on overflow before its finiteness check raises
+    with np.errstate(over="ignore"), pytest.raises(NumericalAbort) as err:
+        ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
+    assert isinstance(err.value.__cause__, AutodiffError)
+    assert err.value.dump["epoch"] == 0
+    assert len(err.value.dump["minibatch_indices"]) == 4
+
+
 def test_ppo_config_validation():
     with pytest.raises(PPOConfigError):
-        PPOConfig(clip_eps=0.0)
+        PPOConfig(clip=0.0)
     with pytest.raises(PPOConfigError):
         PPOConfig(gamma=0.0)
     with pytest.raises(PPOConfigError):

@@ -221,10 +221,13 @@ def test_nonfinite_loss_aborts_with_dump():
     # poison one weight so the forward pass overflows into inf
     arrays = gen.param_arrays()
     arrays["head_w"] = arrays["head_w"] * 1e308
-    with np.errstate(all="ignore"), pytest.raises(Exception) as err:
-        gen.params.load(arrays)
+    gen.params.load(arrays)
+    with pytest.raises(NumericalAbort) as err:
         train(ds, gen, DriftConfig(), TrainConfig(steps=3, seed=0))
-    assert isinstance(err.value, (NumericalAbort, ValueError))
+    assert isinstance(err.value.__cause__, AutodiffError)
+    assert err.value.dump["step"] == 1
+    idx = err.value.dump["minibatch_indices"]
+    assert len(idx) == 32 and len(set(idx)) == 32 and set(idx) <= set(range(len(ds)))
 
 
 def test_config_validation():
