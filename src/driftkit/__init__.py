@@ -1,9 +1,9 @@
 """driftkit: one-step action-chunk policies trained by drift-field regression,
 fine-tuned online with exact-likelihood PPO."""
 
-from .actor import ActorOutput, GaussianActor, prefix_entropy, prefix_log_prob, sample_action
-from .autodiff import Tensor, backward, no_grad
-from .drift import (DriftConfig, DriftFieldTensors, HypothesisBatch, ReferencePool,
+from .actor import ActorOutput, GaussianActor, prefix_entropy, prefix_log_prob
+from .autodiff import Tensor, backward
+from .drift import (DriftConfig, DriftFieldTensors, ReferencePool,
                     build_reference_pool, compute_drift_field, fixed_point_loss, drift_loss)
 from .envs import ImitationDataset, PointMassEnv, mode_coverage, synth_multimodal
 from .generator import ChunkSpec, Generator, executed_prefix, sample_hypotheses
@@ -13,12 +13,12 @@ from .training import AdamW, TrainConfig, drift_train_step, train
 
 __all__ = [
     "ActorOutput", "AdamW", "ChunkSpec", "Critic", "DriftConfig",
-    "DriftFieldTensors", "GaussianActor", "Generator", "HypothesisBatch",
+    "DriftFieldTensors", "GaussianActor", "Generator",
     "ImitationDataset", "PPOConfig", "PointMassEnv", "ReferencePool",
     "RolloutBuffer", "Tensor", "TrainConfig", "backward",
     "build_reference_pool", "collect_rollouts", "compute_drift_field",
     "compute_gae", "fixed_point_loss", "ppo_update", "drift_loss", "drift_train_step",
-    "evaluate_policy", "executed_prefix", "mode_coverage", "no_grad",
-    "prefix_entropy", "prefix_log_prob", "sample_action", "sample_hypotheses",
+    "evaluate_policy", "executed_prefix", "mode_coverage",
+    "prefix_entropy", "prefix_log_prob", "sample_hypotheses",
     "synth_multimodal", "train",
 ]

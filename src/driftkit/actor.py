@@ -35,9 +35,6 @@ class ActorOutput:
     log_std: Tensor
     spec: ChunkSpec
 
-    def std(self) -> np.ndarray:
-        return np.exp(self.log_std.data)
-
 
 class GaussianActor:
     """Backbone mean + clipped state-conditioned log-scale head."""
@@ -86,11 +83,6 @@ def sample_gaussian(mean: np.ndarray, log_std: np.ndarray,
     """Draw x = mean + exp(log_std) * eta with eta standard normal."""
     eta = rng.standard_normal(mean.shape)
     return mean + np.exp(log_std) * eta
-
-
-def sample_action(output: ActorOutput, rng: np.random.Generator) -> np.ndarray:
-    """Draw an action from an actor output (no gradient)."""
-    return sample_gaussian(output.mean.data, output.log_std.data, rng)
 
 
 def _prefix_rows(x_exec, mean_shape, spec_slice: slice) -> np.ndarray:

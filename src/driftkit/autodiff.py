@@ -11,6 +11,14 @@ plain arrays, for forwards that need no gradient, so a tape-free evaluation
 reproduces the tape's forward values bitwise.  The backward products are
 plain BLAS gemm: gradients are never compared across batch compositions.
 
+There is no switch that turns recording off.  A :class:`Tensor` is on the
+tape: an op records a node exactly when one of its parents requires a
+gradient.  A value that needs no gradient is computed on plain arrays
+(:func:`affine` and numpy), never as a ``Tensor``.
+
+An op whose result overflows does not warn: it yields an infinity or a NaN,
+and the finiteness check of every node raises :class:`AutodiffError` on it.
+
 Broadcasting is restricted to leading-dimension expansion (a shape may be
 prefixed with extra axes, nothing else); drift-field index algebra is always
 reshaped explicitly at the call site.
@@ -19,7 +27,6 @@ reshaped explicitly at the call site.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,7 +40,6 @@ __all__ = [
     "concat",
     "matmul",
     "minimum",
-    "no_grad",
     "row_matmul",
     "topo_nodes",
 ]
@@ -44,19 +50,6 @@ class AutodiffError(ValueError):
 
 
 _SEQ = itertools.count()
-_GRAD_ENABLED = True
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block; forward values are unchanged."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -167,8 +160,7 @@ def _node(data: np.ndarray, op: str, parents, backward_fn) -> Tensor:
     out.grad = None
     out._op = op
     out._seq = next(_SEQ)
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    if track:
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -207,7 +199,7 @@ def _reduce_lead(g: np.ndarray, n_lead: int) -> np.ndarray:
     return g.sum(axis=tuple(range(n_lead)))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _binary(a, b, op: str, fwd, da_fn, db_fn):
     a, b = _lift(a), _lift(b)
     out_shape, a_lead, b_lead = _expand_info(a.shape, b.shape)
@@ -296,13 +288,14 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return check_finite(row_matmul(x, w) + b, "affine output")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def exp(a):
     a = _lift(a)
     data = np.exp(a.data)
-    out = _node(data, "exp", (a,), lambda g: _accum(a, g * data))
-    return out
+    return _node(data, "exp", (a,), lambda g: _accum(a, g * data))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def square(a):
     a = _lift(a)
     ad = a.data

@@ -21,11 +21,11 @@ from . import checkpoint as ckpt
 from .actor import GaussianActor
 from .config import SEED_KEY, ConfigError, fields_of, load_config, snapshot_config
 from .drift import DriftConfig, DriftConfigError
-from .envs import (DT, PointMassEnv, SpecError, load_dataset, mode_coverage,
+from .envs import (DT, EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
                    save_dataset, scripted_action, synth_multimodal)
 from .generator import ChunkSpec, Generator, executed_prefix
-from .ppo import (Critic, FINETUNE_METRICS_HEADER, PPOConfig, collect_rollouts,
-                  compute_gae, ppo_update, evaluate_policy)
+from .ppo import (Critic, FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError,
+                  collect_rollouts, compute_gae, ppo_update, evaluate_policy)
 from .training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
                        train, write_metrics_csv)
 
@@ -183,9 +183,13 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
         weight = ppo_config.anchor_weight
         if ppo_config.anchor_decay and ppo_config.iterations > 1:
             weight *= 1.0 - (iteration - 1) / (ppo_config.iterations - 1)
-        stats = ppo_update(buffer, actor, critic, anchor, ppo_config, rng,
-                            actor_opt=actor_opt, critic_opt=critic_opt,
-                            anchor_weight=weight)
+        try:
+            stats = ppo_update(buffer, actor, critic, anchor, ppo_config, rng,
+                                actor_opt=actor_opt, critic_opt=critic_opt,
+                                anchor_weight=weight)
+        except NumericalAbort as exc:
+            exc.dump["iteration"] = iteration
+            raise
         mean_return = (float(np.mean(buffer.episode_returns))
                        if buffer.episode_returns else 0.0)
         rows.append({"iter": iteration, "mean_return": mean_return,
@@ -235,7 +239,8 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, out, args.episodes)
         return cmd_finetune(cfg, out)
-    except (ConfigError, DriftConfigError, TrainConfigError, SpecError) as exc:
+    except (ConfigError, DriftConfigError, EnvError, PPOConfigError, SpecError,
+            TrainConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:

@@ -1,12 +1,12 @@
 """Drift-field construction and the fixed-point regression loss.
 
-The geometry is built entirely from detached hypotheses and references, so
-everything up to the regression target is plain float64 numpy: pairwise
-distances, a weighted global scale, symmetric affinities per temperature,
-mass-balanced signed coefficients, per-scale forces, RMS normalization and
-the aggregated field.  Gradients enter only through the squared regression
-of the live hypothesis tensor onto the detached target, with the global
-scale treated as a constant.
+The geometry needs no gradient, so it takes the hypotheses' values as a
+plain array (``values.data`` of the tape tensor) and everything up to the
+regression target is float64 numpy: pairwise distances, a weighted global
+scale, symmetric affinities per temperature, mass-balanced signed
+coefficients, per-scale forces, RMS normalization and the aggregated field.
+Gradients enter only through the squared regression of the hypothesis tensor
+onto the fixed target array, with the global scale treated as a constant.
 
 The geometry works over any leading axes, (..., B, G, S) hypotheses against
 (..., B, U, S) references, one independent instance per leading index; the
@@ -57,24 +57,10 @@ class DriftConfig:
 
 
 @dataclass
-class HypothesisBatch:
-    """Generated hypotheses (B, G, S): the live tensor and its detached copy."""
-
-    values: Tensor
-    detached: np.ndarray
-
-    @classmethod
-    def from_values(cls, values: Tensor) -> "HypothesisBatch":
-        if values.data.ndim != 3:
-            raise DriftConfigError(f"hypotheses must be (B, G, S), got {values.shape}")
-        return cls(values=values, detached=values.data)
-
-
-@dataclass
 class ReferencePool:
     """Reference tensor (B, U, S) with (B, U) weights and the signed index partition.
 
-    The first G references are always the detached hypotheses (repulsive
+    The first G references are always the hypotheses themselves (repulsive
     side), optionally followed by explicit negatives, then the positives.
     The geometry also takes refs with leading axes (..., B, U, S), which then
     share the weights.
@@ -86,11 +72,16 @@ class ReferencePool:
     positive_indices: np.ndarray
 
 
-def build_reference_pool(batch: HypothesisBatch, positives: np.ndarray,
+def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray,
                          negatives: np.ndarray | None = None,
                          weights: np.ndarray | None = None) -> ReferencePool:
-    """Assemble [detached hypotheses, negatives, positives] along the pool axis."""
-    det = batch.detached
+    """Assemble [hypotheses, negatives, positives] along the pool axis.
+
+    ``hypotheses`` is the (B, G, S) array of hypothesis values.
+    """
+    det = np.asarray(hypotheses, dtype=np.float64)
+    if det.ndim != 3:
+        raise DriftConfigError(f"hypotheses must be (B, G, S), got {det.shape}")
     b, g, s = det.shape
     positives = np.asarray(positives, dtype=np.float64)
     if positives.ndim != 3 or positives.shape[0] != b or positives.shape[2] != s:
@@ -279,12 +270,13 @@ def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarr
     return square(values / scale - Tensor(target)).mean()
 
 
-def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfig,
+def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
                negatives: np.ndarray | None = None,
                weights: np.ndarray | None = None,
                slice_width: int | None = None):
-    """Drift-field regression loss for one minibatch.
+    """Drift-field regression loss for one minibatch of (B, G, S) hypotheses.
 
+    ``values`` is the hypotheses' tape tensor; the geometry reads its array.
     Step-wise mode splits the flattened chunk into K time slices of
     ``slice_width`` coordinates and runs an independent pipeline on each, as
     the leading axis of one geometry pass; chunk mode is the one-slice case
@@ -293,7 +285,9 @@ def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfi
     equal size.  Returns the scalar loss and the field tensors, whose arrays
     lead with the slice axis (``scale`` is (K,)).
     """
-    b, g, s = batch.values.shape
+    hypotheses = values.data
+    pool = build_reference_pool(hypotheses, positives, negatives, weights)
+    b, g, s = hypotheses.shape
     width = s if config.loss_mode == "chunk" else slice_width
     if width is None or width < 1:
         raise DriftConfigError("step_wise mode requires a positive slice_width")
@@ -305,8 +299,7 @@ def drift_loss(batch: HypothesisBatch, positives: np.ndarray, config: DriftConfi
         in the order of a separate 3-d instance and keep its bits."""
         return np.ascontiguousarray(np.moveaxis(x.reshape(b, x.shape[1], -1, width), 2, 0))
 
-    pool = build_reference_pool(batch, positives, negatives, weights)
-    fld = compute_drift_field(split(batch.detached), replace(pool, refs=split(pool.refs)),
+    fld = compute_drift_field(split(hypotheses), replace(pool, refs=split(pool.refs)),
                               config)
     target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
-    return fixed_point_loss(batch.values, target, np.repeat(fld.scale, width)), fld
+    return fixed_point_loss(values, target, np.repeat(fld.scale, width)), fld

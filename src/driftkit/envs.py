@@ -198,8 +198,8 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
     actions.  Every sample for a condition draws one of the K modes uniformly
     and adds Gaussian jitter to the noiseless mode chunk.
     """
-    if modes < 1:
-        raise SpecError("modes must be >= 1")
+    if min(modes, conditions, samples_per_condition) < 1:
+        raise SpecError("modes, conditions and samples_per_condition must be >= 1")
     spec = spec or ChunkSpec()
     signs = mode_signs(modes)
     rng = np.random.default_rng(seed)

@@ -9,7 +9,9 @@ The network is written once (:func:`_backbone`) and evaluated either on the
 autodiff tape (:meth:`Generator.forward`, for training) or on plain arrays
 (:meth:`Generator.infer`, for every evaluation that needs no gradient).  Both
 use the same row-invariant kernel (:func:`autodiff.row_matmul`), so their
-values agree bitwise, and a row's values do not depend on its batch.
+values agree bitwise, and a row's values do not depend on its batch.  A
+caller that wants values only calls :meth:`Generator.infer`; a ``Tensor``
+result always means a recorded graph.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, affine, check_finite, concat, matmul, tanh
-from .drift import HypothesisBatch
 
 
 class SpecError(ValueError):
@@ -234,11 +235,12 @@ def sample_latents(rng: np.random.Generator, batch: int, count: int,
 
 
 def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
-                      rng: np.random.Generator) -> tuple[HypothesisBatch, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
     """Generate G hypotheses per observation from independent latents.
 
-    All B*G rows go through a single forward evaluation; the detached copy is
-    attached so the drift geometry never touches the live graph.
+    All B*G rows go through a single forward evaluation on the tape.  Returns
+    the (B, G, S) hypothesis tensor and the (B, G, C) latents; the drift
+    geometry reads the tensor's array and never touches the graph.
     """
     if count < 1:
         raise SpecError("hypothesis count must be positive")
@@ -248,5 +250,4 @@ def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
     obs_rep = np.repeat(obs, count, axis=0)
     chunk, _ = generator.forward(Tensor(obs_rep),
                                  Tensor(latents.reshape(b * count, -1)))
-    values = chunk.reshape(b, count, generator.spec.chunk_dim)
-    return HypothesisBatch.from_values(values), latents
+    return chunk.reshape(b, count, generator.spec.chunk_dim), latents

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp, minimum,
-                       no_grad, tanh)
+                       tanh)
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
@@ -259,10 +259,11 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     stats = UpdateStats()
     # Recompute every stored log-prob before any gradient step: the ratios
     # must come back exactly 1 because the same latents and the same batched
-    # forward path are used.
-    with no_grad():
-        out0 = actor.forward(Tensor(buffer.obs), Tensor(buffer.latents))
-        logp0 = prefix_log_prob(buffer.exec_actions, out0).data
+    # forward path are used.  The recompute runs on the tape, so the check
+    # covers the path that gradients flow through; one expression lets its
+    # graph be freed before the first minibatch.
+    logp0 = prefix_log_prob(buffer.exec_actions,
+                            actor.forward(Tensor(buffer.obs), Tensor(buffer.latents))).data
     stats.first_epoch_ratios = np.exp(
         np.clip(logp0 - buffer.old_log_probs, -RATIO_LOG_CLAMP, RATIO_LOG_CLAMP))
 

@@ -174,11 +174,11 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
     Returns (loss value, per-parameter gradient arrays, field scale averaged
     over the loss slices).
     """
-    batch, _ = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
+    values, _ = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
     experts = np.asarray(expert_batch, dtype=np.float64)
     experts = experts.reshape(experts.shape[0], 1, -1)
     slice_width = generator.spec.action_dim if config.loss_mode == "step_wise" else None
-    loss, fields = drift_loss(batch, experts, config, slice_width=slice_width)
+    loss, fields = drift_loss(values, experts, config, slice_width=slice_width)
     grad_map = backward(loss)
     return loss.item(), leaf_grads(grad_map, generator.params), float(np.mean(fields.scale))
 

@@ -15,11 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
-from driftkit.autodiff import Tensor, backward, no_grad
+from driftkit.actor import (GaussianActor, prefix_entropy, prefix_log_prob,
+                            prefix_log_prob_arrays)
+from driftkit.autodiff import Tensor, backward
 from driftkit.checkpoint import checkpoint_document, restore_generator
 from driftkit.cli import main
-from driftkit.drift import (DriftConfig, HypothesisBatch, MULTISCALE_TEMPERATURES,
+from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
                             balanced_coefficients, build_reference_pool,
                             compute_drift_field, fixed_point_loss)
 from driftkit.envs import PointMassEnv, mode_coverage, synth_multimodal
@@ -68,9 +69,8 @@ def coverage_of(gen, dataset, samples=64, seed=7):
     def policy_fn(obs_hist, n, rng_):
         obs = np.repeat(obs_hist.reshape(1, -1), n, axis=0)
         z = rng_.standard_normal((n, gen.latent_dim))
-        with no_grad():
-            chunk, _ = gen.forward(Tensor(obs), Tensor(z))
-        return chunk.data
+        chunk, _ = gen.infer(obs, z)
+        return chunk
     return mode_coverage(policy_fn, dataset, samples, np.random.default_rng(seed))
 
 
@@ -83,11 +83,10 @@ def test_criterion_1_oracle_equivalence():
         c_p = int(rng.integers(1, max(2, 7 - g)))
         hyp = rng.uniform(-2, 2, size=(b, g, s))
         pos = rng.uniform(-2, 2, size=(b, c_p, s))
-        batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
-        pool = build_reference_pool(batch, pos)
+        pool = build_reference_pool(hyp, pos)
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(batch.detached, pool, config)
-        loss = fixed_point_loss(batch.values, field.target, field.scale)
+        field = compute_drift_field(hyp, pool, config)
+        loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
         oracle = drift_field_loops(hyp, pool.refs, pool.weights,
                                    pool.negative_indices, pool.positive_indices,
                                    config.temperatures, config.scale_floor,
@@ -141,9 +140,8 @@ def test_criterion_3_gradient_suite():
         return chunk.reshape(3, 2, spec.chunk_dim)
 
     values = hypotheses()
-    batch = HypothesisBatch.from_values(values)
-    pool = build_reference_pool(batch, experts)
-    field = compute_drift_field(batch.detached, pool, config)
+    pool = build_reference_pool(values.data, experts)
+    field = compute_drift_field(values.data, pool, config)
 
     loss = fixed_point_loss(values, field.target, field.scale)
     grads = backward(loss)
@@ -153,8 +151,7 @@ def test_criterion_3_gradient_suite():
 
         def fd_fn(arr):
             p.data = arr
-            with no_grad():
-                value = fixed_point_loss(hypotheses(), field.target, field.scale).item()
+            value = fixed_point_loss(hypotheses(), field.target, field.scale).item()
             p.data = original
             return value
 
@@ -181,8 +178,7 @@ def test_criterion_3_gradient_suite():
 
         def fd_fn(arr):
             p.data = arr
-            with no_grad():
-                value = logp_value().item()
+            value = logp_value().item()
             p.data = original
             return value
 
@@ -227,8 +223,7 @@ def test_criterion_3_gradient_suite():
 
         def fd_fn(arr):
             p.data = arr
-            with no_grad():
-                value = objective().item()
+            value = objective().item()
             p.data = original
             return value
 
@@ -249,11 +244,10 @@ def test_criterion_4_loss_identity():
         b, g, s = (int(rng.integers(1, 6)) for _ in range(3))
         hyp = rng.uniform(-2, 2, size=(b, g, s))
         pos = rng.uniform(-2, 2, size=(b, int(rng.integers(1, 3)), s))
-        batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
-        pool = build_reference_pool(batch, pos)
+        pool = build_reference_pool(hyp, pos)
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(batch.detached, pool, config)
-        loss = fixed_point_loss(batch.values, field.target, field.scale)
+        field = compute_drift_field(hyp, pool, config)
+        loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
         worst = max(worst, abs(loss.item() - float(np.mean(np.square(field.aggregate)))))
     assert worst < 1e-10, f"identity gap {worst:.3e}"
     print(f"\nACCEPTANCE 4 PASS loss identity: |loss - mean(V^2)| <= {worst:.2e}")
@@ -270,13 +264,11 @@ def test_criterion_5_ratio_equivalence(pretrained_doc):
         z = rng.standard_normal((1, gen.latent_dim))
         x = rng.normal(size=(1, spec.exec_dim))
         arrays = gen.param_arrays()
-        with no_grad():
-            lp_old = prefix_log_prob(x, actor.forward(Tensor(obs), Tensor(z))).data[0]
+        lp_old = prefix_log_prob_arrays(x, *actor.infer(obs, z), spec)[0]
         for name in arrays:
             arrays[name] = arrays[name] + 1e-3 * rng.standard_normal(arrays[name].shape)
         gen.params.load(arrays)
-        with no_grad():
-            lp_new = prefix_log_prob(x, actor.forward(Tensor(obs), Tensor(z))).data[0]
+        lp_new = prefix_log_prob_arrays(x, *actor.infer(obs, z), spec)[0]
         log_prior = float(-0.5 * z.size * np.log(2 * np.pi) - 0.5 * (z ** 2).sum())
         conditional = np.exp(lp_new - lp_old)
         joint = np.exp((lp_new + log_prior) - (lp_old + log_prior))

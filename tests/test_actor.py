@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftkit.actor import (DEFAULT_LOG_STD_BOUNDS, GaussianActor, LOG_2PI,
-                            prefix_entropy, prefix_log_prob, sample_action)
+                            prefix_entropy, prefix_log_prob, sample_gaussian)
 from driftkit.autodiff import Tensor, backward
 from driftkit.generator import ChunkSpec, Generator
 
@@ -52,7 +52,7 @@ def test_zero_head_gives_configured_init_scale():
     actor = GaussianActor(gen, log_std_init=0.0)
     out = forward_arrays(actor, np.zeros((1, 3)), np.zeros(4))
     np.testing.assert_array_equal(out.log_std.data, np.zeros((1, SPEC.chunk_dim)))
-    np.testing.assert_array_equal(out.std(), np.ones((1, SPEC.chunk_dim)))
+    np.testing.assert_array_equal(np.exp(out.log_std.data), np.ones((1, SPEC.chunk_dim)))
 
 
 def test_huge_head_output_is_clipped_to_upper_bound():
@@ -77,21 +77,22 @@ def test_sample_with_zero_noise_returns_mean():
             return np.zeros(shape)
 
     actor = tiny_actor()
-    out = forward_arrays(actor, np.ones((1, 3)), np.full(4, 0.3))
-    x = sample_action(out, ZeroRng())
-    np.testing.assert_array_equal(x, out.mean.data)
+    mean, log_std = actor.infer(np.ones((1, 3)), np.full((1, 4), 0.3))
+    x = sample_gaussian(mean, log_std, ZeroRng())
+    np.testing.assert_array_equal(x, mean)
 
 
 def test_sample_std_matches_scale_head():
     actor = tiny_actor(head_scale=0.1)
-    out = forward_arrays(actor, np.ones((1, 3)), np.zeros(4))
+    mean, log_std = actor.infer(np.ones((1, 3)), np.zeros((1, 4)))
+    std = np.exp(log_std[0])
     rng = np.random.default_rng(0)
     n = 100_000
-    draws = np.stack([sample_action(out, rng)[0] for _ in range(10)])
+    draws = np.stack([sample_gaussian(mean, log_std, rng)[0] for _ in range(10)])
     # vectorized equivalent for the Monte Carlo sample
     eta = rng.standard_normal((n, SPEC.chunk_dim))
-    samples = out.mean.data[0] + out.std()[0] * eta
-    np.testing.assert_allclose(samples.std(axis=0, ddof=1), out.std()[0], rtol=0.02)
+    samples = mean[0] + std * eta
+    np.testing.assert_allclose(samples.std(axis=0, ddof=1), std, rtol=0.02)
     assert draws.shape == (10, SPEC.chunk_dim)
 
 

@@ -1,11 +1,13 @@
 """Primitive-by-primitive gradient checks against central finite differences,
-plus the stop-gradient and reproducibility contracts."""
+plus the tape-recording rule, silent overflow, the export lists and the
+reproducibility contracts."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import driftkit
 from driftkit import autodiff as ad
 from driftkit.autodiff import AutodiffError, Tensor, backward
 
@@ -184,7 +186,7 @@ def test_concat_roundtrip_gradients():
 def test_domain_and_shape_errors():
     with pytest.raises(AutodiffError):
         Tensor([1.0]) / Tensor([0.0])
-    with np.errstate(over="ignore"), pytest.raises(AutodiffError):
+    with pytest.raises(AutodiffError):
         Tensor([1000.0]).exp()
     with pytest.raises(AutodiffError):
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
@@ -194,9 +196,32 @@ def test_domain_and_shape_errors():
         backward(Tensor(np.zeros(3), requires_grad=True) * 2.0)
 
 
-def test_no_grad_blocks_tape_but_keeps_values():
+@pytest.mark.parametrize("op", [
+    lambda x: x.exp(),
+    lambda x: x.square(),
+    lambda x: x * x,
+    lambda x: x + x,
+    lambda x: x / Tensor([1e-300]),
+], ids=["exp", "square", "mul", "add", "div"])
+def test_overflow_raises_without_a_warning(op):
+    # RuntimeWarnings are errors in this suite, so a warning would fail the test
+    with pytest.raises(AutodiffError, match="non-finite"):
+        op(Tensor([1e308], requires_grad=True))
+
+
+def test_node_is_recorded_exactly_when_a_parent_requires_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    with ad.no_grad():
-        out = (x * 3.0).sum()
-    assert not out.requires_grad
-    assert out.item() == 9.0
+    c = Tensor([3.0, 3.0])
+    on_tape = (x * c).sum()
+    assert on_tape.requires_grad and on_tape._parents
+    off_tape = (c * c).sum()
+    assert not off_tape.requires_grad and off_tape._parents == ()
+    assert backward(off_tape) == {}
+    assert on_tape.item() == 9.0
+
+
+@pytest.mark.parametrize("module", [driftkit, ad], ids=["driftkit", "autodiff"])
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)

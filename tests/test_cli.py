@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import driftkit
+from driftkit import cli
 from driftkit.checkpoint import load_checkpoint, restore_generator
 from driftkit.cli import main
 from driftkit.envs import load_dataset
@@ -79,6 +83,79 @@ def test_numerical_blow_up_exits_3_with_abort_dump(tmp_path, capsys):
     dump = json.loads((out / "abort_dump.json").read_text())
     assert dump["step"] == 2
     assert sorted(dump["minibatch_indices"]) == list(range(24))
+    assert not (out / "checkpoint_final.json").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ckpt")
+    _, run = train_dir(tmp, synth_dir(tmp), steps=2)
+    return str(run / "checkpoint_final.json")
+
+
+BAD_SETTINGS = [
+    ("finetune", {"ppo.clip": 1.5}),
+    ("finetune", {"ppo.gamma": 0}),
+    ("finetune", {"ppo.minibatch_size": 0}),
+    ("finetune", {"ppo.reward_mode": "bogus"}),
+    ("eval", {"eval.reward_mode": "bogus"}),
+    ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"}),
+    ("synth", {"synth.conditions": 0}),
+    ("synth", {"synth.samples_per_condition": 0}),
+]
+
+
+@pytest.mark.parametrize("command,payload", BAD_SETTINGS,
+                         ids=[f"{c}-{'-'.join(p)}" for c, p in BAD_SETTINGS])
+def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, tiny_checkpoint,
+                                               command, payload):
+    if command != "synth":
+        payload = {"checkpoint.path": tiny_checkpoint, **payload}
+    cfg = write_config(tmp_path / "bad.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def driftkit_error_classes():
+    """Every exception class defined in a driftkit module."""
+    found = set()
+    for info in pkgutil.iter_modules(driftkit.__path__):
+        module = importlib.import_module(f"driftkit.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__):
+                found.add(obj)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_every_driftkit_error_but_numeric_ones_exits_2(tmp_path, capsys, monkeypatch):
+    classes = driftkit_error_classes()
+    names = {cls.__name__ for cls in classes}
+    assert {"AutodiffError", "NumericalAbort", "EnvError", "PPOConfigError"} <= names
+    cfg = write_config(tmp_path / "s.json", {"synth.conditions": 2})
+    for cls in classes:
+        if cls.__name__ in ("AutodiffError", "NumericalAbort"):
+            continue
+
+        def boom(*args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_synth", boom)
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, cls
+        assert "config error: boom" in capsys.readouterr().err, cls
+
+
+def test_finetune_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys, tiny_checkpoint):
+    cfg = write_config(tmp_path / "f.json", {
+        "checkpoint.path": tiny_checkpoint, "ppo.actor_lr": 1e300,
+        "ppo.iterations": 2, "ppo.rollout_length": 8, "ppo.minibatch_size": 4})
+    out = tmp_path / "ft"
+    assert main(["finetune", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical abort: PPO epoch" in capsys.readouterr().err
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump["iteration"] == 1
+    assert dump["epoch"] == 0
+    assert len(dump["minibatch_indices"]) == 4
     assert not (out / "checkpoint_final.json").exists()
 
 

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit.autodiff import Tensor, backward
-from driftkit.drift import (DriftConfig, DriftConfigError, HypothesisBatch,
-                            MULTISCALE_TEMPERATURES, ReferencePool,
+from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATURES, ReferencePool,
                             aggregate_and_target, balanced_coefficients,
                             build_reference_pool, compute_drift_field, fixed_point_loss,
                             drift_loss, global_scale, pairwise_distances,
@@ -26,9 +25,7 @@ def random_instance(rng, b=None, g=None, u_extra=None, s=None):
     s = s or int(rng.integers(1, 5))
     hyp = rng.uniform(-2, 2, size=(b, g, s))
     pos = rng.uniform(-2, 2, size=(b, c_p, s))
-    batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
-    pool = build_reference_pool(batch, pos)
-    return batch, pool
+    return Tensor(hyp, requires_grad=True), build_reference_pool(hyp, pos)
 
 
 # -- pairwise distances ---------------------------------------------------
@@ -116,12 +113,12 @@ def test_affinity_equal_distances_gives_half():
 
 def test_affinity_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    batch, pool = random_instance(rng)
-    d = pairwise_distances(batch.detached, pool.refs)
+    values, pool = random_instance(rng)
+    d = pairwise_distances(values.data, pool.refs)
     scale = global_scale(d, pool.weights, 1e-6)
     for temp in (0.05, 0.2, 1.0):
         a = symmetric_affinity(d, scale, temp, pool.weights)
-        oracle = drift_field_loops(batch.detached, pool.refs, pool.weights,
+        oracle = drift_field_loops(values.data, pool.refs, pool.weights,
                                    pool.negative_indices, pool.positive_indices,
                                    (temp,), 1e-6, 1e-6)
         np.testing.assert_allclose(a, oracle["affinities"][temp], atol=1e-12, rtol=0)
@@ -182,10 +179,10 @@ def test_force_zero_for_zero_coefficients():
 
 def test_force_matches_loop_oracle():
     rng = np.random.default_rng(23)
-    batch, pool = random_instance(rng)
-    config = DriftConfig(hypothesis_count=batch.values.shape[1])
-    field = compute_drift_field(batch.detached, pool, config)
-    oracle = drift_field_loops(batch.detached, pool.refs, pool.weights,
+    values, pool = random_instance(rng)
+    config = DriftConfig(hypothesis_count=values.shape[1])
+    field = compute_drift_field(values.data, pool, config)
+    oracle = drift_field_loops(values.data, pool.refs, pool.weights,
                                pool.negative_indices, pool.positive_indices,
                                config.temperatures, config.scale_floor,
                                config.force_floor)
@@ -266,27 +263,27 @@ def test_loss_constant_field_squares():
 def test_forward_loss_equals_mean_squared_drift():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        batch, pool = random_instance(rng)
-        config = DriftConfig(hypothesis_count=batch.values.shape[1],
+        values, pool = random_instance(rng)
+        config = DriftConfig(hypothesis_count=values.shape[1],
                              temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(batch.detached, pool, config)
-        loss = fixed_point_loss(batch.values, field.target, field.scale)
+        field = compute_drift_field(values.data, pool, config)
+        loss = fixed_point_loss(values, field.target, field.scale)
         assert abs(loss.item() - np.mean(np.square(field.aggregate))) < 1e-10
 
 
 def test_loss_gradient_matches_finite_differences_with_fixed_target():
     rng = np.random.default_rng(13)
-    batch, pool = random_instance(rng, b=2, g=3, s=4)
+    values, pool = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3)
-    field = compute_drift_field(batch.detached, pool, config)
-    loss = fixed_point_loss(batch.values, field.target, field.scale)
+    field = compute_drift_field(values.data, pool, config)
+    loss = fixed_point_loss(values, field.target, field.scale)
     grads = backward(loss)
-    analytic = grads[batch.values]
+    analytic = grads[values]
 
     def fd_target(arr):
         return fixed_point_loss(Tensor(arr), field.target, field.scale).item()
 
-    numeric = finite_diff(fd_target, batch.detached.copy())
+    numeric = finite_diff(fd_target, values.data.copy())
     denom = np.maximum(np.abs(numeric), 1e-8)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
@@ -307,11 +304,10 @@ def test_pipeline_matches_loop_oracle_100_instances():
         c_p = int(rng.integers(1, max(2, 7 - g)))
         hyp = rng.uniform(-2, 2, size=(b, g, s))
         pos = rng.uniform(-2, 2, size=(b, c_p, s))
-        batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
-        pool = build_reference_pool(batch, pos)
+        pool = build_reference_pool(hyp, pos)
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(batch.detached, pool, config)
-        loss = fixed_point_loss(batch.values, field.target, field.scale)
+        field = compute_drift_field(hyp, pool, config)
+        loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
         oracle = drift_field_loops(hyp, pool.refs, pool.weights,
                                    pool.negative_indices, pool.positive_indices,
                                    config.temperatures, config.scale_floor,
@@ -331,10 +327,10 @@ def test_pipeline_matches_loop_oracle_100_instances():
 def test_mass_balance_through_pipeline():
     rng = np.random.default_rng(77)
     for _ in range(20):
-        batch, pool = random_instance(rng)
-        config = DriftConfig(hypothesis_count=batch.values.shape[1],
+        values, pool = random_instance(rng)
+        config = DriftConfig(hypothesis_count=values.shape[1],
                              temperatures=(0.05, 0.2))
-        field = compute_drift_field(batch.detached, pool, config)
+        field = compute_drift_field(values.data, pool, config)
         for alpha in field.coefficients.values():
             residual = (alpha[:, :, pool.negative_indices].sum(axis=2)
                         + alpha[:, :, pool.positive_indices].sum(axis=2))
@@ -343,8 +339,8 @@ def test_mass_balance_through_pipeline():
 
 def test_softmax_axis_sums_through_pipeline():
     rng = np.random.default_rng(19)
-    batch, pool = random_instance(rng, b=2, g=3, s=4)
-    d = pairwise_distances(batch.detached, pool.refs)
+    values, pool = random_instance(rng, b=2, g=3, s=4)
+    d = pairwise_distances(values.data, pool.refs)
     scale = global_scale(d, pool.weights, 1e-6)
     logits = -(d / scale) / 0.2
     shifted_u = logits - logits.max(axis=2, keepdims=True)
@@ -357,16 +353,14 @@ def test_softmax_axis_sums_through_pipeline():
 
 def test_scale_equivariance_of_normalized_geometry():
     rng = np.random.default_rng(41)
-    batch, pool = random_instance(rng, b=2, g=3, s=4)
+    values, pool = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3, temperatures=(0.2,))
-    base = compute_drift_field(batch.detached, pool, config)
+    base = compute_drift_field(values.data, pool, config)
     c = 3.7
-    scaled_batch = HypothesisBatch.from_values(Tensor(batch.detached * c,
-                                                      requires_grad=True))
     scaled_pool = ReferencePool(refs=pool.refs * c, weights=pool.weights,
                                 negative_indices=pool.negative_indices,
                                 positive_indices=pool.positive_indices)
-    scaled = compute_drift_field(scaled_batch.detached, scaled_pool, config)
+    scaled = compute_drift_field(values.data * c, scaled_pool, config)
     assert scaled.scale == pytest.approx(c * base.scale, rel=1e-12)
     np.testing.assert_allclose(scaled.affinities[0.2], base.affinities[0.2],
                                atol=1e-9, rtol=0)
@@ -390,9 +384,8 @@ def test_equilibrium_field_statistically_symmetric():
         a = mixture(g)[None, :, :]
         b = mixture(g)[None, :, :]
         for hyp, pos, sink in ((a, b, stats_a), (b, a, stats_b)):
-            batch = HypothesisBatch.from_values(Tensor(hyp))
-            pool = build_reference_pool(batch, pos)
-            field = compute_drift_field(batch.detached, pool, config)
+            pool = build_reference_pool(hyp, pos)
+            field = compute_drift_field(hyp, pool, config)
             sink.append(np.sqrt(np.square(field.aggregate).sum(axis=-1)).mean())
     mean_a, mean_b = np.mean(stats_a), np.mean(stats_b)
     se = np.sqrt(np.var(stats_a, ddof=1) / len(stats_a)
@@ -424,10 +417,9 @@ def pool_instance(seed, b, g, s, c_n):
 def test_property_mass_balance_per_hypothesis_and_temperature(seed, b, g, s, c_n,
                                                               temperatures):
     hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
-    batch = HypothesisBatch.from_values(Tensor(hyp))
-    pool = build_reference_pool(batch, pos, neg, weights)
+    pool = build_reference_pool(hyp, pos, neg, weights)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
-    field = compute_drift_field(batch.detached, pool, config)
+    field = compute_drift_field(hyp, pool, config)
     for alpha in field.coefficients.values():
         negative_side = alpha[:, :, pool.negative_indices].sum(axis=2)
         positive_side = alpha[:, :, pool.positive_indices].sum(axis=2)
@@ -443,9 +435,8 @@ def test_property_hypothesis_permutation_equivariance(seed, b, g, s, c_n, temper
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
 
     def field_of(hypotheses, pool_weights):
-        batch = HypothesisBatch.from_values(Tensor(hypotheses))
-        pool = build_reference_pool(batch, pos, neg, pool_weights)
-        return compute_drift_field(batch.detached, pool, config)
+        pool = build_reference_pool(hypotheses, pos, neg, pool_weights)
+        return compute_drift_field(hypotheses, pool, config)
 
     base = field_of(hyp, weights)
     # the pool's first G references are the hypotheses' own copies, so their
@@ -464,30 +455,39 @@ def test_step_wise_loss_matches_manual_slices():
     b, g, horizon, d_a = 2, 3, 4, 2
     hyp = rng.uniform(-1, 1, size=(b, g, horizon * d_a))
     pos = rng.uniform(-1, 1, size=(b, 1, horizon * d_a))
-    batch = HypothesisBatch.from_values(Tensor(hyp, requires_grad=True))
     config = DriftConfig(hypothesis_count=g, loss_mode="step_wise")
-    loss, fields = drift_loss(batch, pos, config, slice_width=d_a)
+    loss, fields = drift_loss(Tensor(hyp, requires_grad=True), pos, config, slice_width=d_a)
     assert fields.scale.shape == (horizon,)
 
     chunk_cfg = DriftConfig(hypothesis_count=g, loss_mode="chunk")
     manual = 0.0
     for h in range(horizon):
         lo, hi = h * d_a, (h + 1) * d_a
-        sl = HypothesisBatch.from_values(Tensor(hyp[:, :, lo:hi], requires_grad=True))
+        sl = hyp[:, :, lo:hi]
         pool = build_reference_pool(sl, pos[:, :, lo:hi])
-        fld = compute_drift_field(sl.detached, pool, chunk_cfg)
-        manual += fixed_point_loss(sl.values, fld.target, fld.scale).item()
+        fld = compute_drift_field(sl, pool, chunk_cfg)
+        manual += fixed_point_loss(Tensor(sl, requires_grad=True), fld.target,
+                                   fld.scale).item()
     assert loss.item() == pytest.approx(manual / horizon, rel=1e-12)
 
 
 def test_step_wise_requires_slice_width():
     rng = np.random.default_rng(8)
-    batch = HypothesisBatch.from_values(Tensor(rng.normal(size=(1, 2, 4))))
+    values = Tensor(rng.normal(size=(1, 2, 4)))
     config = DriftConfig(hypothesis_count=2, loss_mode="step_wise")
     with pytest.raises(DriftConfigError):
-        drift_loss(batch, rng.normal(size=(1, 1, 4)), config)
+        drift_loss(values, rng.normal(size=(1, 1, 4)), config)
     with pytest.raises(DriftConfigError):
-        drift_loss(batch, rng.normal(size=(1, 1, 4)), config, slice_width=3)
+        drift_loss(values, rng.normal(size=(1, 1, 4)), config, slice_width=3)
+
+
+def test_hypotheses_must_be_3d():
+    rng = np.random.default_rng(9)
+    pos = rng.normal(size=(1, 1, 4))
+    with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
+        build_reference_pool(rng.normal(size=(2, 4)), pos)
+    with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
+        drift_loss(Tensor(rng.normal(size=(1, 2, 2, 4))), pos, DriftConfig(hypothesis_count=2))
 
 
 def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width):
@@ -497,17 +497,15 @@ def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width)
     Returns (loss, per-slice fields, gradient with respect to the hypotheses).
     """
     values = Tensor(hyp, requires_grad=True)
-    batch = HypothesisBatch.from_values(values)
     horizon = hyp.shape[2] // slice_width
     total, fields = None, []
     for h in range(horizon):
         lo, hi = h * slice_width, (h + 1) * slice_width
-        sl = HypothesisBatch(values=batch.values[:, :, lo:hi],
-                             detached=batch.detached[:, :, lo:hi])
+        sl = values[:, :, lo:hi]
         neg = negatives[:, :, lo:hi] if negatives is not None else None
-        pool = build_reference_pool(sl, positives[:, :, lo:hi], neg, weights)
-        fld = compute_drift_field(sl.detached, pool, config)
-        piece = fixed_point_loss(sl.values, fld.target, fld.scale)
+        pool = build_reference_pool(sl.data, positives[:, :, lo:hi], neg, weights)
+        fld = compute_drift_field(sl.data, pool, config)
+        piece = fixed_point_loss(sl, fld.target, fld.scale)
         fields.append(fld)
         total = piece if total is None else total + piece
     loss = total / horizon
@@ -524,7 +522,7 @@ def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, c_n,
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures),
                          loss_mode="step_wise")
     values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(HypothesisBatch.from_values(values), pos, config,
+    loss, fld = drift_loss(values, pos, config,
                            negatives=neg, weights=weights, slice_width=d_a)
     grad = backward(loss)[values]
     ref_loss, ref_fields, ref_grad = step_wise_loss_loop(hyp, pos, config, neg, weights, d_a)
@@ -547,14 +545,12 @@ def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, c_n, temp
     hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
     values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(HypothesisBatch.from_values(values), pos, config,
+    loss, fld = drift_loss(values, pos, config,
                            negatives=neg, weights=weights)
     grad = backward(loss)[values]
 
     ref_values = Tensor(hyp, requires_grad=True)
-    ref_batch = HypothesisBatch.from_values(ref_values)
-    ref_field = compute_drift_field(ref_batch.detached,
-                                    build_reference_pool(ref_batch, pos, neg, weights), config)
+    ref_field = compute_drift_field(hyp, build_reference_pool(hyp, pos, neg, weights), config)
     ref_loss = fixed_point_loss(ref_values, ref_field.target, ref_field.scale)
     ref_grad = backward(ref_loss)[ref_values]
 

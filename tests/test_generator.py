@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftkit.autodiff import Tensor, no_grad
+from driftkit.autodiff import Tensor
 from driftkit.generator import (ChunkSpec, Generator, SpecError, executed_prefix,
                                 sample_hypotheses, sample_latents)
 
@@ -70,10 +70,10 @@ def test_single_hypothesis_reduces_to_generate():
     gen = tiny_generator()
     rng = np.random.default_rng(5)
     obs = rng.normal(size=(3, 1, 3))
-    batch, latents = sample_hypotheses(gen, obs, 1, np.random.default_rng(11))
+    values, latents = sample_hypotheses(gen, obs, 1, np.random.default_rng(11))
     for i in range(3):
         direct = gen.generate(obs[i], latents[i, 0])
-        np.testing.assert_array_equal(batch.values.data[i, 0], direct)
+        np.testing.assert_array_equal(values.data[i, 0], direct)
 
 
 def test_identical_latents_give_identical_rows():
@@ -95,9 +95,10 @@ def test_hypotheses_detached_copy_matches_forward():
     gen = tiny_generator()
     rng = np.random.default_rng(3)
     obs = rng.normal(size=(2, 1, 3))
-    batch, _ = sample_hypotheses(gen, obs, 4, rng)
-    assert batch.values.requires_grad
-    np.testing.assert_array_equal(batch.detached, batch.values.data)
+    values, latents = sample_hypotheses(gen, obs, 4, rng)
+    assert values.requires_grad and values.shape == (2, 4, TINY_SPEC.chunk_dim)
+    chunk, _ = gen.infer(np.repeat(obs.reshape(2, -1), 4, axis=0), latents.reshape(8, -1))
+    np.testing.assert_array_equal(values.data, chunk.reshape(2, 4, -1))
 
 
 def test_executed_prefix_full_chunk():
@@ -145,9 +146,8 @@ def test_pushforward_mean_is_stable():
     def batch_mean(seed):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, 4))
-        with no_grad():
-            chunk, _ = gen.forward(Tensor(np.repeat(obs, n, axis=0)), Tensor(z))
-        return chunk.data.mean(axis=0), chunk.data.std(axis=0, ddof=1)
+        chunk, _ = gen.infer(np.repeat(obs, n, axis=0), z)
+        return chunk.mean(axis=0), chunk.std(axis=0, ddof=1)
 
     mean_a, std_a = batch_mean(101)
     mean_b, std_b = batch_mean(202)
@@ -161,8 +161,7 @@ def test_batched_forward_rows_match_single_rows():
     rng = np.random.default_rng(17)
     obs = rng.normal(size=(6, 3))
     z = rng.normal(size=(6, 4))
-    with no_grad():
-        full, _ = gen.forward(Tensor(obs), Tensor(z))
-        for i in range(6):
-            one, _ = gen.forward(Tensor(obs[i:i + 1]), Tensor(z[i:i + 1]))
-            assert np.array_equal(full.data[i], one.data[0])
+    full, _ = gen.forward(Tensor(obs), Tensor(z))
+    for i in range(6):
+        one, _ = gen.forward(Tensor(obs[i:i + 1]), Tensor(z[i:i + 1]))
+        assert np.array_equal(full.data[i], one.data[0])

@@ -202,16 +202,15 @@ def test_single_hypothesis_at_expert_has_zero_loss():
     rng = np.random.default_rng(0)
     obs = np.zeros((2, 1, 6))
     with np.errstate(all="ignore"):
-        from driftkit.autodiff import Tensor as T, no_grad
-        from driftkit.drift import HypothesisBatch, build_reference_pool, \
-            compute_drift_field, fixed_point_loss
+        from driftkit.autodiff import Tensor as T
+        from driftkit.drift import build_reference_pool, compute_drift_field, \
+            fixed_point_loss
         chunk = np.tile(np.linspace(-0.5, 0.5, SPEC.chunk_dim), (2, 1, 1))
-        batch = HypothesisBatch.from_values(T(chunk, requires_grad=True))
-        pool = build_reference_pool(batch, chunk.copy())
+        pool = build_reference_pool(chunk, chunk.copy())
         config = DriftConfig(hypothesis_count=1)
-        field = compute_drift_field(batch.detached, pool, config)
+        field = compute_drift_field(chunk, pool, config)
         assert field.scale == config.scale_floor
-        loss = fixed_point_loss(batch.values, field.target, field.scale)
+        loss = fixed_point_loss(T(chunk, requires_grad=True), field.target, field.scale)
         assert loss.item() == 0.0
 
 
