@@ -1,7 +1,7 @@
 """Desk-scale tasks: a deterministic planar point-mass reach environment with
-receding-horizon stepping, plus synthetic multimodal imitation datasets whose
-expert chunks come from scripted goal-reaching controllers that swerve left or
-right on the way in.
+receding-horizon stepping, one env at a time or N in lockstep, plus synthetic
+multimodal imitation datasets whose expert chunks come from scripted
+goal-reaching controllers that swerve left or right on the way in.
 
 Observation layout per micro-step is (position, goal, last action), d_o = 6.
 """
@@ -29,12 +29,37 @@ MIN_START_DISTANCE = 0.4
 SCRIPTED_GAIN = 3.0
 
 
-class EnvError(RuntimeError):
-    pass
+class EnvError(ValueError):
+    """Invalid environment settings: an unknown reward mode or non-planar actions."""
+
+
+def _check_settings(spec: ChunkSpec, reward_mode: str) -> None:
+    if reward_mode not in ("dense", "sparse"):
+        raise EnvError(f"unknown reward mode {reward_mode!r}")
+    if spec.action_dim != ACTION_DIM:
+        raise EnvError("point-mass actions are planar (action_dim must be 2)")
 
 
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     return np.concatenate([pos, goal, last_action])
+
+
+def _advance(pos: np.ndarray, goal: np.ndarray, action: np.ndarray,
+             reward_mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One micro-step of point masses stacked along any leading env axes.
+
+    ``pos``, ``goal`` and ``action`` are (..., 2).  Returns the new positions,
+    the clipped actions, and each env's reward and success flag.  Both
+    environments step through this kernel, one row at a time or N at once, so
+    a row's results do not depend on how many envs step with it.
+    """
+    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    pos = np.clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
+    offset = pos - goal
+    dist = np.sqrt(np.vecdot(offset, offset))
+    success = dist <= SUCCESS_THRESHOLD
+    reward = -dist if reward_mode == "dense" else np.where(success, 1.0, 0.0)
+    return pos, a, reward, success
 
 
 class PointMassEnv:
@@ -42,14 +67,12 @@ class PointMassEnv:
 
     Dense reward is -dist(pos, goal) per micro-step; sparse reward pays 1 once
     the success threshold is reached.  Episodes end on success or at the
-    micro-step cap.  reset(seed) is bitwise reproducible.
+    micro-step cap.  reset(seed) is bitwise reproducible.  It shares its
+    dynamics kernel with :class:`VecPointMassEnv`, which steps N of it at once.
     """
 
     def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
-        if reward_mode not in ("dense", "sparse"):
-            raise EnvError(f"unknown reward mode {reward_mode!r}")
-        if spec.action_dim != ACTION_DIM:
-            raise EnvError("point-mass actions are planar (action_dim must be 2)")
+        _check_settings(spec, reward_mode)
         self.spec = spec
         self.reward_mode = reward_mode
         self.pos = np.zeros(2)
@@ -76,23 +99,15 @@ class PointMassEnv:
 
     def micro_step(self, action: np.ndarray) -> tuple[float, bool]:
         if self.done:
-            raise EnvError("step after episode end")
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        self.pos = np.clip(self.pos + a * DT,
-                           -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
-        self.last_action = a
+            raise RuntimeError("step after episode end")
+        self.pos, self.last_action, reward, success = _advance(
+            self.pos, self.goal, action, self.reward_mode)
         self.t += 1
-        dist = float(np.linalg.norm(self.pos - self.goal))
-        success = dist <= SUCCESS_THRESHOLD
-        if self.reward_mode == "dense":
-            reward = -dist
-        else:
-            reward = 1.0 if success else 0.0
         if success:
             self.succeeded = True
-        self.done = success or self.t >= EPISODE_CAP
+        self.done = bool(success) or self.t >= EPISODE_CAP
         self._history.append(_observe(self.pos, self.goal, self.last_action))
-        return reward, self.done
+        return float(reward), self.done
 
     def step_prefix(self, prefix: np.ndarray) -> tuple[np.ndarray, float, bool]:
         """Apply all H_e micro-steps of an executed prefix, summing rewards."""
@@ -105,6 +120,77 @@ class PointMassEnv:
             if done:
                 break
         return self.obs_history(), total, done
+
+
+class VecPointMassEnv:
+    """N point masses of :class:`PointMassEnv` stepped together, as (N, ...) arrays.
+
+    Env ``i``'s state is its observation history ``history[i]`` (T_o, d_o),
+    whose newest row holds (position, goal, last action), its micro-step count
+    ``t[i]`` and its flags ``done[i]`` and ``succeeded[i]``.  Each env steps
+    bitwise as a :class:`PointMassEnv` reset with the same seed would, whatever
+    the other rows do.
+    """
+
+    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
+        _check_settings(spec, reward_mode)
+        self.spec = spec
+        self.reward_mode = reward_mode
+        self.reset([])
+
+    def reset(self, seeds) -> np.ndarray:
+        """Start env ``i`` as ``PointMassEnv.reset(seeds[i])`` does; return the
+        (N, T_o, d_o) observation histories."""
+        newest = [_observe(*sample_start_goal(np.random.default_rng(seed)), np.zeros(2))
+                  for seed in seeds]
+        n = len(newest)
+        self.history = np.repeat(np.reshape(newest, (n, 1, OBS_DIM)),
+                                 self.spec.history_len, axis=1)
+        self.t = np.zeros(n, dtype=np.int64)
+        self.done = np.zeros(n, dtype=bool)
+        self.succeeded = np.zeros(n, dtype=bool)
+        return self.history.copy()
+
+    def micro_step(self, actions: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """One micro-step of the envs at indices ``rows``, one (2,) action each.
+
+        Returns each stepped env's reward and done flag.  Stepping an env whose
+        episode has ended raises ``RuntimeError``.
+        """
+        if self.done[rows].any():
+            raise RuntimeError("step after episode end")
+        hist = self.history[rows]
+        goal = hist[:, -1, 2:4]
+        pos, a, reward, success = _advance(hist[:, -1, 0:2], goal, actions, self.reward_mode)
+        t = self.t[rows] + 1
+        done = success | (t >= EPISODE_CAP)
+        self.t[rows] = t
+        self.done[rows] = done
+        self.succeeded[rows] |= success
+        newest = np.concatenate([pos, goal, a], axis=1)
+        self.history[rows] = np.concatenate([hist[:, 1:], newest[:, None]], axis=1)
+        return reward, done
+
+    def step_prefix(self, prefixes: np.ndarray,
+                    rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run each env at indices ``rows`` through its (H_e, 2) prefix.
+
+        An env stops at the micro-step that ends its episode.  Returns the
+        observation histories, the summed rewards and the done flags of
+        ``rows``; the rewards add up in micro-step order, as in
+        :meth:`PointMassEnv.step_prefix`.
+        """
+        rows = np.asarray(rows)
+        prefixes = np.asarray(prefixes, dtype=np.float64).reshape(len(rows), -1, ACTION_DIM)
+        totals = np.zeros(len(rows))
+        live = np.arange(len(rows))
+        for k in range(prefixes.shape[1]):
+            if not live.size:
+                break
+            reward, done = self.micro_step(prefixes[live, k], rows[live])
+            totals[live] += reward
+            live = live[~done]
+        return self.history[rows], totals, self.done[rows]
 
 
 def sample_start_goal(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

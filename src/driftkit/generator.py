@@ -164,9 +164,10 @@ def _backbone(p: Dense, obs, z, act, cat):
 class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
-    ``nfe_count`` increments once per network evaluation, whether through
-    :meth:`forward` or :meth:`infer`; the deployment loop asserts exactly one
-    evaluation per control decision against it.
+    ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
+    :meth:`infer` call on B rows adds B.  A batch-1 deployment decision adds
+    exactly 1, and the deployment and evaluation loops check one evaluation
+    per decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -198,7 +199,7 @@ class Generator:
 
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
-        self.nfe_count += 1
+        self.nfe_count += obs_flat.shape[0]
         return _backbone(self.params, obs_flat, z, tanh, _tape_concat)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +208,8 @@ class Generator:
         Raises ``AutodiffError`` on a non-finite input or pre-activation, as
         the tape would.
         """
-        self.nfe_count += 1
         obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        self.nfe_count += obs_flat.shape[0]
         z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
         return _backbone(self.params, obs_flat, z, np.tanh, _array_concat)
 

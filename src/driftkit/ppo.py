@@ -19,6 +19,7 @@ from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp,
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
+from .envs import VecPointMassEnv
 from .generator import Dense, Generator, executed_prefix
 from .training import AdamW, NumericalAbort, leaf_grads
 
@@ -310,29 +311,39 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
 
 def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
                     seed: int) -> dict:
-    """Deterministic deployment evaluation: mean return and success rate."""
-    returns, successes = [], []
+    """Deterministic deployment evaluation: mean return and success rate.
+
+    ``env_factory`` builds a :class:`PointMassEnv`, whose settings the
+    episodes share.  Episode ``e`` starts from ``reset(seed + e)`` and draws
+    its latents from its own stream, spawned ``e``-th from ``seed``, so its
+    outcome does not depend on the other episodes.  All episodes run in
+    lockstep: each control step makes one network evaluation over the
+    still-running episodes, whose rows equal batch-1 ``deploy_action`` calls
+    bitwise, and one vectorised env step.  ``nfe_violations`` counts control
+    steps whose evaluation count differs from the number of running episodes.
+    """
+    if episodes < 0:
+        raise PPOConfigError("episodes must be >= 0")
+    probe = env_factory()
+    envs = VecPointMassEnv(probe.spec, probe.reward_mode)
+    obs = envs.reset([seed + e for e in range(episodes)])
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(episodes)]
+    generator, spec = actor.generator, actor.spec
+    returns = np.zeros(episodes)
     nfe_violations = 0
-    rng = np.random.default_rng(seed)
-    for ep in range(episodes):
-        env = env_factory()
-        obs_hist = env.reset(seed + ep)
-        done = False
-        total = 0.0
-        while not done:
-            z = rng.standard_normal(actor.generator.latent_dim)
-            before = actor.generator.nfe_count
-            chunk = actor.deploy_action(obs_hist, z)
-            if actor.generator.nfe_count - before != 1:
-                nfe_violations += 1
-            prefix = executed_prefix(chunk, actor.spec)
-            obs_hist, reward, done = env.step_prefix(prefix)
-            total += reward
-        returns.append(total)
-        successes.append(bool(env.succeeded))
+    active = np.arange(episodes)
+    while active.size:
+        z = np.stack([streams[e].standard_normal(generator.latent_dim) for e in active])
+        before = generator.nfe_count
+        chunks, _ = generator.infer(obs.reshape(active.size, -1), z)
+        if generator.nfe_count - before != active.size:
+            nfe_violations += 1
+        obs, totals, done = envs.step_prefix(chunks[:, spec.exec_slice()], active)
+        returns[active] += totals
+        active, obs = active[~done], obs[~done]
     return {
         "episodes": episodes,
-        "mean_return": float(np.mean(returns)) if returns else None,
-        "success_rate": float(np.mean(successes)) if successes else None,
+        "mean_return": float(np.mean(returns)) if episodes else None,
+        "success_rate": float(np.mean(envs.succeeded)) if episodes else None,
         "nfe_violations": nfe_violations,
     }

@@ -1,9 +1,12 @@
 """Independent brute-force references used only by the test suite.
 
-Everything here is re-derived with explicit index loops and scalar math, on
-purpose sharing no code with the package: a loop drift field, central finite
-differences, the closed-form scalar Gaussian density, and an O(T^2) advantage
-double sum.
+The numerical references are re-derived with explicit index loops and scalar
+math, on purpose sharing no code with the package: a loop drift field, central
+finite differences, the closed-form scalar Gaussian density, and an O(T^2)
+advantage double sum.  The evaluation reference is the one-episode-at-a-time
+loop that the lockstep ``ppo.evaluate_policy`` replaced; it drives the
+package's single env and batch-1 deployment path, and ``steering_actor`` gives
+it a policy whose episodes end in every possible way.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from driftkit.actor import GaussianActor
+from driftkit.envs import OBS_DIM
+from driftkit.generator import ChunkSpec, Generator, executed_prefix
 
 
 def softmax_rows(values: list[float]) -> list[float]:
@@ -151,3 +158,72 @@ def gae_bruteforce(rewards, values, dones, bootstrap: float,
                 break
             coef *= gamma * lam
     return adv
+
+
+def evaluate_policy_loop(env_factory, actor: GaussianActor, episodes: int,
+                         seed: int) -> tuple[dict, int, list]:
+    """``ppo.evaluate_policy``, one episode at a time.
+
+    Episode ``e`` gets a fresh env reset with ``seed + e``, one batch-1
+    ``deploy_action`` per decision, and latents from the ``e``-th stream
+    spawned from ``seed``.  Each decision's micro-step rewards are summed by
+    ``step_prefix``, and the decision totals are summed into the episode
+    total.  Returns the report, the number of decisions made, and every
+    episode's finished env.
+    """
+    streams = np.random.SeedSequence(seed).spawn(episodes)
+    returns, finished = [], []
+    decisions = nfe_violations = 0
+    for e in range(episodes):
+        rng = np.random.default_rng(streams[e])
+        env = env_factory()
+        obs_hist = env.reset(seed + e)
+        done = False
+        total = 0.0
+        while not done:
+            z = rng.standard_normal(actor.generator.latent_dim)
+            before = actor.generator.nfe_count
+            chunk = actor.deploy_action(obs_hist, z)
+            if actor.generator.nfe_count - before != 1:
+                nfe_violations += 1
+            decisions += 1
+            obs_hist, reward, done = env.step_prefix(executed_prefix(chunk, actor.spec))
+            total += reward
+        returns.append(total)
+        finished.append(env)
+    report = {
+        "episodes": episodes,
+        "mean_return": float(np.mean(returns)) if returns else None,
+        "success_rate": (float(np.mean([env.succeeded for env in finished]))
+                         if finished else None),
+        "nfe_violations": nfe_violations,
+    }
+    return report, decisions, finished
+
+
+STEERING_SPEC = ChunkSpec(horizon=6, action_dim=2, history_len=2, exec_len=4)
+
+
+def steering_actor(noise: float = 1.0, gain: float = 2.5) -> GaussianActor:
+    """A hand-set backbone that steers toward the goal, on ``STEERING_SPEC``.
+
+    Every action of a chunk is about ``gain * (goal - pos + noise * z)`` for
+    the newest observed position and the 2-d latent ``z``, squashed through
+    three small-signal tanh layers.  At the defaults about half of the
+    episodes succeed, most of them in the middle of an executed prefix, and
+    the rest hit the episode cap.
+    """
+    eps = 0.1
+    gen = Generator(STEERING_SPEC, obs_dim=OBS_DIM, latent_dim=2, hidden_dim=4, seed=0)
+    arrays = {name: np.zeros_like(value) for name, value in gen.params.arrays().items()}
+    newest = (STEERING_SPEC.history_len - 1) * OBS_DIM
+    for i in range(2):
+        arrays["obs_w"][newest + i, i] = -eps
+        arrays["obs_w"][newest + 2 + i, i] = eps
+        arrays["lat_w"][i, i] = eps
+        arrays["trunk1_w"][i, i] = 1.0
+        arrays["trunk1_w"][gen.hidden_dim + i, i] = noise
+        arrays["trunk2_w"][i, i] = 1.0
+        arrays["head_w"][i, i::2] = gain / eps
+    gen.params.load(arrays)
+    return GaussianActor(gen)

@@ -1,11 +1,12 @@
-"""The names the benchmark tracer patches still exist where it looks for them.
+"""What the benchmark reads off the package still means what it assumes.
 
 ``bench/spans.py`` wraps driftkit functions and methods from outside the
 package, reading each one from its owner's own ``__dict__``: a module-level
 name (``driftkit.actor.matmul``) or a method defined on the class itself.  A
 rename, a dropped import or a method moved to a helper makes
-``Tracer.install()`` raise ``KeyError`` in a traced benchmark run; this test
-catches that without running the benchmark.
+``Tracer.install()`` raise ``KeyError`` in a traced benchmark run; the first
+test catches that without running the benchmark.  The others pin the run
+defaults the benchmark reads and what its eval phase counts as a decision.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import driftkit
 import driftkit.checkpoint  # noqa: F401 -- the tracer patches it; the package does not import it
 from driftkit.actor import DEFAULT_LOG_STD_INIT
 from driftkit.config import FINETUNE_KEYS
+
+from .oracles import evaluate_policy_loop, steering_actor
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -47,3 +50,22 @@ def test_finetune_keys_hold_the_run_defaults_the_benchmark_reads():
     assert FINETUNE_KEYS["ppo.log_std_init"] == (float, DEFAULT_LOG_STD_INIT)
     assert FINETUNE_KEYS["ppo.reward_mode"] == (str, "sparse")
     assert all(len(entry) == 2 for entry in FINETUNE_KEYS.values())
+
+
+def test_eval_decisions_are_the_generators_nfe_delta():
+    # called as bench/workloads.py::eval_round does: its eval_decisions_per_s
+    # divides this nfe_count delta by the call's wall time, and counts
+    # nfe_violations as failed operations
+    dk = driftkit
+    actor = steering_actor()
+    spec = actor.spec
+    generator = actor.generator
+    before = generator.nfe_count
+    report = dk.ppo.evaluate_policy(
+        lambda: dk.envs.PointMassEnv(spec, reward_mode="sparse"),
+        actor, 20, 5)
+    decisions = generator.nfe_count - before
+    _, expected, _ = evaluate_policy_loop(
+        lambda: dk.envs.PointMassEnv(spec, reward_mode="sparse"), actor, 20, 5)
+    assert decisions == expected
+    assert report["nfe_violations"] == 0

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit import envs
-from driftkit.envs import (DT, EnvError, PointMassEnv, load_dataset, mode_centers_for,
-                           mode_coverage, save_dataset, scripted_action,
+from driftkit.envs import (DT, EnvError, PointMassEnv, VecPointMassEnv, load_dataset,
+                           mode_centers_for, mode_coverage, save_dataset, scripted_action,
                            synth_multimodal)
 from driftkit.generator import ChunkSpec, executed_prefix
 
@@ -94,12 +96,15 @@ def test_dense_reward_bounded_by_arena_diagonal():
 
 
 def test_step_after_done_raises(monkeypatch):
+    # a programming error, not a settings error: the CLI must not report it
+    # as ``config error:``
     env = PointMassEnv(SPEC)
     env.reset(0)
     monkeypatch.setattr(envs, "EPISODE_CAP", 1)
     env.micro_step(np.zeros(2))
-    with pytest.raises(EnvError):
+    with pytest.raises(RuntimeError, match="step after episode end") as info:
         env.micro_step(np.zeros(2))
+    assert not isinstance(info.value, EnvError)
 
 
 def test_out_of_bounds_actions_are_clipped():
@@ -109,6 +114,86 @@ def test_out_of_bounds_actions_are_clipped():
     env.micro_step(np.array([10.0, -10.0]))
     np.testing.assert_allclose(env.pos, np.clip(pos + np.array([0.1, -0.1]), -1, 1))
     np.testing.assert_array_equal(env.last_action, [1.0, -1.0])
+
+
+# -- the vectorised env ---------------------------------------------------------
+
+
+def scripted_prefix(pos, goal):
+    """An executed prefix of the scripted controller, planned open loop."""
+    actions = []
+    for _ in range(SPEC.exec_len):
+        a = scripted_action(pos, goal)
+        actions.append(a)
+        pos = pos + a * DT
+    return np.asarray(actions)
+
+
+def step_rows_against_single_envs(seeds, reward_mode, action_seed) -> dict:
+    """Step a VecPointMassEnv and one PointMassEnv per seed with the same
+    prefixes until every episode ends, asserting bitwise equality after each
+    control step.  Row ``i`` steers to its goal (``i % 3 == 0``), takes
+    random out-of-bounds actions (1) or pushes into a corner (2).  Returns
+    counts of the cases the run went through."""
+    vec = VecPointMassEnv(SPEC, reward_mode)
+    singles = [PointMassEnv(SPEC, reward_mode) for _ in seeds]
+    np.testing.assert_array_equal(
+        vec.reset(seeds), np.stack([env.reset(seed) for env, seed in zip(singles, seeds)]))
+    rng = np.random.default_rng(action_seed)
+    seen = {"mid_prefix_success": 0, "wall": 0, "clipped_action": 0}
+    rows = np.arange(len(seeds))
+    while rows.size:
+        prefixes = []
+        for i in rows:
+            kind = i % 3
+            if kind == 0:
+                prefixes.append(scripted_prefix(singles[i].pos, singles[i].goal))
+            elif kind == 1:
+                prefixes.append(rng.uniform(-3.0, 3.0, size=(SPEC.exec_len, 2)))
+            else:
+                prefixes.append(np.tile([3.0, -3.0], (SPEC.exec_len, 1)))
+        obs, totals, done = vec.step_prefix(np.asarray(prefixes), rows)
+        for j, i in enumerate(rows):
+            env = singles[i]
+            obs_i, total_i, done_i = env.step_prefix(prefixes[j])
+            assert np.array_equal(obs[j], obs_i)
+            assert totals[j] == total_i and done[j] == done_i
+            assert np.array_equal(vec.history[i], env.obs_history())
+            assert np.array_equal(vec.history[i, -1, 0:2], env.pos)
+            assert (vec.t[i], vec.done[i], vec.succeeded[i]) == (env.t, env.done,
+                                                                 env.succeeded)
+            seen["mid_prefix_success"] += bool(env.succeeded and env.t % SPEC.exec_len)
+            seen["wall"] += bool(np.any(np.abs(env.pos) == 1.0))
+            seen["clipped_action"] += bool(np.any(np.abs(prefixes[j]) > 1.0))
+        rows = rows[~done]
+    for i in range(len(seeds)):
+        with pytest.raises(RuntimeError, match="step after episode end"):
+            vec.micro_step(np.zeros((1, 2)), [i])
+        with pytest.raises(RuntimeError, match="step after episode end"):
+            vec.step_prefix(np.zeros((1, SPEC.exec_len, 2)), [i])
+    return seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                      min_size=1, max_size=7),
+       reward_mode=st.sampled_from(["dense", "sparse"]),
+       action_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_vector_env_rows_step_as_single_envs(seeds, reward_mode, action_seed):
+    step_rows_against_single_envs(seeds, reward_mode, action_seed)
+
+
+def test_vector_env_comparison_covers_every_ending():
+    # the property above is only as strong as the cases its runs go through
+    seen = step_rows_against_single_envs(list(range(12)), "dense", 0)
+    assert all(seen.values()), seen
+
+
+def test_vector_env_rejects_the_settings_the_single_env_rejects():
+    with pytest.raises(EnvError):
+        VecPointMassEnv(SPEC, reward_mode="bogus")
+    with pytest.raises(EnvError):
+        VecPointMassEnv(ChunkSpec(horizon=4, action_dim=3, history_len=1, exec_len=2))
 
 
 # -- synthesis ----------------------------------------------------------------

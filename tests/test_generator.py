@@ -132,10 +132,14 @@ def test_exec_slice_selects_exactly_the_executed_steps():
 
 
 def test_one_forward_evaluation_per_generate():
+    # nfe_count counts rows: a generate call is one row, a batched call adds
+    # its batch size
     gen = tiny_generator()
     for k in range(1, 6):
         gen.generate(np.zeros((1, 3)), np.zeros(4))
         assert gen.nfe_count == k
+    gen.infer(np.zeros((3, 3)), np.zeros((3, 4)))
+    assert gen.nfe_count == 8
 
 
 def test_pushforward_mean_is_stable():

@@ -51,7 +51,7 @@ EXPECTED = {
     "tuned/checkpoint_final.json":
         "4839714e167be0b7818bd7c9173fbc9be7a02fbed40e82ff4caca9e3b24f40d9",
     "eval/report.json":
-        "4b36491c6dd4f9818283a46d6f0734426b90cf5667a3fe44b703c58aa9180599",
+        "9d018ca04e62054282fb742a13e44a506452395205a9f910a04a6d1b724375a0",
 }
 
 

@@ -130,13 +130,17 @@ def test_critic_value_equals_tape_forward(batch, seed, scale):
         assert critic.value(obs[i:i + 1])[0] == tape[i]
 
 
-def test_infer_counts_one_evaluation_per_call():
+def test_infer_counts_one_evaluation_per_row():
+    # both backends count the rows they evaluate, so a batched call over N
+    # decisions costs N, as N batch-1 calls would
     gen = make_actor(0).generator
     obs, z, _ = rows(0, 7, 1.0)
     gen.infer(obs, z)
-    assert gen.nfe_count == 1
+    assert gen.nfe_count == 7
     gen.forward(Tensor(obs), Tensor(z))
-    assert gen.nfe_count == 2
+    assert gen.nfe_count == 14
+    gen.infer(obs[:1], z[:1])
+    assert gen.nfe_count == 15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,10 +3,10 @@ surrogate arithmetic, anchor behavior, and the full-objective gradient."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, backward
@@ -18,7 +18,8 @@ from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
 from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
-from .oracles import finite_diff, gae_bruteforce
+from .oracles import (STEERING_SPEC, evaluate_policy_loop, finite_diff, gae_bruteforce,
+                      steering_actor)
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 OBS_DIM = 6
@@ -267,6 +268,42 @@ def test_collected_return_matches_eval_within_noise_band():
     assert abs(returns.mean() - report["mean_return"]) <= 3.0 * se
 
 
+# -- lockstep evaluation -------------------------------------------------------
+
+
+def steering_env_factory(reward_mode):
+    return lambda: PointMassEnv(STEERING_SPEC, reward_mode=reward_mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(episodes=st.integers(min_value=1, max_value=12),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       reward_mode=st.sampled_from(["dense", "sparse"]))
+def test_lockstep_evaluation_equals_the_episode_loop(episodes, seed, reward_mode):
+    actor = steering_actor()
+    report = evaluate_policy(steering_env_factory(reward_mode), actor, episodes, seed)
+    expected, _, _ = evaluate_policy_loop(steering_env_factory(reward_mode), actor,
+                                          episodes, seed)
+    assert report == expected
+
+
+def test_evaluation_of_no_episodes_reports_nothing_and_negative_counts_are_rejected():
+    report = evaluate_policy(steering_env_factory("dense"), steering_actor(), 0, 1)
+    assert report == {"episodes": 0, "mean_return": None, "success_rate": None,
+                      "nfe_violations": 0}
+    with pytest.raises(PPOConfigError):
+        evaluate_policy(steering_env_factory("dense"), steering_actor(), -1, 1)
+
+
+def test_steering_policy_succeeds_mid_prefix_and_times_out():
+    # the property above is only as strong as the episode endings it sees
+    _, _, finished = evaluate_policy_loop(steering_env_factory("sparse"), steering_actor(),
+                                          24, 3)
+    exec_len = STEERING_SPEC.exec_len
+    assert any(env.succeeded and env.t % exec_len for env in finished)
+    assert any(not env.succeeded for env in finished)
+
+
 # -- the update ----------------------------------------------------------------
 
 
@@ -349,10 +386,12 @@ def test_update_evaluates_the_live_backbone_once_per_minibatch(length, minibatch
     ppo_update(buf, actor, critic, anchor,
                PPOConfig(update_epochs=epochs, minibatch_size=minibatch),
                np.random.default_rng(1))
-    minibatches = epochs * math.ceil(length / minibatch)
-    # one epoch-0 recomputation, then one live forward per minibatch
-    assert actor.generator.nfe_count - live_before == 1 + minibatches
-    assert anchor.nfe_count - anchor_before == minibatches
+    # nfe_count counts rows: the epoch-0 recomputation evaluates every row
+    # once, then each epoch's minibatches evaluate every row once more.  A
+    # second live forward per minibatch (for the anchor) would add another
+    # epochs * length.
+    assert actor.generator.nfe_count - live_before == length + epochs * length
+    assert anchor.nfe_count - anchor_before == epochs * length
 
 
 def test_anchor_weight_sweep_shrinks_drift_from_pretrained():
