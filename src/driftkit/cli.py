@@ -21,11 +21,11 @@ from . import checkpoint as ckpt
 from .actor import GaussianActor
 from .config import SEED_KEY, ConfigError, fields_of, load_config, snapshot_config
 from .drift import DriftConfig, DriftConfigError
-from .envs import (DT, EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
-                   save_dataset, scripted_action, synth_multimodal)
-from .generator import ChunkSpec, Generator, executed_prefix
+from .envs import (EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
+                   save_dataset, scripted_chunks, synth_multimodal)
+from .generator import ChunkSpec, Generator
 from .ppo import (Critic, FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError,
-                  collect_rollouts, compute_gae, ppo_update, evaluate_policy)
+                  collect_rollouts, compute_gae, ppo_update, evaluate_policy, run_episodes)
 from .training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
                        train, write_metrics_csv)
 
@@ -94,38 +94,14 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _eval_scripted(cfg: dict, spec: ChunkSpec, episodes: int, seed: int) -> dict:
-    returns, successes = [], []
-    for ep in range(episodes):
-        env = PointMassEnv(spec, reward_mode=cfg["eval.reward_mode"])
-        env.reset(seed + ep)
-        done = False
-        total = 0.0
-        while not done:
-            actions = []
-            pos = env.pos.copy()
-            for _ in range(spec.horizon):
-                a = scripted_action(pos, env.goal)
-                actions.append(a)
-                pos = pos + a * DT
-            chunk = np.asarray(actions).reshape(-1)
-            prefix = executed_prefix(chunk, spec)
-            _, reward, done = env.step_prefix(prefix)
-            total += reward
-        returns.append(total)
-        successes.append(bool(env.succeeded))
-    return {"episodes": episodes,
-            "mean_return": float(np.mean(returns)) if returns else None,
-            "success_rate": float(np.mean(successes)) if successes else None,
-            "nfe_violations": None}
-
-
 def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
     episodes = cfg["eval.episodes"] if episodes_override is None else episodes_override
     seed = cfg["eval.seed"]
     if cfg["eval.policy"] == "scripted":
         spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
-        report = _eval_scripted(cfg, spec, episodes, seed)
+        report = run_episodes(spec, cfg["eval.reward_mode"], episodes, seed,
+                              lambda obs, active: scripted_chunks(obs, spec))
+        report["nfe_violations"] = None
         report["policy"] = "scripted"
     elif cfg["eval.policy"] == "checkpoint":
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))

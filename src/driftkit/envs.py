@@ -1,5 +1,5 @@
 """Desk-scale tasks: a deterministic planar point-mass reach environment with
-receding-horizon stepping, one env at a time or N in lockstep, plus synthetic
+receding-horizon stepping, N envs in lockstep or one as a view, plus synthetic
 multimodal imitation datasets whose expert chunks come from scripted
 goal-reaching controllers that swerve left or right on the way in.
 
@@ -33,114 +33,35 @@ class EnvError(ValueError):
     """Invalid environment settings: an unknown reward mode or non-planar actions."""
 
 
-def _check_settings(spec: ChunkSpec, reward_mode: str) -> None:
-    if reward_mode not in ("dense", "sparse"):
-        raise EnvError(f"unknown reward mode {reward_mode!r}")
-    if spec.action_dim != ACTION_DIM:
-        raise EnvError("point-mass actions are planar (action_dim must be 2)")
-
-
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     return np.concatenate([pos, goal, last_action])
 
 
-def _advance(pos: np.ndarray, goal: np.ndarray, action: np.ndarray,
-             reward_mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One micro-step of point masses stacked along any leading env axes.
-
-    ``pos``, ``goal`` and ``action`` are (..., 2).  Returns the new positions,
-    the clipped actions, and each env's reward and success flag.  Both
-    environments step through this kernel, one row at a time or N at once, so
-    a row's results do not depend on how many envs step with it.
-    """
-    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    pos = np.clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
-    offset = pos - goal
-    dist = np.sqrt(np.vecdot(offset, offset))
-    success = dist <= SUCCESS_THRESHOLD
-    reward = -dist if reward_mode == "dense" else np.where(success, 1.0, 0.0)
-    return pos, a, reward, success
-
-
-class PointMassEnv:
-    """Velocity-command point mass: pos += a * DT inside [-1, 1]^2.
-
-    Dense reward is -dist(pos, goal) per micro-step; sparse reward pays 1 once
-    the success threshold is reached.  Episodes end on success or at the
-    micro-step cap.  reset(seed) is bitwise reproducible.  It shares its
-    dynamics kernel with :class:`VecPointMassEnv`, which steps N of it at once.
-    """
-
-    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
-        _check_settings(spec, reward_mode)
-        self.spec = spec
-        self.reward_mode = reward_mode
-        self.pos = np.zeros(2)
-        self.goal = np.zeros(2)
-        self.last_action = np.zeros(2)
-        self.t = 0
-        self.done = True
-        self.succeeded = False
-        self._history: list[np.ndarray] = []
-
-    def reset(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self.pos, self.goal = sample_start_goal(rng)
-        self.last_action = np.zeros(2)
-        self.t = 0
-        self.done = False
-        self.succeeded = False
-        obs = _observe(self.pos, self.goal, self.last_action)
-        self._history = [obs.copy() for _ in range(self.spec.history_len)]
-        return self.obs_history()
-
-    def obs_history(self) -> np.ndarray:
-        return np.stack(self._history[-self.spec.history_len:])
-
-    def micro_step(self, action: np.ndarray) -> tuple[float, bool]:
-        if self.done:
-            raise RuntimeError("step after episode end")
-        self.pos, self.last_action, reward, success = _advance(
-            self.pos, self.goal, action, self.reward_mode)
-        self.t += 1
-        if success:
-            self.succeeded = True
-        self.done = bool(success) or self.t >= EPISODE_CAP
-        self._history.append(_observe(self.pos, self.goal, self.last_action))
-        return float(reward), self.done
-
-    def step_prefix(self, prefix: np.ndarray) -> tuple[np.ndarray, float, bool]:
-        """Apply all H_e micro-steps of an executed prefix, summing rewards."""
-        prefix = np.asarray(prefix, dtype=np.float64).reshape(-1, ACTION_DIM)
-        total = 0.0
-        done = self.done
-        for action in prefix:
-            reward, done = self.micro_step(action)
-            total += reward
-            if done:
-                break
-        return self.obs_history(), total, done
-
-
 class VecPointMassEnv:
-    """N point masses of :class:`PointMassEnv` stepped together, as (N, ...) arrays.
+    """N velocity-command point masses stepped together, as (N, ...) arrays.
 
-    Env ``i``'s state is its observation history ``history[i]`` (T_o, d_o),
-    whose newest row holds (position, goal, last action), its micro-step count
-    ``t[i]`` and its flags ``done[i]`` and ``succeeded[i]``.  Each env steps
-    bitwise as a :class:`PointMassEnv` reset with the same seed would, whatever
-    the other rows do.
+    Each point mass moves by pos += a * DT inside [-1, 1]^2, with actions
+    clipped to [-1, 1].  Dense reward is -dist(pos, goal) per micro-step;
+    sparse reward pays 1 once the success threshold is reached.  Episodes end
+    on success or at the micro-step cap.  Env ``i``'s state is its observation
+    history ``history[i]`` (T_o, d_o), whose newest row holds (position, goal,
+    last action), its micro-step count ``t[i]`` and its flags ``done[i]`` and
+    ``succeeded[i]``.  Every step is elementwise along the env axis, so a row's
+    bits do not depend on the other rows.
     """
 
     def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
-        _check_settings(spec, reward_mode)
+        if reward_mode not in ("dense", "sparse"):
+            raise EnvError(f"unknown reward mode {reward_mode!r}")
+        if spec.action_dim != ACTION_DIM:
+            raise EnvError("point-mass actions are planar (action_dim must be 2)")
         self.spec = spec
         self.reward_mode = reward_mode
         self.reset([])
 
     def reset(self, seeds) -> np.ndarray:
-        """Start env ``i`` as ``PointMassEnv.reset(seeds[i])`` does; return the
-        (N, T_o, d_o) observation histories."""
+        """Start env ``i`` from ``sample_start_goal(default_rng(seeds[i]))`` at
+        rest; return the (N, T_o, d_o) observation histories."""
         newest = [_observe(*sample_start_goal(np.random.default_rng(seed)), np.zeros(2))
                   for seed in seeds]
         n = len(newest)
@@ -151,46 +72,85 @@ class VecPointMassEnv:
         self.succeeded = np.zeros(n, dtype=bool)
         return self.history.copy()
 
-    def micro_step(self, actions: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        """One micro-step of the envs at indices ``rows``, one (2,) action each.
-
-        Returns each stepped env's reward and done flag.  Stepping an env whose
-        episode has ended raises ``RuntimeError``.
-        """
-        if self.done[rows].any():
-            raise RuntimeError("step after episode end")
-        hist = self.history[rows]
-        goal = hist[:, -1, 2:4]
-        pos, a, reward, success = _advance(hist[:, -1, 0:2], goal, actions, self.reward_mode)
-        t = self.t[rows] + 1
-        done = success | (t >= EPISODE_CAP)
-        self.t[rows] = t
-        self.done[rows] = done
-        self.succeeded[rows] |= success
-        newest = np.concatenate([pos, goal, a], axis=1)
-        self.history[rows] = np.concatenate([hist[:, 1:], newest[:, None]], axis=1)
-        return reward, done
-
     def step_prefix(self, prefixes: np.ndarray,
                     rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run each env at indices ``rows`` through its (H_e, 2) prefix.
 
-        An env stops at the micro-step that ends its episode.  Returns the
-        observation histories, the summed rewards and the done flags of
-        ``rows``; the rewards add up in micro-step order, as in
-        :meth:`PointMassEnv.step_prefix`.
+        An env stops at the micro-step that ends its episode; the micro-steps
+        after it are computed and thrown away.  Returns the observation
+        histories, the summed rewards and the done flags of ``rows``; the
+        rewards add up from 0.0 in micro-step order.  Stepping an env whose
+        episode has ended raises ``RuntimeError``.
         """
         rows = np.asarray(rows)
-        prefixes = np.asarray(prefixes, dtype=np.float64).reshape(len(rows), -1, ACTION_DIM)
-        totals = np.zeros(len(rows))
-        live = np.arange(len(rows))
-        for k in range(prefixes.shape[1]):
-            if not live.size:
-                break
-            reward, done = self.micro_step(prefixes[live, k], rows[live])
-            totals[live] += reward
-            live = live[~done]
-        return self.history[rows], totals, self.done[rows]
+        if self.done[rows].any():
+            raise RuntimeError("step after episode end")
+        n = rows.size
+        actions = np.clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
+                          -1.0, 1.0)
+        h_e = actions.shape[1]
+        hist = self.history[rows]
+        goal = np.repeat(hist[:, -1:, 2:4], h_e, axis=1)
+        pos = np.empty_like(actions)
+        now = hist[:, -1, 0:2]
+        for k in range(h_e):
+            now = np.clip(now + actions[:, k] * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
+            pos[:, k] = now
+        offset = pos - goal
+        dist = np.sqrt(np.vecdot(offset, offset))
+        success = dist <= SUCCESS_THRESHOLD
+        ends = success | (self.t[rows, None] + np.arange(1, h_e + 1) >= EPISODE_CAP)
+        done = ends.any(axis=1)
+        steps = np.where(done, ends.argmax(axis=1) + 1, h_e)
+        reward = -dist if self.reward_mode == "dense" else np.where(success, 1.0, 0.0)
+        sums = np.cumsum(np.concatenate([np.zeros((n, 1)), reward], axis=1), axis=1)
+        # the history followed by all H_e new observations; keep T_o of them
+        trail = np.concatenate([hist, np.concatenate([pos, goal, actions], axis=2)], axis=1)
+        every = np.arange(n)
+        self.history[rows] = trail[every[:, None], steps[:, None] + np.arange(hist.shape[1])]
+        self.t[rows] += steps
+        self.done[rows] = done
+        self.succeeded[rows] = success[every, steps - 1]
+        return self.history[rows], sums[every, steps], done
+
+
+class PointMassEnv:
+    """One point mass: a view of a one-row :class:`VecPointMassEnv`.
+
+    ``reset(seed)`` is bitwise reproducible.  The state is read off the row;
+    before the first reset the episode counts as ended.
+    """
+
+    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
+        self.vec = VecPointMassEnv(spec, reward_mode)
+
+    spec = property(lambda self: self.vec.spec)
+    reward_mode = property(lambda self: self.vec.reward_mode)
+    pos = property(lambda self: self.vec.history[0, -1, 0:2].copy())
+    goal = property(lambda self: self.vec.history[0, -1, 2:4].copy())
+    last_action = property(lambda self: self.vec.history[0, -1, 4:6].copy())
+    t = property(lambda self: int(self.vec.t[0]))
+    # over the zero rows before the first reset, all() is True and any() False
+    done = property(lambda self: bool(self.vec.done.all()))
+    succeeded = property(lambda self: bool(self.vec.succeeded.any()))
+
+    def reset(self, seed: int) -> np.ndarray:
+        return self.vec.reset([seed])[0]
+
+    def obs_history(self) -> np.ndarray:
+        return self.vec.history[0].copy()
+
+    def step_prefix(self, prefix: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        """Apply all H_e micro-steps of an executed prefix, summing rewards."""
+        if self.done:
+            raise RuntimeError("step after episode end")
+        obs, total, done = self.vec.step_prefix(np.reshape(prefix, (1, -1, ACTION_DIM)), [0])
+        return obs[0], float(total[0]), bool(done[0])
+
+    def micro_step(self, action: np.ndarray) -> tuple[float, bool]:
+        """One micro-step: the prefix of one action."""
+        _, reward, done = self.step_prefix(np.reshape(action, (1, ACTION_DIM)))
+        return reward, done
 
 
 def sample_start_goal(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -206,6 +166,21 @@ def scripted_action(pos: np.ndarray, goal: np.ndarray,
                     gain: float = SCRIPTED_GAIN) -> np.ndarray:
     """Straight-to-goal proportional controller, the optimal baseline."""
     return np.clip(gain * (goal - pos), -1.0, 1.0)
+
+
+def scripted_chunks(obs: np.ndarray, spec: ChunkSpec) -> np.ndarray:
+    """Open-loop chunks of :func:`scripted_action` for (N, T_o, d_o) histories.
+
+    Each row plans H actions from its newest position and goal, moving the
+    planned position by a * DT without the wall clip.  Returns (N, H * d_a).
+    """
+    pos, goal = obs[:, -1, 0:2], obs[:, -1, 2:4]
+    actions = []
+    for _ in range(spec.horizon):
+        a = scripted_action(pos, goal)
+        actions.append(a)
+        pos = pos + a * DT
+    return np.stack(actions, axis=1).reshape(len(obs), -1)
 
 
 # -- multimodal demonstrations ------------------------------------------

@@ -20,7 +20,7 @@ from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py 
 from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
                     sample_gaussian)
 from .envs import VecPointMassEnv
-from .generator import Dense, Generator, executed_prefix
+from .generator import ChunkSpec, Dense, Generator, executed_prefix
 from .training import AdamW, NumericalAbort, leaf_grads
 
 RATIO_LOG_CLAMP = 40.0
@@ -151,7 +151,7 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
         ep_return += reward
         if done:
             episode_returns.append(ep_return)
-            episode_successes.append(bool(getattr(env, "succeeded", False)))
+            episode_successes.append(env.succeeded)
             ep_return = 0.0
             obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
         else:
@@ -309,35 +309,24 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     return stats
 
 
-def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
-                    seed: int) -> dict:
-    """Deterministic deployment evaluation: mean return and success rate.
+def run_episodes(spec: ChunkSpec, reward_mode: str, episodes: int, seed: int,
+                 chunk_fn) -> dict:
+    """Run episodes ``reset(seed + e)`` in lockstep on a :class:`VecPointMassEnv`.
 
-    ``env_factory`` builds a :class:`PointMassEnv`, whose settings the
-    episodes share.  Episode ``e`` starts from ``reset(seed + e)`` and draws
-    its latents from its own stream, spawned ``e``-th from ``seed``, so its
-    outcome does not depend on the other episodes.  All episodes run in
-    lockstep: each control step makes one network evaluation over the
-    still-running episodes, whose rows equal batch-1 ``deploy_action`` calls
-    bitwise, and one vectorised env step.  ``nfe_violations`` counts control
-    steps whose evaluation count differs from the number of running episodes.
+    Each control step takes the (H * d_a) chunks ``chunk_fn(obs, active)`` of
+    the running episodes ``active`` from their (T_o, d_o) histories ``obs``
+    and makes one env step with their executed prefixes.  An episode drops
+    out at the micro-step that ends it.  Returns the episode count, mean
+    return and success rate.
     """
     if episodes < 0:
         raise PPOConfigError("episodes must be >= 0")
-    probe = env_factory()
-    envs = VecPointMassEnv(probe.spec, probe.reward_mode)
+    envs = VecPointMassEnv(spec, reward_mode)
     obs = envs.reset([seed + e for e in range(episodes)])
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(episodes)]
-    generator, spec = actor.generator, actor.spec
     returns = np.zeros(episodes)
-    nfe_violations = 0
     active = np.arange(episodes)
     while active.size:
-        z = np.stack([streams[e].standard_normal(generator.latent_dim) for e in active])
-        before = generator.nfe_count
-        chunks, _ = generator.infer(obs.reshape(active.size, -1), z)
-        if generator.nfe_count - before != active.size:
-            nfe_violations += 1
+        chunks = chunk_fn(obs, active)
         obs, totals, done = envs.step_prefix(chunks[:, spec.exec_slice()], active)
         returns[active] += totals
         active, obs = active[~done], obs[~done]
@@ -345,5 +334,35 @@ def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
         "episodes": episodes,
         "mean_return": float(np.mean(returns)) if episodes else None,
         "success_rate": float(np.mean(envs.succeeded)) if episodes else None,
-        "nfe_violations": nfe_violations,
     }
+
+
+def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
+                    seed: int) -> dict:
+    """Deterministic deployment evaluation: mean return and success rate.
+
+    ``env_factory`` builds a :class:`PointMassEnv`, whose settings the
+    episodes share.  Episode ``e`` starts from ``reset(seed + e)`` and draws
+    its latents from its own stream, spawned ``e``-th from ``seed``, so its
+    outcome does not depend on the other episodes.  Each lockstep control step
+    (:func:`run_episodes`) makes one network evaluation over the running
+    episodes, whose rows equal batch-1 ``deploy_action`` calls bitwise.
+    ``nfe_violations`` counts control steps whose evaluation count differs
+    from the number of running episodes.
+    """
+    env = env_factory()
+    # a negative count is left for run_episodes to reject
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(max(episodes, 0))]
+    generator = actor.generator
+    violations = []
+
+    def chunk_fn(obs, active):
+        z = np.stack([streams[e].standard_normal(generator.latent_dim) for e in active])
+        before = generator.nfe_count
+        chunks, _ = generator.infer(obs.reshape(active.size, -1), z)
+        violations.append(generator.nfe_count - before != active.size)
+        return chunks
+
+    report = run_episodes(env.spec, env.reward_mode, episodes, seed, chunk_fn)
+    return {**report, "nfe_violations": sum(violations)}

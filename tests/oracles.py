@@ -3,10 +3,13 @@
 The numerical references are re-derived with explicit index loops and scalar
 math, on purpose sharing no code with the package: a loop drift field, central
 finite differences, the closed-form scalar Gaussian density, and an O(T^2)
-advantage double sum.  The evaluation reference is the one-episode-at-a-time
-loop that the lockstep ``ppo.evaluate_policy`` replaced; it drives the
-package's single env and batch-1 deployment path, and ``steering_actor`` gives
-it a policy whose episodes end in every possible way.
+advantage double sum.  ``ScalarPointMassEnv`` is the point-mass state machine
+the package once stepped one micro-step at a time, with scalar bookkeeping; it
+is the reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
+reference is the one-episode-at-a-time loop that the lockstep
+``ppo.evaluate_policy`` replaced; it drives that scalar env and the package's
+batch-1 deployment path, and ``steering_actor`` gives it a policy whose
+episodes end in every possible way.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import math
 
 import numpy as np
 
+from driftkit import envs
 from driftkit.actor import GaussianActor
-from driftkit.envs import OBS_DIM
+from driftkit.envs import OBS_DIM, sample_start_goal
 from driftkit.generator import ChunkSpec, Generator, executed_prefix
 
 
@@ -160,23 +164,84 @@ def gae_bruteforce(rewards, values, dones, bootstrap: float,
     return adv
 
 
+class ScalarPointMassEnv:
+    """One point mass stepped one micro-step at a time with scalar state.
+
+    Same settings, reset and dynamics as ``envs.PointMassEnv``: the action is
+    clipped to [-1, 1], pos += a * DT inside the arena, and the episode ends
+    on success or at ``envs.EPISODE_CAP`` (read at each step, so a test can
+    patch it).  A prefix stops at the micro-step that ends the episode.
+    """
+
+    def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
+        self.spec = spec
+        self.reward_mode = reward_mode
+        self.t = 0
+        self.done = True
+        self.succeeded = False
+
+    def reset(self, seed: int) -> np.ndarray:
+        self.pos, self.goal = sample_start_goal(np.random.default_rng(seed))
+        self.last_action = np.zeros(2)
+        self.t = 0
+        self.done = False
+        self.succeeded = False
+        obs = np.concatenate([self.pos, self.goal, self.last_action])
+        self._history = [obs.copy() for _ in range(self.spec.history_len)]
+        return self.obs_history()
+
+    def obs_history(self) -> np.ndarray:
+        return np.stack(self._history[-self.spec.history_len:])
+
+    def micro_step(self, action: np.ndarray) -> tuple[float, bool]:
+        if self.done:
+            raise RuntimeError("step after episode end")
+        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+        self.pos = np.clip(self.pos + a * envs.DT, -envs.ARENA_HALF_WIDTH,
+                           envs.ARENA_HALF_WIDTH)
+        self.last_action = a
+        offset = self.pos - self.goal
+        dist = np.sqrt(np.vecdot(offset, offset))
+        success = dist <= envs.SUCCESS_THRESHOLD
+        reward = -dist if self.reward_mode == "dense" else (1.0 if success else 0.0)
+        self.t += 1
+        if success:
+            self.succeeded = True
+        self.done = bool(success) or self.t >= envs.EPISODE_CAP
+        self._history.append(np.concatenate([self.pos, self.goal, self.last_action]))
+        return float(reward), self.done
+
+    def step_prefix(self, prefix: np.ndarray) -> tuple[np.ndarray, float, bool]:
+        prefix = np.asarray(prefix, dtype=np.float64).reshape(-1, 2)
+        total = 0.0
+        done = self.done
+        for action in prefix:
+            reward, done = self.micro_step(action)
+            total += reward
+            if done:
+                break
+        return self.obs_history(), total, done
+
+
 def evaluate_policy_loop(env_factory, actor: GaussianActor, episodes: int,
                          seed: int) -> tuple[dict, int, list]:
     """``ppo.evaluate_policy``, one episode at a time.
 
-    Episode ``e`` gets a fresh env reset with ``seed + e``, one batch-1
+    Episode ``e`` gets a fresh ``ScalarPointMassEnv`` with the settings of the
+    env that ``env_factory`` builds, reset with ``seed + e``, one batch-1
     ``deploy_action`` per decision, and latents from the ``e``-th stream
     spawned from ``seed``.  Each decision's micro-step rewards are summed by
     ``step_prefix``, and the decision totals are summed into the episode
     total.  Returns the report, the number of decisions made, and every
     episode's finished env.
     """
+    probe = env_factory()
     streams = np.random.SeedSequence(seed).spawn(episodes)
     returns, finished = [], []
     decisions = nfe_violations = 0
     for e in range(episodes):
         rng = np.random.default_rng(streams[e])
-        env = env_factory()
+        env = ScalarPointMassEnv(probe.spec, probe.reward_mode)
         obs_hist = env.reset(seed + e)
         done = False
         total = 0.0
@@ -199,6 +264,37 @@ def evaluate_policy_loop(env_factory, actor: GaussianActor, episodes: int,
         "nfe_violations": nfe_violations,
     }
     return report, decisions, finished
+
+
+def scripted_eval_loop(spec: ChunkSpec, reward_mode: str, episodes: int,
+                       seed: int) -> dict:
+    """The CLI's scripted evaluation, one episode at a time.
+
+    Episode ``e`` gets a fresh ``ScalarPointMassEnv`` reset with ``seed + e``.
+    Each decision plans H actions of ``envs.scripted_action`` open loop from
+    the current position (no wall clip) and executes the chunk's prefix.
+    """
+    returns, successes = [], []
+    for e in range(episodes):
+        env = ScalarPointMassEnv(spec, reward_mode)
+        env.reset(seed + e)
+        done = False
+        total = 0.0
+        while not done:
+            actions = []
+            pos = env.pos.copy()
+            for _ in range(spec.horizon):
+                a = envs.scripted_action(pos, env.goal)
+                actions.append(a)
+                pos = pos + a * envs.DT
+            prefix = executed_prefix(np.asarray(actions).reshape(-1), spec)
+            _, reward, done = env.step_prefix(prefix)
+            total += reward
+        returns.append(total)
+        successes.append(env.succeeded)
+    return {"episodes": episodes,
+            "mean_return": float(np.mean(returns)) if returns else None,
+            "success_rate": float(np.mean(successes)) if successes else None}
 
 
 STEERING_SPEC = ChunkSpec(horizon=6, action_dim=2, history_len=2, exec_len=4)

@@ -14,6 +14,8 @@ from driftkit.envs import (DT, EnvError, PointMassEnv, VecPointMassEnv, load_dat
                            synth_multimodal)
 from driftkit.generator import ChunkSpec, executed_prefix
 
+from .oracles import ScalarPointMassEnv
+
 SPEC = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
 
 
@@ -118,75 +120,108 @@ def test_out_of_bounds_actions_are_clipped():
 
 # -- the vectorised env ---------------------------------------------------------
 
+# 120 = 15 * 8, so with SPEC the cap lands on a prefix's last micro-step; with
+# H_e = 7 (120 = 17 * 7 + 1) it lands on a prefix's first micro-step, and the
+# last six of that prefix are thrown away
+PROPERTY_SPECS = (SPEC,
+                  ChunkSpec(horizon=8, action_dim=2, history_len=1, exec_len=7),
+                  ChunkSpec(horizon=9, action_dim=2, history_len=3, exec_len=7))
+ENDINGS = ("mid_prefix_success", "cap_mid_prefix", "wall", "clipped_action")
 
-def scripted_prefix(pos, goal):
+
+def scripted_prefix(pos, goal, spec):
     """An executed prefix of the scripted controller, planned open loop."""
     actions = []
-    for _ in range(SPEC.exec_len):
+    for _ in range(spec.exec_len):
         a = scripted_action(pos, goal)
         actions.append(a)
         pos = pos + a * DT
     return np.asarray(actions)
 
 
-def step_rows_against_single_envs(seeds, reward_mode, action_seed) -> dict:
-    """Step a VecPointMassEnv and one PointMassEnv per seed with the same
-    prefixes until every episode ends, asserting bitwise equality after each
-    control step.  Row ``i`` steers to its goal (``i % 3 == 0``), takes
-    random out-of-bounds actions (1) or pushes into a corner (2).  Returns
-    counts of the cases the run went through."""
-    vec = VecPointMassEnv(SPEC, reward_mode)
-    singles = [PointMassEnv(SPEC, reward_mode) for _ in seeds]
-    np.testing.assert_array_equal(
-        vec.reset(seeds), np.stack([env.reset(seed) for env, seed in zip(singles, seeds)]))
+def step_rows_against_single_envs(spec, seeds, reward_mode, action_seed) -> dict:
+    """Step a VecPointMassEnv, one PointMassEnv view and one reference
+    ScalarPointMassEnv per seed with the same prefixes until every episode
+    ends, asserting bitwise equality after each control step.  Row ``i``
+    steers to its goal (``i % 3 == 0``), takes random out-of-bounds actions
+    (1) or pushes into a corner (2).  Returns counts of the cases the run went
+    through."""
+    vec = VecPointMassEnv(spec, reward_mode)
+    views = [PointMassEnv(spec, reward_mode) for _ in seeds]
+    singles = [ScalarPointMassEnv(spec, reward_mode) for _ in seeds]
+    starts = np.stack([env.reset(seed) for env, seed in zip(singles, seeds)])
+    np.testing.assert_array_equal(vec.reset(seeds), starts)
+    np.testing.assert_array_equal([v.reset(seed) for v, seed in zip(views, seeds)], starts)
     rng = np.random.default_rng(action_seed)
-    seen = {"mid_prefix_success": 0, "wall": 0, "clipped_action": 0}
+    seen = dict.fromkeys(ENDINGS, 0)
     rows = np.arange(len(seeds))
     while rows.size:
         prefixes = []
         for i in rows:
             kind = i % 3
             if kind == 0:
-                prefixes.append(scripted_prefix(singles[i].pos, singles[i].goal))
+                prefixes.append(scripted_prefix(singles[i].pos, singles[i].goal, spec))
             elif kind == 1:
-                prefixes.append(rng.uniform(-3.0, 3.0, size=(SPEC.exec_len, 2)))
+                prefixes.append(rng.uniform(-3.0, 3.0, size=(spec.exec_len, 2)))
             else:
-                prefixes.append(np.tile([3.0, -3.0], (SPEC.exec_len, 1)))
+                prefixes.append(np.tile([3.0, -3.0], (spec.exec_len, 1)))
         obs, totals, done = vec.step_prefix(np.asarray(prefixes), rows)
         for j, i in enumerate(rows):
-            env = singles[i]
+            env, view = singles[i], views[i]
             obs_i, total_i, done_i = env.step_prefix(prefixes[j])
             assert np.array_equal(obs[j], obs_i)
             assert totals[j] == total_i and done[j] == done_i
             assert np.array_equal(vec.history[i], env.obs_history())
-            assert np.array_equal(vec.history[i, -1, 0:2], env.pos)
             assert (vec.t[i], vec.done[i], vec.succeeded[i]) == (env.t, env.done,
                                                                  env.succeeded)
-            seen["mid_prefix_success"] += bool(env.succeeded and env.t % SPEC.exec_len)
+            obs_v, total_v, done_v = view.step_prefix(prefixes[j])
+            assert np.array_equal(obs_v, obs_i)
+            assert (total_v, done_v) == (total_i, done_i)
+            assert type(total_v) is float and type(done_v) is bool
+            for name in ("pos", "goal", "last_action"):
+                assert np.array_equal(getattr(view, name), getattr(env, name)), name
+            assert (view.t, view.done, view.succeeded) == (env.t, env.done, env.succeeded)
+            ended_mid_prefix = bool(env.done and env.t % spec.exec_len)
+            seen["mid_prefix_success"] += ended_mid_prefix and env.succeeded
+            seen["cap_mid_prefix"] += ended_mid_prefix and not env.succeeded
             seen["wall"] += bool(np.any(np.abs(env.pos) == 1.0))
             seen["clipped_action"] += bool(np.any(np.abs(prefixes[j]) > 1.0))
         rows = rows[~done]
     for i in range(len(seeds)):
         with pytest.raises(RuntimeError, match="step after episode end"):
-            vec.micro_step(np.zeros((1, 2)), [i])
+            vec.step_prefix(np.zeros((1, spec.exec_len, 2)), [i])
         with pytest.raises(RuntimeError, match="step after episode end"):
-            vec.step_prefix(np.zeros((1, SPEC.exec_len, 2)), [i])
+            views[i].micro_step(np.zeros(2))
     return seen
 
 
 @settings(max_examples=20, deadline=None)
-@given(seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+@given(spec=st.sampled_from(PROPERTY_SPECS),
+       seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
                       min_size=1, max_size=7),
        reward_mode=st.sampled_from(["dense", "sparse"]),
        action_seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_vector_env_rows_step_as_single_envs(seeds, reward_mode, action_seed):
-    step_rows_against_single_envs(seeds, reward_mode, action_seed)
+def test_vector_env_rows_step_as_single_envs(spec, seeds, reward_mode, action_seed):
+    step_rows_against_single_envs(spec, seeds, reward_mode, action_seed)
 
 
 def test_vector_env_comparison_covers_every_ending():
     # the property above is only as strong as the cases its runs go through
-    seen = step_rows_against_single_envs(list(range(12)), "dense", 0)
+    seen = dict.fromkeys(ENDINGS, 0)
+    for spec in PROPERTY_SPECS:
+        for case, count in step_rows_against_single_envs(spec, list(range(12)), "dense",
+                                                         0).items():
+            seen[case] += count
     assert all(seen.values()), seen
+
+
+def test_env_before_its_first_reset_counts_as_ended():
+    env = PointMassEnv(SPEC)
+    assert env.done is True and env.succeeded is False
+    with pytest.raises(RuntimeError, match="step after episode end"):
+        env.step_prefix(np.zeros((SPEC.exec_len, 2)))
+    with pytest.raises(RuntimeError, match="step after episode end"):
+        env.micro_step(np.zeros(2))
 
 
 def test_vector_env_rejects_the_settings_the_single_env_rejects():

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, backward
-from driftkit.envs import PointMassEnv, synth_multimodal
+from driftkit.envs import PointMassEnv, scripted_chunks, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
-                          compute_gae, ppo_update, evaluate_policy, ppo_ratio)
+                          compute_gae, ppo_update, evaluate_policy, ppo_ratio,
+                          run_episodes)
 from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
 from .oracles import (STEERING_SPEC, evaluate_policy_loop, finite_diff, gae_bruteforce,
-                      steering_actor)
+                      scripted_eval_loop, steering_actor)
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 OBS_DIM = 6
@@ -293,6 +294,15 @@ def test_evaluation_of_no_episodes_reports_nothing_and_negative_counts_are_rejec
                       "nfe_violations": 0}
     with pytest.raises(PPOConfigError):
         evaluate_policy(steering_env_factory("dense"), steering_actor(), -1, 1)
+
+
+@pytest.mark.parametrize("reward_mode", ["dense", "sparse"])
+def test_lockstep_scripted_evaluation_equals_the_episode_loop(reward_mode):
+    # the scripted planner plans every running episode at once; each keeps the
+    # bits of the one-episode loop the CLI used to run
+    report = run_episodes(STEERING_SPEC, reward_mode, 30, 4,
+                          lambda obs, active: scripted_chunks(obs, STEERING_SPEC))
+    assert report == scripted_eval_loop(STEERING_SPEC, reward_mode, 30, 4)
 
 
 def test_steering_policy_succeeds_mid_prefix_and_times_out():
