@@ -3,8 +3,8 @@ fine-tuned online with exact-likelihood PPO."""
 
 from .actor import ActorOutput, GaussianActor, prefix_entropy, prefix_log_prob
 from .autodiff import Tensor, backward
-from .drift import (DriftConfig, DriftFieldTensors, ReferencePool,
-                    build_reference_pool, compute_drift_field, fixed_point_loss, drift_loss)
+from .drift import (DriftConfig, DriftFieldTensors, build_reference_pool,
+                    compute_drift_field, fixed_point_loss, drift_loss)
 from .envs import (ImitationDataset, PointMassEnv, VecPointMassEnv, mode_coverage,
                    synth_multimodal)
 from .generator import ChunkSpec, Generator, executed_prefix, sample_hypotheses
@@ -15,7 +15,7 @@ from .training import AdamW, TrainConfig, drift_train_step, train
 __all__ = [
     "ActorOutput", "AdamW", "ChunkSpec", "Critic", "DriftConfig",
     "DriftFieldTensors", "GaussianActor", "Generator",
-    "ImitationDataset", "PPOConfig", "PointMassEnv", "ReferencePool",
+    "ImitationDataset", "PPOConfig", "PointMassEnv",
     "RolloutBuffer", "Tensor", "TrainConfig", "VecPointMassEnv", "backward",
     "build_reference_pool", "collect_rollouts", "compute_drift_field",
     "compute_gae", "fixed_point_loss", "ppo_update", "drift_loss", "drift_train_step",

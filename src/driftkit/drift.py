@@ -1,8 +1,12 @@
 """Drift-field construction and the fixed-point regression loss.
 
+Each condition's reference pool is its G hypotheses (the repulsive side)
+followed by its C_p >= 1 expert actions (the attractive side), so the pool has
+U = G + C_p references and the side of reference u is whether u < G.
+
 The geometry needs no gradient, so it takes the hypotheses' values as a
 plain array (``values.data`` of the tape tensor) and everything up to the
-regression target is float64 numpy: pairwise distances, a weighted global
+regression target is float64 numpy: pairwise distances, a global mean-distance
 scale, symmetric affinities per temperature, mass-balanced signed
 coefficients, per-scale forces, RMS normalization and the aggregated field.
 Gradients enter only through the squared regression of the hypothesis tensor
@@ -15,7 +19,7 @@ time slices of step-wise mode are such an axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,64 +60,19 @@ class DriftConfig:
             raise DriftConfigError(f"loss_mode must be one of {LOSS_MODES}")
 
 
-@dataclass
-class ReferencePool:
-    """Reference tensor (B, U, S) with (B, U) weights and the signed index partition.
-
-    The first G references are always the hypotheses themselves (repulsive
-    side), optionally followed by explicit negatives, then the positives.
-    The geometry also takes refs with leading axes (..., B, U, S), which then
-    share the weights.
-    """
-
-    refs: np.ndarray
-    weights: np.ndarray
-    negative_indices: np.ndarray
-    positive_indices: np.ndarray
-
-
-def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray,
-                         negatives: np.ndarray | None = None,
-                         weights: np.ndarray | None = None) -> ReferencePool:
-    """Assemble [hypotheses, negatives, positives] along the pool axis.
-
-    ``hypotheses`` is the (B, G, S) array of hypothesis values.
-    """
+def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Stack the (B, G, S) hypotheses and the (B, C_p, S) positives into the
+    (B, G + C_p, S) reference array, hypotheses first."""
     det = np.asarray(hypotheses, dtype=np.float64)
     if det.ndim != 3:
         raise DriftConfigError(f"hypotheses must be (B, G, S), got {det.shape}")
-    b, g, s = det.shape
+    b, _, s = det.shape
     positives = np.asarray(positives, dtype=np.float64)
     if positives.ndim != 3 or positives.shape[0] != b or positives.shape[2] != s:
         raise DriftConfigError(f"positives must be (B, C_p, S), got {positives.shape}")
     if positives.shape[1] < 1:
         raise DriftConfigError("positive reference set must be non-empty")
-    parts = [det]
-    c_n = 0
-    if negatives is not None:
-        negatives = np.asarray(negatives, dtype=np.float64)
-        if negatives.ndim != 3 or negatives.shape[0] != b or negatives.shape[2] != s:
-            raise DriftConfigError(f"negatives must be (B, C_n, S), got {negatives.shape}")
-        c_n = negatives.shape[1]
-        if c_n:
-            parts.append(negatives)
-    parts.append(positives)
-    refs = np.concatenate(parts, axis=1)
-    u = refs.shape[1]
-    if weights is None:
-        weights = np.ones((b, u), dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (b, u):
-            raise DriftConfigError(f"weights must be (B, U)=({b}, {u}), got {weights.shape}")
-        if np.any(weights < 0):
-            raise DriftConfigError("weights must be non-negative")
-    return ReferencePool(
-        refs=refs,
-        weights=weights,
-        negative_indices=np.arange(g + c_n),
-        positive_indices=np.arange(g + c_n, u),
-    )
+    return np.concatenate([det, positives], axis=1)
 
 
 @dataclass
@@ -154,32 +113,21 @@ def pairwise_distances(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(diff).sum(axis=-1))
 
 
-def global_scale(distances: np.ndarray, weights: np.ndarray,
-                 scale_floor: float) -> np.ndarray:
-    """Weighted mean distance with a floor, one per leading index.
-
-    Each reference weight is counted once per (i, u), so the distance average
-    over (i, r, u) divides by G times the weight mass.
-    """
-    g = distances.shape[-2]
-    wsum = weights.sum(axis=(-2, -1))
-    if np.any(wsum <= 0.0):
-        raise DriftConfigError("reference weights have zero total mass")
-    raw = (distances * weights[..., None, :]).sum(axis=(-3, -2, -1)) / (g * wsum)
-    return np.maximum(raw, scale_floor)
+def global_scale(distances: np.ndarray, scale_floor: float) -> np.ndarray:
+    """Mean distance over (i, r, u) with a floor, one per leading index."""
+    return np.maximum(distances.mean(axis=(-3, -2, -1)), scale_floor)
 
 
-def symmetric_affinity(distances: np.ndarray, scale: float | np.ndarray, temperature: float,
-                       weights: np.ndarray) -> np.ndarray:
+def symmetric_affinity(distances: np.ndarray, scale: float | np.ndarray,
+                       temperature: float) -> np.ndarray:
     """Geometric mean of the reference-axis and hypothesis-axis softmaxes.
 
-    Both softmaxes are taken over the same normalized logits -d/(R*scale);
-    the per-reference weight multiplies the affinity post hoc.
+    Both softmaxes are taken over the same normalized logits -d/(R*scale).
     """
     logits = -(distances / _per_index(scale, 3)) / temperature
     s_u = _softmax_np(logits, axis=-1)
     s_r = _softmax_np(logits, axis=-2)
-    return np.sqrt(s_u * s_r) * weights[..., None, :]
+    return np.sqrt(s_u * s_r)
 
 
 def _softmax_np(logits: np.ndarray, axis: int) -> np.ndarray:
@@ -188,21 +136,19 @@ def _softmax_np(logits: np.ndarray, axis: int) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def balanced_coefficients(affinity: np.ndarray, negative_indices: np.ndarray,
-                          positive_indices: np.ndarray) -> np.ndarray:
+def balanced_coefficients(affinity: np.ndarray) -> np.ndarray:
     """Signed coefficients with cross-side mass balancing.
 
-    Negative-side entries get -A * S_plus, positive-side entries +A * S_minus,
-    so the two sides exchange exactly opposite total mass per hypothesis.
+    The first G = ``affinity.shape[-2]`` references are the negative side, the
+    rest the positive side.  Negative-side entries get -A * S_plus,
+    positive-side entries +A * S_minus, so the two sides exchange exactly
+    opposite total mass per hypothesis.
     """
-    if len(positive_indices) == 0:
-        raise DriftConfigError("positive index set is empty")
-    s_minus = affinity[..., negative_indices].sum(axis=-1, keepdims=True)
-    s_plus = affinity[..., positive_indices].sum(axis=-1, keepdims=True)
-    alpha = np.empty_like(affinity)
-    alpha[..., negative_indices] = -affinity[..., negative_indices] * s_plus
-    alpha[..., positive_indices] = affinity[..., positive_indices] * s_minus
-    return alpha
+    g = affinity.shape[-2]
+    negative, positive = affinity[..., :g], affinity[..., g:]
+    s_minus = negative.sum(axis=-1, keepdims=True)
+    s_plus = positive.sum(axis=-1, keepdims=True)
+    return np.concatenate([-negative * s_plus, positive * s_minus], axis=-1)
 
 
 def per_scale_force(alpha: np.ndarray, refs: np.ndarray, detached: np.ndarray,
@@ -221,8 +167,6 @@ def rms_normalize(force: np.ndarray, force_floor: float) -> np.ndarray:
 def aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
                          scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the normalized per-temperature forces and build the detached target."""
-    if not forces:
-        raise DriftConfigError("at least one per-temperature force required")
     aggregate = forces[0].copy()
     for f in forces[1:]:
         aggregate += f
@@ -231,21 +175,22 @@ def aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def compute_drift_field(detached: np.ndarray, pool: ReferencePool,
+def compute_drift_field(detached: np.ndarray, refs: np.ndarray,
                         config: DriftConfig) -> DriftFieldTensors:
-    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their pool.
+    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their
+    (..., B, G + C_p, S) reference pool.
 
     Hypotheses too large to square give an infinite or NaN target without a
     warning; the loss's tensor check then raises ``AutodiffError``.
     """
-    d = pairwise_distances(detached, pool.refs)
-    scale = global_scale(d, pool.weights, config.scale_floor)
+    d = pairwise_distances(detached, refs)
+    scale = global_scale(d, config.scale_floor)
     out = DriftFieldTensors(distances=d, scale=scale)
     normalized = []
     for temp in config.temperatures:
-        aff = symmetric_affinity(d, scale, temp, pool.weights)
-        alpha = balanced_coefficients(aff, pool.negative_indices, pool.positive_indices)
-        force = per_scale_force(alpha, pool.refs, detached, scale)
+        aff = symmetric_affinity(d, scale, temp)
+        alpha = balanced_coefficients(aff)
+        force = per_scale_force(alpha, refs, detached, scale)
         out.affinities[temp] = aff
         out.coefficients[temp] = alpha
         out.forces[temp] = force
@@ -271,8 +216,6 @@ def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarr
 
 
 def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
-               negatives: np.ndarray | None = None,
-               weights: np.ndarray | None = None,
                slice_width: int | None = None):
     """Drift-field regression loss for one minibatch of (B, G, S) hypotheses.
 
@@ -286,7 +229,7 @@ def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
     lead with the slice axis (``scale`` is (K,)).
     """
     hypotheses = values.data
-    pool = build_reference_pool(hypotheses, positives, negatives, weights)
+    refs = build_reference_pool(hypotheses, positives)
     b, g, s = hypotheses.shape
     width = s if config.loss_mode == "chunk" else slice_width
     if width is None or width < 1:
@@ -299,7 +242,6 @@ def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
         in the order of a separate 3-d instance and keep its bits."""
         return np.ascontiguousarray(np.moveaxis(x.reshape(b, x.shape[1], -1, width), 2, 0))
 
-    fld = compute_drift_field(split(hypotheses), replace(pool, refs=split(pool.refs)),
-                              config)
+    fld = compute_drift_field(split(hypotheses), split(refs), config)
     target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
     return fixed_point_loss(values, target, np.repeat(fld.scale, width)), fld

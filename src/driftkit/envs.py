@@ -262,6 +262,8 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
     if min(modes, conditions, samples_per_condition) < 1:
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
     spec = spec or ChunkSpec()
+    if spec.action_dim != ACTION_DIM:
+        raise SpecError("point-mass actions are planar (action_dim must be 2)")
     signs = mode_signs(modes)
     rng = np.random.default_rng(seed)
     obs_rows, chunk_rows, mode_rows = [], [], []
@@ -336,6 +338,8 @@ def mode_coverage(policy_fn, dataset: ImitationDataset, samples: int,
     """
     if "mode_signs" not in dataset.metadata:
         raise SpecError("dataset lacks mode metadata")
+    if samples < 1 or (max_conditions is not None and max_conditions < 1):
+        raise SpecError("coverage samples and max_conditions must be >= 1")
     n_modes = dataset.metadata["modes"]
     seen_conditions = set()
     fractions = []
@@ -390,7 +394,9 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
         expected = t_o * d_o + spec.chunk_dim + 1
         if len(header) != expected:
             raise SpecError(f"dataset has {len(header)} columns, expected {expected}")
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != expected:
+                raise SpecError(f"dataset row {line} has {len(row)} values, expected {expected}")
             vals = [float(v) for v in row[:-1]]
             obs_rows.append(np.array(vals[:t_o * d_o]).reshape(t_o, d_o))
             chunk_rows.append(np.array(vals[t_o * d_o:]).reshape(

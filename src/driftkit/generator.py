@@ -16,7 +16,7 @@ result always means a recorded graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -64,13 +64,11 @@ class ChunkSpec:
         return slice(lo, lo + self.exec_dim)
 
     def to_dict(self) -> dict:
-        return {"horizon": self.horizon, "action_dim": self.action_dim,
-                "history_len": self.history_len, "exec_len": self.exec_len}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkSpec":
-        return cls(horizon=int(d["horizon"]), action_dim=int(d["action_dim"]),
-                   history_len=int(d["history_len"]), exec_len=int(d["exec_len"]))
+        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:

@@ -60,8 +60,8 @@ class PPOConfig:
         for name in ("value_weight", "entropy_weight", "anchor_weight"):
             if getattr(self, name) < 0:
                 raise PPOConfigError(f"{name} must be >= 0")
-        if self.rollout_length < 0 or self.update_epochs < 0:
-            raise PPOConfigError("rollout_length and update_epochs must be >= 0")
+        if min(self.rollout_length, self.update_epochs, self.iterations) < 0:
+            raise PPOConfigError("rollout_length, update_epochs and iterations must be >= 0")
         if self.minibatch_size < 1:
             raise PPOConfigError("minibatch_size must be positive")
 

@@ -56,8 +56,8 @@ class TrainConfig:
             raise TrainConfigError("learning_rate and weight_decay must be >= 0")
         if self.grad_clip <= 0:
             raise TrainConfigError("grad_clip must be positive")
-        if self.epochs < 0:
-            raise TrainConfigError("epochs must be >= 0")
+        if self.epochs < 0 or self.checkpoint_every < 0:
+            raise TrainConfigError("epochs and checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 0:
             raise TrainConfigError("steps must be >= 0")
 

@@ -31,14 +31,17 @@ def softmax_rows(values: list[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def drift_field_loops(hypotheses: np.ndarray, refs: np.ndarray, weights: np.ndarray,
-                      negative_indices, positive_indices, temperatures,
+def drift_field_loops(hypotheses: np.ndarray, refs: np.ndarray, temperatures,
                       scale_floor: float, force_floor: float) -> dict:
-    """Loop re-derivation of the whole drift geometry on one small instance."""
+    """Loop re-derivation of the whole drift geometry on one small instance.
+
+    The first G references are the repulsive side and the rest the attractive
+    side, G being the hypothesis count.
+    """
     b, g, s = hypotheses.shape
     u = refs.shape[1]
-    neg = list(negative_indices)
-    pos = list(positive_indices)
+    neg = list(range(g))
+    pos = list(range(g, u))
 
     d = np.zeros((b, g, u))
     for i in range(b):
@@ -51,13 +54,11 @@ def drift_field_loops(hypotheses: np.ndarray, refs: np.ndarray, weights: np.ndar
                 d[i, r, k] = math.sqrt(acc)
 
     num = 0.0
-    den = 0.0
     for i in range(b):
-        for k in range(u):
-            den += weights[i, k]
-            for r in range(g):
-                num += d[i, r, k] * weights[i, k]
-    scale = max(num / (g * den), scale_floor)
+        for r in range(g):
+            for k in range(u):
+                num += d[i, r, k]
+    scale = max(num / (b * g * u), scale_floor)
 
     affinities = {}
     coefficients = {}
@@ -71,7 +72,7 @@ def drift_field_loops(hypotheses: np.ndarray, refs: np.ndarray, weights: np.ndar
             sm_r = [softmax_rows([logits[i, r, k] for r in range(g)]) for k in range(u)]
             for r in range(g):
                 for k in range(u):
-                    a[i, r, k] = math.sqrt(sm_u[r][k] * sm_r[k][r]) * weights[i, k]
+                    a[i, r, k] = math.sqrt(sm_u[r][k] * sm_r[k][r])
         alpha = np.zeros((b, g, u))
         for i in range(b):
             for r in range(g):

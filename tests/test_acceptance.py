@@ -87,9 +87,7 @@ def test_criterion_1_oracle_equivalence():
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
         field = compute_drift_field(hyp, pool, config)
         loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
-        oracle = drift_field_loops(hyp, pool.refs, pool.weights,
-                                   pool.negative_indices, pool.positive_indices,
-                                   config.temperatures, config.scale_floor,
+        oracle = drift_field_loops(hyp, pool, config.temperatures, config.scale_floor,
                                    config.force_floor)
         worst = max(worst, np.max(np.abs(field.distances - oracle["distances"])))
         worst = max(worst, abs(field.scale - oracle["scale"]))
@@ -113,7 +111,7 @@ def test_criterion_2_mass_balance_identity():
     n, g, c_p = 10_000, 3, 2
     aff = rng.uniform(0.0, 1.0, size=(n, g, g + c_p))
     neg, pos = np.arange(g), np.arange(g, g + c_p)
-    alpha = balanced_coefficients(aff, neg, pos)
+    alpha = balanced_coefficients(aff)
     residual = np.abs(alpha[:, :, neg].sum(axis=2) + alpha[:, :, pos].sum(axis=2))
     worst = float(residual.max())
     assert worst < 1e-9, f"residual {worst:.3e}"

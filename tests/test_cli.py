@@ -87,9 +87,14 @@ def test_numerical_blow_up_exits_3_with_abort_dump(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def tiny_checkpoint(tmp_path_factory):
+def tiny_data(tmp_path_factory):
+    return synth_dir(tmp_path_factory.mktemp("data"))
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory, tiny_data):
     tmp = tmp_path_factory.mktemp("ckpt")
-    _, run = train_dir(tmp, synth_dir(tmp), steps=2)
+    _, run = train_dir(tmp, tiny_data, steps=2)
     return str(run / "checkpoint_final.json")
 
 
@@ -97,20 +102,28 @@ BAD_SETTINGS = [
     ("finetune", {"ppo.clip": 1.5}),
     ("finetune", {"ppo.gamma": 0}),
     ("finetune", {"ppo.minibatch_size": 0}),
+    ("finetune", {"ppo.iterations": -3}),
     ("finetune", {"ppo.reward_mode": "bogus"}),
     ("eval", {"eval.reward_mode": "bogus"}),
     ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"}),
+    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_conditions": 0}),
+    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0}),
+    ("train", {"data.path": None, "train.checkpoint_every": -5}),
     ("synth", {"synth.conditions": 0}),
     ("synth", {"synth.samples_per_condition": 0}),
+    ("synth", {"chunk.action_dim": 3}),
 ]
 
 
 @pytest.mark.parametrize("command,payload", BAD_SETTINGS,
                          ids=[f"{c}-{'-'.join(p)}" for c, p in BAD_SETTINGS])
-def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, tiny_checkpoint,
+def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, tiny_data, tiny_checkpoint,
                                                command, payload):
-    if command != "synth":
+    if command in ("eval", "finetune"):
         payload = {"checkpoint.path": tiny_checkpoint, **payload}
+    # a dataset key names the module's tiny dataset
+    payload = {key: str(tiny_data / "dataset.csv") if key in ("data.path", "eval.dataset")
+               else value for key, value in payload.items()}
     cfg = write_config(tmp_path / "bad.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error:" in capsys.readouterr().err

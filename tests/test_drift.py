@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit.autodiff import Tensor, backward
-from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATURES, ReferencePool,
+from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATURES,
                             aggregate_and_target, balanced_coefficients,
                             build_reference_pool, compute_drift_field, fixed_point_loss,
                             drift_loss, global_scale, pairwise_distances,
@@ -65,33 +65,12 @@ def test_distance_shape_mismatch():
 
 def test_global_scale_uniform_mean():
     d = np.array([[[1.0, 2.0, 3.0]]])  # B=1, G=1, U=3
-    w = np.ones((1, 3))
-    assert global_scale(d, w, 1e-6) == 2.0
+    assert global_scale(d, 1e-6) == 2.0
 
 
 def test_global_scale_floor_active():
     d = np.zeros((1, 2, 3))
-    w = np.ones((1, 3))
-    assert global_scale(d, w, 1e-6) == 1e-6
-
-
-def test_global_scale_weighted():
-    d = np.array([[[1.0, 3.0]]])
-    w = np.array([[1.0, 3.0]])
-    assert global_scale(d, w, 1e-6) == pytest.approx(2.5, abs=0)
-
-
-def test_global_scale_weight_counted_once_per_reference():
-    # G=2 hypotheses share the same per-(i, u) weights
-    d = np.array([[[1.0, 3.0], [5.0, 7.0]]])
-    w = np.array([[2.0, 2.0]])
-    expected = (1 + 3 + 5 + 7) * 2.0 / (2 * 4.0)
-    assert global_scale(d, w, 1e-6) == pytest.approx(expected, abs=0)
-
-
-def test_global_scale_zero_weight_rejected():
-    with pytest.raises(DriftConfigError):
-        global_scale(np.ones((1, 1, 2)), np.zeros((1, 2)), 1e-6)
+    assert global_scale(d, 1e-6) == 1e-6
 
 
 # -- symmetric affinity ---------------------------------------------------
@@ -99,28 +78,24 @@ def test_global_scale_zero_weight_rejected():
 
 def test_affinity_degenerate_single_pair_is_one():
     d = np.array([[[4.2]]])
-    w = np.ones((1, 1))
-    a = symmetric_affinity(d, 1.0, 0.2, w)
+    a = symmetric_affinity(d, 1.0, 0.2)
     assert a[0, 0, 0] == 1.0
 
 
 def test_affinity_equal_distances_gives_half():
     d = np.full((1, 2, 2), 3.0)
-    w = np.ones((1, 2))
-    a = symmetric_affinity(d, 1.0, 0.5, w)
+    a = symmetric_affinity(d, 1.0, 0.5)
     np.testing.assert_allclose(a, 0.5, atol=1e-15, rtol=0)
 
 
 def test_affinity_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    values, pool = random_instance(rng)
-    d = pairwise_distances(values.data, pool.refs)
-    scale = global_scale(d, pool.weights, 1e-6)
+    values, refs = random_instance(rng)
+    d = pairwise_distances(values.data, refs)
+    scale = global_scale(d, 1e-6)
     for temp in (0.05, 0.2, 1.0):
-        a = symmetric_affinity(d, scale, temp, pool.weights)
-        oracle = drift_field_loops(values.data, pool.refs, pool.weights,
-                                   pool.negative_indices, pool.positive_indices,
-                                   (temp,), 1e-6, 1e-6)
+        a = symmetric_affinity(d, scale, temp)
+        oracle = drift_field_loops(values.data, refs, (temp,), 1e-6, 1e-6)
         np.testing.assert_allclose(a, oracle["affinities"][temp], atol=1e-12, rtol=0)
 
 
@@ -130,21 +105,24 @@ def test_affinity_matches_loop_oracle():
 def test_coefficients_two_element_identity():
     a_self, a_pos = 0.3, 0.8
     aff = np.array([[[a_self, a_pos]]])
-    alpha = balanced_coefficients(aff, np.array([0]), np.array([1]))
+    alpha = balanced_coefficients(aff)
     np.testing.assert_allclose(alpha[0, 0], [-a_self * a_pos, a_pos * a_self],
                                atol=0, rtol=0)
     assert alpha.sum() == 0.0
 
 
 def test_coefficients_zero_side_gives_zero():
-    aff = np.array([[[0.0, 0.0, 0.7]]])
-    alpha = balanced_coefficients(aff, np.array([0, 1]), np.array([2]))
+    # G=2: both hypotheses give their two negative references zero affinity
+    aff = np.array([[[0.0, 0.0, 0.7], [0.0, 0.0, 0.4]]])
+    alpha = balanced_coefficients(aff)
     np.testing.assert_array_equal(alpha, np.zeros_like(alpha))
 
 
 def test_coefficients_empty_positive_side_rejected():
-    with pytest.raises(DriftConfigError):
-        balanced_coefficients(np.ones((1, 1, 2)), np.array([0, 1]), np.array([], dtype=int))
+    # the coefficients' positive side is the pool's positives, which the pool
+    # requires to be non-empty
+    with pytest.raises(DriftConfigError, match="positive reference set must be non-empty"):
+        build_reference_pool(np.ones((2, 3, 4)), np.ones((2, 0, 4)))
 
 
 def test_mass_balance_and_oracle_on_random_affinities():
@@ -153,7 +131,7 @@ def test_mass_balance_and_oracle_on_random_affinities():
         g, c_p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         aff = rng.uniform(0, 1, size=(2, g, g + c_p))
         neg, pos = np.arange(g), np.arange(g, g + c_p)
-        alpha = balanced_coefficients(aff, neg, pos)
+        alpha = balanced_coefficients(aff)
         residual = alpha[:, :, neg].sum(axis=2) + alpha[:, :, pos].sum(axis=2)
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -179,12 +157,10 @@ def test_force_zero_for_zero_coefficients():
 
 def test_force_matches_loop_oracle():
     rng = np.random.default_rng(23)
-    values, pool = random_instance(rng)
+    values, refs = random_instance(rng)
     config = DriftConfig(hypothesis_count=values.shape[1])
-    field = compute_drift_field(values.data, pool, config)
-    oracle = drift_field_loops(values.data, pool.refs, pool.weights,
-                               pool.negative_indices, pool.positive_indices,
-                               config.temperatures, config.scale_floor,
+    field = compute_drift_field(values.data, refs, config)
+    oracle = drift_field_loops(values.data, refs, config.temperatures, config.scale_floor,
                                config.force_floor)
     np.testing.assert_allclose(field.forces[0.2], oracle["forces"][0.2],
                                atol=1e-12, rtol=0)
@@ -263,19 +239,19 @@ def test_loss_constant_field_squares():
 def test_forward_loss_equals_mean_squared_drift():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        values, pool = random_instance(rng)
+        values, refs = random_instance(rng)
         config = DriftConfig(hypothesis_count=values.shape[1],
                              temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(values.data, pool, config)
+        field = compute_drift_field(values.data, refs, config)
         loss = fixed_point_loss(values, field.target, field.scale)
         assert abs(loss.item() - np.mean(np.square(field.aggregate))) < 1e-10
 
 
 def test_loss_gradient_matches_finite_differences_with_fixed_target():
     rng = np.random.default_rng(13)
-    values, pool = random_instance(rng, b=2, g=3, s=4)
+    values, refs = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3)
-    field = compute_drift_field(values.data, pool, config)
+    field = compute_drift_field(values.data, refs, config)
     loss = fixed_point_loss(values, field.target, field.scale)
     grads = backward(loss)
     analytic = grads[values]
@@ -304,13 +280,11 @@ def test_pipeline_matches_loop_oracle_100_instances():
         c_p = int(rng.integers(1, max(2, 7 - g)))
         hyp = rng.uniform(-2, 2, size=(b, g, s))
         pos = rng.uniform(-2, 2, size=(b, c_p, s))
-        pool = build_reference_pool(hyp, pos)
+        refs = build_reference_pool(hyp, pos)
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(hyp, pool, config)
+        field = compute_drift_field(hyp, refs, config)
         loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
-        oracle = drift_field_loops(hyp, pool.refs, pool.weights,
-                                   pool.negative_indices, pool.positive_indices,
-                                   config.temperatures, config.scale_floor,
+        oracle = drift_field_loops(hyp, refs, config.temperatures, config.scale_floor,
                                    config.force_floor)
         worst = max(worst, abs(field.scale - oracle["scale"]))
         worst = max(worst, np.max(np.abs(field.distances - oracle["distances"])))
@@ -327,21 +301,20 @@ def test_pipeline_matches_loop_oracle_100_instances():
 def test_mass_balance_through_pipeline():
     rng = np.random.default_rng(77)
     for _ in range(20):
-        values, pool = random_instance(rng)
-        config = DriftConfig(hypothesis_count=values.shape[1],
-                             temperatures=(0.05, 0.2))
-        field = compute_drift_field(values.data, pool, config)
+        values, refs = random_instance(rng)
+        g = values.shape[1]
+        config = DriftConfig(hypothesis_count=g, temperatures=(0.05, 0.2))
+        field = compute_drift_field(values.data, refs, config)
         for alpha in field.coefficients.values():
-            residual = (alpha[:, :, pool.negative_indices].sum(axis=2)
-                        + alpha[:, :, pool.positive_indices].sum(axis=2))
+            residual = alpha[:, :, :g].sum(axis=2) + alpha[:, :, g:].sum(axis=2)
             assert np.max(np.abs(residual)) < 1e-9
 
 
 def test_softmax_axis_sums_through_pipeline():
     rng = np.random.default_rng(19)
-    values, pool = random_instance(rng, b=2, g=3, s=4)
-    d = pairwise_distances(values.data, pool.refs)
-    scale = global_scale(d, pool.weights, 1e-6)
+    values, refs = random_instance(rng, b=2, g=3, s=4)
+    d = pairwise_distances(values.data, refs)
+    scale = global_scale(d, 1e-6)
     logits = -(d / scale) / 0.2
     shifted_u = logits - logits.max(axis=2, keepdims=True)
     p_u = np.exp(shifted_u) / np.exp(shifted_u).sum(axis=2, keepdims=True)
@@ -353,14 +326,11 @@ def test_softmax_axis_sums_through_pipeline():
 
 def test_scale_equivariance_of_normalized_geometry():
     rng = np.random.default_rng(41)
-    values, pool = random_instance(rng, b=2, g=3, s=4)
+    values, refs = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3, temperatures=(0.2,))
-    base = compute_drift_field(values.data, pool, config)
+    base = compute_drift_field(values.data, refs, config)
     c = 3.7
-    scaled_pool = ReferencePool(refs=pool.refs * c, weights=pool.weights,
-                                negative_indices=pool.negative_indices,
-                                positive_indices=pool.positive_indices)
-    scaled = compute_drift_field(values.data * c, scaled_pool, config)
+    scaled = compute_drift_field(values.data * c, refs * c, config)
     assert scaled.scale == pytest.approx(c * base.scale, rel=1e-12)
     np.testing.assert_allclose(scaled.affinities[0.2], base.affinities[0.2],
                                atol=1e-9, rtol=0)
@@ -384,8 +354,7 @@ def test_equilibrium_field_statistically_symmetric():
         a = mixture(g)[None, :, :]
         b = mixture(g)[None, :, :]
         for hyp, pos, sink in ((a, b, stats_a), (b, a, stats_b)):
-            pool = build_reference_pool(hyp, pos)
-            field = compute_drift_field(hyp, pool, config)
+            field = compute_drift_field(hyp, build_reference_pool(hyp, pos), config)
             sink.append(np.sqrt(np.square(field.aggregate).sum(axis=-1)).mean())
     mean_a, mean_b = np.mean(stats_a), np.mean(stats_b)
     se = np.sqrt(np.var(stats_a, ddof=1) / len(stats_a)
@@ -400,49 +369,41 @@ temperature_sets = st.lists(st.floats(min_value=0.02, max_value=2.0), min_size=1
                             max_size=3, unique=True)
 
 
-def pool_instance(seed, b, g, s, c_n):
-    """Hypotheses, positives, negatives and non-uniform weights for one pool."""
+def pool_instance(seed, b, g, s):
+    """Hypotheses and 1 to 3 positives per sample for one pool."""
     rng = np.random.default_rng(seed)
     c_p = int(rng.integers(1, 4))
     hyp = rng.uniform(-2, 2, size=(b, g, s))
     pos = rng.uniform(-2, 2, size=(b, c_p, s))
-    neg = rng.uniform(-2, 2, size=(b, c_n, s))
-    weights = rng.uniform(0.1, 2.0, size=(b, g + c_n + c_p))
-    return hyp, pos, neg, weights
+    return hyp, pos
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
-       s=st.integers(1, 5), c_n=st.integers(0, 2), temperatures=temperature_sets)
-def test_property_mass_balance_per_hypothesis_and_temperature(seed, b, g, s, c_n,
-                                                              temperatures):
-    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
-    pool = build_reference_pool(hyp, pos, neg, weights)
+       s=st.integers(1, 5), temperatures=temperature_sets)
+def test_property_mass_balance_per_hypothesis_and_temperature(seed, b, g, s, temperatures):
+    hyp, pos = pool_instance(seed, b, g, s)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
-    field = compute_drift_field(hyp, pool, config)
+    field = compute_drift_field(hyp, build_reference_pool(hyp, pos), config)
     for alpha in field.coefficients.values():
-        negative_side = alpha[:, :, pool.negative_indices].sum(axis=2)
-        positive_side = alpha[:, :, pool.positive_indices].sum(axis=2)
+        negative_side = alpha[:, :, :g].sum(axis=2)
+        positive_side = alpha[:, :, g:].sum(axis=2)
         np.testing.assert_allclose(negative_side, -positive_side, rtol=1e-12, atol=1e-15)
 
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
-       s=st.integers(1, 5), c_n=st.integers(0, 2), temperatures=temperature_sets)
-def test_property_hypothesis_permutation_equivariance(seed, b, g, s, c_n, temperatures):
-    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
+       s=st.integers(1, 5), temperatures=temperature_sets)
+def test_property_hypothesis_permutation_equivariance(seed, b, g, s, temperatures):
+    hyp, pos = pool_instance(seed, b, g, s)
     perm = np.random.default_rng(seed + 1).permutation(g)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
 
-    def field_of(hypotheses, pool_weights):
-        pool = build_reference_pool(hypotheses, pos, neg, pool_weights)
-        return compute_drift_field(hypotheses, pool, config)
+    def field_of(hypotheses):
+        return compute_drift_field(hypotheses, build_reference_pool(hypotheses, pos), config)
 
-    base = field_of(hyp, weights)
-    # the pool's first G references are the hypotheses' own copies, so their
-    # weights move with them
-    permuted_weights = np.concatenate([weights[:, perm], weights[:, g:]], axis=1)
-    permuted = field_of(hyp[:, perm], permuted_weights)
+    base = field_of(hyp)
+    permuted = field_of(hyp[:, perm])
     np.testing.assert_allclose(permuted.aggregate, base.aggregate[:, perm], rtol=0, atol=1e-12)
     np.testing.assert_allclose(permuted.target, base.target[:, perm], rtol=0, atol=1e-12)
 
@@ -464,8 +425,7 @@ def test_step_wise_loss_matches_manual_slices():
     for h in range(horizon):
         lo, hi = h * d_a, (h + 1) * d_a
         sl = hyp[:, :, lo:hi]
-        pool = build_reference_pool(sl, pos[:, :, lo:hi])
-        fld = compute_drift_field(sl, pool, chunk_cfg)
+        fld = compute_drift_field(sl, build_reference_pool(sl, pos[:, :, lo:hi]), chunk_cfg)
         manual += fixed_point_loss(Tensor(sl, requires_grad=True), fld.target,
                                    fld.scale).item()
     assert loss.item() == pytest.approx(manual / horizon, rel=1e-12)
@@ -490,7 +450,7 @@ def test_hypotheses_must_be_3d():
         drift_loss(Tensor(rng.normal(size=(1, 2, 2, 4))), pos, DriftConfig(hypothesis_count=2))
 
 
-def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width):
+def step_wise_loss_loop(hyp, positives, config, slice_width):
     """Reference for step-wise ``drift_loss``: one 3-d pipeline and one tape loss
     per time slice, averaged over the slices.
 
@@ -502,9 +462,8 @@ def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width)
     for h in range(horizon):
         lo, hi = h * slice_width, (h + 1) * slice_width
         sl = values[:, :, lo:hi]
-        neg = negatives[:, :, lo:hi] if negatives is not None else None
-        pool = build_reference_pool(sl.data, positives[:, :, lo:hi], neg, weights)
-        fld = compute_drift_field(sl.data, pool, config)
+        refs = build_reference_pool(sl.data, positives[:, :, lo:hi])
+        fld = compute_drift_field(sl.data, refs, config)
         piece = fixed_point_loss(sl, fld.target, fld.scale)
         fields.append(fld)
         total = piece if total is None else total + piece
@@ -514,18 +473,15 @@ def step_wise_loss_loop(hyp, positives, config, negatives, weights, slice_width)
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
-       horizon=st.integers(1, 5), d_a=st.integers(1, 3), c_n=st.integers(0, 2),
-       temperatures=temperature_sets)
-def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, c_n,
-                                                  temperatures):
-    hyp, pos, neg, weights = pool_instance(seed, b, g, horizon * d_a, c_n)
+       horizon=st.integers(1, 5), d_a=st.integers(1, 3), temperatures=temperature_sets)
+def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, temperatures):
+    hyp, pos = pool_instance(seed, b, g, horizon * d_a)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures),
                          loss_mode="step_wise")
     values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(values, pos, config,
-                           negatives=neg, weights=weights, slice_width=d_a)
+    loss, fld = drift_loss(values, pos, config, slice_width=d_a)
     grad = backward(loss)[values]
-    ref_loss, ref_fields, ref_grad = step_wise_loss_loop(hyp, pos, config, neg, weights, d_a)
+    ref_loss, ref_fields, ref_grad = step_wise_loss_loop(hyp, pos, config, d_a)
 
     # each slice's geometry is the loop's bit for bit; only the one mean over
     # all entries (against a sum of per-slice means over H) can move the loss
@@ -540,17 +496,16 @@ def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, c_n,
 
 @PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 4), g=st.integers(1, 5),
-       s=st.integers(1, 6), c_n=st.integers(0, 2), temperatures=temperature_sets)
-def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, c_n, temperatures):
-    hyp, pos, neg, weights = pool_instance(seed, b, g, s, c_n)
+       s=st.integers(1, 6), temperatures=temperature_sets)
+def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, temperatures):
+    hyp, pos = pool_instance(seed, b, g, s)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
     values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(values, pos, config,
-                           negatives=neg, weights=weights)
+    loss, fld = drift_loss(values, pos, config)
     grad = backward(loss)[values]
 
     ref_values = Tensor(hyp, requires_grad=True)
-    ref_field = compute_drift_field(hyp, build_reference_pool(hyp, pos, neg, weights), config)
+    ref_field = compute_drift_field(hyp, build_reference_pool(hyp, pos), config)
     ref_loss = fixed_point_loss(ref_values, ref_field.target, ref_field.scale)
     ref_grad = backward(ref_loss)[ref_values]
 

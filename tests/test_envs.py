@@ -12,7 +12,7 @@ from driftkit import envs
 from driftkit.envs import (DT, EnvError, PointMassEnv, VecPointMassEnv, load_dataset,
                            mode_centers_for, mode_coverage, save_dataset, scripted_action,
                            synth_multimodal)
-from driftkit.generator import ChunkSpec, executed_prefix
+from driftkit.generator import ChunkSpec, SpecError, executed_prefix
 
 from .oracles import ScalarPointMassEnv
 
@@ -280,6 +280,19 @@ def test_dataset_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.modes, ds.modes)
     assert loaded.metadata == ds.metadata
     assert loaded.spec == ds.spec
+
+
+def test_dataset_row_narrower_than_header_rejected(tmp_path):
+    ds = synth_multimodal(modes=2, conditions=3, samples_per_condition=1, seed=9)
+    csv_path = tmp_path / "dataset.csv"
+    meta_path = tmp_path / "dataset_meta.json"
+    save_dataset(ds, csv_path, meta_path)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:-3] + cells[-1:])  # the second record loses two actions
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SpecError, match="dataset row 3 has"):
+        load_dataset(csv_path, meta_path)
 
 
 def test_mode_centers_are_separated_at_episode_start():

@@ -518,3 +518,5 @@ def test_ppo_config_validation():
         PPOConfig(gae_lambda=1.5)
     with pytest.raises(PPOConfigError):
         PPOConfig(anchor_weight=-1.0)
+    with pytest.raises(PPOConfigError):
+        PPOConfig(iterations=-3)

@@ -238,3 +238,5 @@ def test_config_validation():
         TrainConfig(ema_decay=0.0)
     with pytest.raises(TrainConfigError):
         TrainConfig(grad_clip=0.0)
+    with pytest.raises(TrainConfigError):
+        TrainConfig(checkpoint_every=-5)
