@@ -6,9 +6,11 @@ bounds.  Likelihood and entropy are restricted to the executed-prefix
 coordinates, and deployment bypasses the noise entirely so the one-pass
 property is untouched.
 
-The scale head and the prefix log-density are each written once and evaluated
-either on the tape (update epochs) or on plain arrays (rollout collection),
-with bitwise-equal values.
+The scale head and the prefix log-density are each written once with engine
+ops that take either backend: :meth:`GaussianActor.forward` yields tape
+tensors (update epochs), :meth:`GaussianActor.infer` plain arrays (rollout
+collection), and :func:`prefix_log_prob` of either output has bitwise-equal
+values.
 """
 
 from __future__ import annotations
@@ -29,10 +31,14 @@ DEFAULT_LOG_STD_INIT = float(np.log(0.15))
 
 @dataclass
 class ActorOutput:
-    """Per-row Gaussian parameters plus the chunk geometry that locates the prefix."""
+    """Per-row Gaussian parameters plus the chunk geometry that locates the prefix.
 
-    mean: Tensor
-    log_std: Tensor
+    The parameters are tape tensors from :meth:`GaussianActor.forward` and
+    arrays from :meth:`GaussianActor.infer`.
+    """
+
+    mean: Tensor | np.ndarray
+    log_std: Tensor | np.ndarray
     spec: ChunkSpec
 
 
@@ -59,19 +65,18 @@ class GaussianActor:
     def parameters(self) -> dict[str, Tensor]:
         return {**self.generator.params, **self.head}
 
-    def _log_std(self, feat, clamp):
-        return clamp(self.head.linear(feat, "scale"), *self.log_std_bounds)
+    def _log_std(self, feat):
+        return clip(self.head.linear(feat, "scale"), *self.log_std_bounds)
 
     def forward(self, obs_flat: Tensor, z: Tensor) -> ActorOutput:
         """One backbone evaluation yielding mean and clipped log-scale."""
         mean, feat = self.generator.forward(obs_flat, z)
-        log_std = self._log_std(feat, clip)
-        return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
+        return ActorOutput(mean=mean, log_std=self._log_std(feat), spec=self.spec)
 
-    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`forward` without the tape: (mean, clipped log-scale) arrays."""
+    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> ActorOutput:
+        """:meth:`forward` without the tape: the same output, holding arrays."""
         mean, feat = self.generator.infer(obs_flat, z)
-        return mean, self._log_std(feat, np.clip)
+        return ActorOutput(mean=mean, log_std=self._log_std(feat), spec=self.spec)
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""
@@ -85,45 +90,28 @@ def sample_gaussian(mean: np.ndarray, log_std: np.ndarray,
     return mean + np.exp(log_std) * eta
 
 
-def _prefix_rows(x_exec, mean_shape, spec_slice: slice) -> np.ndarray:
-    """The executed-prefix actions as (B, prefix width) rows, shape-checked."""
-    if len(mean_shape) != 2:
-        raise SpecError("prefix_log_prob expects batched (B, D) actor output")
-    width = spec_slice.stop - spec_slice.start
-    x = np.asarray(x_exec, dtype=np.float64).reshape(mean_shape[0], -1)
-    if x.shape[1] != width:
-        raise SpecError(f"executed prefix has {x.shape[1]} coordinates, expected {width}")
-    return x
-
-
-def _log_density(x, mu, ls, exp_fn, square_fn):
-    """Per-row diagonal-Gaussian log-density, summed over the given coordinates."""
-    resid = x - mu
-    inv_var = exp_fn(-2.0 * ls)
-    return (-0.5 * LOG_2PI - ls - 0.5 * square_fn(resid) * inv_var).sum(axis=1)
-
-
-def prefix_log_prob(x_exec: np.ndarray, output: ActorOutput) -> Tensor:
+def prefix_log_prob(x_exec: np.ndarray, output: ActorOutput) -> Tensor | np.ndarray:
     """Log-likelihood of the executed prefix under the diagonal Gaussian.
 
     Sums -0.5*log(2*pi) - log(std) - (x - mean)^2 / (2*std^2) over exactly the
     prefix coordinates; coordinates outside the prefix contribute nothing to
-    the value or the gradient.  Returns one scalar per batch row.
+    the value or the gradient.  Returns one scalar per batch row: a tape
+    ``Tensor`` for a :meth:`GaussianActor.forward` output, a finiteness-checked
+    array for a :meth:`GaussianActor.infer` output.
     """
+    if len(output.mean.shape) != 2:
+        raise SpecError("prefix_log_prob expects batched (B, D) actor output")
     spec_slice = output.spec.exec_slice()
-    x = _prefix_rows(x_exec, output.mean.shape, spec_slice)
+    width = spec_slice.stop - spec_slice.start
+    x = np.asarray(x_exec, dtype=np.float64).reshape(output.mean.shape[0], -1)
+    if x.shape[1] != width:
+        raise SpecError(f"executed prefix has {x.shape[1]} coordinates, expected {width}")
     mu = output.mean[:, spec_slice]
     ls = output.log_std[:, spec_slice]
-    return _log_density(Tensor(x), mu, ls, exp, square)
-
-
-def prefix_log_prob_arrays(x_exec: np.ndarray, mean: np.ndarray, log_std: np.ndarray,
-                           spec: ChunkSpec) -> np.ndarray:
-    """:func:`prefix_log_prob` on the arrays of :meth:`GaussianActor.infer`."""
-    spec_slice = spec.exec_slice()
-    x = _prefix_rows(x_exec, mean.shape, spec_slice)
-    logp = _log_density(x, mean[:, spec_slice], log_std[:, spec_slice], np.exp, np.square)
-    return check_finite(logp, "prefix log-probability")
+    resid = x - mu
+    inv_var = exp(-2.0 * ls)
+    logp = (-0.5 * LOG_2PI - ls - 0.5 * square(resid) * inv_var).sum(axis=1)
+    return logp if isinstance(logp, Tensor) else check_finite(logp, "prefix log-probability")
 
 
 def prefix_entropy(output: ActorOutput) -> Tensor:

@@ -14,7 +14,11 @@ plain BLAS gemm: gradients are never compared across batch compositions.
 There is no switch that turns recording off.  A :class:`Tensor` is on the
 tape: an op records a node exactly when one of its parents requires a
 gradient.  A value that needs no gradient is computed on plain arrays
-(:func:`affine` and numpy), never as a ``Tensor``.
+(:func:`affine` and numpy), never as a ``Tensor``.  The ops a network applies
+on both backends (:func:`tanh`, :func:`clip`, :func:`exp`, :func:`square`,
+:func:`concat`) take plain arrays too: given no ``Tensor``, each returns the
+same numpy call's array and records nothing, so a network written once with
+them runs on either backend with bitwise-equal values.
 
 An op whose result overflows does not warn: it yields an infinity or a NaN,
 and the finiteness check of every node raises :class:`AutodiffError` on it.
@@ -65,6 +69,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_seq")
 
+    # numpy defers to the reflected operators, so ``ndarray - Tensor`` is
+    # ``Tensor.__rsub__`` rather than an object array of per-element results
+    __array_ufunc__ = None
+
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
@@ -82,10 +90,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -133,15 +137,13 @@ class Tensor:
     def tanh(self):
         return tanh(self)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
 
@@ -290,60 +292,58 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def exp(a):
-    a = _lift(a)
+    if not isinstance(a, Tensor):
+        return np.exp(a)
     data = np.exp(a.data)
     return _node(data, "exp", (a,), lambda g: _accum(a, g * data))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def square(a):
-    a = _lift(a)
+    if not isinstance(a, Tensor):
+        return a * a
     ad = a.data
     return _node(ad * ad, "square", (a,), lambda g: _accum(a, 2.0 * g * ad))
 
 
 def tanh(a):
-    a = _lift(a)
+    if not isinstance(a, Tensor):
+        return np.tanh(a)
     data = np.tanh(a.data)
     return _node(data, "tanh", (a,), lambda g: _accum(a, g * (1.0 - data * data)))
 
 
-def _restore_axes(g, in_shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, in_shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        shape = list(in_shape)
-        for ax in sorted(a % len(in_shape) for a in axes):
-            shape[ax] = 1
-        g = g.reshape(shape)
+def _restore_axes(g, in_shape, axis):
+    if axis is not None:
+        g = np.expand_dims(g, axis)
     return np.broadcast_to(g, in_shape)
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     a = _lift(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def bw(g):
-        _accum(a, _restore_axes(g, a.shape, axis, keepdims))
+        _accum(a, _restore_axes(g, a.shape, axis))
 
     return _node(data, "sum", (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     a = _lift(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+    data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.data.size // data.size
 
     def bw(g):
-        _accum(a, _restore_axes(g, a.shape, axis, keepdims) / count)
+        _accum(a, _restore_axes(g, a.shape, axis) / count)
 
     return _node(data, "mean", (a,), bw)
 
 
 def clip(a, lo: float, hi: float):
     """Clamp to [lo, hi]; gradient is 1 strictly inside and 0 at or past the bounds."""
-    a = _lift(a)
+    if not isinstance(a, Tensor):
+        return np.clip(a, lo, hi)
     ad = a.data
     data = np.clip(ad, lo, hi)
 
@@ -366,10 +366,10 @@ def minimum(a, b):
     return _binary(a, b, "minimum", np.minimum, da, db)
 
 
-def concat(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
-    if not tensors:
-        raise AutodiffError("concat of empty list")
+def concat(parts, axis=0):
+    if not any(isinstance(t, Tensor) for t in parts):
+        return np.concatenate(parts, axis=axis)
+    tensors = [_lift(t) for t in parts]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)

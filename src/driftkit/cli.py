@@ -106,20 +106,11 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
     elif cfg["eval.policy"] == "checkpoint":
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
         actor = ckpt.restore_actor(doc, use_ema=cfg["eval.use_ema"])
-        spec = actor.spec
-        t0 = time.perf_counter()
-        report = evaluate_policy(
-            lambda: PointMassEnv(spec, reward_mode=cfg["eval.reward_mode"]),
-            actor, episodes, seed)
-        elapsed = time.perf_counter() - t0
-        decisions = max(1, actor.generator.nfe_count)
-        report["policy"] = "checkpoint"
-        report["nfe_per_decision"] = 1.0 if report["nfe_violations"] == 0 else None
-        report["wall_clock_per_decision_ms"] = 1e3 * elapsed / decisions
+        coverage = {}
+        # coverage runs first, so a bad dataset or coverage count fails before any episode
         if cfg["eval.dataset"]:
             data_path = Path(cfg["eval.dataset"])
             dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
-            rng = np.random.default_rng(seed)
 
             def policy_fn(obs_hist, samples, rng_):
                 obs = np.repeat(obs_hist.reshape(1, -1), samples, axis=0)
@@ -127,9 +118,19 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
                 chunk, _ = actor.generator.infer(obs, z)
                 return chunk
 
-            report["mode_coverage"] = mode_coverage(
-                policy_fn, dataset, cfg["eval.coverage_samples"], rng,
+            coverage["mode_coverage"] = mode_coverage(
+                policy_fn, dataset, cfg["eval.coverage_samples"], np.random.default_rng(seed),
                 max_conditions=cfg["eval.coverage_conditions"])
+        before = actor.generator.nfe_count
+        t0 = time.perf_counter()
+        report = evaluate_policy(
+            lambda: PointMassEnv(actor.spec, reward_mode=cfg["eval.reward_mode"]),
+            actor, episodes, seed)
+        elapsed = time.perf_counter() - t0
+        decisions = max(1, actor.generator.nfe_count - before)
+        report.update(coverage, policy="checkpoint")
+        report["nfe_per_decision"] = 1.0 if report["nfe_violations"] == 0 else None
+        report["wall_clock_per_decision_ms"] = 1e3 * elapsed / decisions
     else:
         raise ConfigError(f"eval.policy must be 'checkpoint' or 'scripted'")
     with open(out / "report.json", "w") as fh:

@@ -5,13 +5,14 @@ H x d_a action chunk in exactly one forward evaluation.  The observation
 embedding activation doubles as the state feature consumed by the Stage-2
 scale head, so it is returned alongside the chunk.
 
-The network is written once (:func:`_backbone`) and evaluated either on the
-autodiff tape (:meth:`Generator.forward`, for training) or on plain arrays
+The network is written once (:func:`_backbone`) with engine ops that take
+either backend, and evaluated either on the autodiff tape
+(:meth:`Generator.forward`, for training) or on plain arrays
 (:meth:`Generator.infer`, for every evaluation that needs no gradient).  Both
-use the same row-invariant kernel (:func:`autodiff.row_matmul`), so their
-values agree bitwise, and a row's values do not depend on its batch.  A
-caller that wants values only calls :meth:`Generator.infer`; a ``Tensor``
-result always means a recorded graph.
+run the same numpy calls around the same row-invariant kernel
+(:func:`autodiff.row_matmul`), so their values agree bitwise, and a row's
+values do not depend on its batch.  A caller that wants values only calls
+:meth:`Generator.infer`; a ``Tensor`` result always means a recorded graph.
 """
 
 from __future__ import annotations
@@ -142,20 +143,12 @@ class Dense(dict):
         return affine(x, w.data, b.data)
 
 
-def _tape_concat(parts):
-    return concat(parts, axis=1)
-
-
-def _array_concat(parts):
-    return np.concatenate(parts, axis=1)
-
-
-def _backbone(p: Dense, obs, z, act, cat):
+def _backbone(p: Dense, obs, z):
     """(chunk, observation feature) of the generator MLP on either backend."""
-    feat = act(p.linear(obs, "obs"))
-    lat = act(p.linear(z, "lat"))
-    h1 = act(p.linear(cat([feat, lat]), "trunk1"))
-    h2 = act(p.linear(h1, "trunk2"))
+    feat = tanh(p.linear(obs, "obs"))
+    lat = tanh(p.linear(z, "lat"))
+    h1 = tanh(p.linear(concat([feat, lat], axis=1), "trunk1"))
+    h2 = tanh(p.linear(h1, "trunk2"))
     return p.linear(h2, "head"), feat
 
 
@@ -198,7 +191,7 @@ class Generator:
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
         self.nfe_count += obs_flat.shape[0]
-        return _backbone(self.params, obs_flat, z, tanh, _tape_concat)
+        return _backbone(self.params, obs_flat, z)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One network evaluation without the tape: :meth:`forward`'s values as arrays.
@@ -209,7 +202,7 @@ class Generator:
         obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
         self.nfe_count += obs_flat.shape[0]
         z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
-        return _backbone(self.params, obs_flat, z, np.tanh, _array_concat)
+        return _backbone(self.params, obs_flat, z)
 
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""

@@ -17,8 +17,7 @@ import numpy as np
 from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp, minimum,
                        tanh)
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .actor import (GaussianActor, prefix_entropy, prefix_log_prob, prefix_log_prob_arrays,
-                    sample_gaussian)
+from .actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_gaussian
 from .envs import VecPointMassEnv
 from .generator import ChunkSpec, Dense, Generator, executed_prefix
 from .training import AdamW, NumericalAbort, leaf_grads
@@ -77,21 +76,21 @@ class Critic:
             ("v1", input_dim, h), ("v2", h, h), ("v3", h, 1)))
 
     def forward(self, obs_flat: Tensor) -> Tensor:
-        return _value_mlp(self.params, obs_flat, tanh)
+        return _value_mlp(self.params, obs_flat)
 
     def value(self, obs_flat: np.ndarray) -> np.ndarray:
         """:meth:`forward` without the tape, on an observation array."""
         obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
-        return _value_mlp(self.params, obs, np.tanh)
+        return _value_mlp(self.params, obs)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return self.params.arrays()
 
 
-def _value_mlp(p: Dense, obs, act):
+def _value_mlp(p: Dense, obs):
     """Per-row values of the critic MLP on either backend."""
-    h = act(p.linear(obs, "v1"))
-    h = act(p.linear(h, "v2"))
+    h = tanh(p.linear(obs, "v1"))
+    h = tanh(p.linear(h, "v2"))
     return p.linear(h, "v3")[:, 0]
 
 
@@ -120,62 +119,41 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Receding-horizon collection: one policy query per H_e environment steps.
 
-    Every query is tape-free.  The stored log-probabilities use the same
-    row-invariant kernel (:func:`autodiff.row_matmul`) and formulas as the
-    batched tape forward of the update epochs, so an epoch-0 recomputation
-    reproduces them bitwise.
+    Every query is tape-free and writes decision ``t`` into row ``t`` of the
+    buffer.  The stored log-probabilities come from the same network and
+    formulas, with the same row-invariant kernel
+    (:func:`autodiff.row_matmul`), as the batched tape forward of the update
+    epochs, so an epoch-0 recomputation reproduces them bitwise.
     """
     spec = actor.spec
-    obs_rows, z_rows, act_rows, logp_rows = [], [], [], []
-    reward_rows, value_rows, done_rows = [], [], []
-    episode_returns, episode_successes = [], []
+    generator = actor.generator
+    buf = RolloutBuffer(obs=np.empty((length, spec.history_len * generator.obs_dim)),
+                        latents=np.empty((length, generator.latent_dim)),
+                        exec_actions=np.empty((length, spec.exec_dim)),
+                        old_log_probs=np.empty(length), rewards=np.empty(length),
+                        values=np.empty(length), dones=np.empty(length, dtype=bool),
+                        bootstrap_value=0.0)
     obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
     ep_return = 0.0
-    last_obs_flat = None
-    for _ in range(length):
+    for t in range(length):
         obs_flat = obs_hist.reshape(1, -1)
-        z = rng.standard_normal((1, actor.generator.latent_dim))
-        mean, log_std = actor.infer(obs_flat, z)
-        chunk = sample_gaussian(mean, log_std, rng)[0]
-        prefix = executed_prefix(chunk, spec)
-        logp = prefix_log_prob_arrays(prefix.reshape(1, -1), mean, log_std, spec)[0]
-        value = critic.value(obs_flat)[0]
-        next_hist, reward, done = env.step_prefix(prefix)
-        obs_rows.append(obs_flat[0])
-        z_rows.append(z[0])
-        act_rows.append(prefix.reshape(-1))
-        logp_rows.append(float(logp))
-        reward_rows.append(float(reward))
-        value_rows.append(float(value))
-        done_rows.append(bool(done))
+        z = rng.standard_normal((1, generator.latent_dim))
+        out = actor.infer(obs_flat, z)
+        prefix = executed_prefix(sample_gaussian(out.mean, out.log_std, rng)[0], spec)
+        buf.obs[t], buf.latents[t], buf.exec_actions[t] = obs_flat[0], z[0], prefix.reshape(-1)
+        buf.old_log_probs[t] = prefix_log_prob(buf.exec_actions[t:t + 1], out)[0]
+        buf.values[t] = critic.value(obs_flat)[0]
+        obs_hist, reward, done = env.step_prefix(prefix)
+        buf.rewards[t], buf.dones[t] = reward, done
         ep_return += reward
         if done:
-            episode_returns.append(ep_return)
-            episode_successes.append(env.succeeded)
+            buf.episode_returns.append(ep_return)
+            buf.episode_successes.append(env.succeeded)
             ep_return = 0.0
             obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
-        else:
-            obs_hist = next_hist
-        last_obs_flat = obs_hist.reshape(1, -1)
-    if length and not done_rows[-1]:
-        bootstrap = float(critic.value(last_obs_flat)[0])
-    else:
-        bootstrap = 0.0
-    d = spec.exec_dim
-    c = actor.generator.latent_dim
-    n_obs = spec.history_len * actor.generator.obs_dim
-    return RolloutBuffer(
-        obs=np.asarray(obs_rows).reshape(length, n_obs),
-        latents=np.asarray(z_rows).reshape(length, c),
-        exec_actions=np.asarray(act_rows).reshape(length, d),
-        old_log_probs=np.asarray(logp_rows),
-        rewards=np.asarray(reward_rows),
-        values=np.asarray(value_rows),
-        dones=np.asarray(done_rows, dtype=bool),
-        bootstrap_value=bootstrap,
-        episode_returns=episode_returns,
-        episode_successes=episode_successes,
-    )
+    if length and not buf.dones[-1]:
+        buf.bootstrap_value = float(critic.value(obs_hist.reshape(1, -1))[0])
+    return buf
 
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float) -> RolloutBuffer:
@@ -199,10 +177,10 @@ def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float) -> RolloutBuffe
     return buffer
 
 
-def ppo_ratio(new_log_prob: Tensor, old_log_prob: np.ndarray) -> Tensor:
-    """exp(new - old) with the log-gap clamped to +-40 against overflow."""
-    delta = new_log_prob - Tensor(old_log_prob)
-    return exp(clip(delta, -RATIO_LOG_CLAMP, RATIO_LOG_CLAMP))
+def ppo_ratio(new_log_prob, old_log_prob: np.ndarray):
+    """exp(new - old) with the log-gap clamped to +-40 against overflow: a
+    ``Tensor`` ratio for a tape ``new_log_prob``, an array for an array."""
+    return exp(clip(new_log_prob - old_log_prob, -RATIO_LOG_CLAMP, RATIO_LOG_CLAMP))
 
 
 def clipped_surrogate(ratio: Tensor, advantages: np.ndarray, clip_eps: float) -> Tensor:
@@ -265,8 +243,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     # graph be freed before the first minibatch.
     logp0 = prefix_log_prob(buffer.exec_actions,
                             actor.forward(Tensor(buffer.obs), Tensor(buffer.latents))).data
-    stats.first_epoch_ratios = np.exp(
-        np.clip(logp0 - buffer.old_log_probs, -RATIO_LOG_CLAMP, RATIO_LOG_CLAMP))
+    stats.first_epoch_ratios = ppo_ratio(logp0, buffer.old_log_probs)
 
     ratios_acc, clip_acc, vloss_acc, ent_acc, anch_acc = [], [], [], [], []
     for epoch in range(config.update_epochs):

@@ -15,8 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from driftkit.actor import (GaussianActor, prefix_entropy, prefix_log_prob,
-                            prefix_log_prob_arrays)
+from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import Tensor, backward
 from driftkit.checkpoint import checkpoint_document, restore_generator
 from driftkit.cli import main
@@ -262,11 +261,11 @@ def test_criterion_5_ratio_equivalence(pretrained_doc):
         z = rng.standard_normal((1, gen.latent_dim))
         x = rng.normal(size=(1, spec.exec_dim))
         arrays = gen.param_arrays()
-        lp_old = prefix_log_prob_arrays(x, *actor.infer(obs, z), spec)[0]
+        lp_old = prefix_log_prob(x, actor.infer(obs, z))[0]
         for name in arrays:
             arrays[name] = arrays[name] + 1e-3 * rng.standard_normal(arrays[name].shape)
         gen.params.load(arrays)
-        lp_new = prefix_log_prob_arrays(x, *actor.infer(obs, z), spec)[0]
+        lp_new = prefix_log_prob(x, actor.infer(obs, z))[0]
         log_prior = float(-0.5 * z.size * np.log(2 * np.pi) - 0.5 * (z ** 2).sum())
         conditional = np.exp(lp_new - lp_old)
         joint = np.exp((lp_new + log_prior) - (lp_old + log_prior))

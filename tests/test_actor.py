@@ -77,14 +77,15 @@ def test_sample_with_zero_noise_returns_mean():
             return np.zeros(shape)
 
     actor = tiny_actor()
-    mean, log_std = actor.infer(np.ones((1, 3)), np.full((1, 4), 0.3))
-    x = sample_gaussian(mean, log_std, ZeroRng())
-    np.testing.assert_array_equal(x, mean)
+    out = actor.infer(np.ones((1, 3)), np.full((1, 4), 0.3))
+    x = sample_gaussian(out.mean, out.log_std, ZeroRng())
+    np.testing.assert_array_equal(x, out.mean)
 
 
 def test_sample_std_matches_scale_head():
     actor = tiny_actor(head_scale=0.1)
-    mean, log_std = actor.infer(np.ones((1, 3)), np.zeros((1, 4)))
+    out = actor.infer(np.ones((1, 3)), np.zeros((1, 4)))
+    mean, log_std = out.mean, out.log_std
     std = np.exp(log_std[0])
     rng = np.random.default_rng(0)
     n = 100_000

@@ -1,11 +1,15 @@
 """Primitive-by-primitive gradient checks against central finite differences,
-plus the tape-recording rule, silent overflow, the export lists and the
-reproducibility contracts."""
+plus the tape-recording rule, the array forms of the ops, silent overflow,
+the export lists and the reproducibility contracts."""
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftkit
 from driftkit import autodiff as ad
@@ -218,6 +222,51 @@ def test_node_is_recorded_exactly_when_a_parent_requires_grad():
     assert not off_tape.requires_grad and off_tape._parents == ()
     assert backward(off_tape) == {}
     assert on_tape.item() == 9.0
+
+
+# The ops a network applies on both backends, each on two same-shape operands.
+BACKEND_OPS = {
+    "tanh": lambda x, y: ad.tanh(x),
+    "clip": lambda x, y: ad.clip(x, -0.5, 0.75),
+    "exp": lambda x, y: ad.exp(x),
+    "square": lambda x, y: ad.square(x),
+    "concat": lambda x, y: ad.concat([x, y], axis=1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from(sorted(BACKEND_OPS)), rows=st.integers(min_value=1, max_value=6),
+       cols=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.floats(min_value=0.01, max_value=20.0))
+def test_ops_on_arrays_return_the_tape_values_and_record_nothing(op, rows, cols, seed, scale):
+    rng = np.random.default_rng(seed)
+    x, y = scale * rng.standard_normal((2, rows, cols))
+    before = next(ad._SEQ)
+    out = BACKEND_OPS[op](x, y)
+    assert next(ad._SEQ) == before + 1  # no tensor was created in between
+    assert type(out) is np.ndarray
+    tape = BACKEND_OPS[op](Tensor(x, requires_grad=True), Tensor(y, requires_grad=True))
+    assert tape.requires_grad
+    assert np.array_equal(out, tape.data)
+
+
+@pytest.mark.parametrize("op", [operator.sub, operator.mul], ids=["sub", "mul"])
+@pytest.mark.parametrize("left", [
+    np.linspace(-1.0, 2.0, 12).reshape(3, 4),
+    np.linspace(-1.0, 2.0, 4),
+    np.float64(-1.5),
+], ids=["same-shape", "leading-broadcast", "numpy-scalar"])
+def test_array_first_operators_record_like_the_tensor_first_form(op, left):
+    right = np.linspace(0.5, -2.0, 12).reshape(3, 4)
+    b = Tensor(right, requires_grad=True)
+    out = op(left, b)
+    assert isinstance(out, Tensor) and out.requires_grad
+    b_lifted = Tensor(right, requires_grad=True)
+    lifted = op(Tensor(left), b_lifted)
+    assert np.array_equal(out.data, lifted.data)
+    assert np.array_equal(backward(out.square().sum())[b],
+                          backward(lifted.square().sum())[b_lifted])
 
 
 @pytest.mark.parametrize("module", [driftkit, ad], ids=["driftkit", "autodiff"])

@@ -14,10 +14,14 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import driftkit
 import driftkit.checkpoint  # noqa: F401 -- the tracer patches it; the package does not import it
 from driftkit.actor import DEFAULT_LOG_STD_INIT
+from driftkit.autodiff import Tensor
 from driftkit.config import FINETUNE_KEYS
+from driftkit.generator import ChunkSpec, Generator
 
 from .oracles import evaluate_policy_loop, steering_actor
 
@@ -69,3 +73,13 @@ def test_eval_decisions_are_the_generators_nfe_delta():
         lambda: dk.envs.PointMassEnv(spec, reward_mode="sparse"), actor, 20, 5)
     assert decisions == expected
     assert report["nfe_violations"] == 0
+
+
+def test_forward_info_reads_a_real_generator_forward():
+    # the tracer counts the live forwards under ppo.update by whether
+    # Generator.forward's chunk recorded a tape, so forward stays tape-only
+    spans = load_spans()
+    gen = Generator(ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2),
+                    obs_dim=2, latent_dim=3, hidden_dim=5)
+    obs, z = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3)))
+    assert spans._forward_info((gen, obs, z), gen.forward(obs, z)) == (3, True)

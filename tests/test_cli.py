@@ -5,16 +5,18 @@ from __future__ import annotations
 import importlib
 import json
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import driftkit
 from driftkit import cli
-from driftkit.checkpoint import load_checkpoint, restore_generator
+from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
 from driftkit.cli import main
-from driftkit.envs import load_dataset
+from driftkit.envs import PointMassEnv, load_dataset
 from driftkit.generator import Generator, ChunkSpec
+from driftkit.ppo import evaluate_policy
 
 TINY_CHUNK = {"chunk.horizon": 4, "chunk.action_dim": 2,
               "chunk.history_len": 1, "chunk.exec_len": 2}
@@ -98,35 +100,52 @@ def tiny_checkpoint(tmp_path_factory, tiny_data):
     return str(run / "checkpoint_final.json")
 
 
+# (command, settings, the message printed after "config error: ")
 BAD_SETTINGS = [
-    ("finetune", {"ppo.clip": 1.5}),
-    ("finetune", {"ppo.gamma": 0}),
-    ("finetune", {"ppo.minibatch_size": 0}),
-    ("finetune", {"ppo.iterations": -3}),
-    ("finetune", {"ppo.reward_mode": "bogus"}),
-    ("eval", {"eval.reward_mode": "bogus"}),
-    ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"}),
-    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_conditions": 0}),
-    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0}),
-    ("train", {"data.path": None, "train.checkpoint_every": -5}),
-    ("synth", {"synth.conditions": 0}),
-    ("synth", {"synth.samples_per_condition": 0}),
-    ("synth", {"chunk.action_dim": 3}),
+    ("finetune", {"ppo.clip": 1.5}, "clip must lie in (0, 1)"),
+    ("finetune", {"ppo.gamma": 0}, "gamma must lie in (0, 1]"),
+    ("finetune", {"ppo.minibatch_size": 0}, "minibatch_size must be positive"),
+    ("finetune", {"ppo.iterations": -3},
+     "rollout_length, update_epochs and iterations must be >= 0"),
+    ("finetune", {"ppo.reward_mode": "bogus"}, "unknown reward mode 'bogus'"),
+    ("eval", {"eval.reward_mode": "bogus"}, "unknown reward mode 'bogus'"),
+    ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"},
+     "unknown reward mode 'bogus'"),
+    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_conditions": 0},
+     "coverage samples and max_conditions must be >= 1"),
+    ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0},
+     "coverage samples and max_conditions must be >= 1"),
+    ("train", {"data.path": None, "train.checkpoint_every": -5},
+     "epochs and checkpoint_every must be >= 0"),
+    ("synth", {"synth.conditions": 0}, "modes, conditions and samples_per_condition must be >= 1"),
+    ("synth", {"synth.samples_per_condition": 0},
+     "modes, conditions and samples_per_condition must be >= 1"),
+    ("synth", {"chunk.action_dim": 3}, "point-mass actions are planar (action_dim must be 2)"),
 ]
 
 
-@pytest.mark.parametrize("command,payload", BAD_SETTINGS,
-                         ids=[f"{c}-{'-'.join(p)}" for c, p in BAD_SETTINGS])
-def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, tiny_data, tiny_checkpoint,
-                                               command, payload):
+@pytest.mark.parametrize("command,payload,message", BAD_SETTINGS,
+                         ids=[f"{c}-{'-'.join(p)}" for c, p, _ in BAD_SETTINGS])
+def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, monkeypatch, tiny_data,
+                                               tiny_checkpoint, command, payload, message):
     if command in ("eval", "finetune"):
         payload = {"checkpoint.path": tiny_checkpoint, **payload}
     # a dataset key names the module's tiny dataset
     payload = {key: str(tiny_data / "dataset.csv") if key in ("data.path", "eval.dataset")
                else value for key, value in payload.items()}
+    evaluations = []
+
+    def counted_evaluate_policy(*args, **kwargs):
+        evaluations.append(args)
+        return evaluate_policy(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_policy", counted_evaluate_policy)
     cfg = write_config(tmp_path / "bad.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
+    # a bad coverage count is rejected before the evaluation runs any episode
+    if "eval.dataset" in payload:
+        assert not evaluations
 
 
 def driftkit_error_classes():
@@ -238,7 +257,7 @@ def test_eval_zero_episodes_is_empty_success(tmp_path):
     assert report["mean_return"] is None
 
 
-def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path):
+def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):
     data = synth_dir(tmp_path, conditions=8)
     _, run = train_dir(tmp_path, data, steps=4)
     cfg = write_config(tmp_path / "e.json", {
@@ -246,12 +265,18 @@ def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path):
         "eval.episodes": 3, "eval.seed": 1, "eval.dataset": str(data / "dataset.csv"),
         "eval.coverage_samples": 8, "eval.coverage_conditions": 4, **TINY_CHUNK})
     out = tmp_path / "evalc"
+    # a clock on which the evaluation takes exactly one second
+    ticks = iter([0.0, 1.0])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
     assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["nfe_violations"] == 0
     assert report["nfe_per_decision"] == 1.0
     assert 0.0 <= report["mode_coverage"] <= 1.0
-    assert report["wall_clock_per_decision_ms"] > 0
+    # the second is shared by the episodes' decisions only, not the coverage rows
+    actor = restore_actor(load_checkpoint(run / "checkpoint_final.json"), use_ema=True)
+    evaluate_policy(lambda: PointMassEnv(actor.spec, reward_mode="dense"), actor, 3, 1)
+    assert report["wall_clock_per_decision_ms"] == 1e3 / actor.generator.nfe_count
 
 
 def test_finetune_zero_iterations_keeps_policy(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftkit.actor import GaussianActor, prefix_log_prob, prefix_log_prob_arrays
+from driftkit.actor import GaussianActor, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, row_matmul
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import Critic
@@ -109,14 +109,15 @@ def test_array_prefix_log_prob_equals_tape_log_prob(batch, seed, scale):
     obs, z, x = rows(seed, batch, scale)
     out = actor.forward(Tensor(obs), Tensor(z))
     tape = prefix_log_prob(x, out).data
-    mean, log_std = actor.infer(obs, z)
-    assert np.array_equal(mean, out.mean.data)
-    assert np.array_equal(log_std, out.log_std.data)
-    assert np.array_equal(prefix_log_prob_arrays(x, mean, log_std, SPEC), tape)
+    arrays = actor.infer(obs, z)
+    assert np.array_equal(arrays.mean, out.mean.data)
+    assert np.array_equal(arrays.log_std, out.log_std.data)
+    logp = prefix_log_prob(x, arrays)
+    assert isinstance(logp, np.ndarray)
+    assert np.array_equal(logp, tape)
     # collection evaluates one row at a time; the update epochs batch them
     for i in range(batch):
-        m1, ls1 = actor.infer(obs[i:i + 1], z[i:i + 1])
-        assert prefix_log_prob_arrays(x[i:i + 1], m1, ls1, SPEC)[0] == tape[i]
+        assert prefix_log_prob(x[i:i + 1], actor.infer(obs[i:i + 1], z[i:i + 1]))[0] == tape[i]
 
 
 @PROPERTY
