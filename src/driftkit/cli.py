@@ -109,6 +109,9 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         coverage = {}
         # coverage runs first, so a bad dataset or coverage count fails before any episode
         if cfg["eval.dataset"]:
+            for key in ("eval.coverage_samples", "eval.coverage_conditions"):
+                if cfg[key] < 1:
+                    raise ConfigError(f"{key} must be >= 1")
             data_path = Path(cfg["eval.dataset"])
             dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
 

@@ -1,7 +1,8 @@
 """Desk-scale tasks: a deterministic planar point-mass reach environment with
 receding-horizon stepping, N envs in lockstep or one as a view, plus synthetic
 multimodal imitation datasets whose expert chunks come from scripted
-goal-reaching controllers that swerve left or right on the way in.
+goal-reaching controllers that swerve left or right on the way in; one
+row-vectorised planner, :func:`plan`, moves every expert's point masses.
 
 Observation layout per micro-step is (position, goal, last action), d_o = 6.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class EnvError(ValueError):
 
 
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
-    return np.concatenate([pos, goal, last_action])
+    return np.concatenate([pos, goal, last_action], axis=-1)
 
 
 class VecPointMassEnv:
@@ -162,6 +162,18 @@ def sample_start_goal(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
             return pos, goal
 
 
+def plan(pos: np.ndarray, steps: int, controller) -> tuple[np.ndarray, np.ndarray]:
+    """Move N point masses ``steps`` micro-steps: ``controller(pos, k)`` gives
+    the (N, 2) actions of micro-step ``k``, then pos += a * DT inside the arena.
+    Returns the (N, steps, 2) actions and the positions after each of them."""
+    actions = np.empty((len(pos), steps, ACTION_DIM))
+    positions = np.empty_like(actions)
+    for k in range(steps):
+        a = actions[:, k] = controller(pos, k)
+        pos = positions[:, k] = np.clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
+    return actions, positions
+
+
 def scripted_action(pos: np.ndarray, goal: np.ndarray,
                     gain: float = SCRIPTED_GAIN) -> np.ndarray:
     """Straight-to-goal proportional controller, the optimal baseline."""
@@ -171,16 +183,12 @@ def scripted_action(pos: np.ndarray, goal: np.ndarray,
 def scripted_chunks(obs: np.ndarray, spec: ChunkSpec) -> np.ndarray:
     """Open-loop chunks of :func:`scripted_action` for (N, T_o, d_o) histories.
 
-    Each row plans H actions from its newest position and goal, moving the
-    planned position by a * DT without the wall clip.  Returns (N, H * d_a).
+    Each row plans H actions from its newest position and goal; the wall clip
+    never acts, as no step passes a goal inside the arena.  Returns (N, H * d_a).
     """
-    pos, goal = obs[:, -1, 0:2], obs[:, -1, 2:4]
-    actions = []
-    for _ in range(spec.horizon):
-        a = scripted_action(pos, goal)
-        actions.append(a)
-        pos = pos + a * DT
-    return np.stack(actions, axis=1).reshape(len(obs), -1)
+    goal = obs[:, -1, 2:4]
+    actions, _ = plan(obs[:, -1, 0:2], spec.horizon, lambda pos, k: scripted_action(pos, goal))
+    return actions.reshape(len(obs), -1)
 
 
 # -- multimodal demonstrations ------------------------------------------
@@ -210,41 +218,32 @@ def mode_signs(n_modes: int) -> np.ndarray:
 MODE_SPEED_CAP = 0.6
 
 
-def mode_action(pos: np.ndarray, goal: np.ndarray, step: int, sign: float,
+def mode_action(pos: np.ndarray, goal: np.ndarray, step: int, signs: np.ndarray,
                 gain: float, swing_amp: float, swing_len: int) -> np.ndarray:
-    """Goal-reaching action with an early lateral swerve of the given sign.
+    """Goal-reaching actions of N rows, each with an early lateral swerve of its sign.
 
     The approach term is norm-capped below the action bounds so the swerve is
     never clipped away; the two swerve signs therefore produce distinct chunks
-    from any start state.
+    from any start state.  A row on its goal gets a zero action.
     """
     to_goal = goal - pos
-    dist = float(np.linalg.norm(to_goal))
-    if dist < 1e-12:
-        return np.zeros(2)
-    direction = to_goal / dist
+    dist = np.sqrt(np.vecdot(to_goal, to_goal))[:, None]
+    at_rest = dist < 1e-12
+    direction = to_goal / np.where(at_rest, 1.0, dist)
     base = gain * to_goal
-    speed = float(np.linalg.norm(base))
-    if speed > MODE_SPEED_CAP:
-        base = base * (MODE_SPEED_CAP / speed)
-    perp = np.array([-direction[1], direction[0]])
-    swing = 0.0
-    if step < swing_len:
-        swing = swing_amp * np.sin(np.pi * (step + 1) / (swing_len + 1))
-    return np.clip(base + sign * swing * perp, -1.0, 1.0)
+    # cap / max(speed, cap) is cap / speed above the cap and exactly 1 below it
+    speed = np.sqrt(np.vecdot(base, base))[:, None]
+    base = base * (MODE_SPEED_CAP / np.maximum(speed, MODE_SPEED_CAP))
+    perp = np.stack([-direction[:, 1], direction[:, 0]], axis=1)
+    swing = swing_amp * np.sin(np.pi * (step + 1) / (swing_len + 1)) if step < swing_len else 0.0
+    action = np.clip(base + (signs * swing)[:, None] * perp, -1.0, 1.0)
+    return np.where(at_rest, np.zeros(ACTION_DIM), action)
 
 
-def rollout_mode_chunk(pos: np.ndarray, goal: np.ndarray, spec: ChunkSpec,
-                       sign: float, gain: float, swing_amp: float,
-                       swing_len: int) -> np.ndarray:
-    """Noiseless H-step expert chunk: simulate the mode controller forward."""
-    p = np.asarray(pos, dtype=np.float64).copy()
-    actions = np.zeros((spec.horizon, ACTION_DIM))
-    for h in range(spec.horizon):
-        a = mode_action(p, goal, h, sign, gain, swing_amp, swing_len)
-        actions[h] = a
-        p = np.clip(p + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
-    return actions
+def _plan_modes(pos, goal, signs, steps, gain, swing_amp, swing_len):
+    """:func:`plan` under :func:`mode_action` with per-row goals and signs."""
+    return plan(pos, steps,
+                lambda p, k: mode_action(p, goal, k, signs, gain, swing_amp, swing_len))
 
 
 def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1,
@@ -257,7 +256,9 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
     Each condition is a point-mass state reached by warming up the controller
     for a random number of micro-steps, so histories carry realistic past
     actions.  Every sample for a condition draws one of the K modes uniformly
-    and adds Gaussian jitter to the noiseless mode chunk.
+    and adds Gaussian jitter to the noiseless mode chunk.  All random draws
+    come first; then one plan makes every warm-up (steps past a condition's
+    warm count are never read) and another every chunk.
     """
     if min(modes, conditions, samples_per_condition) < 1:
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
@@ -266,27 +267,29 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
         raise SpecError("point-mass actions are planar (action_dim must be 2)")
     signs = mode_signs(modes)
     rng = np.random.default_rng(seed)
-    obs_rows, chunk_rows, mode_rows = [], [], []
+    starts, warms, warm_modes, sample_modes, jitter = [], [], [], [], []
     for _ in range(conditions):
-        pos, goal = sample_start_goal(rng)
-        warm = int(rng.integers(0, warmup_max + 1))
-        warm_sign = signs[int(rng.integers(0, modes))]
-        history = [_observe(pos, goal, np.zeros(2))] * spec.history_len
-        last = np.zeros(2)
-        for step in range(warm):
-            last = mode_action(pos, goal, step, warm_sign, gain, swing_amp, swing_len)
-            pos = np.clip(pos + last * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
-            history.append(_observe(pos, goal, last))
-        obs_hist = np.stack(history[-spec.history_len:])
+        starts.append(sample_start_goal(rng))
+        warms.append(int(rng.integers(0, warmup_max + 1)))
+        warm_modes.append(int(rng.integers(0, modes)))
         for _ in range(samples_per_condition):
-            k = int(rng.integers(0, modes))
-            chunk = rollout_mode_chunk(pos, goal, spec, signs[k], gain,
-                                       swing_amp, swing_len)
+            sample_modes.append(int(rng.integers(0, modes)))
             if noise > 0:
-                chunk = chunk + rng.normal(scale=noise, size=chunk.shape)
-            obs_rows.append(obs_hist)
-            chunk_rows.append(np.clip(chunk, -1.0, 1.0))
-            mode_rows.append(k)
+                jitter.append(rng.normal(scale=noise, size=(spec.horizon, ACTION_DIM)))
+    pos, goal = (np.array(v) for v in zip(*starts))
+    t_o = spec.history_len
+    warm_actions, warm_pos = _plan_modes(pos, goal, signs[warm_modes], warmup_max,
+                                         gain, swing_amp, swing_len)
+    # T_o observations at rest, then every warm-up one; keep T_o from the warm count on
+    rest = np.repeat(_observe(pos, goal, np.zeros_like(pos))[:, None], t_o, axis=1)
+    warm_obs = _observe(warm_pos, np.repeat(goal[:, None], warmup_max, axis=1), warm_actions)
+    trail = np.concatenate([rest, warm_obs], axis=1)
+    history = trail[np.arange(conditions)[:, None], np.array(warms)[:, None] + np.arange(t_o)]
+    obs = np.repeat(history, samples_per_condition, axis=0)
+    chunks, _ = _plan_modes(obs[:, -1, 0:2], obs[:, -1, 2:4], signs[sample_modes],
+                            spec.horizon, gain, swing_amp, swing_len)
+    if noise > 0:
+        chunks = chunks + np.array(jitter)
     metadata = {
         "modes": modes,
         "mode_signs": signs.tolist(),
@@ -302,9 +305,9 @@ def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1
         "chunk_spec": spec.to_dict(),
     }
     return ImitationDataset(
-        observations=np.stack(obs_rows),
-        chunks=np.stack(chunk_rows),
-        modes=np.asarray(mode_rows, dtype=np.int64),
+        observations=obs,
+        chunks=np.clip(chunks, -1.0, 1.0),
+        modes=np.asarray(sample_modes, dtype=np.int64),
         spec=spec,
         metadata=metadata,
     )
@@ -317,15 +320,11 @@ def mode_centers_for(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
     centers are recomputed from the stored synthesis parameters.
     """
     spec = ChunkSpec.from_dict(metadata["chunk_spec"])
-    newest = np.asarray(obs_hist)[-1]
-    pos, goal = newest[0:2], newest[2:4]
-    centers = []
-    for sign in metadata["mode_signs"]:
-        chunk = rollout_mode_chunk(pos, goal, spec, sign,
-                                   metadata["gain"], metadata["swing_amp"],
-                                   metadata["swing_len"])
-        centers.append(chunk.reshape(-1))
-    return np.stack(centers)
+    signs = np.asarray(metadata["mode_signs"], dtype=np.float64)
+    newest = np.repeat(np.asarray(obs_hist)[-1:], len(signs), axis=0)
+    centers, _ = _plan_modes(newest[:, 0:2], newest[:, 2:4], signs, spec.horizon,
+                             metadata["gain"], metadata["swing_amp"], metadata["swing_len"])
+    return centers.reshape(len(signs), -1)
 
 
 def mode_coverage(policy_fn, dataset: ImitationDataset, samples: int,

@@ -9,7 +9,10 @@ is the reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
 reference is the one-episode-at-a-time loop that the lockstep
 ``ppo.evaluate_policy`` replaced; it drives that scalar env and the package's
 batch-1 deployment path, and ``steering_actor`` gives it a policy whose
-episodes end in every possible way.
+episodes end in every possible way.  ``synth_multimodal_loop`` is the
+demonstration synthesis the package once ran one point mass and one
+micro-step at a time, with the scalar swerving controller; it is the
+reference for the row-vectorised ``envs.plan``.
 """
 
 from __future__ import annotations
@@ -267,13 +270,25 @@ def evaluate_policy_loop(env_factory, actor: GaussianActor, episodes: int,
     return report, decisions, finished
 
 
+def scripted_chunk_loop(pos: np.ndarray, goal: np.ndarray, horizon: int) -> np.ndarray:
+    """H actions of ``envs.scripted_action`` planned open loop from ``pos``,
+    moving the planned position by a * DT with no wall clip."""
+    actions = []
+    pos = np.array(pos, dtype=np.float64)
+    for _ in range(horizon):
+        a = envs.scripted_action(pos, goal)
+        actions.append(a)
+        pos = pos + a * envs.DT
+    return np.asarray(actions)
+
+
 def scripted_eval_loop(spec: ChunkSpec, reward_mode: str, episodes: int,
                        seed: int) -> dict:
     """The CLI's scripted evaluation, one episode at a time.
 
     Episode ``e`` gets a fresh ``ScalarPointMassEnv`` reset with ``seed + e``.
-    Each decision plans H actions of ``envs.scripted_action`` open loop from
-    the current position (no wall clip) and executes the chunk's prefix.
+    Each decision plans H actions with ``scripted_chunk_loop`` from the
+    current position and executes the chunk's prefix.
     """
     returns, successes = [], []
     for e in range(episodes):
@@ -282,13 +297,8 @@ def scripted_eval_loop(spec: ChunkSpec, reward_mode: str, episodes: int,
         done = False
         total = 0.0
         while not done:
-            actions = []
-            pos = env.pos.copy()
-            for _ in range(spec.horizon):
-                a = envs.scripted_action(pos, env.goal)
-                actions.append(a)
-                pos = pos + a * envs.DT
-            prefix = executed_prefix(np.asarray(actions).reshape(-1), spec)
+            actions = scripted_chunk_loop(env.pos, env.goal, spec.horizon)
+            prefix = executed_prefix(actions.reshape(-1), spec)
             _, reward, done = env.step_prefix(prefix)
             total += reward
         returns.append(total)
@@ -324,3 +334,86 @@ def steering_actor(noise: float = 1.0, gain: float = 2.5) -> GaussianActor:
         arrays["head_w"][i, i::2] = gain / eps
     gen.params.load(arrays)
     return GaussianActor(gen)
+
+
+# -- multimodal demonstrations, one point mass and one micro-step at a time
+
+
+def mode_action_scalar(pos: np.ndarray, goal: np.ndarray, step: int, sign: float,
+                       gain: float, swing_amp: float, swing_len: int) -> np.ndarray:
+    """The swerving goal-reaching controller for one point mass."""
+    to_goal = goal - pos
+    dist = float(np.linalg.norm(to_goal))
+    if dist < 1e-12:
+        return np.zeros(2)
+    direction = to_goal / dist
+    base = gain * to_goal
+    speed = float(np.linalg.norm(base))
+    if speed > envs.MODE_SPEED_CAP:
+        base = base * (envs.MODE_SPEED_CAP / speed)
+    perp = np.array([-direction[1], direction[0]])
+    swing = 0.0
+    if step < swing_len:
+        swing = swing_amp * np.sin(np.pi * (step + 1) / (swing_len + 1))
+    return np.clip(base + sign * swing * perp, -1.0, 1.0)
+
+
+def rollout_mode_chunk(pos: np.ndarray, goal: np.ndarray, spec: ChunkSpec,
+                       sign: float, gain: float, swing_amp: float,
+                       swing_len: int) -> np.ndarray:
+    """Noiseless (H, 2) expert chunk: the scalar controller stepped forward."""
+    p = np.asarray(pos, dtype=np.float64).copy()
+    actions = np.zeros((spec.horizon, 2))
+    for h in range(spec.horizon):
+        a = mode_action_scalar(p, goal, h, sign, gain, swing_amp, swing_len)
+        actions[h] = a
+        p = np.clip(p + a * envs.DT, -envs.ARENA_HALF_WIDTH, envs.ARENA_HALF_WIDTH)
+    return actions
+
+
+def synth_multimodal_loop(modes: int, conditions: int, samples_per_condition: int = 1,
+                          noise: float = 0.01, seed: int = 0,
+                          spec: ChunkSpec | None = None, gain: float = envs.SCRIPTED_GAIN,
+                          swing_amp: float = 0.5, swing_len: int = 8,
+                          warmup_max: int = 8) -> envs.ImitationDataset:
+    """``envs.synth_multimodal`` one condition, one warm-up step and one
+    sample at a time, interleaving the random draws with the rollouts."""
+    spec = spec or ChunkSpec()
+    signs = envs.mode_signs(modes)
+    rng = np.random.default_rng(seed)
+    obs_rows, chunk_rows, mode_rows = [], [], []
+    for _ in range(conditions):
+        pos, goal = sample_start_goal(rng)
+        warm = int(rng.integers(0, warmup_max + 1))
+        warm_sign = signs[int(rng.integers(0, modes))]
+        history = [np.concatenate([pos, goal, np.zeros(2)])] * spec.history_len
+        for step in range(warm):
+            last = mode_action_scalar(pos, goal, step, warm_sign, gain, swing_amp, swing_len)
+            pos = np.clip(pos + last * envs.DT, -envs.ARENA_HALF_WIDTH, envs.ARENA_HALF_WIDTH)
+            history.append(np.concatenate([pos, goal, last]))
+        obs_hist = np.stack(history[-spec.history_len:])
+        for _ in range(samples_per_condition):
+            k = int(rng.integers(0, modes))
+            chunk = rollout_mode_chunk(pos, goal, spec, signs[k], gain, swing_amp, swing_len)
+            if noise > 0:
+                chunk = chunk + rng.normal(scale=noise, size=chunk.shape)
+            obs_rows.append(obs_hist)
+            chunk_rows.append(np.clip(chunk, -1.0, 1.0))
+            mode_rows.append(k)
+    metadata = {
+        "modes": modes, "mode_signs": signs.tolist(), "conditions": conditions,
+        "samples_per_condition": samples_per_condition, "noise": noise, "seed": seed,
+        "gain": gain, "swing_amp": swing_amp, "swing_len": swing_len,
+        "warmup_max": warmup_max, "obs_dim": OBS_DIM, "chunk_spec": spec.to_dict(),
+    }
+    return envs.ImitationDataset(np.stack(obs_rows), np.stack(chunk_rows),
+                                 np.asarray(mode_rows, dtype=np.int64), spec, metadata)
+
+
+def mode_centers_loop(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
+    """``envs.mode_centers_for``: one scalar rollout per mode sign."""
+    spec = ChunkSpec.from_dict(metadata["chunk_spec"])
+    pos, goal = obs_hist[-1, 0:2], obs_hist[-1, 2:4]
+    return np.stack([rollout_mode_chunk(pos, goal, spec, sign, metadata["gain"],
+                                        metadata["swing_amp"], metadata["swing_len"]).reshape(-1)
+                     for sign in metadata["mode_signs"]])

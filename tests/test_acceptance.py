@@ -23,7 +23,7 @@ from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
                             balanced_coefficients, build_reference_pool,
                             compute_drift_field, fixed_point_loss)
 from driftkit.envs import PointMassEnv, mode_coverage, synth_multimodal
-from driftkit.generator import ChunkSpec, Generator, executed_prefix, sample_hypotheses
+from driftkit.generator import ChunkSpec, Generator, executed_prefix
 from driftkit.ppo import (Critic, PPOConfig, clipped_surrogate, collect_rollouts,
                           compute_gae, ppo_update, evaluate_policy, ppo_ratio,
                           anchor_loss)

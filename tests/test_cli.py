@@ -15,7 +15,7 @@ from driftkit import cli
 from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
 from driftkit.cli import main
 from driftkit.envs import PointMassEnv, load_dataset
-from driftkit.generator import Generator, ChunkSpec
+from driftkit.generator import Generator
 from driftkit.ppo import evaluate_policy
 
 TINY_CHUNK = {"chunk.horizon": 4, "chunk.action_dim": 2,
@@ -112,9 +112,9 @@ BAD_SETTINGS = [
     ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"},
      "unknown reward mode 'bogus'"),
     ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_conditions": 0},
-     "coverage samples and max_conditions must be >= 1"),
+     "eval.coverage_conditions must be >= 1"),
     ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0},
-     "coverage samples and max_conditions must be >= 1"),
+     "eval.coverage_samples must be >= 1"),
     ("train", {"data.path": None, "train.checkpoint_every": -5},
      "epochs and checkpoint_every must be >= 0"),
     ("synth", {"synth.conditions": 0}, "modes, conditions and samples_per_condition must be >= 1"),

@@ -3,18 +3,22 @@ round-tripping, scripted-controller success, and mode coverage scoring."""
 
 from __future__ import annotations
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit import envs
-from driftkit.envs import (DT, EnvError, PointMassEnv, VecPointMassEnv, load_dataset,
-                           mode_centers_for, mode_coverage, save_dataset, scripted_action,
-                           synth_multimodal)
+from driftkit.envs import (DT, OBS_DIM, EnvError, PointMassEnv, VecPointMassEnv, load_dataset,
+                           mode_action, mode_centers_for, mode_coverage, save_dataset,
+                           scripted_action, scripted_chunks, synth_multimodal)
 from driftkit.generator import ChunkSpec, SpecError, executed_prefix
 
-from .oracles import ScalarPointMassEnv
+from .oracles import (ScalarPointMassEnv, mode_action_scalar, mode_centers_loop,
+                      scripted_chunk_loop, synth_multimodal_loop)
 
 SPEC = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
 
@@ -301,6 +305,71 @@ def test_mode_centers_are_separated_at_episode_start():
     for i in range(10):
         centers = mode_centers_for(ds.observations[i], ds.metadata)
         assert np.linalg.norm(centers[0] - centers[1]) > 0.5
+
+
+# -- one planner for every expert trajectory -----------------------------------
+
+SYNTH_SPECS = [SPEC, ChunkSpec(horizon=5, action_dim=2, history_len=4, exec_len=2)]
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 4), noise=st.sampled_from([0.0, 0.01]),
+       warmup_max=st.sampled_from([0, 3, 8]), swing_len=st.sampled_from([0, 4, 20]),
+       gain=st.sampled_from([1.0, 3.0, 10.0]), spec=st.sampled_from(SYNTH_SPECS),
+       conditions=st.integers(1, 6), samples=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_synthesis_and_mode_centers_equal_the_scalar_loop_bitwise(
+        modes, noise, warmup_max, swing_len, gain, spec, conditions, samples, seed):
+    settings_ = dict(modes=modes, conditions=conditions, samples_per_condition=samples,
+                     noise=noise, seed=seed, spec=spec, gain=gain, swing_len=swing_len,
+                     warmup_max=warmup_max)
+    got, want = synth_multimodal(**settings_), synth_multimodal_loop(**settings_)
+    for name in ("observations", "chunks", "modes"):
+        assert_same_bytes(getattr(got, name), getattr(want, name))
+    assert json.dumps(got.metadata, sort_keys=True) == json.dumps(want.metadata, sort_keys=True)
+    for obs_hist in got.observations[::samples]:
+        assert_same_bytes(mode_centers_for(obs_hist, got.metadata),
+                          mode_centers_loop(obs_hist, want.metadata))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
+       wall_frac=st.sampled_from([0.0, 0.25, 1.0]), spec=st.sampled_from(SYNTH_SPECS))
+def test_scripted_chunks_equal_the_open_loop_unclipped_planner(seed, rows, wall_frac, spec):
+    rng = np.random.default_rng(seed)
+    newest = rng.uniform(-1.0, 1.0, size=(rows, 4))
+    walls = rng.random(newest.shape) < wall_frac
+    newest[walls] = rng.choice([-1.0, 1.0], size=int(walls.sum()))
+    obs = rng.uniform(-1.0, 1.0, size=(rows, spec.history_len, OBS_DIM))
+    obs[:, -1, 0:4] = newest
+    want = np.stack([scripted_chunk_loop(row[0:2], row[2:4], spec.horizon).reshape(-1)
+                     for row in newest])
+    assert_same_bytes(scripted_chunks(obs, spec), want)
+
+
+@pytest.mark.parametrize("gain", [3.0, 0.0])
+def test_a_row_on_its_goal_gets_a_zero_action_without_warnings(gain):
+    pos = np.array([[0.3, -0.2], [0.3, -0.2], [-1.0, 1.0]])
+    goal = np.array([[0.3, -0.2], [0.7, 0.1], [-1.0, 1.0]])
+    signs = np.array([1.0, -1.0, 0.5])
+    obs_hist = np.concatenate([pos[2], goal[2], np.zeros(2)])[None]
+    metadata = {"chunk_spec": SPEC.to_dict(), "mode_signs": [-1.0, 0.0, 1.0], "gain": gain,
+                "swing_amp": 0.5, "swing_len": 8}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        actions = mode_action(pos, goal, 0, signs, gain, 0.5, 8)
+        centers = mode_centers_for(obs_hist, metadata)
+    for a in (actions[0], actions[2], *centers.reshape(-1, 2)):
+        assert a.tolist() == [0.0, 0.0] and not np.signbit(a).any()
+    for i in range(3):
+        assert_same_bytes(actions[i], mode_action_scalar(pos[i], goal[i], 0, signs[i], gain,
+                                                         0.5, 8))
+    assert_same_bytes(centers, mode_centers_loop(obs_hist, metadata))
 
 
 # -- coverage -----------------------------------------------------------------

@@ -16,7 +16,7 @@ from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
                           compute_gae, ppo_update, evaluate_policy, ppo_ratio,
                           run_episodes)
-from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
+from driftkit.training import NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
 from .oracles import (STEERING_SPEC, evaluate_policy_loop, finite_diff, gae_bruteforce,
