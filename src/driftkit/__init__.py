@@ -9,7 +9,7 @@ from .envs import (ImitationDataset, PointMassEnv, VecPointMassEnv, mode_coverag
                    synth_multimodal)
 from .generator import ChunkSpec, Generator, executed_prefix, sample_hypotheses
 from .ppo import (Critic, PPOConfig, RolloutBuffer, collect_rollouts, compute_gae,
-                  ppo_update, evaluate_policy)
+                  finetune, ppo_update, evaluate_policy)
 from .training import AdamW, TrainConfig, drift_train_step, train
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "RolloutBuffer", "Tensor", "TrainConfig", "VecPointMassEnv", "backward",
     "build_reference_pool", "collect_rollouts", "compute_drift_field",
     "compute_gae", "fixed_point_loss", "ppo_update", "drift_loss", "drift_train_step",
-    "evaluate_policy", "executed_prefix", "mode_coverage",
+    "evaluate_policy", "executed_prefix", "finetune", "mode_coverage",
     "prefix_entropy", "prefix_log_prob", "sample_hypotheses",
     "synth_multimodal", "train",
 ]

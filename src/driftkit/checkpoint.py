@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .actor import GaussianActor
+from .envs import read_json_object
 from .generator import ChunkSpec, Generator, SpecError
 from .ppo import Critic
 
@@ -82,11 +83,20 @@ def save_checkpoint(path, generator: Generator, **kwargs) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise SpecError(f"unsupported checkpoint format version {version!r}")
+    """Read a checkpoint document.  Invalid JSON, another format version, a
+    missing key and a non-finite parameter raise :class:`SpecError` naming the
+    file and the key."""
+    doc = read_json_object(path, "checkpoint", (
+        "format_version", "chunk_spec", "obs_dim", "latent_dim", "hidden_dim", "params"))
+    if doc["format_version"] != FORMAT_VERSION:
+        raise SpecError(f"checkpoint {path}: unsupported format version {doc['format_version']!r}")
+    sections = {"params": doc["params"], "ema_params": doc.get("ema_params", {}),
+                "actor_head": doc.get("actor_head", {}).get("params", {}),
+                "critic": doc.get("critic", {}).get("params", {})}
+    for key, packed in sections.items():
+        for name, arr in _unpack(packed).items():
+            if not np.isfinite(arr).all():
+                raise SpecError(f"checkpoint {path}: {key} parameter {name} is not finite")
     return doc
 
 

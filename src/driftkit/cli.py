@@ -18,23 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .actor import GaussianActor
 from .config import SEED_KEY, ConfigError, fields_of, load_config, snapshot_config
 from .drift import DriftConfig, DriftConfigError
 from .envs import (EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
                    save_dataset, scripted_chunks, synth_multimodal)
 from .generator import ChunkSpec, Generator
-from .ppo import (Critic, FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError,
-                  collect_rollouts, compute_gae, ppo_update, evaluate_policy, run_episodes)
-from .training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
-                       train, write_metrics_csv)
+from .ppo import (FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError, evaluate_policy,
+                  finetune, run_episodes)
+from .training import NumericalAbort, TrainConfig, TrainConfigError, train, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-log = logging.getLogger("driftkit")
 
 
 def _setup_logging() -> None:
@@ -147,37 +143,9 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
 def cmd_finetune(cfg: dict, out: Path) -> int:
     doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
     generator = ckpt.restore_generator(doc, use_ema=cfg["ppo.use_ema"])
-    anchor = generator.clone()
-    actor = GaussianActor(generator, log_std_init=cfg["ppo.log_std_init"])
-    spec = generator.spec
-    critic = Critic(spec.history_len * generator.obs_dim, seed=cfg["ppo.critic_seed"])
     ppo_config = PPOConfig(**fields_of(cfg, "ppo", PPOConfig))
-    rng = np.random.default_rng(ppo_config.seed)
-    env = PointMassEnv(spec, reward_mode=cfg["ppo.reward_mode"])
-    actor_opt = AdamW(actor.parameters().keys(), lr=ppo_config.actor_lr)
-    critic_opt = AdamW(critic.params.keys(), lr=ppo_config.critic_lr)
-    rows = []
-    for iteration in range(1, ppo_config.iterations + 1):
-        buffer = collect_rollouts(env, actor, critic, ppo_config.rollout_length, rng)
-        compute_gae(buffer, ppo_config.gamma, ppo_config.gae_lambda)
-        weight = ppo_config.anchor_weight
-        if ppo_config.anchor_decay and ppo_config.iterations > 1:
-            weight *= 1.0 - (iteration - 1) / (ppo_config.iterations - 1)
-        try:
-            stats = ppo_update(buffer, actor, critic, anchor, ppo_config, rng,
-                                actor_opt=actor_opt, critic_opt=critic_opt,
-                                anchor_weight=weight)
-        except NumericalAbort as exc:
-            exc.dump["iteration"] = iteration
-            raise
-        mean_return = (float(np.mean(buffer.episode_returns))
-                       if buffer.episode_returns else 0.0)
-        rows.append({"iter": iteration, "mean_return": mean_return,
-                     "clip_frac": stats.clip_frac, "ratio_mean": stats.ratio_mean,
-                     "value_loss": stats.value_loss, "entropy": stats.entropy,
-                     "anchor_loss": stats.anchor_loss})
-        log.info("iter %d return %.3f clip %.3f", iteration, mean_return,
-                 stats.clip_frac)
+    actor, critic, rows = finetune(generator, ppo_config, cfg["ppo.reward_mode"],
+                                   cfg["ppo.log_std_init"], cfg["ppo.critic_seed"])
     write_metrics_csv(out / "metrics.csv", rows, header=FINETUNE_METRICS_HEADER)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
                          actor=actor, critic=critic)

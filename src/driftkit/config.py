@@ -16,6 +16,7 @@ import typing
 
 from .actor import DEFAULT_LOG_STD_INIT
 from .drift import DriftConfig
+from .envs import read_json_object
 from .generator import ChunkSpec
 from .ppo import PPOConfig
 from .training import TrainConfig
@@ -117,14 +118,7 @@ class ConfigError(ValueError):
 
 def load_config(path, command: str) -> dict:
     """Read, validate against the command's key table, and fill defaults."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return resolve_config(raw, command)
+    return resolve_config(read_json_object(path, "config"), command)
 
 
 def resolve_config(raw: dict, command: str) -> dict:

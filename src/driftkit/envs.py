@@ -380,32 +380,43 @@ def save_dataset(dataset: ImitationDataset, csv_path, meta_path) -> None:
         fh.write("\n")
 
 
+def read_json_object(path, what: str, keys=()) -> dict:
+    """The JSON object in ``path``, which must hold ``keys``; :class:`SpecError`
+    naming the ``what`` file and the key otherwise."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise SpecError(f"{what} {path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} {path}: not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise SpecError(f"{what} {path}: no key {key!r}")
+    return doc
+
+
 def load_dataset(csv_path, meta_path) -> ImitationDataset:
-    with open(meta_path) as fh:
-        metadata = json.load(fh)
+    """Read :func:`save_dataset`'s files; :class:`SpecError` names a malformed
+    file and its key or line."""
+    metadata = read_json_object(meta_path, "dataset metadata", ("chunk_spec", "obs_dim"))
     spec = ChunkSpec.from_dict(metadata["chunk_spec"])
-    d_o = metadata["obs_dim"]
-    t_o = spec.history_len
-    obs_rows, chunk_rows, mode_rows = [], [], []
+    obs_shape = (spec.history_len, metadata["obs_dim"])
+    width = obs_shape[0] * obs_shape[1]
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = t_o * d_o + spec.chunk_dim + 1
-        if len(header) != expected:
-            raise SpecError(f"dataset has {len(header)} columns, expected {expected}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != expected:
-                raise SpecError(f"dataset row {line} has {len(row)} values, expected {expected}")
-            vals = [float(v) for v in row[:-1]]
-            obs_rows.append(np.array(vals[:t_o * d_o]).reshape(t_o, d_o))
-            chunk_rows.append(np.array(vals[t_o * d_o:]).reshape(
-                spec.horizon, spec.action_dim))
-            mode_rows.append(int(row[-1]))
+        rows = list(csv.reader(fh)) or [[]]  # line 1 is the header
+    values = np.empty((len(rows) - 1, width + spec.chunk_dim))
+    modes = np.empty(len(rows) - 1, dtype=np.int64)
+    for line, row in enumerate(rows, start=1):
+        if len(row) != values.shape[1] + 1:
+            raise SpecError(f"dataset row {line} has {len(row)} values, "
+                            f"expected {values.shape[1] + 1}")
+        try:
+            if line > 1:
+                values[line - 2], modes[line - 2] = [float(v) for v in row[:-1]], int(row[-1])
+        except ValueError as exc:
+            raise SpecError(f"dataset {csv_path} line {line}: {exc}") from None
     return ImitationDataset(
-        observations=np.stack(obs_rows) if obs_rows else np.zeros((0, t_o, d_o)),
-        chunks=np.stack(chunk_rows) if chunk_rows else np.zeros(
-            (0, spec.horizon, spec.action_dim)),
-        modes=np.asarray(mode_rows, dtype=np.int64),
-        spec=spec,
-        metadata=metadata,
-    )
+        observations=values[:, :width].reshape(-1, *obs_shape),
+        chunks=values[:, width:].reshape(-1, spec.horizon, spec.action_dim),
+        modes=modes, spec=spec, metadata=metadata)

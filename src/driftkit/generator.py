@@ -25,7 +25,7 @@ from .autodiff import Tensor, affine, check_finite, concat, matmul, tanh
 
 
 class SpecError(ValueError):
-    """Invalid chunk geometry or generator configuration."""
+    """Invalid chunk geometry or generator configuration, or a malformed input file."""
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ squared-distance anchor to the frozen pretrained mean.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,11 +19,13 @@ from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp,
                        tanh)
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_gaussian
-from .envs import VecPointMassEnv
+from .envs import PointMassEnv, VecPointMassEnv
 from .generator import ChunkSpec, Dense, Generator, executed_prefix
 from .training import AdamW, NumericalAbort, leaf_grads
 
 RATIO_LOG_CLAMP = 40.0
+
+log = logging.getLogger(__name__)
 
 FINETUNE_METRICS_HEADER = ("iter", "mean_return", "clip_frac", "ratio_mean",
                            "value_loss", "entropy", "anchor_loss")
@@ -107,7 +110,6 @@ class RolloutBuffer:
     dones: np.ndarray
     bootstrap_value: float
     episode_returns: list[float] = field(default_factory=list)
-    episode_successes: list[bool] = field(default_factory=list)
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
 
@@ -148,7 +150,6 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
         ep_return += reward
         if done:
             buf.episode_returns.append(ep_return)
-            buf.episode_successes.append(env.succeeded)
             ep_return = 0.0
             obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
     if length and not buf.dones[-1]:
@@ -208,17 +209,16 @@ class UpdateStats:
 
 
 def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
-                anchor: Generator, config: PPOConfig,
-                rng: np.random.Generator,
-                actor_opt: AdamW | None = None,
-                critic_opt: AdamW | None = None,
-                anchor_weight: float | None = None) -> UpdateStats:
+               anchor: Generator, config: PPOConfig, rng: np.random.Generator, *,
+               actor_opt: AdamW, critic_opt: AdamW, anchor_weight: float) -> UpdateStats:
     """One PPO iteration over the buffer: epochs of shuffled minibatches.
 
     Old log-probabilities stay fixed from collection and the anchor never
     moves.  Each minibatch evaluates the live backbone once: the anchor term
     reuses the mean of the actor's forward.  Advantages are normalized once
-    over the whole buffer before the surrogate.
+    over the whole buffer before the surrogate.  The optimizers carry their
+    moments across calls, and ``anchor_weight`` scales the anchor term (the
+    caller's schedule of ``config.anchor_weight``).
     """
     if buffer.advantages is None:
         raise PPOConfigError("buffer advantages missing; run compute_gae first")
@@ -228,14 +228,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     adv = buffer.advantages
     adv_std = float(adv.std())
     norm_adv = (adv - adv.mean()) / (adv_std + 1e-8)
-    lam = config.anchor_weight if anchor_weight is None else anchor_weight
 
-    if actor_opt is None:
-        actor_opt = AdamW(actor.parameters().keys(), lr=config.actor_lr)
-    if critic_opt is None:
-        critic_opt = AdamW(critic.params.keys(), lr=config.critic_lr)
-
-    stats = UpdateStats()
     # Recompute every stored log-prob before any gradient step: the ratios
     # must come back exactly 1 because the same latents and the same batched
     # forward path are used.  The recompute runs on the tape, so the check
@@ -243,9 +236,10 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     # graph be freed before the first minibatch.
     logp0 = prefix_log_prob(buffer.exec_actions,
                             actor.forward(Tensor(buffer.obs), Tensor(buffer.latents))).data
-    stats.first_epoch_ratios = ppo_ratio(logp0, buffer.old_log_probs)
+    first_epoch_ratios = ppo_ratio(logp0, buffer.old_log_probs)
 
-    ratios_acc, clip_acc, vloss_acc, ent_acc, anch_acc = [], [], [], [], []
+    # per minibatch: the UpdateStats fields in order, averaged at the end
+    per_minibatch = []
     for epoch in range(config.update_epochs):
         order = rng.permutation(n)
         for lo in range(0, n, config.minibatch_size):
@@ -262,7 +256,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
                 entropy = prefix_entropy(out).mean()
                 anchor_term = anchor_loss(out.mean, anchor, obs, z)
                 total = (-1.0 * surrogate + config.value_weight * value_loss
-                         - config.entropy_weight * entropy + lam * anchor_term)
+                         - config.entropy_weight * entropy + anchor_weight * anchor_term)
                 grad_map = backward(total)
                 actor_params = actor.parameters()
                 actor_opt.step(actor_params, leaf_grads(grad_map, actor_params))
@@ -271,19 +265,46 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
                 raise NumericalAbort(f"PPO epoch {epoch}: {exc}", dump={
                     "epoch": epoch, "minibatch_indices": idx.tolist()}) from exc
 
-            ratios_acc.append(float(ratio.data.mean()))
             clipped = (ratio.data < 1.0 - config.clip) | (ratio.data > 1.0 + config.clip)
-            clip_acc.append(float(clipped.mean()))
-            vloss_acc.append(float(value_loss.data))
-            ent_acc.append(float(entropy.data))
-            anch_acc.append(float(anchor_term.data))
+            per_minibatch.append((ratio.data.mean(), clipped.mean(), value_loss.data,
+                                  entropy.data, anchor_term.data))
+    return UpdateStats(*(float(np.mean(column)) for column in zip(*per_minibatch)),
+                       first_epoch_ratios=first_epoch_ratios)
 
-    stats.ratio_mean = float(np.mean(ratios_acc))
-    stats.clip_frac = float(np.mean(clip_acc))
-    stats.value_loss = float(np.mean(vloss_acc))
-    stats.entropy = float(np.mean(ent_acc))
-    stats.anchor_loss = float(np.mean(anch_acc))
-    return stats
+
+def finetune(generator: Generator, config: PPOConfig, reward_mode: str,
+             log_std_init: float, critic_seed: int):
+    """Fine-tune ``generator`` in place: per iteration, collect, GAE and one
+    :func:`ppo_update` against a frozen clone, with one actor, critic, env, rng
+    and optimizer pair for the run.  ``config.anchor_decay`` takes the anchor
+    weight linearly to 0 by the last iteration; a :class:`NumericalAbort` dump
+    also names the iteration.  Returns the actor, the critic and one
+    ``FINETUNE_METRICS_HEADER`` row per iteration."""
+    anchor = generator.clone()
+    actor = GaussianActor(generator, log_std_init=log_std_init)
+    critic = Critic(generator.spec.history_len * generator.obs_dim, seed=critic_seed)
+    rng = np.random.default_rng(config.seed)
+    env = PointMassEnv(generator.spec, reward_mode=reward_mode)
+    actor_opt = AdamW(actor.parameters().keys(), lr=config.actor_lr)
+    critic_opt = AdamW(critic.params.keys(), lr=config.critic_lr)
+    rows = []
+    for iteration in range(1, config.iterations + 1):
+        buffer = collect_rollouts(env, actor, critic, config.rollout_length, rng)
+        compute_gae(buffer, config.gamma, config.gae_lambda)
+        weight = config.anchor_weight
+        if config.anchor_decay and config.iterations > 1:
+            weight *= 1.0 - (iteration - 1) / (config.iterations - 1)
+        try:
+            stats = ppo_update(buffer, actor, critic, anchor, config, rng, actor_opt=actor_opt,
+                               critic_opt=critic_opt, anchor_weight=weight)
+        except NumericalAbort as exc:
+            exc.dump["iteration"] = iteration
+            raise
+        mean_return = float(np.mean(buffer.episode_returns)) if buffer.episode_returns else 0.0
+        rows.append({"iter": iteration, "mean_return": mean_return,
+                     **{key: getattr(stats, key) for key in FINETUNE_METRICS_HEADER[2:]}})
+        log.info("iter %d return %.3f clip %.3f", iteration, mean_return, stats.clip_frac)
+    return actor, critic, rows
 
 
 def run_episodes(spec: ChunkSpec, reward_mode: str, episodes: int, seed: int,

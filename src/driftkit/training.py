@@ -71,11 +71,8 @@ def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
 
 def leaf_grads(grad_map: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """:func:`backward`'s gradients by parameter name; zeros for a leaf the loss missed."""
-    grads = {}
-    for name, p in params.items():
-        g = grad_map.get(p)
-        grads[name] = np.zeros_like(p.data) if g is None else g
-    return grads
+    return {name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 def grad_clip(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
@@ -97,6 +94,7 @@ class AdamW:
 
     :meth:`step` rebinds each parameter leaf's ``data`` to the updated array,
     so every holder of a leaf sees the new values without copying them back.
+    ``grads`` needs every parameter's name, as :func:`leaf_grads` gives it.
     """
 
     def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -118,9 +116,7 @@ class AdamW:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = grads[name]
             if self.m[name] is None:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
+from driftkit.actor import DEFAULT_LOG_STD_INIT, GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import Tensor, backward
 from driftkit.checkpoint import checkpoint_document, restore_generator
 from driftkit.cli import main
@@ -25,7 +25,7 @@ from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
 from driftkit.envs import PointMassEnv, mode_coverage, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator, executed_prefix
 from driftkit.ppo import (Critic, PPOConfig, clipped_surrogate, collect_rollouts,
-                          compute_gae, ppo_update, evaluate_policy, ppo_ratio,
+                          compute_gae, finetune, ppo_update, evaluate_policy, ppo_ratio,
                           anchor_loss)
 from driftkit.training import AdamW, TrainConfig, train
 
@@ -279,8 +279,11 @@ def test_criterion_5_ratio_equivalence(pretrained_doc):
     env = PointMassEnv(spec, reward_mode="sparse")
     buf = collect_rollouts(env, actor2, critic, 64, np.random.default_rng(51))
     compute_gae(buf, 0.99, 0.95)
-    stats = ppo_update(buf, actor2, critic, gen2.clone(), PPOConfig(update_epochs=1),
-                        np.random.default_rng(52))
+    cfg = PPOConfig(update_epochs=1)
+    stats = ppo_update(buf, actor2, critic, gen2.clone(), cfg, np.random.default_rng(52),
+                       actor_opt=AdamW(actor2.parameters().keys(), lr=cfg.actor_lr),
+                       critic_opt=AdamW(critic.params.keys(), lr=cfg.critic_lr),
+                       anchor_weight=cfg.anchor_weight)
     exact_ones = np.all(stats.first_epoch_ratios == 1.0)
     assert exact_ones, "epoch-0 recomputed ratios are not exactly 1"
     print(f"\nACCEPTANCE 5 PASS ratio equivalence: joint-vs-conditional gap "
@@ -313,15 +316,9 @@ def test_criterion_6_one_nfe_contract(pretrained_doc, train_data):
     stage1 = GaussianActor(restore_generator(pretrained_doc))
     v1 = count_violations(stage1, 600)
 
-    gen = restore_generator(pretrained_doc)
-    actor = GaussianActor(gen)
-    critic = Critic(spec.history_len * 6, seed=0)
-    env = PointMassEnv(spec, reward_mode="sparse")
-    rng = np.random.default_rng(61)
-    for _ in range(2):
-        buf = collect_rollouts(env, actor, critic, 64, rng)
-        compute_gae(buf, 0.99, 0.95)
-        ppo_update(buf, actor, critic, gen.clone(), PPOConfig(), rng)
+    actor, _, _ = finetune(restore_generator(pretrained_doc),
+                           PPOConfig(iterations=2, rollout_length=64, seed=61), "sparse",
+                           DEFAULT_LOG_STD_INIT, 0)
     v2 = count_violations(actor, 700)
     assert v1 == 0 and v2 == 0, f"violations stage1={v1} finetuned={v2}"
     print(f"\nACCEPTANCE 6 PASS 1-NFE contract: 0 violations over 1000 decisions "
@@ -374,28 +371,17 @@ def test_criterion_9_dbpo_improvement(pretrained_doc):
     base = evaluate_policy(sparse_env, GaussianActor(restore_generator(pretrained_doc)),
                            100, 1000)["success_rate"]
 
-    def finetune(anchor_weight, seed):
-        gen = restore_generator(pretrained_doc)
-        anchor = gen.clone()
-        actor = GaussianActor(gen)
-        critic = Critic(spec.history_len * 6, seed=0)
-        cfg = PPOConfig(anchor_weight=anchor_weight, seed=seed)
-        rng = np.random.default_rng(cfg.seed)
-        env = sparse_env()
-        a_opt = AdamW(actor.parameters().keys(), lr=cfg.actor_lr)
-        c_opt = AdamW(critic.params.keys(), lr=cfg.critic_lr)
-        for _ in range(30):
-            buf = collect_rollouts(env, actor, critic, cfg.rollout_length, rng)
-            compute_gae(buf, cfg.gamma, cfg.gae_lambda)
-            ppo_update(buf, actor, critic, anchor, cfg, rng,
-                        actor_opt=a_opt, critic_opt=c_opt)
+    def tuned_success(anchor_weight, seed):
+        cfg = PPOConfig(anchor_weight=anchor_weight, seed=seed, iterations=30)
+        actor, _, _ = finetune(restore_generator(pretrained_doc), cfg, "sparse",
+                               DEFAULT_LOG_STD_INIT, 0)
         return evaluate_policy(sparse_env, actor, 100, 1000)["success_rate"]
 
     lines = []
     for seed in (42, 43, 44):
         start = time.perf_counter()
-        anchored = finetune(1.0, seed)
-        plain = finetune(0.0, seed)
+        anchored = tuned_success(1.0, seed)
+        plain = tuned_success(0.0, seed)
         elapsed = time.perf_counter() - start
         assert anchored > base, (
             f"seed {seed}: anchored success {anchored:.2f} does not exceed "

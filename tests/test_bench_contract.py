@@ -7,11 +7,17 @@ rename, a dropped import or a method moved to a helper makes
 ``Tracer.install()`` raise ``KeyError`` in a traced benchmark run; the first
 test catches that without running the benchmark.  The others pin the run
 defaults the benchmark reads and what its eval phase counts as a decision.
+The last runs every workload of ``BENCHMARK.json`` in-process at the
+benchmark's ``tiny`` profile, so a change to a call the benchmark makes
+fails here and not only in a benchmark run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,18 +31,24 @@ from driftkit.generator import ChunkSpec, Generator
 
 from .oracles import evaluate_policy_loop, steering_actor
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name: str):
+    """``bench/<name>.py``, loaded by path: the bench directory is not a package.
+
+    The module is registered in ``sys.modules`` first, as an import would,
+    because its dataclasses look their module up there.
+    """
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_patch_point_is_defined_on_its_owner():
-    spans = load_spans()
+    spans = load_bench("spans")
     points = [(owner, attr) for owner, attr, _, _ in spans._patch_points(driftkit)]
     points.append((driftkit.envs.PointMassEnv, "micro_step"))
     missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
@@ -78,8 +90,29 @@ def test_eval_decisions_are_the_generators_nfe_delta():
 def test_forward_info_reads_a_real_generator_forward():
     # the tracer counts the live forwards under ppo.update by whether
     # Generator.forward's chunk recorded a tape, so forward stays tape-only
-    spans = load_spans()
+    spans = load_bench("spans")
     gen = Generator(ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2),
                     obs_dim=2, latent_dim=3, hidden_dim=5)
     obs, z = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3)))
     assert spans._forward_info((gen, obs, z), gen.forward(obs, z)) == (3, True)
+
+
+def test_every_benchmark_workload_runs_clean_and_repeats_its_digests(tmp_path):
+    workloads = load_bench("workloads")
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    digests = {}
+    for traced in (False, True):
+        tracer = (load_bench("spans").Tracer(driftkit, run_id="contract") if traced
+                  else contextlib.nullcontext())
+        with tracer:
+            for name in names:
+                work = workloads.Workload(driftkit, name, 1, workloads.PROFILES["tiny"],
+                                          tmp_path)
+                phases = (work.setup, work.learn_round, work.deploy_round, work.eval_round)
+                rounds = [[phase() for phase in phases] for _ in range(2)]
+                for first, second in zip(*rounds):
+                    assert first.failed == second.failed == 0, (name, traced)
+                    assert first.digest == second.digest, (name, traced)
+                digests[name, traced] = [result.digest for result in rounds[0]]
+    for name in names:
+        assert digests[name, True] == digests[name, False], name

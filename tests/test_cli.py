@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import pkgutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +196,73 @@ def test_malformed_json_rejected_with_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def _truncated_before_params(text):
+    return text[:text.index('"params"')]
+
+
+def _without(key):
+    def edit(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+    return edit
+
+
+def _nan_in_ema(text):
+    doc = json.loads(text)
+    doc["ema_params"]["head_w"]["data"][0] = float("nan")
+    return json.dumps(doc)
+
+
+def _abc_in_first_row(text):
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, "abc" + first[first.index(","):], rest])
+
+
+# (id, command, the file corrupted, the edit of its text, and the message
+# printed after "config error: " given the file's path and its edited text)
+CORRUPT_INPUTS = [
+    ("checkpoint-truncated", "eval", "checkpoint.json", _truncated_before_params,
+     lambda path, text: f"checkpoint {path}: not valid JSON: Expecting property name "
+                        f"enclosed in double quotes: line 1 column {len(text) + 1} "
+                        f"(char {len(text)})"),
+    ("checkpoint-list", "eval", "checkpoint.json", lambda text: "[1, 2]",
+     lambda path, text: f"checkpoint {path}: not a JSON object"),
+    ("checkpoint-no-hidden-dim-eval", "eval", "checkpoint.json", _without("hidden_dim"),
+     lambda path, text: f"checkpoint {path}: no key 'hidden_dim'"),
+    ("checkpoint-no-hidden-dim-finetune", "finetune", "checkpoint.json",
+     _without("hidden_dim"), lambda path, text: f"checkpoint {path}: no key 'hidden_dim'"),
+    ("checkpoint-nan-in-ema", "finetune", "checkpoint.json", _nan_in_ema,
+     lambda path, text: f"checkpoint {path}: ema_params parameter head_w is not finite"),
+    ("dataset-cell-abc", "train", "dataset.csv", _abc_in_first_row,
+     lambda path, text: f"dataset {path} line 2: could not convert string to float: 'abc'"),
+    ("dataset-meta-truncated", "train", "dataset_meta.json", lambda text: text[:1],
+     lambda path, text: f"dataset metadata {path}: not valid JSON: Expecting property name "
+                        "enclosed in double quotes: line 1 column 2 (char 1)"),
+]
+
+
+@pytest.mark.parametrize("command,target,edit,message", [c[1:] for c in CORRUPT_INPUTS],
+                         ids=[c[0] for c in CORRUPT_INPUTS])
+def test_corrupt_input_exits_2_naming_the_file(tmp_path, capsys, tiny_data, tiny_checkpoint,
+                                               command, target, edit, message):
+    files = tmp_path / "files"
+    files.mkdir()
+    sources = {"checkpoint.json": Path(tiny_checkpoint),
+               "dataset.csv": tiny_data / "dataset.csv",
+               "dataset_meta.json": tiny_data / "dataset_meta.json"}
+    for name, source in sources.items():
+        (files / name).write_bytes(source.read_bytes())
+    path = files / target
+    text = edit(path.read_bytes().decode())
+    path.write_bytes(text.encode())
+    key, name = (("data.path", "dataset.csv") if command == "train"
+                 else ("checkpoint.path", "checkpoint.json"))
+    cfg = write_config(tmp_path / "c.json", {key: str(files / name)})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message(path, text)}\n"
 
 
 def test_train_zero_steps_checkpoint_equals_initialization(tmp_path):

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftkit import ppo
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, backward
 from driftkit.envs import PointMassEnv, scripted_chunks, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
-                          compute_gae, ppo_update, evaluate_policy, ppo_ratio,
+                          compute_gae, finetune, ppo_update, evaluate_policy, ppo_ratio,
                           run_episodes)
-from driftkit.training import NumericalAbort, TrainConfig, train
+from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
 from .oracles import (STEERING_SPEC, evaluate_policy_loop, finite_diff, gae_bruteforce,
@@ -36,6 +37,15 @@ def make_buffer(actor, critic, n=8, seed=0):
     rng = np.random.default_rng(seed)
     buf = collect_rollouts(env, actor, critic, n, rng)
     return compute_gae(buf, 0.99, 0.95)
+
+
+def update(buf, actor, critic, anchor, cfg, rng):
+    """One :func:`ppo_update` with fresh optimizers at the config's rates and
+    the config's anchor weight."""
+    return ppo_update(buf, actor, critic, anchor, cfg, rng,
+                      actor_opt=AdamW(actor.parameters().keys(), lr=cfg.actor_lr),
+                      critic_opt=AdamW(critic.params.keys(), lr=cfg.critic_lr),
+                      anchor_weight=cfg.anchor_weight)
 
 
 # -- GAE --------------------------------------------------------------------
@@ -324,7 +334,7 @@ def test_zero_update_epochs_leaves_params_unchanged():
     buf = make_buffer(actor, critic)
     before = actor.generator.param_arrays()
     cfg = PPOConfig(update_epochs=0)
-    ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
+    update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
     for name, arr in actor.generator.param_arrays().items():
         assert np.array_equal(arr, before[name])
 
@@ -339,7 +349,7 @@ def test_zero_advantages_and_weights_give_zero_gradient():
     before = actor.generator.param_arrays()
     cfg = PPOConfig(value_weight=0.0, entropy_weight=0.0, anchor_weight=0.0,
                     update_epochs=1, minibatch_size=len(buf))
-    ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
+    update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
     # surrogate of normalized zero advantages is constant: no actor movement
     for name, arr in actor.generator.param_arrays().items():
         np.testing.assert_allclose(arr, before[name], atol=1e-12, rtol=0)
@@ -351,8 +361,7 @@ def test_latents_are_reused_byte_identical():
     buf = make_buffer(actor, critic)
     snapshot = buf.latents.tobytes()
     anchor = actor.generator.clone()
-    ppo_update(buf, actor, critic, anchor, PPOConfig(update_epochs=2),
-                np.random.default_rng(1))
+    update(buf, actor, critic, anchor, PPOConfig(update_epochs=2), np.random.default_rng(1))
     assert buf.latents.tobytes() == snapshot
 
 
@@ -361,8 +370,8 @@ def test_epoch_zero_recomputation_gives_exact_unit_ratios():
     critic = Critic(OBS_DIM, hidden_dim=8, seed=0)
     anchor = actor.generator.clone()
     buf = make_buffer(actor, critic, n=16)
-    stats = ppo_update(buf, actor, critic, anchor, PPOConfig(update_epochs=1),
-                        np.random.default_rng(2))
+    stats = update(buf, actor, critic, anchor, PPOConfig(update_epochs=1),
+                   np.random.default_rng(2))
     assert np.all(stats.first_epoch_ratios == 1.0)
 
 
@@ -379,9 +388,9 @@ def test_epoch_zero_ratios_are_one_when_minibatches_do_not_divide_the_rollout(le
         out = actor.forward(Tensor(buf.obs[idx]), Tensor(buf.latents[idx]))
         np.testing.assert_array_equal(prefix_log_prob(buf.exec_actions[idx], out).data,
                                       buf.old_log_probs[idx])
-    stats = ppo_update(buf, actor, critic, actor.generator.clone(),
-                       PPOConfig(update_epochs=1, minibatch_size=minibatch),
-                       np.random.default_rng(2))
+    stats = update(buf, actor, critic, actor.generator.clone(),
+                   PPOConfig(update_epochs=1, minibatch_size=minibatch),
+                   np.random.default_rng(2))
     assert stats.first_epoch_ratios.shape == (length,)
     assert np.all(stats.first_epoch_ratios == 1.0)
 
@@ -393,9 +402,9 @@ def test_update_evaluates_the_live_backbone_once_per_minibatch(length, minibatch
     anchor = actor.generator.clone()
     buf = make_buffer(actor, critic, n=length)
     live_before, anchor_before = actor.generator.nfe_count, anchor.nfe_count
-    ppo_update(buf, actor, critic, anchor,
-               PPOConfig(update_epochs=epochs, minibatch_size=minibatch),
-               np.random.default_rng(1))
+    update(buf, actor, critic, anchor,
+           PPOConfig(update_epochs=epochs, minibatch_size=minibatch),
+           np.random.default_rng(1))
     # nfe_count counts rows: the epoch-0 recomputation evaluates every row
     # once, then each epoch's minibatches evaluate every row once more.  A
     # second live forward per minibatch (for the anchor) would add another
@@ -415,7 +424,7 @@ def test_anchor_weight_sweep_shrinks_drift_from_pretrained():
         critic = Critic(OBS_DIM, hidden_dim=8, seed=0)
         buf = make_buffer(actor, critic, n=16, seed=3)
         cfg = PPOConfig(anchor_weight=weight)
-        ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(4))
+        update(buf, actor, critic, anchor, cfg, np.random.default_rng(4))
         live, _ = actor.generator.infer(probe_obs, probe_z)
         frozen, _ = anchor.infer(probe_obs, probe_z)
         drifts.append(float(np.linalg.norm(live - frozen)))
@@ -428,7 +437,7 @@ def test_huge_anchor_weight_pins_means_to_pretrained():
     critic = Critic(OBS_DIM, hidden_dim=8, seed=0)
     buf = make_buffer(actor, critic, n=16, seed=3)
     cfg = PPOConfig(anchor_weight=1e6, actor_lr=1e-4)
-    ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(4))
+    update(buf, actor, critic, anchor, cfg, np.random.default_rng(4))
     rng = np.random.default_rng(11)
     obs = rng.normal(size=(32, OBS_DIM))
     z = rng.normal(size=(32, 4))
@@ -443,7 +452,7 @@ def test_value_loss_is_half_mse_against_returns():
     anchor = actor.generator.clone()
     buf = make_buffer(actor, critic, n=8)
     cfg = PPOConfig(update_epochs=1, minibatch_size=len(buf))
-    stats = ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
+    stats = update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
     # recompute independently with the pre-update critic
     critic2 = Critic(OBS_DIM, hidden_dim=8, seed=0)
     expected = 0.5 * np.mean((critic2.value(buf.obs) - buf.returns) ** 2)
@@ -503,10 +512,55 @@ def test_non_finite_update_aborts_with_epoch_and_minibatch():
     buf = make_buffer(actor, critic)
     cfg = PPOConfig(actor_lr=1e300, update_epochs=2, minibatch_size=4)
     with pytest.raises(NumericalAbort) as err:
-        ppo_update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
+        update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
     assert isinstance(err.value.__cause__, AutodiffError)
     assert err.value.dump["epoch"] == 0
     assert len(err.value.dump["minibatch_indices"]) == 4
+
+
+# -- the fine-tuning loop -------------------------------------------------------
+
+
+def recorded_updates(monkeypatch):
+    """The keyword arguments of every ``ppo_update`` call ``finetune`` makes."""
+    calls = []
+
+    def recording_update(*args, **kwargs):
+        calls.append(kwargs)
+        return ppo_update(*args, **kwargs)
+
+    monkeypatch.setattr(ppo, "ppo_update", recording_update)
+    return calls
+
+
+SHORT_RUN = dict(rollout_length=8, minibatch_size=4, update_epochs=1)
+
+
+@pytest.mark.parametrize("iterations, decay, weight, expected", [
+    (3, True, 1.0, [1.0, 0.5, 0.0]),
+    (1, True, 0.7, [0.7]),
+    (3, False, 0.7, [0.7, 0.7, 0.7]),
+])
+def test_anchor_decay_falls_linearly_to_zero_over_the_run(monkeypatch, iterations, decay,
+                                                          weight, expected):
+    calls = recorded_updates(monkeypatch)
+    cfg = PPOConfig(iterations=iterations, anchor_decay=decay, anchor_weight=weight,
+                    **SHORT_RUN)
+    finetune(tiny_actor().generator, cfg, "dense", np.log(0.15), 0)
+    assert [call["anchor_weight"] for call in calls] == expected
+
+
+def test_finetune_keeps_its_optimizers_across_iterations(monkeypatch):
+    calls = recorded_updates(monkeypatch)
+    cfg = PPOConfig(iterations=3, **SHORT_RUN)
+    actor, critic, rows = finetune(tiny_actor().generator, cfg, "dense", np.log(0.15), 0)
+    assert [row["iter"] for row in rows] == [1, 2, 3]
+    # one optimizer pair for the run: its step count grows by one per minibatch
+    assert all(call["actor_opt"] is calls[0]["actor_opt"] for call in calls)
+    assert all(call["critic_opt"] is calls[0]["critic_opt"] for call in calls)
+    assert calls[0]["actor_opt"].step_count == 3 * 2
+    assert set(calls[0]["actor_opt"].m) == set(actor.parameters())
+    assert set(calls[0]["critic_opt"].m) == set(critic.params)
 
 
 def test_ppo_config_validation():

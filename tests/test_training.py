@@ -240,3 +240,13 @@ def test_config_validation():
         TrainConfig(grad_clip=0.0)
     with pytest.raises(TrainConfigError):
         TrainConfig(checkpoint_every=-5)
+
+
+def test_adamw_step_without_a_gradient_for_a_parameter_raises():
+    # leaf_grads fills a zero for every leaf the loss missed; a name absent
+    # from the gradients is a caller's mistake, not a zero gradient
+    p = Tensor(np.ones(3), requires_grad=True)
+    old = p.data
+    with pytest.raises(KeyError, match="'p'"):
+        AdamW(["p"], lr=0.1).step({"p": p}, {})
+    assert p.data is old
