@@ -3,20 +3,22 @@
 One document stores the chunk geometry, network dimensions, flat parameter
 arrays, and optionally the EMA shadow, optimizer state, rng state, the
 Stage-2 scale head and the critic.  Keys are sorted and floats use repr, so
-identical state serializes to identical bytes.
+identical state serializes to identical bytes.  Loading checks every field
+that a restore reads, with :func:`driftkit.generator.read_keys`, and decodes
+each packed array once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from .actor import GaussianActor
-from .envs import read_json_object
-from .generator import ChunkSpec, Generator, SpecError
+from .generator import Generator, SpecError, read_json_object, read_keys, read_spec
 from .ppo import Critic
 
 FORMAT_VERSION = 1
@@ -27,14 +29,29 @@ def _pack(arrays: dict[str, np.ndarray]) -> dict:
             for name, arr in arrays.items()}
 
 
-def _unpack(packed: dict) -> dict[str, np.ndarray]:
-    return {name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in packed.items()}
+def _unpack(doc: dict, key: str, where: str) -> None:
+    """Replace each packed ``{shape, data}`` entry under ``key`` by its array,
+    whose data must fill the shape and be finite."""
+    packed = read_keys(doc, {key: dict}, where)[key]
+    for name in list(packed):
+        kinds = {f"{key}.{name}.shape": tuple[int, ...], f"{key}.{name}.data": tuple[float, ...]}
+        shape, data = read_keys(doc, kinds, where).values()
+        if min(shape, default=0) < 0 or math.prod(shape) != len(data):
+            raise SpecError(f"{where}key '{key}.{name}.shape' is {list(shape)}, "
+                            f"but the data holds {len(data)} values")
+        arr = packed[name] = np.reshape(data, shape)
+        if not np.isfinite(arr).all():
+            raise SpecError(f"{where}{key.split('.')[0]} parameter {name} is not finite")
 
 
-def checkpoint_document(generator: Generator, ema_params=None, rng_state=None,
-                        optimizer_state=None, actor: GaussianActor | None = None,
-                        critic: Critic | None = None) -> dict:
+def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
+                    optimizer_state=None, actor: GaussianActor | None = None,
+                    critic: Critic | None = None) -> None:
+    """Write atomically: a temp file in the same directory, then ``os.replace``.
+
+    If serialisation fails, a previous file at ``path`` is left as it was and
+    the temp file is removed.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "chunk_spec": generator.spec.to_dict(),
@@ -60,16 +77,6 @@ def checkpoint_document(generator: Generator, ema_params=None, rng_state=None,
             "hidden_dim": critic.hidden_dim,
             "params": _pack(critic.params.arrays()),
         }
-    return doc
-
-
-def save_checkpoint(path, generator: Generator, **kwargs) -> None:
-    """Write atomically: a temp file in the same directory, then ``os.replace``.
-
-    If serialisation fails, a previous file at ``path`` is left as it was and
-    the temp file is removed.
-    """
-    doc = checkpoint_document(generator, **kwargs)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -83,30 +90,36 @@ def save_checkpoint(path, generator: Generator, **kwargs) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint document.  Invalid JSON, another format version, a
-    missing key and a non-finite parameter raise :class:`SpecError` naming the
-    file and the key."""
-    doc = read_json_object(path, "checkpoint", (
-        "format_version", "chunk_spec", "obs_dim", "latent_dim", "hidden_dim", "params"))
-    if doc["format_version"] != FORMAT_VERSION:
-        raise SpecError(f"checkpoint {path}: unsupported format version {doc['format_version']!r}")
-    sections = {"params": doc["params"], "ema_params": doc.get("ema_params", {}),
-                "actor_head": doc.get("actor_head", {}).get("params", {}),
-                "critic": doc.get("critic", {}).get("params", {})}
-    for key, packed in sections.items():
-        for name, arr in _unpack(packed).items():
-            if not np.isfinite(arr).all():
-                raise SpecError(f"checkpoint {path}: {key} parameter {name} is not finite")
+    """Read a checkpoint document, with ``chunk_spec`` as a :class:`ChunkSpec`
+    and every packed parameter entry as its array.  Invalid JSON, another
+    format version, a missing or mistyped key, data that does not fill its
+    shape and a non-finite parameter raise :class:`SpecError` naming the file
+    and the key."""
+    where = f"checkpoint {path}: "
+    doc = read_json_object(path, "checkpoint")
+    version = read_keys(doc, {"format_version": int, "obs_dim": int, "latent_dim": int,
+                              "hidden_dim": int}, where)["format_version"]
+    if version != FORMAT_VERSION:
+        raise SpecError(f"{where}unsupported format version {version!r}")
+    doc["chunk_spec"] = read_spec(doc, where)
+    _unpack(doc, "params", where)
+    if "ema_params" in doc:
+        _unpack(doc, "ema_params", where)
+    if "actor_head" in doc:
+        read_keys(doc, {"actor_head.log_std_bounds": tuple[float, float]}, where)
+        _unpack(doc, "actor_head.params", where)
+    if "critic" in doc:
+        read_keys(doc, {"critic.input_dim": int, "critic.hidden_dim": int}, where)
+        _unpack(doc, "critic.params", where)
     return doc
 
 
 def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
-    spec = ChunkSpec.from_dict(doc["chunk_spec"])
-    gen = Generator(spec, obs_dim=int(doc["obs_dim"]),
-                    latent_dim=int(doc["latent_dim"]),
-                    hidden_dim=int(doc["hidden_dim"]))
-    key = "ema_params" if use_ema and "ema_params" in doc else "params"
-    gen.params.load(_unpack(doc[key]))
+    """The generator of a :func:`load_checkpoint` document; its leaves hold the
+    document's arrays, which updates rebind and never write into."""
+    gen = Generator(doc["chunk_spec"], obs_dim=doc["obs_dim"], latent_dim=doc["latent_dim"],
+                    hidden_dim=doc["hidden_dim"])
+    gen.params.load(doc["ema_params" if use_ema and "ema_params" in doc else "params"])
     return gen
 
 
@@ -116,7 +129,7 @@ def restore_actor(doc: dict, use_ema: bool = False) -> GaussianActor:
     if head is None:
         return GaussianActor(gen)
     actor = GaussianActor(gen, log_std_bounds=tuple(head["log_std_bounds"]))
-    actor.head.load(_unpack(head["params"]))
+    actor.head.load(head["params"])
     return actor
 
 
@@ -124,6 +137,6 @@ def restore_critic(doc: dict) -> Critic | None:
     entry = doc.get("critic")
     if entry is None:
         return None
-    critic = Critic(int(entry["input_dim"]), int(entry["hidden_dim"]))
-    critic.params.load(_unpack(entry["params"]))
+    critic = Critic(entry["input_dim"], entry["hidden_dim"])
+    critic.params.load(entry["params"])
     return critic

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import SEED_KEY, ConfigError, fields_of, load_config, snapshot_config
+from .config import SEED_KEY, ConfigError, fields_of, load_config
 from .drift import DriftConfig, DriftConfigError
 from .envs import (EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
                    save_dataset, scripted_chunks, synth_multimodal)
-from .generator import ChunkSpec, Generator
+from .generator import ChunkSpec, Generator, write_json
 from .ppo import (FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError, evaluate_policy,
                   finetune, run_episodes)
 from .training import NumericalAbort, TrainConfig, TrainConfigError, train, write_metrics_csv
@@ -52,13 +52,8 @@ def _require(cfg: dict, key: str) -> str:
 
 
 def cmd_synth(cfg: dict, out: Path) -> int:
-    dataset = synth_multimodal(
-        modes=cfg["synth.modes"], conditions=cfg["synth.conditions"],
-        samples_per_condition=cfg["synth.samples_per_condition"],
-        noise=cfg["synth.noise"], seed=cfg["synth.seed"],
-        spec=ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec)), gain=cfg["synth.gain"],
-        swing_amp=cfg["synth.swing_amp"], swing_len=cfg["synth.swing_len"],
-        warmup_max=cfg["synth.warmup_max"])
+    dataset = synth_multimodal(**fields_of(cfg, "synth", synth_multimodal),
+                               spec=ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec)))
     save_dataset(dataset, out / "dataset.csv", out / "dataset_meta.json")
     print(f"synth: modes={cfg['synth.modes']} records={len(dataset)} "
           f"seed={cfg['synth.seed']} -> {out / 'dataset.csv'}")
@@ -68,12 +63,10 @@ def cmd_synth(cfg: dict, out: Path) -> int:
 def cmd_train(cfg: dict, out: Path) -> int:
     data_path = Path(_require(cfg, "data.path"))
     dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
-    spec = dataset.spec
     drift_config = DriftConfig(**fields_of(cfg, "drift", DriftConfig))
     train_config = TrainConfig(**fields_of(cfg, "train", TrainConfig))
-    obs_dim = dataset.metadata["obs_dim"]
-    generator = Generator(spec, obs_dim=obs_dim, latent_dim=cfg["model.latent_dim"],
-                          hidden_dim=cfg["model.hidden_dim"], seed=cfg["model.init_seed"])
+    generator = Generator(dataset.spec, obs_dim=dataset.metadata["obs_dim"],
+                          **fields_of(cfg, "model", Generator))
     result = train(dataset, generator, drift_config, train_config)
     write_metrics_csv(out / "metrics.csv", result.metrics)
     snap = generator.clone() if result.checkpoints else None
@@ -97,8 +90,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
         report = run_episodes(spec, cfg["eval.reward_mode"], episodes, seed,
                               lambda obs, active: scripted_chunks(obs, spec))
-        report["nfe_violations"] = None
-        report["policy"] = "scripted"
+        report.update(nfe_violations=None, policy="scripted")
     elif cfg["eval.policy"] == "checkpoint":
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
         actor = ckpt.restore_actor(doc, use_ema=cfg["eval.use_ema"])
@@ -132,9 +124,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         report["wall_clock_per_decision_ms"] = 1e3 * elapsed / decisions
     else:
         raise ConfigError(f"eval.policy must be 'checkpoint' or 'scripted'")
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     print(f"eval: episodes={episodes} success_rate={report.get('success_rate')} "
           f"mean_return={report.get('mean_return')}")
     return EXIT_OK
@@ -144,8 +134,7 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
     doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
     generator = ckpt.restore_generator(doc, use_ema=cfg["ppo.use_ema"])
     ppo_config = PPOConfig(**fields_of(cfg, "ppo", PPOConfig))
-    actor, critic, rows = finetune(generator, ppo_config, cfg["ppo.reward_mode"],
-                                   cfg["ppo.log_std_init"], cfg["ppo.critic_seed"])
+    actor, critic, rows = finetune(generator, ppo_config, **fields_of(cfg, "ppo", finetune))
     write_metrics_csv(out / "metrics.csv", rows, header=FINETUNE_METRICS_HEADER)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
                          actor=actor, critic=critic)
@@ -179,7 +168,7 @@ def main(argv=None) -> int:
             cfg[SEED_KEY[args.command]] = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        snapshot_config(cfg, out / "config.json")
+        write_json(out / "config.json", cfg)
         if args.command == "synth":
             return cmd_synth(cfg, out)
         if args.command == "train":

@@ -2,78 +2,65 @@
 
 Every command validates its document against its key table; unknown keys are
 rejected rather than ignored, and the resolved document (defaults filled in)
-is snapshotted into the run directory so reruns are reproducible.  The
-``chunk.*``, ``drift.*``, ``train.*`` and ``ppo.*`` entries are read off the
-fields of ``ChunkSpec``, ``DriftConfig``, ``TrainConfig`` and ``PPOConfig``,
-which hold the only copy of their defaults.
+is snapshotted into the run directory so reruns are reproducible.  Each
+section is read off the keyword parameters of the code that owns its
+defaults: ``chunk.*`` off ``ChunkSpec``, ``drift.*`` off ``DriftConfig``,
+``train.*`` off ``TrainConfig``, ``synth.*`` off ``synth_multimodal``,
+``model.*`` off ``Generator`` and ``ppo.*`` off ``PPOConfig`` and
+``finetune``.  The keys only the CLI reads (``eval.*``, ``ppo.use_ema``,
+``data.path`` and ``checkpoint.path``) are listed here, their one home.
+Values are checked by :func:`driftkit.generator.typed`, the reader that
+checkpoints and dataset metadata go through too.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import inspect
 import typing
 
-from .actor import DEFAULT_LOG_STD_INIT
 from .drift import DriftConfig
-from .envs import read_json_object
-from .generator import ChunkSpec
-from .ppo import PPOConfig
+from .envs import synth_multimodal
+from .generator import ChunkSpec, Generator, read_json_object, typed
+from .ppo import PPOConfig, finetune
 from .training import TrainConfig
 
+# the kinds a JSON value can set
+KINDS = (bool, int, float, str, tuple[float, ...])
 
-def dataclass_keys(prefix: str, cls) -> dict:
-    """``{"prefix.field": (kind, default)}`` for every field of a config dataclass.
+# the one key named apart from its parameter: ``Generator(seed=)``
+RENAMED = {"model.seed": "model.init_seed"}
 
-    The kind is read off the annotation: ``X | None`` accepts an ``X``, and
-    ``tuple[float, ...]`` a JSON list of numbers.
-    """
-    hints = typing.get_type_hints(cls)
-    keys = {}
-    for f in dataclasses.fields(cls):
-        kind = hints[f.name]
-        if typing.get_origin(kind) is tuple:
-            kind = tuple
-        elif typing.get_args(kind):  # ``X | None``
+
+def _params(prefix: str, owner):
+    """``(parameter, key, kind, default)`` of every keyword parameter of
+    ``owner`` (a dataclass's are its fields) that JSON can set: it has a
+    default and its annotation, ``X | None`` read as ``X``, is one of
+    :data:`KINDS`.  Its key is ``prefix.parameter`` unless :data:`RENAMED`."""
+    for name, p in inspect.signature(owner, eval_str=True).parameters.items():
+        kind = p.annotation
+        if typing.get_origin(kind) is not tuple and typing.get_args(kind):  # ``X | None``
             kind = typing.get_args(kind)[0]
-        keys[f"{prefix}.{f.name}"] = (kind, f.default)
-    return keys
+        if p.default is not p.empty and kind in KINDS:
+            key = f"{prefix}.{name}"
+            yield name, RENAMED.get(key, key), kind, p.default
 
 
-def fields_of(cfg: dict, prefix: str, cls) -> dict:
-    """The resolved values of ``cls``'s fields, ready for ``cls(**...)``."""
-    return {f.name: cfg[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)}
+def keyword_keys(prefix: str, owner) -> dict:
+    """``{key: (kind, default)}`` for ``owner``'s settable parameters."""
+    return {key: (kind, default) for _, key, kind, default in _params(prefix, owner)}
 
 
-CHUNK_KEYS = dataclass_keys("chunk", ChunkSpec)
+def fields_of(cfg: dict, prefix: str, owner) -> dict:
+    """The resolved values of ``owner``'s settable parameters, ready for ``owner(**...)``."""
+    return {name: cfg[key] for name, key, _, _ in _params(prefix, owner)}
 
-MODEL_KEYS = {
-    "model.latent_dim": (int, 8),
-    "model.hidden_dim": (int, 64),
-    "model.init_seed": (int, 0),
-}
 
-SYNTH_KEYS = {
-    "synth.modes": (int, 2),
-    "synth.conditions": (int, 200),
-    "synth.samples_per_condition": (int, 2),
-    "synth.noise": (float, 0.01),
-    "synth.seed": (int, 0),
-    "synth.gain": (float, 3.0),
-    "synth.swing_amp": (float, 0.5),
-    "synth.swing_len": (int, 8),
-    "synth.warmup_max": (int, 8),
-    **CHUNK_KEYS,
-}
-
-DRIFT_KEYS = dataclass_keys("drift", DriftConfig)
-
-TRAIN_KEYS = {
-    "data.path": (str, None),
-    **dataclass_keys("train", TrainConfig),
-    **DRIFT_KEYS,
-    **MODEL_KEYS,
-}
+CHUNK_KEYS = keyword_keys("chunk", ChunkSpec)
+MODEL_KEYS = keyword_keys("model", Generator)
+SYNTH_KEYS = {**keyword_keys("synth", synth_multimodal), **CHUNK_KEYS}
+DRIFT_KEYS = keyword_keys("drift", DriftConfig)
+TRAIN_KEYS = {"data.path": (str, None), **keyword_keys("train", TrainConfig), **DRIFT_KEYS,
+              **MODEL_KEYS}
 
 EVAL_KEYS = {
     "checkpoint.path": (str, None),
@@ -88,28 +75,13 @@ EVAL_KEYS = {
     **CHUNK_KEYS,
 }
 
-FINETUNE_KEYS = {
-    "checkpoint.path": (str, None),
-    **dataclass_keys("ppo", PPOConfig),
-    "ppo.reward_mode": (str, "sparse"),
-    "ppo.log_std_init": (float, DEFAULT_LOG_STD_INIT),
-    "ppo.use_ema": (bool, True),
-    "ppo.critic_seed": (int, 0),
-}
+FINETUNE_KEYS = {"checkpoint.path": (str, None), **keyword_keys("ppo", PPOConfig),
+                 **keyword_keys("ppo", finetune), "ppo.use_ema": (bool, True)}
 
-COMMAND_KEYS = {
-    "synth": SYNTH_KEYS,
-    "train": TRAIN_KEYS,
-    "eval": EVAL_KEYS,
-    "finetune": FINETUNE_KEYS,
-}
-
-SEED_KEY = {
-    "synth": "synth.seed",
-    "train": "train.seed",
-    "eval": "eval.seed",
-    "finetune": "ppo.seed",
-}
+COMMAND_KEYS = {"synth": SYNTH_KEYS, "train": TRAIN_KEYS, "eval": EVAL_KEYS,
+                "finetune": FINETUNE_KEYS}
+SEED_KEY = {"synth": "synth.seed", "train": "train.seed", "eval": "eval.seed",
+            "finetune": "ppo.seed"}
 
 
 class ConfigError(ValueError):
@@ -131,31 +103,7 @@ def resolve_config(raw: dict, command: str) -> dict:
     resolved = {}
     for key, (kind, default) in table.items():
         if key in raw and raw[key] is not None:
-            resolved[key] = _coerce(key, kind, raw[key])
+            resolved[key] = typed(raw[key], kind, key, "config ", ConfigError)
         else:
             resolved[key] = default
     return resolved
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _coerce(key: str, kind, value):
-    if kind is float and _is_number(value):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and (value is None or isinstance(value, str)):
-        return value
-    if kind is tuple and isinstance(value, list) and all(map(_is_number, value)):
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
-
-
-def snapshot_config(resolved: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -10,12 +10,12 @@ Observation layout per micro-step is (position, goal, last action), d_o = 6.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import ChunkSpec, SpecError
+from .generator import (ChunkSpec, SpecError, read_json_object, read_keys, read_spec,
+                        write_json)
 
 OBS_DIM = 6
 ACTION_DIM = 2
@@ -246,7 +246,7 @@ def _plan_modes(pos, goal, signs, steps, gain, swing_amp, swing_len):
                 lambda p, k: mode_action(p, goal, k, signs, gain, swing_amp, swing_len))
 
 
-def synth_multimodal(modes: int, conditions: int, samples_per_condition: int = 1,
+def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_condition: int = 2,
                      noise: float = 0.01, seed: int = 0,
                      spec: ChunkSpec | None = None, gain: float = SCRIPTED_GAIN,
                      swing_amp: float = 0.5, swing_len: int = 8,
@@ -319,10 +319,10 @@ def mode_centers_for(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
     The condition state (position, goal) is read off the newest history row;
     centers are recomputed from the stored synthesis parameters.
     """
-    spec = ChunkSpec.from_dict(metadata["chunk_spec"])
     signs = np.asarray(metadata["mode_signs"], dtype=np.float64)
     newest = np.repeat(np.asarray(obs_hist)[-1:], len(signs), axis=0)
-    centers, _ = _plan_modes(newest[:, 0:2], newest[:, 2:4], signs, spec.horizon,
+    centers, _ = _plan_modes(newest[:, 0:2], newest[:, 2:4], signs,
+                             metadata["chunk_spec"]["horizon"],
                              metadata["gain"], metadata["swing_amp"], metadata["swing_len"])
     return centers.reshape(len(signs), -1)
 
@@ -335,8 +335,6 @@ def mode_coverage(policy_fn, dataset: ImitationDataset, samples: int,
     chunk to the nearest mode center, and average the per-condition fraction
     of modes hit.
     """
-    if "mode_signs" not in dataset.metadata:
-        raise SpecError("dataset lacks mode metadata")
     if samples < 1 or (max_conditions is not None and max_conditions < 1):
         raise SpecError("coverage samples and max_conditions must be >= 1")
     n_modes = dataset.metadata["modes"]
@@ -375,32 +373,18 @@ def save_dataset(dataset: ImitationDataset, csv_path, meta_path) -> None:
             row += [repr(float(v)) for v in dataset.chunks[i].reshape(-1)]
             row.append(int(dataset.modes[i]))
             writer.writerow(row)
-    with open(meta_path, "w") as fh:
-        json.dump(dataset.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_json_object(path, what: str, keys=()) -> dict:
-    """The JSON object in ``path``, which must hold ``keys``; :class:`SpecError`
-    naming the ``what`` file and the key otherwise."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:
-        raise SpecError(f"{what} {path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SpecError(f"{what} {path}: not a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise SpecError(f"{what} {path}: no key {key!r}")
-    return doc
+    write_json(meta_path, dataset.metadata)
 
 
 def load_dataset(csv_path, meta_path) -> ImitationDataset:
     """Read :func:`save_dataset`'s files; :class:`SpecError` names a malformed
-    file and its key or line."""
-    metadata = read_json_object(meta_path, "dataset metadata", ("chunk_spec", "obs_dim"))
-    spec = ChunkSpec.from_dict(metadata["chunk_spec"])
+    file and its key or line.  The metadata fields that training and
+    :func:`mode_coverage` read are checked here."""
+    where = f"dataset metadata {meta_path}: "
+    metadata = read_json_object(meta_path, "dataset metadata")
+    spec = read_spec(metadata, where)
+    read_keys(metadata, {"obs_dim": int, "modes": int, "mode_signs": tuple[float, ...],
+                         "gain": float, "swing_amp": float, "swing_len": int}, where)
     obs_shape = (spec.history_len, metadata["obs_dim"])
     width = obs_shape[0] * obs_shape[1]
     with open(csv_path, newline="") as fh:

@@ -13,10 +13,16 @@ run the same numpy calls around the same row-invariant kernel
 (:func:`autodiff.row_matmul`), so their values agree bitwise, and a row's
 values do not depend on its batch.  A caller that wants values only calls
 :meth:`Generator.infer`; a ``Tensor`` result always means a recorded graph.
+
+The JSON helpers at the end of the module own the format of every JSON file:
+configs, checkpoints and dataset metadata are read through one typed reader
+(:func:`read_keys`), and indented files are written by :func:`write_json`.
 """
 
 from __future__ import annotations
 
+import json
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -66,10 +72,6 @@ class ChunkSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChunkSpec":
-        return cls(**{f.name: int(d[f.name]) for f in fields(cls)})
 
 
 def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:
@@ -243,3 +245,62 @@ def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
     chunk, _ = generator.forward(Tensor(obs_rep),
                                  Tensor(latents.reshape(b * count, -1)))
     return chunk.reshape(b, count, generator.spec.chunk_dim), latents
+
+
+# -- typed JSON inputs -----------------------------------------------------
+
+JSON_TYPES = {int: {int}, float: {int, float}, bool: {bool}, str: {str}, dict: {dict}}
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in ``path``; :class:`SpecError` naming the ``what`` file otherwise."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise SpecError(f"{what} {path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} {path}: not a JSON object")
+    return doc
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def typed(value, kind, key: str, where: str, error=SpecError):
+    """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
+    number, an int never from a bool), or as ``tuple[X, ...]`` (``tuple[X, X]``)
+    from a list of ``X`` values (of that length).  Anything else raises
+    ``error("<where>key '<key>' expects <kind>, got <value>")``."""
+    items = typing.get_args(kind)
+    if items:
+        if (type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]
+                and (items[-1] is ... or len(value) == len(items))):
+            return tuple(map(items[0], value))
+    elif type(value) in JSON_TYPES[kind]:
+        return float(value) if kind is float else value
+    raise error(f"{where}key {key!r} expects {kind.__name__}, got {value!r}")
+
+
+def read_keys(doc: dict, kinds: dict, where: str) -> dict:
+    """``{key: value}`` for every dotted key of ``kinds`` (``"a.b"`` is
+    ``doc["a"]["b"]``, and ``doc["a"]`` must be an object), each read by
+    :func:`typed`; a missing key raises ``SpecError("<where>no key '<key>'")``."""
+    values = {}
+    for key, kind in kinds.items():
+        outer, _, name = key.rpartition(".")
+        node = read_keys(doc, {outer: dict}, where)[outer] if outer else doc
+        if name not in node:
+            raise SpecError(f"{where}no key {key!r}")
+        values[key] = typed(node[name], kind, key, where)
+    return values
+
+
+def read_spec(doc: dict, where: str) -> ChunkSpec:
+    """The ``chunk_spec`` object of a saved file, every field an int."""
+    kinds = {f"chunk_spec.{f.name}": int for f in fields(ChunkSpec)}
+    return ChunkSpec(*read_keys(doc, kinds, where).values())

@@ -18,7 +18,8 @@ import numpy as np
 from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp, minimum,
                        tanh)
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_gaussian
+from .actor import (DEFAULT_LOG_STD_INIT, GaussianActor, prefix_entropy, prefix_log_prob,
+                    sample_gaussian)
 from .envs import PointMassEnv, VecPointMassEnv
 from .generator import ChunkSpec, Dense, Generator, executed_prefix
 from .training import AdamW, NumericalAbort, leaf_grads
@@ -272,8 +273,8 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
                        first_epoch_ratios=first_epoch_ratios)
 
 
-def finetune(generator: Generator, config: PPOConfig, reward_mode: str,
-             log_std_init: float, critic_seed: int):
+def finetune(generator: Generator, config: PPOConfig, reward_mode: str = "sparse",
+             log_std_init: float = DEFAULT_LOG_STD_INIT, critic_seed: int = 0):
     """Fine-tune ``generator`` in place: per iteration, collect, GAE and one
     :func:`ppo_update` against a frozen clone, with one actor, critic, env, rng
     and optimizer pair for the run.  ``config.anchor_decay`` takes the anchor

@@ -412,7 +412,7 @@ def synth_multimodal_loop(modes: int, conditions: int, samples_per_condition: in
 
 def mode_centers_loop(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
     """``envs.mode_centers_for``: one scalar rollout per mode sign."""
-    spec = ChunkSpec.from_dict(metadata["chunk_spec"])
+    spec = ChunkSpec(**metadata["chunk_spec"])
     pos, goal = obs_hist[-1, 0:2], obs_hist[-1, 2:4]
     return np.stack([rollout_mode_chunk(pos, goal, spec, sign, metadata["gain"],
                                         metadata["swing_amp"], metadata["swing_len"]).reshape(-1)

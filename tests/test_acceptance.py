@@ -17,7 +17,7 @@ import pytest
 
 from driftkit.actor import DEFAULT_LOG_STD_INIT, GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import Tensor, backward
-from driftkit.checkpoint import checkpoint_document, restore_generator
+from driftkit.checkpoint import load_checkpoint, restore_generator, save_checkpoint
 from driftkit.cli import main
 from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
                             balanced_coefficients, build_reference_pool,
@@ -57,11 +57,13 @@ def eval_data():
 
 
 @pytest.fixture(scope="module")
-def pretrained_doc(train_data):
+def pretrained_doc(train_data, tmp_path_factory):
     gen = Generator(TOY_SPEC, obs_dim=6, latent_dim=4, hidden_dim=64, seed=0)
     cfg = TrainConfig(steps=PRETRAIN_STEPS, seed=PRETRAIN_SEED, **COVERAGE_TRAIN)
     train(train_data, gen, DriftConfig(temperatures=STAGE1_TEMPERATURES), cfg)
-    return checkpoint_document(gen)
+    path = tmp_path_factory.mktemp("pretrained") / "checkpoint.json"
+    save_checkpoint(path, gen)
+    return load_checkpoint(path)
 
 
 def coverage_of(gen, dataset, samples=64, seed=7):

@@ -202,12 +202,26 @@ def _truncated_before_params(text):
     return text[:text.index('"params"')]
 
 
-def _without(key):
+def _edit(key, change):
+    """An edit of a JSON text that applies ``change(obj, name)`` to the object
+    holding the dotted ``key``."""
     def edit(text):
         doc = json.loads(text)
-        del doc[key]
+        *outer, name = key.split(".")
+        obj = doc
+        for part in outer:
+            obj = obj[part]
+        change(obj, name)
         return json.dumps(doc)
     return edit
+
+
+def _without(key):
+    return _edit(key, lambda obj, name: obj.pop(name))
+
+
+def _with(key, value):
+    return _edit(key, lambda obj, name: obj.__setitem__(name, value))
 
 
 def _nan_in_ema(text):
@@ -241,6 +255,44 @@ CORRUPT_INPUTS = [
     ("dataset-meta-truncated", "train", "dataset_meta.json", lambda text: text[:1],
      lambda path, text: f"dataset metadata {path}: not valid JSON: Expecting property name "
                         "enclosed in double quotes: line 1 column 2 (char 1)"),
+    # a mistyped field is never coerced: 6.7 is not read as 6, nor true as 1
+    ("checkpoint-obs-dim-float", "eval", "checkpoint.json", _with("obs_dim", 6.7),
+     lambda path, text: f"checkpoint {path}: key 'obs_dim' expects int, got 6.7"),
+    ("checkpoint-obs-dim-str", "eval", "checkpoint.json", _with("obs_dim", "six"),
+     lambda path, text: f"checkpoint {path}: key 'obs_dim' expects int, got 'six'"),
+    ("checkpoint-format-version-true", "eval", "checkpoint.json",
+     _with("format_version", True),
+     lambda path, text: f"checkpoint {path}: key 'format_version' expects int, got True"),
+    ("checkpoint-horizon-str", "eval", "checkpoint.json", _with("chunk_spec.horizon", "4"),
+     lambda path, text: f"checkpoint {path}: key 'chunk_spec.horizon' expects int, got '4'"),
+    ("checkpoint-horizon-float", "eval", "checkpoint.json", _with("chunk_spec.horizon", 4.9),
+     lambda path, text: f"checkpoint {path}: key 'chunk_spec.horizon' expects int, got 4.9"),
+    ("checkpoint-no-horizon", "eval", "checkpoint.json", _without("chunk_spec.horizon"),
+     lambda path, text: f"checkpoint {path}: no key 'chunk_spec.horizon'"),
+    ("checkpoint-chunk-spec-list", "eval", "checkpoint.json", _with("chunk_spec", [4, 2, 1, 2]),
+     lambda path, text: f"checkpoint {path}: key 'chunk_spec' expects dict, got [4, 2, 1, 2]"),
+    ("checkpoint-params-list", "eval", "checkpoint.json", _with("params", [1, 2]),
+     lambda path, text: f"checkpoint {path}: key 'params' expects dict, got [1, 2]"),
+    ("checkpoint-head-w-no-data", "eval", "checkpoint.json", _without("params.head_w.data"),
+     lambda path, text: f"checkpoint {path}: no key 'params.head_w.data'"),
+    ("checkpoint-head-w-data-str", "eval", "checkpoint.json",
+     _with("params.head_w.data", ["a"]),
+     lambda path, text: f"checkpoint {path}: key 'params.head_w.data' expects tuple, "
+                        "got ['a']"),
+    ("checkpoint-head-w-shape", "eval", "checkpoint.json", _with("params.head_w.shape", [3]),
+     lambda path, text: f"checkpoint {path}: key 'params.head_w.shape' is [3], "
+                        "but the data holds 128 values"),
+    ("checkpoint-three-log-std-bounds", "eval", "checkpoint.json",
+     _with("actor_head", {"params": {}, "log_std_bounds": [-5.0, 0.0, 1.0]}),
+     lambda path, text: f"checkpoint {path}: key 'actor_head.log_std_bounds' expects tuple, "
+                        "got [-5.0, 0.0, 1.0]"),
+    ("dataset-meta-obs-dim-str", "train", "dataset_meta.json", _with("obs_dim", "six"),
+     lambda path, text: f"dataset metadata {path}: key 'obs_dim' expects int, got 'six'"),
+    ("dataset-meta-no-exec-len", "train", "dataset_meta.json",
+     _without("chunk_spec.exec_len"),
+     lambda path, text: f"dataset metadata {path}: no key 'chunk_spec.exec_len'"),
+    ("dataset-meta-no-gain-eval", "eval", "dataset_meta.json", _without("gain"),
+     lambda path, text: f"dataset metadata {path}: no key 'gain'"),
 ]
 
 
@@ -260,7 +312,9 @@ def test_corrupt_input_exits_2_naming_the_file(tmp_path, capsys, tiny_data, tiny
     path.write_bytes(text.encode())
     key, name = (("data.path", "dataset.csv") if command == "train"
                  else ("checkpoint.path", "checkpoint.json"))
-    cfg = write_config(tmp_path / "c.json", {key: str(files / name)})
+    # eval reads the dataset too, for mode coverage, once the checkpoint has loaded
+    extra = {"eval.dataset": str(files / "dataset.csv")} if command == "eval" else {}
+    cfg = write_config(tmp_path / "c.json", {key: str(files / name), **extra})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message(path, text)}\n"
 

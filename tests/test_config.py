@@ -3,15 +3,17 @@ coercion and rejection."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from driftkit.config import (CHUNK_KEYS, DRIFT_KEYS, FINETUNE_KEYS, TRAIN_KEYS,
-                             ConfigError, fields_of, resolve_config)
+from driftkit.config import (CHUNK_KEYS, DRIFT_KEYS, FINETUNE_KEYS, MODEL_KEYS, SYNTH_KEYS,
+                             TRAIN_KEYS, ConfigError, fields_of, resolve_config)
 from driftkit.drift import DriftConfig
-from driftkit.generator import ChunkSpec
+from driftkit.envs import synth_multimodal
+from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import PPOConfig
 from driftkit.training import TrainConfig
 
@@ -25,8 +27,24 @@ DEFAULT_SNAPSHOT_SHA256 = {
     "finetune": "efbf48705a6a6b4fd741fc93c7d5a1095c5567f18d74e550d8f546ea10ab55fb",
 }
 
+
+def comparable(owner, *args, view):
+    """``owner`` with the same signature, called on ``args`` first, returning
+    ``view`` of its result so that two results compare by value."""
+    @functools.wraps(owner)
+    def build(**kwargs):
+        return view(owner(*args, **kwargs))
+    return build
+
+
+SYNTH = comparable(synth_multimodal, view=lambda ds: (
+    ds.observations.tobytes(), ds.chunks.tobytes(), ds.modes.tobytes(), ds.metadata))
+MODEL = comparable(Generator, ChunkSpec(), 6, view=lambda gen: (
+    gen.latent_dim, gen.hidden_dim, {k: v.tobytes() for k, v in gen.param_arrays().items()}))
+
 SECTIONS = [("chunk", ChunkSpec, CHUNK_KEYS), ("drift", DriftConfig, DRIFT_KEYS),
-            ("train", TrainConfig, TRAIN_KEYS), ("ppo", PPOConfig, FINETUNE_KEYS)]
+            ("train", TrainConfig, TRAIN_KEYS), ("ppo", PPOConfig, FINETUNE_KEYS),
+            ("synth", SYNTH, SYNTH_KEYS), ("model", MODEL, MODEL_KEYS)]
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_SNAPSHOT_SHA256))
