@@ -67,12 +67,10 @@ def cmd_train(cfg: dict, out: Path) -> int:
     train_config = TrainConfig(**fields_of(cfg, "train", TrainConfig))
     generator = Generator(dataset.spec, obs_dim=dataset.metadata["obs_dim"],
                           **fields_of(cfg, "model", Generator))
-    result = train(dataset, generator, drift_config, train_config)
+    result = train(dataset, generator, drift_config, train_config,
+                   on_checkpoint=lambda step: ckpt.save_checkpoint(
+                       out / f"checkpoint_step{step}.json", generator))
     write_metrics_csv(out / "metrics.csv", result.metrics)
-    snap = generator.clone() if result.checkpoints else None
-    for step, arrays in result.checkpoints.items():
-        snap.params.load(arrays)
-        ckpt.save_checkpoint(out / f"checkpoint_step{step}.json", snap)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
                          ema_params=result.ema_params,
                          rng_state=result.rng_state,
@@ -102,16 +100,9 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
                     raise ConfigError(f"{key} must be >= 1")
             data_path = Path(cfg["eval.dataset"])
             dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
-
-            def policy_fn(obs_hist, samples, rng_):
-                obs = np.repeat(obs_hist.reshape(1, -1), samples, axis=0)
-                z = rng_.standard_normal((samples, actor.generator.latent_dim))
-                chunk, _ = actor.generator.infer(obs, z)
-                return chunk
-
             coverage["mode_coverage"] = mode_coverage(
-                policy_fn, dataset, cfg["eval.coverage_samples"], np.random.default_rng(seed),
-                max_conditions=cfg["eval.coverage_conditions"])
+                actor.generator, dataset, cfg["eval.coverage_samples"],
+                np.random.default_rng(seed), max_conditions=cfg["eval.coverage_conditions"])
         before = actor.generator.nfe_count
         t0 = time.perf_counter()
         report = evaluate_policy(

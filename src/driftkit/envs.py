@@ -2,7 +2,7 @@
 receding-horizon stepping, N envs in lockstep or one as a view, plus synthetic
 multimodal imitation datasets whose expert chunks come from scripted
 goal-reaching controllers that swerve left or right on the way in; one
-row-vectorised planner, :func:`plan`, moves every expert's point masses.
+row-vectorised planner, :func:`plan`, moves every point mass.
 
 Observation layout per micro-step is (position, goal, last action), d_o = 6.
 """
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generator import (ChunkSpec, SpecError, read_json_object, read_keys, read_spec,
-                        write_json)
+from .generator import (ChunkSpec, Generator, SpecError, read_json_object, read_keys,
+                        read_spec, write_json)
 
 OBS_DIM = 6
 ACTION_DIM = 2
@@ -91,11 +91,7 @@ class VecPointMassEnv:
         h_e = actions.shape[1]
         hist = self.history[rows]
         goal = np.repeat(hist[:, -1:, 2:4], h_e, axis=1)
-        pos = np.empty_like(actions)
-        now = hist[:, -1, 0:2]
-        for k in range(h_e):
-            now = np.clip(now + actions[:, k] * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
-            pos[:, k] = now
+        _, pos = plan(hist[:, -1, 0:2], h_e, lambda _, k: actions[:, k])
         offset = pos - goal
         dist = np.sqrt(np.vecdot(offset, offset))
         success = dist <= SUCCESS_THRESHOLD
@@ -313,46 +309,45 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
     )
 
 
-def mode_centers_for(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
-    """The K noiseless mode chunks for one condition, flattened to (K, D).
+def mode_centers(obs: np.ndarray, metadata: dict) -> np.ndarray:
+    """The K noiseless mode chunks of N conditions, flattened to (N, K, D).
 
-    The condition state (position, goal) is read off the newest history row;
-    centers are recomputed from the stored synthesis parameters.
+    Each condition state (position, goal) is read off the newest row of its
+    (T_o, d_o) history; centers are recomputed from the stored synthesis
+    parameters in one plan over N x K rows.
     """
     signs = np.asarray(metadata["mode_signs"], dtype=np.float64)
-    newest = np.repeat(np.asarray(obs_hist)[-1:], len(signs), axis=0)
-    centers, _ = _plan_modes(newest[:, 0:2], newest[:, 2:4], signs,
+    newest = np.repeat(np.asarray(obs)[:, -1], len(signs), axis=0)
+    centers, _ = _plan_modes(newest[:, 0:2], newest[:, 2:4], np.tile(signs, len(obs)),
                              metadata["chunk_spec"]["horizon"],
                              metadata["gain"], metadata["swing_amp"], metadata["swing_len"])
-    return centers.reshape(len(signs), -1)
+    return centers.reshape(len(obs), len(signs), -1)
 
 
-def mode_coverage(policy_fn, dataset: ImitationDataset, samples: int,
+def mode_coverage(generator: Generator, dataset: ImitationDataset, samples: int,
                   rng: np.random.Generator, max_conditions: int | None = None) -> float:
-    """Fraction of distinct expert modes reached by sampled policy chunks.
+    """Fraction of distinct expert modes reached by the generator's chunks.
 
-    For every test condition, draw ``samples`` latents, assign each generated
-    chunk to the nearest mode center, and average the per-condition fraction
-    of modes hit.
+    The conditions are the dataset's distinct histories (by their bytes), in
+    first-seen order, the first ``max_conditions`` of them if given.  One
+    (conditions x samples, latent_dim) latent draw feeds one
+    ``generator.infer``; each chunk goes to its nearest mode center, and the
+    per-condition fractions of the K modes hit are averaged.
     """
     if samples < 1 or (max_conditions is not None and max_conditions < 1):
         raise SpecError("coverage samples and max_conditions must be >= 1")
-    n_modes = dataset.metadata["modes"]
-    seen_conditions = set()
-    fractions = []
-    for i in range(len(dataset)):
-        key = dataset.observations[i].tobytes()
-        if key in seen_conditions:
-            continue
-        seen_conditions.add(key)
-        if max_conditions is not None and len(fractions) >= max_conditions:
-            break
-        centers = mode_centers_for(dataset.observations[i], dataset.metadata)
-        chunks = policy_fn(dataset.observations[i], samples, rng)
-        diffs = chunks[:, None, :] - centers[None, :, :]
-        nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=1)
-        fractions.append(len(np.unique(nearest)) / n_modes)
-    return float(np.mean(fractions))
+    first = {}
+    for i, hist in enumerate(dataset.observations):
+        first.setdefault(hist.tobytes(), i)
+    conditions = dataset.observations[list(first.values())[:max_conditions]]
+    n = len(conditions)
+    z = rng.standard_normal((n * samples, generator.latent_dim))
+    chunks, _ = generator.infer(np.repeat(conditions.reshape(n, -1), samples, axis=0), z)
+    centers = mode_centers(conditions, dataset.metadata)
+    diffs = chunks.reshape(n, samples, 1, -1) - centers[:, None]
+    nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=2)
+    hit = (nearest[:, :, None] == np.arange(centers.shape[1])).any(axis=1)
+    return float(np.mean(hit.sum(axis=1) / centers.shape[1]))
 
 
 # -- persistence ---------------------------------------------------------
@@ -379,16 +374,21 @@ def save_dataset(dataset: ImitationDataset, csv_path, meta_path) -> None:
 def load_dataset(csv_path, meta_path) -> ImitationDataset:
     """Read :func:`save_dataset`'s files; :class:`SpecError` names a malformed
     file and its key or line.  The metadata fields that training and
-    :func:`mode_coverage` read are checked here."""
+    :func:`mode_coverage` read are checked here, and every cell must be finite."""
     where = f"dataset metadata {meta_path}: "
     metadata = read_json_object(meta_path, "dataset metadata")
     spec = read_spec(metadata, where)
-    read_keys(metadata, {"obs_dim": int, "modes": int, "mode_signs": tuple[float, ...],
-                         "gain": float, "swing_amp": float, "swing_len": int}, where)
+    checked = read_keys(metadata, {"obs_dim": int, "modes": int, "mode_signs": tuple[float, ...],
+                                   "gain": float, "swing_amp": float, "swing_len": int}, where)
+    if checked["modes"] != len(checked["mode_signs"]):
+        raise SpecError(f"{where}key 'modes' is {checked['modes']}, "
+                        f"but 'mode_signs' holds {len(checked['mode_signs'])} values")
     obs_shape = (spec.history_len, metadata["obs_dim"])
     width = obs_shape[0] * obs_shape[1]
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh)) or [[]]  # line 1 is the header
+    if len(rows) < 2:
+        raise SpecError(f"dataset {csv_path} has no records")
     values = np.empty((len(rows) - 1, width + spec.chunk_dim))
     modes = np.empty(len(rows) - 1, dtype=np.int64)
     for line, row in enumerate(rows, start=1):
@@ -400,6 +400,11 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
                 values[line - 2], modes[line - 2] = [float(v) for v in row[:-1]], int(row[-1])
         except ValueError as exc:
             raise SpecError(f"dataset {csv_path} line {line}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        record, column = bad[0]
+        raise SpecError(f"dataset {csv_path} line {record + 2}: "
+                        f"{rows[0][column]} is {rows[record + 1][column]}, not finite")
     return ImitationDataset(
         observations=values[:, :width].reshape(-1, *obs_shape),
         chunks=values[:, width:].reshape(-1, spec.horizon, spec.action_dim),

@@ -157,7 +157,6 @@ def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], step: i
 class TrainResult:
     metrics: list[dict] = field(default_factory=list)
     ema_params: dict[str, np.ndarray] = field(default_factory=dict)
-    checkpoints: dict[int, dict[str, np.ndarray]] = field(default_factory=dict)
     rng_state: dict | None = None
     optimizer_state: dict | None = None
 
@@ -180,12 +179,14 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
 
 
 def train(dataset, generator: Generator, drift_config: DriftConfig,
-          config: TrainConfig) -> TrainResult:
+          config: TrainConfig, on_checkpoint=None) -> TrainResult:
     """Run the Stage-1 loop; deterministic for a fixed seed.
 
     ``dataset`` must expose .observations (N, T_o, d_o) and .chunks (N, H, d_a).
-    A non-finite value in the step (forward, backward or update) raises
-    :class:`NumericalAbort`, whose dump holds the step and its minibatch indices.
+    ``on_checkpoint(step)``, if given, runs after every ``checkpoint_every``-th
+    update, with that step's parameters in ``generator``.  A non-finite value in
+    the step (forward, backward or update) raises :class:`NumericalAbort`,
+    whose dump holds the step and its minibatch indices.
     """
     obs = np.asarray(dataset.observations, dtype=np.float64)
     chunks = np.asarray(dataset.chunks, dtype=np.float64)
@@ -227,8 +228,8 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
                             config.ema_decay, config.ema_power)
         result.metrics.append({"step": step, "loss": loss, "grad_norm": norm,
                                "s_norm": scale, "lr": lr})
-        if config.checkpoint_every and step % config.checkpoint_every == 0:
-            result.checkpoints[step] = generator.params.arrays()
+        if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
+            on_checkpoint(step)
 
     result.ema_params = shadow
     result.rng_state = rng.bit_generator.state

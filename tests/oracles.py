@@ -12,7 +12,9 @@ batch-1 deployment path, and ``steering_actor`` gives it a policy whose
 episodes end in every possible way.  ``synth_multimodal_loop`` is the
 demonstration synthesis the package once ran one point mass and one
 micro-step at a time, with the scalar swerving controller; it is the
-reference for the row-vectorised ``envs.plan``.
+reference for the row-vectorised ``envs.plan``.  ``mode_coverage_loop`` is
+the per-condition mode coverage that the one-pass ``envs.mode_coverage``
+replaced.
 """
 
 from __future__ import annotations
@@ -411,9 +413,33 @@ def synth_multimodal_loop(modes: int, conditions: int, samples_per_condition: in
 
 
 def mode_centers_loop(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
-    """``envs.mode_centers_for``: one scalar rollout per mode sign."""
+    """One condition's row of ``envs.mode_centers``: one scalar rollout per
+    mode sign, (K, D)."""
     spec = ChunkSpec(**metadata["chunk_spec"])
     pos, goal = obs_hist[-1, 0:2], obs_hist[-1, 2:4]
     return np.stack([rollout_mode_chunk(pos, goal, spec, sign, metadata["gain"],
                                         metadata["swing_amp"], metadata["swing_len"]).reshape(-1)
                      for sign in metadata["mode_signs"]])
+
+
+def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.random.Generator,
+                       max_conditions: int | None = None) -> float:
+    """``envs.mode_coverage`` one condition at a time: per distinct history, in
+    first-seen order, ``samples`` latents, one ``generator.infer`` and the
+    nearest of :func:`mode_centers_loop`'s centres for each chunk."""
+    seen = set()
+    fractions = []
+    for obs_hist in dataset.observations:
+        key = obs_hist.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        if max_conditions is not None and len(fractions) >= max_conditions:
+            break
+        centers = mode_centers_loop(obs_hist, dataset.metadata)
+        obs = np.repeat(obs_hist.reshape(1, -1), samples, axis=0)
+        chunks, _ = generator.infer(obs, rng.standard_normal((samples, generator.latent_dim)))
+        diffs = chunks[:, None, :] - centers[None, :, :]
+        nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=1)
+        fractions.append(len(np.unique(nearest)) / len(centers))
+    return float(np.mean(fractions))

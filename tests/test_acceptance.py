@@ -66,15 +66,6 @@ def pretrained_doc(train_data, tmp_path_factory):
     return load_checkpoint(path)
 
 
-def coverage_of(gen, dataset, samples=64, seed=7):
-    def policy_fn(obs_hist, n, rng_):
-        obs = np.repeat(obs_hist.reshape(1, -1), n, axis=0)
-        z = rng_.standard_normal((n, gen.latent_dim))
-        chunk, _ = gen.infer(obs, z)
-        return chunk
-    return mode_coverage(policy_fn, dataset, samples, np.random.default_rng(seed))
-
-
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(1234)
@@ -335,7 +326,7 @@ def test_criterion_7_multimodality_gain(train_data, eval_data):
         cfg = TrainConfig(steps=300, seed=42, **COVERAGE_TRAIN)
         train(train_data, gen, DriftConfig(hypothesis_count=g,
                                            temperatures=STAGE1_TEMPERATURES), cfg)
-        coverages[g] = coverage_of(gen, eval_data, samples=64)
+        coverages[g] = mode_coverage(gen, eval_data, 64, np.random.default_rng(7))
     elapsed = time.perf_counter() - start
     gap = coverages[4] - coverages[1]
     assert gap >= 0.25, f"coverage gap {gap:.3f} (G4 {coverages[4]:.3f}, G1 {coverages[1]:.3f})"

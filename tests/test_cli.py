@@ -89,6 +89,23 @@ def test_numerical_blow_up_exits_3_with_abort_dump(tmp_path, capsys):
     assert not (out / "checkpoint_final.json").exists()
 
 
+def test_blow_up_keeps_the_checkpoints_taken_before_it(tmp_path, capsys):
+    data = synth_dir(tmp_path)
+    code, out = train_dir(tmp_path, data, extra={"train.learning_rate": 1e300,
+                                                 "train.checkpoint_every": 1})
+    assert code == 3
+    assert "numerical abort: step 2" in capsys.readouterr().err
+    assert [p.name for p in out.glob("checkpoint_*")] == ["checkpoint_step1.json"]
+    # the snapshot holds step 1's parameters, as a run that stops there ends with
+    code, one = train_dir(tmp_path, data, name="one", steps=1,
+                          extra={"train.learning_rate": 1e300})
+    assert code == 0
+    got = load_checkpoint(out / "checkpoint_step1.json")["params"]
+    want = load_checkpoint(one / "checkpoint_final.json")["params"]
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[name], want[name]) for name in got)
+
+
 @pytest.fixture(scope="module")
 def tiny_data(tmp_path_factory):
     return synth_dir(tmp_path_factory.mktemp("data"))
@@ -230,9 +247,14 @@ def _nan_in_ema(text):
     return json.dumps(doc)
 
 
-def _abc_in_first_row(text):
-    header, first, rest = text.split("\n", 2)
-    return "\n".join([header, "abc" + first[first.index(","):], rest])
+def _in_first_record(column, value):
+    """An edit of a dataset CSV text that sets the first record's ``column``."""
+    def edit(text):
+        header, first, rest = text.split("\n", 2)
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = value
+        return "\n".join([header, ",".join(cells), rest])
+    return edit
 
 
 # (id, command, the file corrupted, the edit of its text, and the message
@@ -250,7 +272,7 @@ CORRUPT_INPUTS = [
      _without("hidden_dim"), lambda path, text: f"checkpoint {path}: no key 'hidden_dim'"),
     ("checkpoint-nan-in-ema", "finetune", "checkpoint.json", _nan_in_ema,
      lambda path, text: f"checkpoint {path}: ema_params parameter head_w is not finite"),
-    ("dataset-cell-abc", "train", "dataset.csv", _abc_in_first_row,
+    ("dataset-cell-abc", "train", "dataset.csv", _in_first_record("obs_0", "abc"),
      lambda path, text: f"dataset {path} line 2: could not convert string to float: 'abc'"),
     ("dataset-meta-truncated", "train", "dataset_meta.json", lambda text: text[:1],
      lambda path, text: f"dataset metadata {path}: not valid JSON: Expecting property name "
@@ -293,6 +315,17 @@ CORRUPT_INPUTS = [
      lambda path, text: f"dataset metadata {path}: no key 'chunk_spec.exec_len'"),
     ("dataset-meta-no-gain-eval", "eval", "dataset_meta.json", _without("gain"),
      lambda path, text: f"dataset metadata {path}: no key 'gain'"),
+    # coverage scores against one centre per sign, so the mode count must match them
+    ("dataset-meta-five-modes-two-signs-eval", "eval", "dataset_meta.json", _with("modes", 5),
+     lambda path, text: f"dataset metadata {path}: key 'modes' is 5, "
+                        "but 'mode_signs' holds 2 values"),
+    ("dataset-obs-inf-eval", "eval", "dataset.csv", _in_first_record("obs_0", "inf"),
+     lambda path, text: f"dataset {path} line 2: obs_0 is inf, not finite"),
+    ("dataset-expert-nan-train", "train", "dataset.csv", _in_first_record("act_3", "nan"),
+     lambda path, text: f"dataset {path} line 2: act_3 is nan, not finite"),
+    # coverage of no conditions used to report NaN
+    ("dataset-header-only-eval", "eval", "dataset.csv", lambda text: text.split("\n", 1)[0],
+     lambda path, text: f"dataset {path} has no records"),
 ]
 
 

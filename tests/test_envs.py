@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit import envs
-from driftkit.envs import (DT, OBS_DIM, EnvError, PointMassEnv, VecPointMassEnv, load_dataset,
-                           mode_action, mode_centers_for, mode_coverage, save_dataset,
-                           scripted_action, scripted_chunks, synth_multimodal)
-from driftkit.generator import ChunkSpec, SpecError, executed_prefix
+from driftkit.envs import (DT, OBS_DIM, EnvError, ImitationDataset, PointMassEnv,
+                           VecPointMassEnv, load_dataset, mode_action, mode_centers,
+                           mode_coverage, save_dataset, scripted_action, scripted_chunks,
+                           synth_multimodal)
+from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix
 
 from .oracles import (ScalarPointMassEnv, mode_action_scalar, mode_centers_loop,
-                      scripted_chunk_loop, synth_multimodal_loop)
+                      mode_coverage_loop, scripted_chunk_loop, synth_multimodal_loop)
 
 SPEC = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
 
@@ -250,9 +251,8 @@ def test_single_mode_zero_noise_chunks_identical_per_condition():
 def test_two_symmetric_modes_average_to_midpoint():
     ds = synth_multimodal(modes=2, conditions=6, samples_per_condition=400,
                           noise=0.0, seed=1, spec=SPEC)
-    for i in range(6):
+    for i, centers in enumerate(mode_centers(ds.observations[::400], ds.metadata)):
         block = ds.chunks[i * 400:(i + 1) * 400].reshape(400, -1)
-        centers = mode_centers_for(ds.observations[i * 400], ds.metadata)
         midpoint = centers.mean(axis=0)
         spread = np.linalg.norm(centers[0] - centers[1])
         se = spread / 2 / np.sqrt(400)
@@ -302,8 +302,7 @@ def test_dataset_row_narrower_than_header_rejected(tmp_path):
 def test_mode_centers_are_separated_at_episode_start():
     ds = synth_multimodal(modes=2, conditions=10, samples_per_condition=1,
                           seed=3, warmup_max=0)
-    for i in range(10):
-        centers = mode_centers_for(ds.observations[i], ds.metadata)
+    for centers in mode_centers(ds.observations, ds.metadata):
         assert np.linalg.norm(centers[0] - centers[1]) > 0.5
 
 
@@ -332,9 +331,8 @@ def test_synthesis_and_mode_centers_equal_the_scalar_loop_bitwise(
     for name in ("observations", "chunks", "modes"):
         assert_same_bytes(getattr(got, name), getattr(want, name))
     assert json.dumps(got.metadata, sort_keys=True) == json.dumps(want.metadata, sort_keys=True)
-    for obs_hist in got.observations[::samples]:
-        assert_same_bytes(mode_centers_for(obs_hist, got.metadata),
-                          mode_centers_loop(obs_hist, want.metadata))
+    assert_same_bytes(mode_centers(got.observations, got.metadata),
+                      np.stack([mode_centers_loop(h, want.metadata) for h in got.observations]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,7 +361,7 @@ def test_a_row_on_its_goal_gets_a_zero_action_without_warnings(gain):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         actions = mode_action(pos, goal, 0, signs, gain, 0.5, 8)
-        centers = mode_centers_for(obs_hist, metadata)
+        centers = mode_centers(obs_hist[None], metadata)[0]
     for a in (actions[0], actions[2], *centers.reshape(-1, 2)):
         assert a.tolist() == [0.0, 0.0] and not np.signbit(a).any()
     for i in range(3):
@@ -375,31 +373,78 @@ def test_a_row_on_its_goal_gets_a_zero_action_without_warnings(gain):
 # -- coverage -----------------------------------------------------------------
 
 
+class FakeGenerator:
+    """``Generator``'s coverage interface: ``infer(obs_flat, z)`` returns
+    ``chunk_fn(obs_flat, z)``; ``calls`` counts the calls."""
+
+    def __init__(self, latent_dim, chunk_fn):
+        self.latent_dim = latent_dim
+        self.chunk_fn = chunk_fn
+        self.calls = 0
+
+    def infer(self, obs_flat, z):
+        self.calls += 1
+        return self.chunk_fn(obs_flat, z), None
+
+
 def test_coverage_single_mode_is_always_one():
     ds = synth_multimodal(modes=1, conditions=6, samples_per_condition=1, seed=0)
-    rng = np.random.default_rng(0)
-
-    def noisy_policy(obs_hist, samples, rng_):
-        return rng_.normal(size=(samples, ds.spec.chunk_dim))
-
-    assert mode_coverage(noisy_policy, ds, 16, rng) == 1.0
+    noisy = FakeGenerator(ds.spec.chunk_dim, lambda obs, z: z)
+    assert mode_coverage(noisy, ds, 16, np.random.default_rng(0)) == 1.0
 
 
 def test_coverage_constant_policy_covers_half_of_two_modes():
     ds = synth_multimodal(modes=2, conditions=6, samples_per_condition=1, seed=0)
-    rng = np.random.default_rng(0)
     offset = np.full(ds.spec.chunk_dim, 0.123)
 
-    def constant_policy(obs_hist, samples, rng_):
-        centers = mode_centers_for(obs_hist, ds.metadata)
-        return np.tile(centers[0] + offset, (samples, 1))
+    def near_first_mode(obs, z):
+        return mode_centers(obs.reshape(len(obs), *ds.observations.shape[1:]),
+                            ds.metadata)[:, 0] + offset
 
-    assert mode_coverage(constant_policy, ds, 16, rng) == 0.5
+    assert mode_coverage(FakeGenerator(3, near_first_mode), ds, 16,
+                         np.random.default_rng(0)) == 0.5
 
 
 def test_coverage_requires_mode_metadata():
     ds = synth_multimodal(modes=2, conditions=2, samples_per_condition=1, seed=0)
     del ds.metadata["mode_signs"]
     with pytest.raises(Exception):
-        mode_coverage(lambda o, s, r: np.zeros((s, ds.spec.chunk_dim)), ds, 4,
-                      np.random.default_rng(0))
+        mode_coverage(FakeGenerator(3, lambda obs, z: np.zeros((len(z), ds.spec.chunk_dim))),
+                      ds, 4, np.random.default_rng(0))
+
+
+def test_coverage_is_one_infer_and_one_plan_whatever_the_condition_count(monkeypatch):
+    ds = synth_multimodal(modes=3, conditions=9, samples_per_condition=2, seed=4, spec=SPEC)
+    plan, plans = envs.plan, []
+    monkeypatch.setattr(envs, "plan", lambda *args: plans.append(args[1]) or plan(*args))
+    noisy = FakeGenerator(SPEC.chunk_dim, lambda obs, z: z)
+    mode_coverage(noisy, ds, 5, np.random.default_rng(0))
+    assert noisy.calls == 1 and plans == [SPEC.horizon]
+
+
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(1, 4), conditions=st.integers(1, 5), copies=st.integers(1, 3),
+       twins=st.integers(0, 3), samples=st.sampled_from([1, 2, 7, 64]),
+       max_conditions=st.one_of(st.none(), st.integers(1, 12)),
+       warmup_max=st.sampled_from([0, 3]), spec=st.sampled_from(SYNTH_SPECS),
+       seed=st.integers(0, 2**32 - 1))
+def test_mode_coverage_and_centers_equal_the_per_condition_loops_bitwise(
+        modes, conditions, copies, twins, samples, max_conditions, warmup_max, spec, seed):
+    # every condition ``copies`` times, shuffled, then ``twins`` copies whose
+    # zero cells are -0.0: the same state, a distinct condition by its bytes
+    ds = synth_multimodal(modes=modes, conditions=conditions, samples_per_condition=copies,
+                          seed=seed, spec=spec, warmup_max=warmup_max)
+    rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(len(ds)), rng.integers(0, len(ds), twins)])
+    obs = ds.observations[order]
+    twin_rows = obs[len(ds):]
+    twin_rows[twin_rows == 0.0] = -0.0
+    data = ImitationDataset(obs, ds.chunks[order], ds.modes[order], ds.spec, ds.metadata)
+    assert_same_bytes(mode_centers(obs, ds.metadata),
+                      np.stack([mode_centers_loop(h, ds.metadata) for h in obs]))
+    gen = Generator(spec, obs_dim=OBS_DIM, latent_dim=3, hidden_dim=8, seed=seed % 97)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = mode_coverage(gen, data, samples, got_rng, max_conditions)
+    want = mode_coverage_loop(gen, data, samples, want_rng, max_conditions)
+    assert got.hex() == want.hex()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
