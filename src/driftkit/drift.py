@@ -4,13 +4,13 @@ Each condition's reference pool is its G hypotheses (the repulsive side)
 followed by its C_p >= 1 expert actions (the attractive side), so the pool has
 U = G + C_p references and the side of reference u is whether u < G.
 
-The geometry needs no gradient, so it takes the hypotheses' values as a
-plain array (``values.data`` of the tape tensor) and everything up to the
-regression target is float64 numpy: pairwise distances, a global mean-distance
-scale, symmetric affinities per temperature, mass-balanced signed
-coefficients, per-scale forces, RMS normalization and the aggregated field.
-Gradients enter only through the squared regression of the hypothesis tensor
-onto the fixed target array, with the global scale treated as a constant.
+Everything is float64 numpy on plain arrays.  The geometry needs no
+gradient: pairwise distances, a global mean-distance scale, symmetric
+affinities per temperature, mass-balanced signed coefficients, per-scale
+forces, RMS normalization and the aggregated field.  Gradients enter only
+through the squared regression of the hypotheses onto the fixed target, with
+the global scale treated as a constant, and :func:`fixed_point_loss` returns
+that gradient with respect to the hypotheses alongside the loss.
 
 The geometry works over any leading axes, (..., B, G, S) hypotheses against
 (..., B, U, S) references, one independent instance per leading index; the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, square
+from .autodiff import check_finite
 
 DEFAULT_TEMPERATURES = (0.2,)
 MULTISCALE_TEMPERATURES = (0.02, 0.05, 0.2)
@@ -181,7 +181,7 @@ def compute_drift_field(detached: np.ndarray, refs: np.ndarray,
     (..., B, G + C_p, S) reference pool.
 
     Hypotheses too large to square give an infinite or NaN target without a
-    warning; the loss's tensor check then raises ``AutodiffError``.
+    warning; :func:`fixed_point_loss` then raises ``AutodiffError``.
     """
     d = pairwise_distances(detached, refs)
     scale = global_scale(d, config.scale_floor)
@@ -202,33 +202,45 @@ def compute_drift_field(detached: np.ndarray, refs: np.ndarray,
 # -- regression loss (gradient-carrying) ---------------------------------
 
 
-def fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarray) -> Tensor:
-    """Mean squared gap between scale-normalized hypotheses and the frozen target.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def fixed_point_loss(values: np.ndarray, target: np.ndarray,
+                     scale: float | np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared gap between scale-normalized hypotheses and the frozen
+    target, and its gradient with respect to ``values``.
 
     ``scale`` is a number or an array that broadcasts against the values.
-    Equals the sample average of the per-sample losses; in the forward pass the
-    value reduces to the mean squared drift magnitude because the target is the
-    detached hypotheses plus the drift.
+    The loss equals the sample average of the per-sample losses; in the
+    forward pass it reduces to the mean squared drift magnitude because the
+    target is the detached hypotheses plus the drift.  With r = x/R - target
+    over N entries, dL/dx = 2r/(R*N), evaluated in the reverse-mode order of
+    ``mean(square(x/R - target))``: (2 * (1/N)) * r, then / R.  A non-finite
+    target, scale, loss or gradient raises ``AutodiffError``.
     """
+    values = np.asarray(values, dtype=np.float64)
     if values.shape != target.shape:
         raise DriftConfigError(f"values {values.shape} vs target {target.shape}")
-    return square(values / scale - Tensor(target)).mean()
+    check_finite(target, "drift target")
+    check_finite(np.asarray(scale, dtype=np.float64), "drift scale")
+    resid = values / scale - target
+    loss = float(check_finite((resid * resid).mean(), "drift loss"))
+    grad = 2.0 * (1.0 / resid.size) * resid / scale
+    return loss, check_finite(grad, "drift loss gradient")
 
 
-def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
+def drift_loss(values: np.ndarray, positives: np.ndarray, config: DriftConfig,
                slice_width: int | None = None):
     """Drift-field regression loss for one minibatch of (B, G, S) hypotheses.
 
-    ``values`` is the hypotheses' tape tensor; the geometry reads its array.
     Step-wise mode splits the flattened chunk into K time slices of
     ``slice_width`` coordinates and runs an independent pipeline on each, as
     the leading axis of one geometry pass; chunk mode is the one-slice case
     over the full width.  The loss is the mean over all (B, G, S) entries,
     which equals the mean of the per-slice losses because the slices have
-    equal size.  Returns the scalar loss and the field tensors, whose arrays
-    lead with the slice axis (``scale`` is (K,)).
+    equal size.  Returns the scalar loss, its (B, G, S) gradient with respect
+    to ``values`` (:func:`fixed_point_loss`) and the field tensors, whose
+    arrays lead with the slice axis (``scale`` is (K,)).
     """
-    hypotheses = values.data
+    hypotheses = np.asarray(values, dtype=np.float64)
     refs = build_reference_pool(hypotheses, positives)
     b, g, s = hypotheses.shape
     width = s if config.loss_mode == "chunk" else slice_width
@@ -244,4 +256,5 @@ def drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
 
     fld = compute_drift_field(split(hypotheses), split(refs), config)
     target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
-    return fixed_point_loss(values, target, np.repeat(fld.scale, width)), fld
+    loss, grad = fixed_point_loss(hypotheses, target, np.repeat(fld.scale, width))
+    return loss, grad, fld

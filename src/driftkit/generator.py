@@ -7,12 +7,15 @@ scale head, so it is returned alongside the chunk.
 
 The network is written once (:func:`_backbone`) with engine ops that take
 either backend, and evaluated either on the autodiff tape
-(:meth:`Generator.forward`, for training) or on plain arrays
-(:meth:`Generator.infer`, for every evaluation that needs no gradient).  Both
-run the same numpy calls around the same row-invariant kernel
-(:func:`autodiff.row_matmul`), so their values agree bitwise, and a row's
-values do not depend on its batch.  A caller that wants values only calls
-:meth:`Generator.infer`; a ``Tensor`` result always means a recorded graph.
+(:meth:`Generator.forward`, for fine-tuning) or on plain arrays
+(:meth:`Generator.evaluate` and :meth:`Generator.infer`).  Both run the same
+numpy calls around the same row-invariant kernel (:func:`autodiff.row_matmul`),
+so their values agree bitwise, and a row's values do not depend on its batch.
+A caller that wants values only calls :meth:`Generator.infer`; a ``Tensor``
+result always means a recorded graph.  Stage-1 training differentiates without
+the tape: :meth:`Generator.evaluate` also hands back the activations, and
+:meth:`Generator.backward` is the backbone's reverse pass written out, each
+product in the tape's order, so its gradients equal the tape's bitwise.
 
 The JSON helpers at the end of the module own the format of every JSON file:
 configs, checkpoints and dataset metadata are read through one typed reader
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,22 +149,42 @@ class Dense(dict):
         return affine(x, w.data, b.data)
 
 
+class Activations(NamedTuple):
+    """Every dense layer's input and every tanh output of one backbone
+    evaluation: what :meth:`Generator.backward` reads.  ``feat`` is the
+    observation feature."""
+
+    obs: np.ndarray | Tensor
+    z: np.ndarray | Tensor
+    feat: np.ndarray | Tensor
+    lat: np.ndarray | Tensor
+    cat: np.ndarray | Tensor
+    h1: np.ndarray | Tensor
+    h2: np.ndarray | Tensor
+
+
 def _backbone(p: Dense, obs, z):
-    """(chunk, observation feature) of the generator MLP on either backend."""
+    """(chunk, :class:`Activations`) of the generator MLP on either backend."""
     feat = tanh(p.linear(obs, "obs"))
     lat = tanh(p.linear(z, "lat"))
-    h1 = tanh(p.linear(concat([feat, lat], axis=1), "trunk1"))
+    cat = concat([feat, lat], axis=1)
+    h1 = tanh(p.linear(cat, "trunk1"))
     h2 = tanh(p.linear(h1, "trunk2"))
-    return p.linear(h2, "head"), feat
+    return p.linear(h2, "head"), Activations(obs, z, feat, lat, cat, h1, h2)
+
+
+def _tanh_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """dL/d(pre-activation) of ``a = tanh(pre)``, as the tape's tanh rule."""
+    return g * (1.0 - a * a)
 
 
 class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
-    ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
-    :meth:`infer` call on B rows adds B.  A batch-1 deployment decision adds
-    exactly 1, and the deployment and evaluation loops check one evaluation
-    per decision against it.
+    ``nfe_count`` counts network evaluations per row: a :meth:`forward`,
+    :meth:`evaluate` or :meth:`infer` call on B rows adds B.  A batch-1
+    deployment decision adds exactly 1, and the deployment and evaluation
+    loops check one evaluation per decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -193,10 +217,12 @@ class Generator:
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
         self.nfe_count += obs_flat.shape[0]
-        return _backbone(self.params, obs_flat, z)
+        chunk, acts = _backbone(self.params, obs_flat, z)
+        return chunk, acts.feat
 
-    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One network evaluation without the tape: :meth:`forward`'s values as arrays.
+    def evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, Activations]:
+        """One network evaluation without the tape: the (B, D) chunk batch and
+        the :class:`Activations` that :meth:`backward` differentiates through.
 
         Raises ``AutodiffError`` on a non-finite input or pre-activation, as
         the tape would.
@@ -205,6 +231,48 @@ class Generator:
         self.nfe_count += obs_flat.shape[0]
         z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
         return _backbone(self.params, obs_flat, z)
+
+    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward`'s values as arrays: the chunk batch and the observation feature."""
+        chunk, acts = self.evaluate(obs_flat, z)
+        return chunk, acts.feat
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def backward(self, acts: Activations, d_chunk: np.ndarray,
+                 d_feat: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """The gradient of every parameter, by name in parameter order, from
+        dL/d(chunk) and, if the loss also reads the observation feature, dL/d(feat).
+
+        Reverse mode written out for the five dense layers of :meth:`evaluate`
+        (whose ``acts`` it takes), with the tape's expression and operand order
+        for each op: bias ``g.sum(axis=0)``, weight ``x.T @ g``, layer input
+        ``g @ w.T``, tanh ``g * (1 - a*a)``, and a column split for the concat.
+        The inputs get no gradient.  Raises ``AutodiffError`` if a gradient
+        holds a NaN or an infinity.
+        """
+        grads = {}
+
+        def dense(layer: str, x: np.ndarray, g: np.ndarray) -> None:
+            grads[f"{layer}_w"] = x.T @ g
+            grads[f"{layer}_b"] = g.sum(axis=0)
+
+        def into_input(layer: str, g: np.ndarray) -> np.ndarray:
+            return g @ self.params[f"{layer}_w"].data.T
+
+        dense("head", acts.h2, d_chunk)
+        g = _tanh_grad(into_input("head", d_chunk), acts.h2)
+        dense("trunk2", acts.h1, g)
+        g = _tanh_grad(into_input("trunk2", g), acts.h1)
+        dense("trunk1", acts.cat, g)
+        g = into_input("trunk1", g)
+        width = acts.feat.shape[1]
+        g_feat, g_lat = g[:, :width], g[:, width:]
+        if d_feat is not None:
+            g_feat = d_feat + g_feat
+        dense("lat", acts.z, _tanh_grad(g_lat, acts.lat))
+        dense("obs", acts.obs, _tanh_grad(g_feat, acts.feat))
+        return {name: check_finite(grads[name], f"gradient of generator parameter {name}")
+                for name in self.params}
 
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""
@@ -229,12 +297,13 @@ def sample_latents(rng: np.random.Generator, batch: int, count: int,
 
 
 def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
-                      rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, Activations]:
     """Generate G hypotheses per observation from independent latents.
 
-    All B*G rows go through a single forward evaluation on the tape.  Returns
-    the (B, G, S) hypothesis tensor and the (B, G, C) latents; the drift
-    geometry reads the tensor's array and never touches the graph.
+    All B*G rows go through a single :meth:`Generator.evaluate`.  Returns the
+    (B, G, S) hypotheses, the (B, G, C) latents and the evaluation's
+    activations, over which :meth:`Generator.backward` takes the gradient of
+    the (B*G, S) rows.
     """
     if count < 1:
         raise SpecError("hypothesis count must be positive")
@@ -242,9 +311,8 @@ def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
     b = obs.shape[0]
     latents = sample_latents(rng, b, count, generator.latent_dim)
     obs_rep = np.repeat(obs, count, axis=0)
-    chunk, _ = generator.forward(Tensor(obs_rep),
-                                 Tensor(latents.reshape(b * count, -1)))
-    return chunk.reshape(b, count, generator.spec.chunk_dim), latents
+    chunk, acts = generator.evaluate(obs_rep, latents.reshape(b * count, -1))
+    return chunk.reshape(b, count, generator.spec.chunk_dim), latents, acts
 
 
 # -- typed JSON inputs -----------------------------------------------------

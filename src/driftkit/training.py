@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, backward, check_finite
+from .autodiff import AutodiffError, Tensor, check_finite
+from .autodiff import backward  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .drift import DriftConfig, drift_loss
 from .generator import Generator, sample_hypotheses
 
@@ -166,16 +167,18 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
                      rng: np.random.Generator):
     """One minibatch step: sample hypotheses, build the pool, regress, backprop.
 
-    Returns (loss value, per-parameter gradient arrays, field scale averaged
-    over the loss slices).
+    No tape is recorded: the loss hands back dL/d(hypotheses) and
+    :meth:`Generator.backward` carries it through the backbone.  Returns (loss
+    value, per-parameter gradient arrays, field scale averaged over the loss
+    slices).
     """
-    values, _ = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
+    values, _, acts = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
     experts = np.asarray(expert_batch, dtype=np.float64)
     experts = experts.reshape(experts.shape[0], 1, -1)
     slice_width = generator.spec.action_dim if config.loss_mode == "step_wise" else None
-    loss, fields = drift_loss(values, experts, config, slice_width=slice_width)
-    grad_map = backward(loss)
-    return loss.item(), leaf_grads(grad_map, generator.params), float(np.mean(fields.scale))
+    loss, d_values, fields = drift_loss(values, experts, config, slice_width=slice_width)
+    grads = generator.backward(acts, d_values.reshape(-1, values.shape[2]))
+    return loss, grads, float(np.mean(fields.scale))
 
 
 def train(dataset, generator: Generator, drift_config: DriftConfig,

@@ -14,7 +14,12 @@ demonstration synthesis the package once ran one point mass and one
 micro-step at a time, with the scalar swerving controller; it is the
 reference for the row-vectorised ``envs.plan``.  ``mode_coverage_loop`` is
 the per-condition mode coverage that the one-pass ``envs.mode_coverage``
-replaced.
+replaced.  The tape Stage-1 step (``tape_drift_train_step`` and the tape
+``fixed_point_loss``, ``drift_loss`` and ``sample_hypotheses`` under it) is
+the step ``training.drift_train_step`` took before its gradient was written
+out: a recorded ``Generator.forward`` and a replay of the autodiff tape.  It
+shares the package's drift geometry and tape on purpose, and is the bitwise
+reference for the explicit step.
 """
 
 from __future__ import annotations
@@ -25,8 +30,12 @@ import numpy as np
 
 from driftkit import envs
 from driftkit.actor import GaussianActor
+from driftkit.autodiff import Tensor, backward, square
+from driftkit.drift import (DriftConfig, DriftConfigError, build_reference_pool,
+                            compute_drift_field)
 from driftkit.envs import OBS_DIM, sample_start_goal
-from driftkit.generator import ChunkSpec, Generator, executed_prefix
+from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix, sample_latents
+from driftkit.training import leaf_grads
 
 
 def softmax_rows(values: list[float]) -> list[float]:
@@ -443,3 +452,87 @@ def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.rand
         nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=1)
         fractions.append(len(np.unique(nearest)) / len(centers))
     return float(np.mean(fractions))
+
+
+# -- the tape Stage-1 step ---------------------------------------------------
+
+
+def tape_fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarray) -> Tensor:
+    """Mean squared gap between scale-normalized hypotheses and the frozen target.
+
+    ``scale`` is a number or an array that broadcasts against the values.
+    Equals the sample average of the per-sample losses; in the forward pass the
+    value reduces to the mean squared drift magnitude because the target is the
+    detached hypotheses plus the drift.
+    """
+    if values.shape != target.shape:
+        raise DriftConfigError(f"values {values.shape} vs target {target.shape}")
+    return square(values / scale - Tensor(target)).mean()
+
+
+def tape_drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
+                    slice_width: int | None = None):
+    """Drift-field regression loss for one minibatch of (B, G, S) hypotheses.
+
+    ``values`` is the hypotheses' tape tensor; the geometry reads its array.
+    Step-wise mode splits the flattened chunk into K time slices of
+    ``slice_width`` coordinates and runs an independent pipeline on each, as
+    the leading axis of one geometry pass; chunk mode is the one-slice case
+    over the full width.  The loss is the mean over all (B, G, S) entries,
+    which equals the mean of the per-slice losses because the slices have
+    equal size.  Returns the scalar loss and the field tensors, whose arrays
+    lead with the slice axis (``scale`` is (K,)).
+    """
+    hypotheses = values.data
+    refs = build_reference_pool(hypotheses, positives)
+    b, g, s = hypotheses.shape
+    width = s if config.loss_mode == "chunk" else slice_width
+    if width is None or width < 1:
+        raise DriftConfigError("step_wise mode requires a positive slice_width")
+    if s % width != 0:
+        raise DriftConfigError(f"chunk width {s} is not a multiple of slice width {width}")
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """(B, C, S) -> (K, B, C, width) in C order, so that each slice's sums add
+        in the order of a separate 3-d instance and keep its bits."""
+        return np.ascontiguousarray(np.moveaxis(x.reshape(b, x.shape[1], -1, width), 2, 0))
+
+    fld = compute_drift_field(split(hypotheses), split(refs), config)
+    target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
+    return tape_fixed_point_loss(values, target, np.repeat(fld.scale, width)), fld
+
+
+def tape_sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
+                           rng: np.random.Generator) -> tuple[Tensor, np.ndarray]:
+    """Generate G hypotheses per observation from independent latents.
+
+    All B*G rows go through a single forward evaluation on the tape.  Returns
+    the (B, G, S) hypothesis tensor and the (B, G, C) latents; the drift
+    geometry reads the tensor's array and never touches the graph.
+    """
+    if count < 1:
+        raise SpecError("hypothesis count must be positive")
+    obs = generator._flatten_obs(obs_batch)
+    b = obs.shape[0]
+    latents = sample_latents(rng, b, count, generator.latent_dim)
+    obs_rep = np.repeat(obs, count, axis=0)
+    chunk, _ = generator.forward(Tensor(obs_rep),
+                                 Tensor(latents.reshape(b * count, -1)))
+    return chunk.reshape(b, count, generator.spec.chunk_dim), latents
+
+
+def tape_drift_train_step(generator: Generator, obs_batch: np.ndarray,
+                          expert_batch: np.ndarray, config: DriftConfig,
+                          rng: np.random.Generator):
+    """One minibatch step: sample hypotheses, build the pool, regress, backprop.
+
+    Returns (loss value, per-parameter gradient arrays, field scale averaged
+    over the loss slices).
+    """
+    values, _ = tape_sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
+    experts = np.asarray(expert_batch, dtype=np.float64)
+    experts = experts.reshape(experts.shape[0], 1, -1)
+    slice_width = generator.spec.action_dim if config.loss_mode == "step_wise" else None
+    loss, fields = tape_drift_loss(values, experts, config, slice_width=slice_width)
+    grad_map = backward(loss)
+    return loss.item(), leaf_grads(grad_map, generator.params), float(np.mean(fields.scale))

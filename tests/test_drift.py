@@ -15,7 +15,7 @@ from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATUR
                             drift_loss, global_scale, pairwise_distances,
                             per_scale_force, rms_normalize, symmetric_affinity)
 
-from .oracles import drift_field_loops, finite_diff
+from .oracles import drift_field_loops, finite_diff, tape_fixed_point_loss
 
 
 def random_instance(rng, b=None, g=None, u_extra=None, s=None):
@@ -25,7 +25,7 @@ def random_instance(rng, b=None, g=None, u_extra=None, s=None):
     s = s or int(rng.integers(1, 5))
     hyp = rng.uniform(-2, 2, size=(b, g, s))
     pos = rng.uniform(-2, 2, size=(b, c_p, s))
-    return Tensor(hyp, requires_grad=True), build_reference_pool(hyp, pos)
+    return hyp, build_reference_pool(hyp, pos)
 
 
 # -- pairwise distances ---------------------------------------------------
@@ -91,11 +91,11 @@ def test_affinity_equal_distances_gives_half():
 def test_affinity_matches_loop_oracle():
     rng = np.random.default_rng(5)
     values, refs = random_instance(rng)
-    d = pairwise_distances(values.data, refs)
+    d = pairwise_distances(values, refs)
     scale = global_scale(d, 1e-6)
     for temp in (0.05, 0.2, 1.0):
         a = symmetric_affinity(d, scale, temp)
-        oracle = drift_field_loops(values.data, refs, (temp,), 1e-6, 1e-6)
+        oracle = drift_field_loops(values, refs, (temp,), 1e-6, 1e-6)
         np.testing.assert_allclose(a, oracle["affinities"][temp], atol=1e-12, rtol=0)
 
 
@@ -159,8 +159,8 @@ def test_force_matches_loop_oracle():
     rng = np.random.default_rng(23)
     values, refs = random_instance(rng)
     config = DriftConfig(hypothesis_count=values.shape[1])
-    field = compute_drift_field(values.data, refs, config)
-    oracle = drift_field_loops(values.data, refs, config.temperatures, config.scale_floor,
+    field = compute_drift_field(values, refs, config)
+    oracle = drift_field_loops(values, refs, config.temperatures, config.scale_floor,
                                config.force_floor)
     np.testing.assert_allclose(field.forces[0.2], oracle["forces"][0.2],
                                atol=1e-12, rtol=0)
@@ -222,18 +222,17 @@ def test_aggregate_two_temperatures_sum():
 
 def test_loss_zero_when_target_equals_prediction():
     det = np.array([[[1.0, -1.0]]])
-    values = Tensor(det, requires_grad=True)
     target = det / 2.0  # V = 0 at scale 2
-    loss = fixed_point_loss(values, target, 2.0)
-    assert loss.item() == 0.0
+    loss, _ = fixed_point_loss(det, target, 2.0)
+    assert loss == 0.0
 
 
 def test_loss_constant_field_squares():
     det = np.ones((2, 2, 3))
     v = 0.37
     target = det / 1.0 + v
-    loss = fixed_point_loss(Tensor(det, requires_grad=True), target, 1.0)
-    assert loss.item() == pytest.approx(v * v, rel=1e-15)
+    loss, _ = fixed_point_loss(det, target, 1.0)
+    assert loss == pytest.approx(v * v, rel=1e-15)
 
 
 def test_forward_loss_equals_mean_squared_drift():
@@ -242,31 +241,29 @@ def test_forward_loss_equals_mean_squared_drift():
         values, refs = random_instance(rng)
         config = DriftConfig(hypothesis_count=values.shape[1],
                              temperatures=MULTISCALE_TEMPERATURES)
-        field = compute_drift_field(values.data, refs, config)
-        loss = fixed_point_loss(values, field.target, field.scale)
-        assert abs(loss.item() - np.mean(np.square(field.aggregate))) < 1e-10
+        field = compute_drift_field(values, refs, config)
+        loss, _ = fixed_point_loss(values, field.target, field.scale)
+        assert abs(loss - np.mean(np.square(field.aggregate))) < 1e-10
 
 
 def test_loss_gradient_matches_finite_differences_with_fixed_target():
     rng = np.random.default_rng(13)
     values, refs = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3)
-    field = compute_drift_field(values.data, refs, config)
-    loss = fixed_point_loss(values, field.target, field.scale)
-    grads = backward(loss)
-    analytic = grads[values]
+    field = compute_drift_field(values, refs, config)
+    _, analytic = fixed_point_loss(values, field.target, field.scale)
 
     def fd_target(arr):
-        return fixed_point_loss(Tensor(arr), field.target, field.scale).item()
+        return fixed_point_loss(arr, field.target, field.scale)[0]
 
-    numeric = finite_diff(fd_target, values.data.copy())
+    numeric = finite_diff(fd_target, values.copy())
     denom = np.maximum(np.abs(numeric), 1e-8)
     assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
 def test_loss_shape_mismatch_rejected():
     with pytest.raises(DriftConfigError):
-        fixed_point_loss(Tensor(np.zeros((1, 1, 2))), np.zeros((1, 1, 3)), 1.0)
+        fixed_point_loss(np.zeros((1, 1, 2)), np.zeros((1, 1, 3)), 1.0)
 
 
 # -- full pipeline vs oracle -----------------------------------------------
@@ -283,7 +280,7 @@ def test_pipeline_matches_loop_oracle_100_instances():
         refs = build_reference_pool(hyp, pos)
         config = DriftConfig(hypothesis_count=g, temperatures=MULTISCALE_TEMPERATURES)
         field = compute_drift_field(hyp, refs, config)
-        loss = fixed_point_loss(Tensor(hyp, requires_grad=True), field.target, field.scale)
+        loss, _ = fixed_point_loss(hyp, field.target, field.scale)
         oracle = drift_field_loops(hyp, refs, config.temperatures, config.scale_floor,
                                    config.force_floor)
         worst = max(worst, abs(field.scale - oracle["scale"]))
@@ -294,7 +291,7 @@ def test_pipeline_matches_loop_oracle_100_instances():
             worst = max(worst, np.max(np.abs(field.forces[t] - oracle["forces"][t])))
         worst = max(worst, np.max(np.abs(field.aggregate - oracle["aggregate"])))
         worst = max(worst, np.max(np.abs(field.target - oracle["target"])))
-        worst = max(worst, abs(loss.item() - oracle["loss"]))
+        worst = max(worst, abs(loss - oracle["loss"]))
     assert worst < 1e-10
 
 
@@ -304,7 +301,7 @@ def test_mass_balance_through_pipeline():
         values, refs = random_instance(rng)
         g = values.shape[1]
         config = DriftConfig(hypothesis_count=g, temperatures=(0.05, 0.2))
-        field = compute_drift_field(values.data, refs, config)
+        field = compute_drift_field(values, refs, config)
         for alpha in field.coefficients.values():
             residual = alpha[:, :, :g].sum(axis=2) + alpha[:, :, g:].sum(axis=2)
             assert np.max(np.abs(residual)) < 1e-9
@@ -313,7 +310,7 @@ def test_mass_balance_through_pipeline():
 def test_softmax_axis_sums_through_pipeline():
     rng = np.random.default_rng(19)
     values, refs = random_instance(rng, b=2, g=3, s=4)
-    d = pairwise_distances(values.data, refs)
+    d = pairwise_distances(values, refs)
     scale = global_scale(d, 1e-6)
     logits = -(d / scale) / 0.2
     shifted_u = logits - logits.max(axis=2, keepdims=True)
@@ -328,9 +325,9 @@ def test_scale_equivariance_of_normalized_geometry():
     rng = np.random.default_rng(41)
     values, refs = random_instance(rng, b=2, g=3, s=4)
     config = DriftConfig(hypothesis_count=3, temperatures=(0.2,))
-    base = compute_drift_field(values.data, refs, config)
+    base = compute_drift_field(values, refs, config)
     c = 3.7
-    scaled = compute_drift_field(values.data * c, refs * c, config)
+    scaled = compute_drift_field(values * c, refs * c, config)
     assert scaled.scale == pytest.approx(c * base.scale, rel=1e-12)
     np.testing.assert_allclose(scaled.affinities[0.2], base.affinities[0.2],
                                atol=1e-9, rtol=0)
@@ -417,7 +414,7 @@ def test_step_wise_loss_matches_manual_slices():
     hyp = rng.uniform(-1, 1, size=(b, g, horizon * d_a))
     pos = rng.uniform(-1, 1, size=(b, 1, horizon * d_a))
     config = DriftConfig(hypothesis_count=g, loss_mode="step_wise")
-    loss, fields = drift_loss(Tensor(hyp, requires_grad=True), pos, config, slice_width=d_a)
+    loss, _, fields = drift_loss(hyp, pos, config, slice_width=d_a)
     assert fields.scale.shape == (horizon,)
 
     chunk_cfg = DriftConfig(hypothesis_count=g, loss_mode="chunk")
@@ -426,14 +423,13 @@ def test_step_wise_loss_matches_manual_slices():
         lo, hi = h * d_a, (h + 1) * d_a
         sl = hyp[:, :, lo:hi]
         fld = compute_drift_field(sl, build_reference_pool(sl, pos[:, :, lo:hi]), chunk_cfg)
-        manual += fixed_point_loss(Tensor(sl, requires_grad=True), fld.target,
-                                   fld.scale).item()
-    assert loss.item() == pytest.approx(manual / horizon, rel=1e-12)
+        manual += fixed_point_loss(sl, fld.target, fld.scale)[0]
+    assert loss == pytest.approx(manual / horizon, rel=1e-12)
 
 
 def test_step_wise_requires_slice_width():
     rng = np.random.default_rng(8)
-    values = Tensor(rng.normal(size=(1, 2, 4)))
+    values = rng.normal(size=(1, 2, 4))
     config = DriftConfig(hypothesis_count=2, loss_mode="step_wise")
     with pytest.raises(DriftConfigError):
         drift_loss(values, rng.normal(size=(1, 1, 4)), config)
@@ -447,7 +443,7 @@ def test_hypotheses_must_be_3d():
     with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
         build_reference_pool(rng.normal(size=(2, 4)), pos)
     with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
-        drift_loss(Tensor(rng.normal(size=(1, 2, 2, 4))), pos, DriftConfig(hypothesis_count=2))
+        drift_loss(rng.normal(size=(1, 2, 2, 4)), pos, DriftConfig(hypothesis_count=2))
 
 
 def step_wise_loss_loop(hyp, positives, config, slice_width):
@@ -464,7 +460,7 @@ def step_wise_loss_loop(hyp, positives, config, slice_width):
         sl = values[:, :, lo:hi]
         refs = build_reference_pool(sl.data, positives[:, :, lo:hi])
         fld = compute_drift_field(sl.data, refs, config)
-        piece = fixed_point_loss(sl, fld.target, fld.scale)
+        piece = tape_fixed_point_loss(sl, fld.target, fld.scale)
         fields.append(fld)
         total = piece if total is None else total + piece
     loss = total / horizon
@@ -478,15 +474,13 @@ def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, temp
     hyp, pos = pool_instance(seed, b, g, horizon * d_a)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures),
                          loss_mode="step_wise")
-    values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(values, pos, config, slice_width=d_a)
-    grad = backward(loss)[values]
+    loss, grad, fld = drift_loss(hyp, pos, config, slice_width=d_a)
     ref_loss, ref_fields, ref_grad = step_wise_loss_loop(hyp, pos, config, d_a)
 
     # each slice's geometry is the loop's bit for bit; only the one mean over
     # all entries (against a sum of per-slice means over H) can move the loss
     # and the gradient in the last ulp
-    assert loss.item() == pytest.approx(ref_loss.item(), rel=1e-12, abs=0)
+    assert loss == pytest.approx(ref_loss.item(), rel=1e-12, abs=0)
     assert fld.scale.shape == (horizon,)
     for h, ref in enumerate(ref_fields):
         assert fld.scale[h] == ref.scale
@@ -500,18 +494,14 @@ def test_property_step_wise_equals_per_slice_loop(seed, b, g, horizon, d_a, temp
 def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, temperatures):
     hyp, pos = pool_instance(seed, b, g, s)
     config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
-    values = Tensor(hyp, requires_grad=True)
-    loss, fld = drift_loss(values, pos, config)
-    grad = backward(loss)[values]
+    loss, grad, fld = drift_loss(hyp, pos, config)
 
-    ref_values = Tensor(hyp, requires_grad=True)
     ref_field = compute_drift_field(hyp, build_reference_pool(hyp, pos), config)
-    ref_loss = fixed_point_loss(ref_values, ref_field.target, ref_field.scale)
-    ref_grad = backward(ref_loss)[ref_values]
+    ref_loss, ref_grad = fixed_point_loss(hyp, ref_field.target, ref_field.scale)
 
     assert fld.scale.shape == (1,) and fld.scale[0] == ref_field.scale
     np.testing.assert_array_equal(fld.target[0], ref_field.target)
-    assert loss.item() == ref_loss.item()
+    assert loss == ref_loss
     np.testing.assert_array_equal(grad, ref_grad)
 
 
