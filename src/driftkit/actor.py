@@ -8,9 +8,12 @@ property is untouched.
 
 The scale head and the prefix log-density are each written once with engine
 ops that take either backend: :meth:`GaussianActor.forward` yields tape
-tensors (update epochs), :meth:`GaussianActor.infer` plain arrays (rollout
-collection), and :func:`prefix_log_prob` of either output has bitwise-equal
-values.
+tensors, :meth:`GaussianActor.infer` plain arrays (rollout collection), and
+:func:`prefix_log_prob` of either output has bitwise-equal values.  The PPO
+update differentiates without the tape: :meth:`GaussianActor.evaluate` also
+keeps the activations and the pre-clip log-scale, and
+:meth:`GaussianActor.backward` carries dL/d(mean) and dL/d(log_std) through
+the head and the backbone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, check_finite, clip, exp, square
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .generator import ChunkSpec, Dense, Generator, SpecError
+from .generator import Activations, ChunkSpec, Dense, Generator, SpecError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -77,6 +80,34 @@ class GaussianActor:
         """:meth:`forward` without the tape: the same output, holding arrays."""
         mean, feat = self.generator.infer(obs_flat, z)
         return ActorOutput(mean=mean, log_std=self._log_std(feat), spec=self.spec)
+
+    def evaluate(self, obs_flat: np.ndarray,
+                 z: np.ndarray) -> tuple[ActorOutput, tuple[Activations, np.ndarray]]:
+        """:meth:`infer`'s output and what :meth:`backward` reads: the
+        backbone's :class:`Activations` and the log-scale before its clip."""
+        mean, acts = self.generator.evaluate(obs_flat, z)
+        pre_log_std = self.head.linear(acts.feat, "scale")
+        log_std = clip(pre_log_std, *self.log_std_bounds)
+        return ActorOutput(mean=mean, log_std=log_std, spec=self.spec), (acts, pre_log_std)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def backward(self, acts: tuple[Activations, np.ndarray], d_mean: np.ndarray,
+                 d_log_std: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of every :meth:`parameters` leaf, by name, from
+        dL/d(mean) and dL/d(log_std) of an :meth:`evaluate` output.
+
+        The clip passes dL/d(log_std) only strictly inside its bounds, as the
+        tape's clip did, and the head hands dL/d(feat) to
+        :meth:`Generator.backward`.  Raises ``AutodiffError`` if a gradient
+        holds a NaN or an infinity.
+        """
+        backbone, pre_log_std = acts
+        lo, hi = self.log_std_bounds
+        d_pre = d_log_std * ((pre_log_std > lo) & (pre_log_std < hi))
+        head_grads = {}
+        d_feat = self.head.backward(head_grads, "scale", backbone.feat, d_pre)
+        return {**self.generator.backward(backbone, d_mean, d_feat),
+                **self.head.checked(head_grads)}
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""

@@ -148,11 +148,32 @@ class Dense(dict):
             return matmul(x, w) + b
         return affine(x, w.data, b.data)
 
+    def backward(self, grads: dict, layer: str, x: np.ndarray, g: np.ndarray,
+                 to_input: bool = True) -> np.ndarray | None:
+        """Reverse of :meth:`linear` on arrays, from dL/d(output) ``g``.
+
+        Puts the weight gradient ``x.T @ g`` and the bias gradient
+        ``g.sum(axis=0)`` into ``grads`` and returns dL/d(x) ``g @ w.T``; a
+        network input (``to_input=False``) gets none.  Each is the tape rule's
+        expression with its operand order, so the bits are the tape's.
+        """
+        w_name, b_name = self._layers[layer]
+        grads[w_name] = x.T @ g
+        grads[b_name] = g.sum(axis=0)
+        return g @ self[w_name].data.T if to_input else None
+
+    def checked(self, grads: dict) -> dict[str, np.ndarray]:
+        """``grads`` by name in parameter order; ``AutodiffError`` if one holds
+        a NaN or an infinity."""
+        return {name: check_finite(grads[name], f"gradient of {self.owner} parameter {name}")
+                for name in self}
+
 
 class Activations(NamedTuple):
     """Every dense layer's input and every tanh output of one backbone
     evaluation: what :meth:`Generator.backward` reads.  ``feat`` is the
-    observation feature."""
+    observation feature.  :func:`_backbone` hands them back as a plain tuple
+    in this field order; only :meth:`Generator.evaluate` builds the record."""
 
     obs: np.ndarray | Tensor
     z: np.ndarray | Tensor
@@ -164,16 +185,17 @@ class Activations(NamedTuple):
 
 
 def _backbone(p: Dense, obs, z):
-    """(chunk, :class:`Activations`) of the generator MLP on either backend."""
+    """The chunk of the generator MLP on either backend, and its activations
+    as a plain tuple in :class:`Activations` order (``[2]`` is the feature)."""
     feat = tanh(p.linear(obs, "obs"))
     lat = tanh(p.linear(z, "lat"))
     cat = concat([feat, lat], axis=1)
     h1 = tanh(p.linear(cat, "trunk1"))
     h2 = tanh(p.linear(h1, "trunk2"))
-    return p.linear(h2, "head"), Activations(obs, z, feat, lat, cat, h1, h2)
+    return p.linear(h2, "head"), (obs, z, feat, lat, cat, h1, h2)
 
 
-def _tanh_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+def tanh_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     """dL/d(pre-activation) of ``a = tanh(pre)``, as the tape's tanh rule."""
     return g * (1.0 - a * a)
 
@@ -218,7 +240,14 @@ class Generator:
         """
         self.nfe_count += obs_flat.shape[0]
         chunk, acts = _backbone(self.params, obs_flat, z)
-        return chunk, acts.feat
+        return chunk, acts[2]
+
+    def _evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """:func:`_backbone` on checked arrays, counted."""
+        obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        self.nfe_count += obs_flat.shape[0]
+        z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
+        return _backbone(self.params, obs_flat, z)
 
     def evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, Activations]:
         """One network evaluation without the tape: the (B, D) chunk batch and
@@ -227,15 +256,13 @@ class Generator:
         Raises ``AutodiffError`` on a non-finite input or pre-activation, as
         the tape would.
         """
-        obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
-        self.nfe_count += obs_flat.shape[0]
-        z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
-        return _backbone(self.params, obs_flat, z)
+        chunk, acts = self._evaluate(obs_flat, z)
+        return chunk, Activations._make(acts)
 
     def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`forward`'s values as arrays: the chunk batch and the observation feature."""
-        chunk, acts = self.evaluate(obs_flat, z)
-        return chunk, acts.feat
+        chunk, acts = self._evaluate(obs_flat, z)
+        return chunk, acts[2]
 
     @np.errstate(over="ignore", invalid="ignore")
     def backward(self, acts: Activations, d_chunk: np.ndarray,
@@ -244,35 +271,22 @@ class Generator:
         dL/d(chunk) and, if the loss also reads the observation feature, dL/d(feat).
 
         Reverse mode written out for the five dense layers of :meth:`evaluate`
-        (whose ``acts`` it takes), with the tape's expression and operand order
-        for each op: bias ``g.sum(axis=0)``, weight ``x.T @ g``, layer input
-        ``g @ w.T``, tanh ``g * (1 - a*a)``, and a column split for the concat.
+        (whose ``acts`` it takes): :meth:`Dense.backward` for each layer,
+        :func:`tanh_grad` for each tanh, and a column split for the concat.
         The inputs get no gradient.  Raises ``AutodiffError`` if a gradient
         holds a NaN or an infinity.
         """
-        grads = {}
-
-        def dense(layer: str, x: np.ndarray, g: np.ndarray) -> None:
-            grads[f"{layer}_w"] = x.T @ g
-            grads[f"{layer}_b"] = g.sum(axis=0)
-
-        def into_input(layer: str, g: np.ndarray) -> np.ndarray:
-            return g @ self.params[f"{layer}_w"].data.T
-
-        dense("head", acts.h2, d_chunk)
-        g = _tanh_grad(into_input("head", d_chunk), acts.h2)
-        dense("trunk2", acts.h1, g)
-        g = _tanh_grad(into_input("trunk2", g), acts.h1)
-        dense("trunk1", acts.cat, g)
-        g = into_input("trunk1", g)
+        p, grads = self.params, {}
+        g = tanh_grad(p.backward(grads, "head", acts.h2, d_chunk), acts.h2)
+        g = tanh_grad(p.backward(grads, "trunk2", acts.h1, g), acts.h1)
+        g = p.backward(grads, "trunk1", acts.cat, g)
         width = acts.feat.shape[1]
         g_feat, g_lat = g[:, :width], g[:, width:]
         if d_feat is not None:
             g_feat = d_feat + g_feat
-        dense("lat", acts.z, _tanh_grad(g_lat, acts.lat))
-        dense("obs", acts.obs, _tanh_grad(g_feat, acts.feat))
-        return {name: check_finite(grads[name], f"gradient of generator parameter {name}")
-                for name in self.params}
+        p.backward(grads, "lat", acts.z, tanh_grad(g_lat, acts.lat), to_input=False)
+        p.backward(grads, "obs", acts.obs, tanh_grad(g_feat, acts.feat), to_input=False)
+        return p.checked(grads)
 
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""

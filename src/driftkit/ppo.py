@@ -6,6 +6,12 @@ the joint-policy ratio (the latent prior cancels) and lets the first epoch
 recompute exactly the collection-time log-probabilities.  The total objective
 is the clipped surrogate plus value regression, an entropy bonus, and a
 squared-distance anchor to the frozen pretrained mean.
+
+An update records no tape.  Each minibatch evaluates the actor, the critic
+and the anchor once on arrays (:func:`ppo_minibatch`), :func:`ppo_objective`
+returns the loss terms with dL/d(mean), dL/d(log_std) and dL/d(values), and
+the networks' written-out backward passes map those to the parameter
+gradients, each rule in the tape's order, so the bits are the tape's.
 """
 
 from __future__ import annotations
@@ -15,14 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (AutodiffError, Tensor, backward, check_finite, clip, exp, minimum,
+from .autodiff import (AutodiffError, Tensor, check_finite, clip, exp, minimum, square,
                        tanh)
-from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .actor import (DEFAULT_LOG_STD_INIT, GaussianActor, prefix_entropy, prefix_log_prob,
-                    sample_gaussian)
+from .autodiff import backward, matmul  # noqa: F401 -- patch points of the bench/spans.py tracer
+from .actor import (DEFAULT_LOG_STD_INIT, ActorOutput, GaussianActor, prefix_entropy,
+                    prefix_log_prob, sample_gaussian)
 from .envs import PointMassEnv, VecPointMassEnv
-from .generator import ChunkSpec, Dense, Generator, executed_prefix
-from .training import AdamW, NumericalAbort, leaf_grads
+from .generator import ChunkSpec, Dense, Generator, executed_prefix, tanh_grad
+from .training import AdamW, NumericalAbort
 
 RATIO_LOG_CLAMP = 40.0
 
@@ -80,22 +86,40 @@ class Critic:
             ("v1", input_dim, h), ("v2", h, h), ("v3", h, 1)))
 
     def forward(self, obs_flat: Tensor) -> Tensor:
-        return _value_mlp(self.params, obs_flat)
+        return _value_mlp(self.params, obs_flat)[0]
+
+    def evaluate(self, obs_flat: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """:meth:`forward` without the tape, on an observation array: the values
+        and the activations ``(obs, h1, h2)`` that :meth:`backward` reads."""
+        obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        return _value_mlp(self.params, obs)
 
     def value(self, obs_flat: np.ndarray) -> np.ndarray:
         """:meth:`forward` without the tape, on an observation array."""
-        obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
-        return _value_mlp(self.params, obs)
+        return self.evaluate(obs_flat)[0]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def backward(self, acts: tuple, d_values: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradient of every parameter, by name in parameter order, from
+        dL/d(values) of an :meth:`evaluate` output; ``AutodiffError`` if one
+        holds a NaN or an infinity."""
+        obs, h1, h2 = acts
+        p, grads = self.params, {}
+        # the values are column 0 of the (B, 1) output layer
+        g = tanh_grad(p.backward(grads, "v3", h2, d_values.reshape(-1, 1)), h2)
+        g = tanh_grad(p.backward(grads, "v2", h1, g), h1)
+        p.backward(grads, "v1", obs, g, to_input=False)
+        return p.checked(grads)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return self.params.arrays()
 
 
 def _value_mlp(p: Dense, obs):
-    """Per-row values of the critic MLP on either backend."""
-    h = tanh(p.linear(obs, "v1"))
-    h = tanh(p.linear(h, "v2"))
-    return p.linear(h, "v3")[:, 0]
+    """Per-row values of the critic MLP on either backend, and its activations."""
+    h1 = tanh(p.linear(obs, "v1"))
+    h2 = tanh(p.linear(h1, "v2"))
+    return p.linear(h2, "v3")[:, 0], (obs, h1, h2)
 
 
 @dataclass
@@ -209,17 +233,99 @@ class UpdateStats:
     first_epoch_ratios: np.ndarray | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def ppo_objective(out: ActorOutput, values: np.ndarray, frozen: np.ndarray,
+                  exec_actions: np.ndarray, old_log_probs: np.ndarray, advantages: np.ndarray,
+                  returns: np.ndarray, config: PPOConfig, anchor_weight: float):
+    """The loss of one minibatch and its gradient, written out.
+
+    ``out`` and ``values`` are the actor's and the critic's outputs on the
+    minibatch rows, ``frozen`` the anchor's mean chunks, ``exec_actions`` the
+    (B, exec_dim) executed prefixes and ``advantages`` normalized.  The loss is
+
+        -surrogate + value_weight * value_loss - entropy_weight * entropy
+        + anchor_weight * anchor_loss
+
+    Returns the ``UpdateStats`` row (ratio mean, clip fraction, value loss,
+    entropy, anchor loss), then dL/d(mean), dL/d(log_std) and dL/d(values).
+    Each step of the reverse pass is the tape rule's expression in the tape's
+    operand order, so the gradients carry the tape's bits (see DECISIONS.md,
+    "The PPO gradient is written out").  Raises ``AutodiffError`` on a
+    non-finite log-probability or loss.
+    """
+    b = values.shape[0]
+    lo, hi = 1.0 - config.clip, 1.0 + config.clip
+    prefix = out.spec.exec_slice()
+    logp = prefix_log_prob(exec_actions, out)
+    ratio = ppo_ratio(logp, old_log_probs)
+    unclipped, clipped = ratio * advantages, np.clip(ratio, lo, hi) * advantages
+    surrogate = np.minimum(unclipped, clipped).mean()
+    err = values - returns
+    value_loss = 0.5 * square(err).mean()
+    entropy = prefix_entropy(out).mean()
+    diff = out.mean - frozen
+    anchor_term = square(diff).sum(axis=1).mean()
+    total = (-1.0 * surrogate + config.value_weight * value_loss
+             - config.entropy_weight * entropy + anchor_weight * anchor_term)
+    check_finite(total, "PPO loss")
+
+    # The mean gives every row -1/B of the surrogate; minimum passes it to the
+    # unclipped term, ties included, and clip only strictly inside (lo, hi).
+    inside = (ratio > lo) & (ratio < hi)
+    d_ratio = ((-1.0 / b) * advantages) * ((unclipped <= clipped) | inside)
+    # exp's g * out, then the +-40 clamp of the log-gap, likewise strict
+    d_logp = (d_ratio * ratio) * (np.abs(logp - old_log_probs) < RATIO_LOG_CLAMP)
+    # logp sums (c - ls) - (0.5 * resid^2) * inv_var over the prefix: the
+    # subtraction hands -g to the quadratic term and, through (c - ls), to ls
+    resid, inv_var = exec_actions - out.mean[:, prefix], exp(-2.0 * out.log_std[:, prefix])
+    d_quad = -d_logp[:, None]
+    d_ls = d_quad + ((d_quad * (0.5 * square(resid))) * inv_var) * -2.0
+    d_mu = -((2.0 * ((d_quad * inv_var) * 0.5)) * resid)
+    # log_std sums the entropy's share and the log-prob's, the mean the
+    # anchor's and the log-prob's: two terms add alike in either order
+    d_log_std = np.zeros_like(out.log_std)
+    d_log_std[:, prefix] = -config.entropy_weight / b + d_ls
+    d_mean = (2.0 * (anchor_weight / b)) * diff
+    d_mean[:, prefix] += d_mu
+    d_values = (2.0 * ((config.value_weight * 0.5) / b)) * err
+    clip_frac = ((ratio < lo) | (ratio > hi)).mean()
+    return (ratio.mean(), clip_frac, value_loss, entropy, anchor_term), d_mean, d_log_std, d_values
+
+
+def ppo_minibatch(actor: GaussianActor, critic: Critic, anchor: Generator,
+                  buffer: RolloutBuffer, idx: np.ndarray, norm_adv: np.ndarray,
+                  config: PPOConfig, anchor_weight: float):
+    """The ``UpdateStats`` row and the actor's and the critic's gradients, by
+    parameter name, of the buffer rows ``idx``.
+
+    One array evaluation each of the live actor (which also gives the anchor
+    term its live mean), the critic and the frozen anchor, then
+    :func:`ppo_objective` and the networks' backward passes.  No gradient is
+    applied, so an ``AutodiffError`` leaves every parameter as it was.
+    """
+    obs, z = buffer.obs[idx], buffer.latents[idx]
+    out, actor_acts = actor.evaluate(obs, z)
+    values, critic_acts = critic.evaluate(obs)
+    frozen, _ = anchor.infer(obs, z)
+    row, d_mean, d_log_std, d_values = ppo_objective(
+        out, values, frozen, buffer.exec_actions[idx], buffer.old_log_probs[idx],
+        norm_adv[idx], buffer.returns[idx], config, anchor_weight)
+    return (row, actor.backward(actor_acts, d_mean, d_log_std),
+            critic.backward(critic_acts, d_values))
+
+
 def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
                anchor: Generator, config: PPOConfig, rng: np.random.Generator, *,
                actor_opt: AdamW, critic_opt: AdamW, anchor_weight: float) -> UpdateStats:
     """One PPO iteration over the buffer: epochs of shuffled minibatches.
 
     Old log-probabilities stay fixed from collection and the anchor never
-    moves.  Each minibatch evaluates the live backbone once: the anchor term
-    reuses the mean of the actor's forward.  Advantages are normalized once
-    over the whole buffer before the surrogate.  The optimizers carry their
-    moments across calls, and ``anchor_weight`` scales the anchor term (the
-    caller's schedule of ``config.anchor_weight``).
+    moves.  Each minibatch evaluates the live backbone once
+    (:func:`ppo_minibatch`): the anchor term reuses the mean of the actor's
+    evaluation.  Advantages are normalized once over the whole buffer before
+    the surrogate.  The optimizers carry their moments across calls, and
+    ``anchor_weight`` scales the anchor term (the caller's schedule of
+    ``config.anchor_weight``).
     """
     if buffer.advantages is None:
         raise PPOConfigError("buffer advantages missing; run compute_gae first")
@@ -232,12 +338,10 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
 
     # Recompute every stored log-prob before any gradient step: the ratios
     # must come back exactly 1 because the same latents and the same batched
-    # forward path are used.  The recompute runs on the tape, so the check
-    # covers the path that gradients flow through; one expression lets its
-    # graph be freed before the first minibatch.
-    logp0 = prefix_log_prob(buffer.exec_actions,
-                            actor.forward(Tensor(buffer.obs), Tensor(buffer.latents))).data
-    first_epoch_ratios = ppo_ratio(logp0, buffer.old_log_probs)
+    # evaluation are used, the one that the minibatches differentiate.
+    out, _ = actor.evaluate(buffer.obs, buffer.latents)
+    first_epoch_ratios = ppo_ratio(prefix_log_prob(buffer.exec_actions, out),
+                                   buffer.old_log_probs)
 
     # per minibatch: the UpdateStats fields in order, averaged at the end
     per_minibatch = []
@@ -245,30 +349,15 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
         order = rng.permutation(n)
         for lo in range(0, n, config.minibatch_size):
             idx = order[lo:lo + config.minibatch_size]
-            obs = buffer.obs[idx]
-            z = buffer.latents[idx]
             try:
-                out = actor.forward(Tensor(obs), Tensor(z))
-                new_logp = prefix_log_prob(buffer.exec_actions[idx], out)
-                ratio = ppo_ratio(new_logp, buffer.old_log_probs[idx])
-                surrogate = clipped_surrogate(ratio, norm_adv[idx], config.clip)
-                values = critic.forward(Tensor(obs))
-                value_loss = 0.5 * (values - Tensor(buffer.returns[idx])).square().mean()
-                entropy = prefix_entropy(out).mean()
-                anchor_term = anchor_loss(out.mean, anchor, obs, z)
-                total = (-1.0 * surrogate + config.value_weight * value_loss
-                         - config.entropy_weight * entropy + anchor_weight * anchor_term)
-                grad_map = backward(total)
-                actor_params = actor.parameters()
-                actor_opt.step(actor_params, leaf_grads(grad_map, actor_params))
-                critic_opt.step(critic.params, leaf_grads(grad_map, critic.params))
+                row, actor_grads, critic_grads = ppo_minibatch(
+                    actor, critic, anchor, buffer, idx, norm_adv, config, anchor_weight)
+                actor_opt.step(actor.parameters(), actor_grads)
+                critic_opt.step(critic.params, critic_grads)
             except AutodiffError as exc:
                 raise NumericalAbort(f"PPO epoch {epoch}: {exc}", dump={
                     "epoch": epoch, "minibatch_indices": idx.tolist()}) from exc
-
-            clipped = (ratio.data < 1.0 - config.clip) | (ratio.data > 1.0 + config.clip)
-            per_minibatch.append((ratio.data.mean(), clipped.mean(), value_loss.data,
-                                  entropy.data, anchor_term.data))
+            per_minibatch.append(row)
     return UpdateStats(*(float(np.mean(column)) for column in zip(*per_minibatch)),
                        first_epoch_ratios=first_epoch_ratios)
 

@@ -70,12 +70,6 @@ def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     return base * step / warmup_steps
 
 
-def leaf_grads(grad_map: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """:func:`backward`'s gradients by parameter name; zeros for a leaf the loss missed."""
-    return {name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
-            for name, p in params.items()}
-
-
 def grad_clip(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
     """Rescale so the global norm is at most max_norm; direction preserved."""
     if max_norm <= 0:
@@ -95,7 +89,7 @@ class AdamW:
 
     :meth:`step` rebinds each parameter leaf's ``data`` to the updated array,
     so every holder of a leaf sees the new values without copying them back.
-    ``grads`` needs every parameter's name, as :func:`leaf_grads` gives it.
+    ``grads`` needs every parameter's name, as the explicit backward passes give it.
     """
 
     def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,

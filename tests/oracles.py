@@ -19,7 +19,10 @@ replaced.  The tape Stage-1 step (``tape_drift_train_step`` and the tape
 the step ``training.drift_train_step`` took before its gradient was written
 out: a recorded ``Generator.forward`` and a replay of the autodiff tape.  It
 shares the package's drift geometry and tape on purpose, and is the bitwise
-reference for the explicit step.
+reference for the explicit step.  ``tape_ppo_minibatch`` is, likewise, the
+PPO minibatch that ``ppo.ppo_update`` recorded on the tape before
+``ppo.ppo_minibatch`` wrote its gradient out, and ``leaf_grads`` reads a
+tape replay's gradients by parameter name for both tape steps.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ import math
 import numpy as np
 
 from driftkit import envs
-from driftkit.actor import GaussianActor
+from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import Tensor, backward, square
 from driftkit.drift import (DriftConfig, DriftConfigError, build_reference_pool,
                             compute_drift_field)
 from driftkit.envs import OBS_DIM, sample_start_goal
 from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix, sample_latents
-from driftkit.training import leaf_grads
+from driftkit.ppo import anchor_loss, clipped_surrogate, ppo_ratio
 
 
 def softmax_rows(values: list[float]) -> list[float]:
@@ -454,7 +457,13 @@ def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.rand
     return float(np.mean(fractions))
 
 
-# -- the tape Stage-1 step ---------------------------------------------------
+# -- the tape Stage-1 step and PPO minibatch ----------------------------------
+
+
+def leaf_grads(grad_map: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """:func:`backward`'s gradients by parameter name; zeros for a leaf the loss missed."""
+    return {name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 def tape_fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarray) -> Tensor:
@@ -536,3 +545,25 @@ def tape_drift_train_step(generator: Generator, obs_batch: np.ndarray,
     loss, fields = tape_drift_loss(values, experts, config, slice_width=slice_width)
     grad_map = backward(loss)
     return loss.item(), leaf_grads(grad_map, generator.params), float(np.mean(fields.scale))
+
+
+def tape_ppo_minibatch(actor, critic, anchor, buffer, idx, norm_adv, config, anchor_weight):
+    """``ppo.ppo_minibatch`` on the tape: the ``UpdateStats`` row and the
+    actor's and the critic's gradients by parameter name, from one recorded
+    objective and one ``backward`` replay."""
+    obs = buffer.obs[idx]
+    z = buffer.latents[idx]
+    out = actor.forward(Tensor(obs), Tensor(z))
+    new_logp = prefix_log_prob(buffer.exec_actions[idx], out)
+    ratio = ppo_ratio(new_logp, buffer.old_log_probs[idx])
+    surrogate = clipped_surrogate(ratio, norm_adv[idx], config.clip)
+    values = critic.forward(Tensor(obs))
+    value_loss = 0.5 * (values - Tensor(buffer.returns[idx])).square().mean()
+    entropy = prefix_entropy(out).mean()
+    anchor_term = anchor_loss(out.mean, anchor, obs, z)
+    total = (-1.0 * surrogate + config.value_weight * value_loss
+             - config.entropy_weight * entropy + anchor_weight * anchor_term)
+    grad_map = backward(total)
+    clipped = (ratio.data < 1.0 - config.clip) | (ratio.data > 1.0 + config.clip)
+    row = (ratio.data.mean(), clipped.mean(), value_loss.data, entropy.data, anchor_term.data)
+    return row, leaf_grads(grad_map, actor.parameters()), leaf_grads(grad_map, critic.params)

@@ -25,8 +25,8 @@ from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
 from driftkit.envs import PointMassEnv, mode_coverage, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator, executed_prefix
 from driftkit.ppo import (Critic, PPOConfig, clipped_surrogate, collect_rollouts,
-                          compute_gae, finetune, ppo_update, evaluate_policy, ppo_ratio,
-                          anchor_loss)
+                          compute_gae, finetune, ppo_minibatch, ppo_update, evaluate_policy,
+                          ppo_ratio, anchor_loss)
 from driftkit.training import AdamW, TrainConfig, train
 
 from .oracles import drift_field_loops, finite_diff
@@ -205,10 +205,12 @@ def test_criterion_3_gradient_suite():
         return (-1.0 * surr + cfg.value_weight * v_loss
                 - cfg.entropy_weight * ent + cfg.anchor_weight * anch)
 
-    grads = backward(objective())
+    _, actor_grads, critic_grads = ppo_minibatch(actor, critic, anchor, buf, np.arange(len(buf)),
+                                                 adv, cfg, cfg.anchor_weight)
+    grads = {**actor_grads, **critic_grads}
     worst_rl = 0.0
     for name, p in {**actor.parameters(), **critic.params}.items():
-        analytic = grads.get(p, np.zeros_like(p.data))
+        analytic = grads[name]
         original = p.data.copy()
 
         def fd_fn(arr):

@@ -30,11 +30,10 @@ from driftkit.drift import (DEFAULT_TEMPERATURES, LOSS_MODES, MULTISCALE_TEMPERA
                             DriftConfig, fixed_point_loss)
 from driftkit.envs import synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
-from driftkit.training import (NumericalAbort, TrainConfig, drift_train_step, leaf_grads,
-                               train)
+from driftkit.training import NumericalAbort, TrainConfig, drift_train_step, train
 
 from . import oracles
-from .oracles import tape_drift_train_step
+from .oracles import leaf_grads, tape_drift_train_step
 
 PROPERTY = settings(max_examples=60, deadline=None)
 temperature_sets = st.lists(st.floats(min_value=0.02, max_value=2.0), min_size=1,
