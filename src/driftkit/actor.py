@@ -8,12 +8,12 @@ property is untouched.
 
 The scale head and the prefix log-density are each written once with engine
 ops that take either backend: :meth:`GaussianActor.forward` yields tape
-tensors, :meth:`GaussianActor.infer` plain arrays (rollout collection), and
-:func:`prefix_log_prob` of either output has bitwise-equal values.  The PPO
-update differentiates without the tape: :meth:`GaussianActor.evaluate` also
-keeps the activations and the pre-clip log-scale, and
-:meth:`GaussianActor.backward` carries dL/d(mean) and dL/d(log_std) through
-the head and the backbone.
+tensors, :meth:`GaussianActor.evaluate` plain arrays (rollout collection and
+the PPO update), and :func:`prefix_log_prob` of either output has
+bitwise-equal values.  The PPO update differentiates without the tape:
+:meth:`GaussianActor.evaluate` also keeps the backbone's activations and the
+pre-clip log-scale, and :meth:`GaussianActor.backward` carries dL/d(mean) and
+dL/d(log_std) through the head and the backbone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, check_finite, clip, exp, square
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .generator import Activations, ChunkSpec, Dense, Generator, SpecError
+from .generator import ChunkSpec, Dense, Generator, SpecError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -37,7 +37,7 @@ class ActorOutput:
     """Per-row Gaussian parameters plus the chunk geometry that locates the prefix.
 
     The parameters are tape tensors from :meth:`GaussianActor.forward` and
-    arrays from :meth:`GaussianActor.infer`.
+    arrays from :meth:`GaussianActor.evaluate`.
     """
 
     mean: Tensor | np.ndarray
@@ -68,30 +68,24 @@ class GaussianActor:
     def parameters(self) -> dict[str, Tensor]:
         return {**self.generator.params, **self.head}
 
-    def _log_std(self, feat):
-        return clip(self.head.linear(feat, "scale"), *self.log_std_bounds)
-
     def forward(self, obs_flat: Tensor, z: Tensor) -> ActorOutput:
         """One backbone evaluation yielding mean and clipped log-scale."""
         mean, feat = self.generator.forward(obs_flat, z)
-        return ActorOutput(mean=mean, log_std=self._log_std(feat), spec=self.spec)
-
-    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> ActorOutput:
-        """:meth:`forward` without the tape: the same output, holding arrays."""
-        mean, feat = self.generator.infer(obs_flat, z)
-        return ActorOutput(mean=mean, log_std=self._log_std(feat), spec=self.spec)
+        log_std = clip(self.head.linear(feat, "scale"), *self.log_std_bounds)
+        return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
 
     def evaluate(self, obs_flat: np.ndarray,
-                 z: np.ndarray) -> tuple[ActorOutput, tuple[Activations, np.ndarray]]:
-        """:meth:`infer`'s output and what :meth:`backward` reads: the
-        backbone's :class:`Activations` and the log-scale before its clip."""
+                 z: np.ndarray) -> tuple[ActorOutput, tuple[tuple, np.ndarray]]:
+        """:meth:`forward` without the tape: the same output, holding arrays,
+        and what :meth:`backward` reads: the backbone's activations
+        (:meth:`Generator.evaluate`) and the log-scale before its clip."""
         mean, acts = self.generator.evaluate(obs_flat, z)
-        pre_log_std = self.head.linear(acts.feat, "scale")
+        pre_log_std = self.head.linear(acts[2], "scale")
         log_std = clip(pre_log_std, *self.log_std_bounds)
         return ActorOutput(mean=mean, log_std=log_std, spec=self.spec), (acts, pre_log_std)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def backward(self, acts: tuple[Activations, np.ndarray], d_mean: np.ndarray,
+    def backward(self, acts: tuple[tuple, np.ndarray], d_mean: np.ndarray,
                  d_log_std: np.ndarray) -> dict[str, np.ndarray]:
         """The gradient of every :meth:`parameters` leaf, by name, from
         dL/d(mean) and dL/d(log_std) of an :meth:`evaluate` output.
@@ -105,7 +99,7 @@ class GaussianActor:
         lo, hi = self.log_std_bounds
         d_pre = d_log_std * ((pre_log_std > lo) & (pre_log_std < hi))
         head_grads = {}
-        d_feat = self.head.backward(head_grads, "scale", backbone.feat, d_pre)
+        d_feat = self.head.backward(head_grads, "scale", backbone[2], d_pre)
         return {**self.generator.backward(backbone, d_mean, d_feat),
                 **self.head.checked(head_grads)}
 
@@ -128,7 +122,7 @@ def prefix_log_prob(x_exec: np.ndarray, output: ActorOutput) -> Tensor | np.ndar
     prefix coordinates; coordinates outside the prefix contribute nothing to
     the value or the gradient.  Returns one scalar per batch row: a tape
     ``Tensor`` for a :meth:`GaussianActor.forward` output, a finiteness-checked
-    array for a :meth:`GaussianActor.infer` output.
+    array for a :meth:`GaussianActor.evaluate` output.
     """
     if len(output.mean.shape) != 2:
         raise SpecError("prefix_log_prob expects batched (B, D) actor output")

@@ -331,7 +331,7 @@ def mode_coverage(generator: Generator, dataset: ImitationDataset, samples: int,
     The conditions are the dataset's distinct histories (by their bytes), in
     first-seen order, the first ``max_conditions`` of them if given.  One
     (conditions x samples, latent_dim) latent draw feeds one
-    ``generator.infer``; each chunk goes to its nearest mode center, and the
+    ``generator.evaluate``; each chunk goes to its nearest mode center, and the
     per-condition fractions of the K modes hit are averaged.
     """
     if samples < 1 or (max_conditions is not None and max_conditions < 1):
@@ -342,7 +342,7 @@ def mode_coverage(generator: Generator, dataset: ImitationDataset, samples: int,
     conditions = dataset.observations[list(first.values())[:max_conditions]]
     n = len(conditions)
     z = rng.standard_normal((n * samples, generator.latent_dim))
-    chunks, _ = generator.infer(np.repeat(conditions.reshape(n, -1), samples, axis=0), z)
+    chunks, _ = generator.evaluate(np.repeat(conditions.reshape(n, -1), samples, axis=0), z)
     centers = mode_centers(conditions, dataset.metadata)
     diffs = chunks.reshape(n, samples, 1, -1) - centers[:, None]
     nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=2)

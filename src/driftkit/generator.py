@@ -7,15 +7,15 @@ scale head, so it is returned alongside the chunk.
 
 The network is written once (:func:`_backbone`) with engine ops that take
 either backend, and evaluated either on the autodiff tape
-(:meth:`Generator.forward`, for fine-tuning) or on plain arrays
-(:meth:`Generator.evaluate` and :meth:`Generator.infer`).  Both run the same
-numpy calls around the same row-invariant kernel (:func:`autodiff.row_matmul`),
-so their values agree bitwise, and a row's values do not depend on its batch.
-A caller that wants values only calls :meth:`Generator.infer`; a ``Tensor``
-result always means a recorded graph.  Stage-1 training differentiates without
-the tape: :meth:`Generator.evaluate` also hands back the activations, and
-:meth:`Generator.backward` is the backbone's reverse pass written out, each
-product in the tape's order, so its gradients equal the tape's bitwise.
+(:meth:`Generator.forward`, the tests' gradient oracle) or on plain arrays
+(:meth:`Generator.evaluate`, the one tape-free entry point).  Both run the
+same numpy calls around the same row-invariant kernel
+(:func:`autodiff.row_matmul`), so their values agree bitwise, and a row's
+values do not depend on its batch.  :meth:`Generator.evaluate` also hands
+back the activations as a plain tuple, which a values-only caller drops for
+nothing, and :meth:`Generator.backward` is the backbone's reverse pass
+written out, each product in the tape's order, so its gradients equal the
+tape's bitwise.
 
 The JSON helpers at the end of the module own the format of every JSON file:
 configs, checkpoints and dataset metadata are read through one typed reader
@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import asdict, dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -169,24 +168,11 @@ class Dense(dict):
                 for name in self}
 
 
-class Activations(NamedTuple):
-    """Every dense layer's input and every tanh output of one backbone
-    evaluation: what :meth:`Generator.backward` reads.  ``feat`` is the
-    observation feature.  :func:`_backbone` hands them back as a plain tuple
-    in this field order; only :meth:`Generator.evaluate` builds the record."""
-
-    obs: np.ndarray | Tensor
-    z: np.ndarray | Tensor
-    feat: np.ndarray | Tensor
-    lat: np.ndarray | Tensor
-    cat: np.ndarray | Tensor
-    h1: np.ndarray | Tensor
-    h2: np.ndarray | Tensor
-
-
 def _backbone(p: Dense, obs, z):
     """The chunk of the generator MLP on either backend, and its activations
-    as a plain tuple in :class:`Activations` order (``[2]`` is the feature)."""
+    ``(obs, z, feat, lat, cat, h1, h2)``: every dense layer's input and every
+    tanh output, which :meth:`Generator.backward` reads (``[2]`` is the
+    observation feature)."""
     feat = tanh(p.linear(obs, "obs"))
     lat = tanh(p.linear(z, "lat"))
     cat = concat([feat, lat], axis=1)
@@ -203,10 +189,10 @@ def tanh_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
 class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
-    ``nfe_count`` counts network evaluations per row: a :meth:`forward`,
-    :meth:`evaluate` or :meth:`infer` call on B rows adds B.  A batch-1
-    deployment decision adds exactly 1, and the deployment and evaluation
-    loops check one evaluation per decision against it.
+    ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
+    :meth:`evaluate` call on B rows adds B.  A batch-1 deployment decision
+    adds exactly 1, and the deployment and evaluation loops check one
+    evaluation per decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -242,30 +228,21 @@ class Generator:
         chunk, acts = _backbone(self.params, obs_flat, z)
         return chunk, acts[2]
 
-    def _evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """:func:`_backbone` on checked arrays, counted."""
+    def evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """One network evaluation without the tape: the (B, D) chunk batch and
+        the :func:`_backbone` activations that :meth:`backward` differentiates
+        through (``[2]`` is the observation feature).
+
+        Raises ``AutodiffError`` on a non-finite input or pre-activation, as
+        the tape would.
+        """
         obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
         self.nfe_count += obs_flat.shape[0]
         z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
         return _backbone(self.params, obs_flat, z)
 
-    def evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, Activations]:
-        """One network evaluation without the tape: the (B, D) chunk batch and
-        the :class:`Activations` that :meth:`backward` differentiates through.
-
-        Raises ``AutodiffError`` on a non-finite input or pre-activation, as
-        the tape would.
-        """
-        chunk, acts = self._evaluate(obs_flat, z)
-        return chunk, Activations._make(acts)
-
-    def infer(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`forward`'s values as arrays: the chunk batch and the observation feature."""
-        chunk, acts = self._evaluate(obs_flat, z)
-        return chunk, acts[2]
-
     @np.errstate(over="ignore", invalid="ignore")
-    def backward(self, acts: Activations, d_chunk: np.ndarray,
+    def backward(self, acts: tuple, d_chunk: np.ndarray,
                  d_feat: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """The gradient of every parameter, by name in parameter order, from
         dL/d(chunk) and, if the loss also reads the observation feature, dL/d(feat).
@@ -276,23 +253,24 @@ class Generator:
         The inputs get no gradient.  Raises ``AutodiffError`` if a gradient
         holds a NaN or an infinity.
         """
+        obs, z, feat, lat, cat, h1, h2 = acts
         p, grads = self.params, {}
-        g = tanh_grad(p.backward(grads, "head", acts.h2, d_chunk), acts.h2)
-        g = tanh_grad(p.backward(grads, "trunk2", acts.h1, g), acts.h1)
-        g = p.backward(grads, "trunk1", acts.cat, g)
-        width = acts.feat.shape[1]
+        g = tanh_grad(p.backward(grads, "head", h2, d_chunk), h2)
+        g = tanh_grad(p.backward(grads, "trunk2", h1, g), h1)
+        g = p.backward(grads, "trunk1", cat, g)
+        width = feat.shape[1]
         g_feat, g_lat = g[:, :width], g[:, width:]
         if d_feat is not None:
             g_feat = d_feat + g_feat
-        p.backward(grads, "lat", acts.z, tanh_grad(g_lat, acts.lat), to_input=False)
-        p.backward(grads, "obs", acts.obs, tanh_grad(g_feat, acts.feat), to_input=False)
+        p.backward(grads, "lat", z, tanh_grad(g_lat, lat), to_input=False)
+        p.backward(grads, "obs", obs, tanh_grad(g_feat, feat), to_input=False)
         return p.checked(grads)
 
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""
         obs = self._flatten_obs(obs_hist)
         z = np.asarray(z, dtype=np.float64).reshape(1, self.latent_dim)
-        chunk, _ = self.infer(obs, z)
+        chunk, _ = self.evaluate(obs, z)
         return chunk[0]
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:
@@ -311,7 +289,7 @@ def sample_latents(rng: np.random.Generator, batch: int, count: int,
 
 
 def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, Activations]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Generate G hypotheses per observation from independent latents.
 
     All B*G rows go through a single :meth:`Generator.evaluate`.  Returns the

@@ -7,11 +7,13 @@ recompute exactly the collection-time log-probabilities.  The total objective
 is the clipped surrogate plus value regression, an entropy bonus, and a
 squared-distance anchor to the frozen pretrained mean.
 
-An update records no tape.  Each minibatch evaluates the actor, the critic
-and the anchor once on arrays (:func:`ppo_minibatch`), :func:`ppo_objective`
-returns the loss terms with dL/d(mean), dL/d(log_std) and dL/d(values), and
-the networks' written-out backward passes map those to the parameter
-gradients, each rule in the tape's order, so the bits are the tape's.
+An update records no tape.  It evaluates the frozen anchor once on the whole
+buffer.  Each minibatch evaluates the actor and the critic once on arrays and
+takes its rows of the anchor's means (:func:`ppo_minibatch`),
+:func:`ppo_objective` returns the loss terms with dL/d(mean), dL/d(log_std)
+and dL/d(values), and the networks' written-out backward passes map those to
+the parameter gradients, each rule in the tape's order, so the bits are the
+tape's.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ class Critic:
         obs = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
         return _value_mlp(self.params, obs)
 
-    def value(self, obs_flat: np.ndarray) -> np.ndarray:
-        """:meth:`forward` without the tape, on an observation array."""
-        return self.evaluate(obs_flat)[0]
-
     @np.errstate(over="ignore", invalid="ignore")
     def backward(self, acts: tuple, d_values: np.ndarray) -> dict[str, np.ndarray]:
         """The gradient of every parameter, by name in parameter order, from
@@ -147,10 +145,10 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     """Receding-horizon collection: one policy query per H_e environment steps.
 
     Every query is tape-free and writes decision ``t`` into row ``t`` of the
-    buffer.  The stored log-probabilities come from the same network and
-    formulas, with the same row-invariant kernel
-    (:func:`autodiff.row_matmul`), as the batched tape forward of the update
-    epochs, so an epoch-0 recomputation reproduces them bitwise.
+    buffer.  The stored log-probabilities come from the same
+    :meth:`GaussianActor.evaluate` and formulas, with the same row-invariant
+    kernel (:func:`autodiff.row_matmul`), as the batched epoch-0 recompute of
+    :func:`ppo_update`, so that recompute reproduces them bitwise.
     """
     spec = actor.spec
     generator = actor.generator
@@ -165,11 +163,12 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     for t in range(length):
         obs_flat = obs_hist.reshape(1, -1)
         z = rng.standard_normal((1, generator.latent_dim))
-        out = actor.infer(obs_flat, z)
+        out, _ = actor.evaluate(obs_flat, z)
         prefix = executed_prefix(sample_gaussian(out.mean, out.log_std, rng)[0], spec)
         buf.obs[t], buf.latents[t], buf.exec_actions[t] = obs_flat[0], z[0], prefix.reshape(-1)
         buf.old_log_probs[t] = prefix_log_prob(buf.exec_actions[t:t + 1], out)[0]
-        buf.values[t] = critic.value(obs_flat)[0]
+        values, _ = critic.evaluate(obs_flat)
+        buf.values[t] = values[0]
         obs_hist, reward, done = env.step_prefix(prefix)
         buf.rewards[t], buf.dones[t] = reward, done
         ep_return += reward
@@ -178,7 +177,8 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
             ep_return = 0.0
             obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
     if length and not buf.dones[-1]:
-        buf.bootstrap_value = float(critic.value(obs_hist.reshape(1, -1))[0])
+        values, _ = critic.evaluate(obs_hist.reshape(1, -1))
+        buf.bootstrap_value = float(values[0])
     return buf
 
 
@@ -219,7 +219,7 @@ def anchor_loss(mean: Tensor, anchor: Generator, obs: np.ndarray,
                 latents: np.ndarray) -> Tensor:
     """Mean squared distance between the live mean chunks of (obs, latents)
     rows, as the actor's forward computed them, and the frozen anchor's."""
-    frozen, _ = anchor.infer(obs, latents)
+    frozen, _ = anchor.evaluate(obs, latents)
     return (mean - Tensor(frozen)).square().sum(axis=1).mean()
 
 
@@ -292,23 +292,23 @@ def ppo_objective(out: ActorOutput, values: np.ndarray, frozen: np.ndarray,
     return (ratio.mean(), clip_frac, value_loss, entropy, anchor_term), d_mean, d_log_std, d_values
 
 
-def ppo_minibatch(actor: GaussianActor, critic: Critic, anchor: Generator,
+def ppo_minibatch(actor: GaussianActor, critic: Critic, frozen: np.ndarray,
                   buffer: RolloutBuffer, idx: np.ndarray, norm_adv: np.ndarray,
                   config: PPOConfig, anchor_weight: float):
     """The ``UpdateStats`` row and the actor's and the critic's gradients, by
     parameter name, of the buffer rows ``idx``.
 
-    One array evaluation each of the live actor (which also gives the anchor
-    term its live mean), the critic and the frozen anchor, then
-    :func:`ppo_objective` and the networks' backward passes.  No gradient is
-    applied, so an ``AutodiffError`` leaves every parameter as it was.
+    ``frozen`` holds the anchor's mean chunks of every buffer row.  One array
+    evaluation each of the live actor (which also gives the anchor term its
+    live mean) and the critic, then :func:`ppo_objective` and the networks'
+    backward passes.  No gradient is applied, so an ``AutodiffError`` leaves
+    every parameter as it was.
     """
     obs, z = buffer.obs[idx], buffer.latents[idx]
     out, actor_acts = actor.evaluate(obs, z)
     values, critic_acts = critic.evaluate(obs)
-    frozen, _ = anchor.infer(obs, z)
     row, d_mean, d_log_std, d_values = ppo_objective(
-        out, values, frozen, buffer.exec_actions[idx], buffer.old_log_probs[idx],
+        out, values, frozen[idx], buffer.exec_actions[idx], buffer.old_log_probs[idx],
         norm_adv[idx], buffer.returns[idx], config, anchor_weight)
     return (row, actor.backward(actor_acts, d_mean, d_log_std),
             critic.backward(critic_acts, d_values))
@@ -320,12 +320,14 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     """One PPO iteration over the buffer: epochs of shuffled minibatches.
 
     Old log-probabilities stay fixed from collection and the anchor never
-    moves.  Each minibatch evaluates the live backbone once
-    (:func:`ppo_minibatch`): the anchor term reuses the mean of the actor's
-    evaluation.  Advantages are normalized once over the whole buffer before
-    the surrogate.  The optimizers carry their moments across calls, and
-    ``anchor_weight`` scales the anchor term (the caller's schedule of
-    ``config.anchor_weight``).
+    moves, so the anchor is evaluated once per update, over the whole buffer;
+    the row-invariant kernel gives each minibatch's rows of those means the
+    bits of a per-minibatch evaluation.  Each minibatch evaluates the live
+    backbone once (:func:`ppo_minibatch`): the anchor term reuses the mean of
+    the actor's evaluation.  Advantages are normalized once over the whole
+    buffer before the surrogate.  The optimizers carry their moments across
+    calls, and ``anchor_weight`` scales the anchor term (the caller's
+    schedule of ``config.anchor_weight``).
     """
     if buffer.advantages is None:
         raise PPOConfigError("buffer advantages missing; run compute_gae first")
@@ -342,6 +344,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     out, _ = actor.evaluate(buffer.obs, buffer.latents)
     first_epoch_ratios = ppo_ratio(prefix_log_prob(buffer.exec_actions, out),
                                    buffer.old_log_probs)
+    frozen, _ = anchor.evaluate(buffer.obs, buffer.latents)
 
     # per minibatch: the UpdateStats fields in order, averaged at the end
     per_minibatch = []
@@ -351,7 +354,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
             idx = order[lo:lo + config.minibatch_size]
             try:
                 row, actor_grads, critic_grads = ppo_minibatch(
-                    actor, critic, anchor, buffer, idx, norm_adv, config, anchor_weight)
+                    actor, critic, frozen, buffer, idx, norm_adv, config, anchor_weight)
                 actor_opt.step(actor.parameters(), actor_grads)
                 critic_opt.step(critic.params, critic_grads)
             except AutodiffError as exc:
@@ -448,7 +451,7 @@ def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
     def chunk_fn(obs, active):
         z = np.stack([streams[e].standard_normal(generator.latent_dim) for e in active])
         before = generator.nfe_count
-        chunks, _ = generator.infer(obs.reshape(active.size, -1), z)
+        chunks, _ = generator.evaluate(obs.reshape(active.size, -1), z)
         violations.append(generator.nfe_count - before != active.size)
         return chunks
 

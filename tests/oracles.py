@@ -437,7 +437,7 @@ def mode_centers_loop(obs_hist: np.ndarray, metadata: dict) -> np.ndarray:
 def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.random.Generator,
                        max_conditions: int | None = None) -> float:
     """``envs.mode_coverage`` one condition at a time: per distinct history, in
-    first-seen order, ``samples`` latents, one ``generator.infer`` and the
+    first-seen order, ``samples`` latents, one ``generator.evaluate`` and the
     nearest of :func:`mode_centers_loop`'s centres for each chunk."""
     seen = set()
     fractions = []
@@ -450,7 +450,7 @@ def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.rand
             break
         centers = mode_centers_loop(obs_hist, dataset.metadata)
         obs = np.repeat(obs_hist.reshape(1, -1), samples, axis=0)
-        chunks, _ = generator.infer(obs, rng.standard_normal((samples, generator.latent_dim)))
+        chunks, _ = generator.evaluate(obs, rng.standard_normal((samples, generator.latent_dim)))
         diffs = chunks[:, None, :] - centers[None, :, :]
         nearest = np.argmin(np.sqrt(np.square(diffs).sum(axis=-1)), axis=1)
         fractions.append(len(np.unique(nearest)) / len(centers))

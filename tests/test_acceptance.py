@@ -205,7 +205,8 @@ def test_criterion_3_gradient_suite():
         return (-1.0 * surr + cfg.value_weight * v_loss
                 - cfg.entropy_weight * ent + cfg.anchor_weight * anch)
 
-    _, actor_grads, critic_grads = ppo_minibatch(actor, critic, anchor, buf, np.arange(len(buf)),
+    frozen, _ = anchor.evaluate(buf.obs, buf.latents)
+    _, actor_grads, critic_grads = ppo_minibatch(actor, critic, frozen, buf, np.arange(len(buf)),
                                                  adv, cfg, cfg.anchor_weight)
     grads = {**actor_grads, **critic_grads}
     worst_rl = 0.0
@@ -256,11 +257,11 @@ def test_criterion_5_ratio_equivalence(pretrained_doc):
         z = rng.standard_normal((1, gen.latent_dim))
         x = rng.normal(size=(1, spec.exec_dim))
         arrays = gen.param_arrays()
-        lp_old = prefix_log_prob(x, actor.infer(obs, z))[0]
+        lp_old = prefix_log_prob(x, actor.evaluate(obs, z)[0])[0]
         for name in arrays:
             arrays[name] = arrays[name] + 1e-3 * rng.standard_normal(arrays[name].shape)
         gen.params.load(arrays)
-        lp_new = prefix_log_prob(x, actor.infer(obs, z))[0]
+        lp_new = prefix_log_prob(x, actor.evaluate(obs, z)[0])[0]
         log_prior = float(-0.5 * z.size * np.log(2 * np.pi) - 0.5 * (z ** 2).sum())
         conditional = np.exp(lp_new - lp_old)
         joint = np.exp((lp_new + log_prior) - (lp_old + log_prior))

@@ -77,14 +77,14 @@ def test_sample_with_zero_noise_returns_mean():
             return np.zeros(shape)
 
     actor = tiny_actor()
-    out = actor.infer(np.ones((1, 3)), np.full((1, 4), 0.3))
+    out, _ = actor.evaluate(np.ones((1, 3)), np.full((1, 4), 0.3))
     x = sample_gaussian(out.mean, out.log_std, ZeroRng())
     np.testing.assert_array_equal(x, out.mean)
 
 
 def test_sample_std_matches_scale_head():
     actor = tiny_actor(head_scale=0.1)
-    out = actor.infer(np.ones((1, 3)), np.zeros((1, 4)))
+    out, _ = actor.evaluate(np.ones((1, 3)), np.zeros((1, 4)))
     mean, log_std = out.mean, out.log_std
     std = np.exp(log_std[0])
     rng = np.random.default_rng(0)

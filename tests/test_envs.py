@@ -374,7 +374,7 @@ def test_a_row_on_its_goal_gets_a_zero_action_without_warnings(gain):
 
 
 class FakeGenerator:
-    """``Generator``'s coverage interface: ``infer(obs_flat, z)`` returns
+    """``Generator``'s coverage interface: ``evaluate(obs_flat, z)`` returns
     ``chunk_fn(obs_flat, z)``; ``calls`` counts the calls."""
 
     def __init__(self, latent_dim, chunk_fn):
@@ -382,7 +382,7 @@ class FakeGenerator:
         self.chunk_fn = chunk_fn
         self.calls = 0
 
-    def infer(self, obs_flat, z):
+    def evaluate(self, obs_flat, z):
         self.calls += 1
         return self.chunk_fn(obs_flat, z), None
 

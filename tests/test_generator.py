@@ -97,7 +97,7 @@ def test_hypotheses_detached_copy_matches_forward():
     obs = rng.normal(size=(2, 1, 3))
     values, latents, _ = sample_hypotheses(gen, obs, 4, rng)
     assert values.shape == (2, 4, TINY_SPEC.chunk_dim)
-    chunk, _ = gen.infer(np.repeat(obs.reshape(2, -1), 4, axis=0), latents.reshape(8, -1))
+    chunk, _ = gen.evaluate(np.repeat(obs.reshape(2, -1), 4, axis=0), latents.reshape(8, -1))
     np.testing.assert_array_equal(values, chunk.reshape(2, 4, -1))
 
 
@@ -138,7 +138,7 @@ def test_one_forward_evaluation_per_generate():
     for k in range(1, 6):
         gen.generate(np.zeros((1, 3)), np.zeros(4))
         assert gen.nfe_count == k
-    gen.infer(np.zeros((3, 3)), np.zeros((3, 4)))
+    gen.evaluate(np.zeros((3, 3)), np.zeros((3, 4)))
     assert gen.nfe_count == 8
 
 
@@ -150,7 +150,7 @@ def test_pushforward_mean_is_stable():
     def batch_mean(seed):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, 4))
-        chunk, _ = gen.infer(np.repeat(obs, n, axis=0), z)
+        chunk, _ = gen.evaluate(np.repeat(obs, n, axis=0), z)
         return chunk.mean(axis=0), chunk.std(axis=0, ddof=1)
 
     mean_a, std_a = batch_mean(101)

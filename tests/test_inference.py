@@ -1,6 +1,7 @@
-"""Tape-free inference: a row-invariant dense kernel, bitwise agreement with
-the tape forwards at any batch size and for any row, and the tape's
-finiteness contract."""
+"""Tape-free evaluation: a row-invariant dense kernel, bitwise agreement with
+the tape forwards at any batch size and for any row, every activation that a
+backward pass reads equal row by row to the same row evaluated alone, and the
+tape's finiteness contract."""
 
 from __future__ import annotations
 
@@ -80,6 +81,15 @@ def make_actor(seed: int) -> GaussianActor:
     return actor
 
 
+def assert_row_equals_alone(batched: tuple, alone: tuple, i: int) -> None:
+    """Row ``i`` of every array of ``batched`` equals the one row of the same
+    array in ``alone``, an evaluation of row ``i`` by itself, bitwise."""
+    assert len(batched) == len(alone)
+    for full, one in zip(batched, alone):
+        assert one.shape == (1, *full.shape[1:])
+        assert one[0].tobytes() == full[i].tobytes()
+
+
 def rows(seed: int, batch: int, scale: float):
     rng = np.random.default_rng(seed)
     return (scale * rng.standard_normal((batch, N_OBS)),
@@ -93,13 +103,14 @@ def test_generator_infer_equals_tape_forward_batched_and_per_row(batch, seed, sc
     gen = make_actor(seed % 1000).generator
     obs, z, _ = rows(seed, batch, scale)
     chunk, feat = gen.forward(Tensor(obs), Tensor(z))
-    chunk_arr, feat_arr = gen.infer(obs, z)
+    chunk_arr, acts = gen.evaluate(obs, z)
     assert np.array_equal(chunk_arr, chunk.data)
-    assert np.array_equal(feat_arr, feat.data)
+    assert np.array_equal(acts[2], feat.data)
+    # the chunk and every activation that Generator.backward reads
     for i in range(batch):
-        one, one_feat = gen.infer(obs[i:i + 1], z[i:i + 1])
+        one, one_acts = gen.evaluate(obs[i:i + 1], z[i:i + 1])
         assert np.array_equal(one[0], chunk.data[i])
-        assert np.array_equal(one_feat[0], feat.data[i])
+        assert_row_equals_alone((chunk_arr, *acts), (one, *one_acts), i)
 
 
 @PROPERTY
@@ -109,15 +120,19 @@ def test_array_prefix_log_prob_equals_tape_log_prob(batch, seed, scale):
     obs, z, x = rows(seed, batch, scale)
     out = actor.forward(Tensor(obs), Tensor(z))
     tape = prefix_log_prob(x, out).data
-    arrays = actor.infer(obs, z)
+    arrays, (acts, pre_log_std) = actor.evaluate(obs, z)
     assert np.array_equal(arrays.mean, out.mean.data)
     assert np.array_equal(arrays.log_std, out.log_std.data)
     logp = prefix_log_prob(x, arrays)
     assert isinstance(logp, np.ndarray)
     assert np.array_equal(logp, tape)
-    # collection evaluates one row at a time; the update epochs batch them
+    # collection evaluates one row at a time; the update epochs batch them and
+    # differentiate through the activations and the pre-clip log-scale
     for i in range(batch):
-        assert prefix_log_prob(x[i:i + 1], actor.infer(obs[i:i + 1], z[i:i + 1]))[0] == tape[i]
+        one, (one_acts, one_pre) = actor.evaluate(obs[i:i + 1], z[i:i + 1])
+        assert prefix_log_prob(x[i:i + 1], one)[0] == tape[i]
+        assert_row_equals_alone((arrays.mean, arrays.log_std, *acts, pre_log_std),
+                                (one.mean, one.log_std, *one_acts, one_pre), i)
 
 
 @PROPERTY
@@ -126,9 +141,13 @@ def test_critic_value_equals_tape_forward(batch, seed, scale):
     critic = Critic(N_OBS, hidden_dim=8, seed=seed % 1000)
     obs, _, _ = rows(seed, batch, scale)
     tape = critic.forward(Tensor(obs)).data
-    assert np.array_equal(critic.value(obs), tape)
+    values, acts = critic.evaluate(obs)
+    assert np.array_equal(values, tape)
+    # the values and the activations (obs, h1, h2) that Critic.backward reads
     for i in range(batch):
-        assert critic.value(obs[i:i + 1])[0] == tape[i]
+        one, one_acts = critic.evaluate(obs[i:i + 1])
+        assert one[0] == tape[i]
+        assert_row_equals_alone((values, *acts), (one, *one_acts), i)
 
 
 def test_infer_counts_one_evaluation_per_row():
@@ -136,11 +155,11 @@ def test_infer_counts_one_evaluation_per_row():
     # decisions costs N, as N batch-1 calls would
     gen = make_actor(0).generator
     obs, z, _ = rows(0, 7, 1.0)
-    gen.infer(obs, z)
+    gen.evaluate(obs, z)
     assert gen.nfe_count == 7
     gen.forward(Tensor(obs), Tensor(z))
     assert gen.nfe_count == 14
-    gen.infer(obs[:1], z[:1])
+    gen.evaluate(obs[:1], z[:1])
     assert gen.nfe_count == 15
 
 
@@ -151,7 +170,7 @@ def test_infer_rejects_non_finite_input(bad, where):
     obs, z, _ = rows(0, 3, 1.0)
     (obs if where == "obs" else z)[1, 0] = bad
     with pytest.raises(AutodiffError):
-        gen.infer(obs, z)
+        gen.evaluate(obs, z)
 
 
 def test_infer_rejects_overflowing_pre_activation():
@@ -164,7 +183,7 @@ def test_infer_rejects_overflowing_pre_activation():
     with pytest.raises(AutodiffError):
         gen.forward(Tensor(obs), Tensor(z))
     with pytest.raises(AutodiffError):
-        gen.infer(obs, z)
+        gen.evaluate(obs, z)
 
 
 def test_critic_value_rejects_non_finite_input():
@@ -172,4 +191,4 @@ def test_critic_value_rejects_non_finite_input():
     obs = np.zeros((2, N_OBS))
     obs[0, 0] = np.nan
     with pytest.raises(AutodiffError):
-        critic.value(obs)
+        critic.evaluate(obs)

@@ -408,9 +408,9 @@ def test_update_evaluates_the_live_backbone_once_per_minibatch(length, minibatch
     # nfe_count counts rows: the epoch-0 recomputation evaluates every row
     # once, then each epoch's minibatches evaluate every row once more.  A
     # second live forward per minibatch (for the anchor) would add another
-    # epochs * length.
+    # epochs * length.  The frozen anchor is evaluated once per update.
     assert actor.generator.nfe_count - live_before == length + epochs * length
-    assert anchor.nfe_count - anchor_before == epochs * length
+    assert anchor.nfe_count - anchor_before == length
 
 
 def test_anchor_weight_sweep_shrinks_drift_from_pretrained():
@@ -425,8 +425,8 @@ def test_anchor_weight_sweep_shrinks_drift_from_pretrained():
         buf = make_buffer(actor, critic, n=16, seed=3)
         cfg = PPOConfig(anchor_weight=weight)
         update(buf, actor, critic, anchor, cfg, np.random.default_rng(4))
-        live, _ = actor.generator.infer(probe_obs, probe_z)
-        frozen, _ = anchor.infer(probe_obs, probe_z)
+        live, _ = actor.generator.evaluate(probe_obs, probe_z)
+        frozen, _ = anchor.evaluate(probe_obs, probe_z)
         drifts.append(float(np.linalg.norm(live - frozen)))
     assert drifts[0] >= drifts[1] >= drifts[2]
 
@@ -441,8 +441,8 @@ def test_huge_anchor_weight_pins_means_to_pretrained():
     rng = np.random.default_rng(11)
     obs = rng.normal(size=(32, OBS_DIM))
     z = rng.normal(size=(32, 4))
-    live, _ = actor.generator.infer(obs, z)
-    frozen, _ = anchor.infer(obs, z)
+    live, _ = actor.generator.evaluate(obs, z)
+    frozen, _ = anchor.evaluate(obs, z)
     assert np.max(np.abs(live - frozen)) < 1e-3
 
 
@@ -455,7 +455,7 @@ def test_value_loss_is_half_mse_against_returns():
     stats = update(buf, actor, critic, anchor, cfg, np.random.default_rng(0))
     # recompute independently with the pre-update critic
     critic2 = Critic(OBS_DIM, hidden_dim=8, seed=0)
-    expected = 0.5 * np.mean((critic2.value(buf.obs) - buf.returns) ** 2)
+    expected = 0.5 * np.mean((critic2.evaluate(buf.obs)[0] - buf.returns) ** 2)
     assert stats.value_loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -485,7 +485,8 @@ def test_total_objective_gradient_matches_finite_differences():
         return (-1.0 * surr + cfg.value_weight * v_loss
                 - cfg.entropy_weight * ent + cfg.anchor_weight * anch)
 
-    _, actor_grads, critic_grads = ppo_minibatch(actor, critic, anchor, buf, np.arange(len(buf)),
+    frozen, _ = anchor.evaluate(buf.obs, buf.latents)
+    _, actor_grads, critic_grads = ppo_minibatch(actor, critic, frozen, buf, np.arange(len(buf)),
                                                  adv, cfg, cfg.anchor_weight)
     grads = {**actor_grads, **critic_grads}
     all_params = {**actor.parameters(), **critic.params}

@@ -1,10 +1,11 @@
 """The explicit PPO minibatch against the tape minibatch it replaced.
 
-``ppo.ppo_minibatch`` records no tape: the actor, the critic and the anchor
-run once on arrays, ``ppo.ppo_objective`` hands back dL/d(mean),
-dL/d(log_std) and dL/d(values), and the networks' backward passes map them to
-the parameter gradients.  ``tests/oracles.py::tape_ppo_minibatch`` is the
-same minibatch on the autodiff tape.  The properties pin the two together
+``ppo.ppo_minibatch`` records no tape: the actor and the critic run once on
+arrays, the anchor's means are rows of one evaluation per update,
+``ppo.ppo_objective`` hands back dL/d(mean), dL/d(log_std) and dL/d(values),
+and the networks' backward passes map them to the parameter gradients.
+``tests/oracles.py::tape_ppo_minibatch`` is the same minibatch on the
+autodiff tape, evaluating the anchor on the minibatch rows.  The properties pin the two together
 byte for byte: the ``UpdateStats`` row and every actor and critic gradient
 of one minibatch, over the clip, clamp and log-scale regimes where the
 tape's tie rules decide, and the parameters, statistics and optimizer state
@@ -128,7 +129,7 @@ def regime_minibatch(data, seed, rows, obs_dim, latent_dim, hidden, horizon, act
 
     obs = rng.standard_normal((rows, history * obs_dim))
     z = rng.standard_normal((rows, latent_dim))
-    out = actor.infer(obs, z)
+    out, _ = actor.evaluate(obs, z)
     prefix = out.mean[:, spec.exec_slice()] + rng.standard_normal((rows, spec.exec_dim)) * np.exp(
         out.log_std[:, spec.exec_slice()])
     regimes = data.draw(st.lists(st.sampled_from(GAP_REGIMES), min_size=rows, max_size=rows))
@@ -137,7 +138,7 @@ def regime_minibatch(data, seed, rows, obs_dim, latent_dim, hidden, horizon, act
     twin = rows > 1 and data.draw(st.booleans())
     if twin:
         obs[1], z[1], prefix[1], regimes[1] = obs[0], z[0], prefix[0], regimes[0]
-    logp = prefix_log_prob(prefix, actor.infer(obs, z))
+    logp = prefix_log_prob(prefix, actor.evaluate(obs, z)[0])
     clip_eps = data.draw(st.floats(0.05, 0.5))
     old = [old_log_prob(lp, regime, clip_eps, rng) for lp, regime in zip(logp, regimes)]
     assume(None not in old)
@@ -178,8 +179,10 @@ def test_property_minibatch_is_bitwise_the_tape_minibatch(data, seed, rows, obs_
         data, seed, rows, obs_dim, latent_dim, hidden, horizon, action_dim, history, exec_len)
     # a minibatch of any size, in any order, from the rows
     idx = np.asarray(data.draw(st.permutations(range(rows))))[:data.draw(st.integers(1, rows))]
-    args = (actor, critic, anchor, buffer, idx, norm_adv, config, config.anchor_weight)
-    assert_same_minibatch(ppo_minibatch(*args), tape_ppo_minibatch(*args), actor, critic)
+    frozen, _ = anchor.evaluate(buffer.obs, buffer.latents)
+    args = (buffer, idx, norm_adv, config, config.anchor_weight)
+    assert_same_minibatch(ppo_minibatch(actor, critic, frozen, *args),
+                          tape_ppo_minibatch(actor, critic, anchor, *args), actor, critic)
 
 
 def test_minibatch_is_bitwise_the_tape_minibatch_at_the_benchmark_shape():
@@ -196,9 +199,11 @@ def test_minibatch_is_bitwise_the_tape_minibatch_at_the_benchmark_shape():
     actor.head.load(perturbed(actor.head.arrays(), rng, 0.5))
     norm_adv = (buffer.advantages - buffer.advantages.mean()) / (buffer.advantages.std() + 1e-8)
     config = PPOConfig()
+    frozen, _ = anchor.evaluate(buffer.obs, buffer.latents)
     for idx in np.array_split(rng.permutation(128), 4):
-        args = (actor, critic, anchor, buffer, idx, norm_adv, config, config.anchor_weight)
-        assert_same_minibatch(ppo_minibatch(*args), tape_ppo_minibatch(*args), actor, critic)
+        args = (buffer, idx, norm_adv, config, config.anchor_weight)
+        assert_same_minibatch(ppo_minibatch(actor, critic, frozen, *args),
+                              tape_ppo_minibatch(actor, critic, anchor, *args), actor, critic)
 
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
@@ -210,6 +215,15 @@ def update_with(minibatch_fn, *args, **kwargs):
         return ppo_update(*args, **kwargs)
 
 
+def tape_minibatch_of(anchor: Generator):
+    """``tape_ppo_minibatch`` in ``ppo_minibatch``'s signature: it ignores the
+    anchor's means that ``ppo_update`` passes and evaluates ``anchor`` on the
+    minibatch rows itself, as the tape update did."""
+    def minibatch(actor, critic, _frozen, *args):
+        return tape_ppo_minibatch(actor, critic, anchor, *args)
+    return minibatch
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**16), length=st.integers(1, 20), minibatch=st.integers(1, 22),
        epochs=st.integers(1, 3), hidden=st.integers(1, 9),
@@ -219,9 +233,10 @@ def test_property_update_is_bitwise_the_tape_update(seed, length, minibatch, epo
     config = PPOConfig(update_epochs=epochs, minibatch_size=minibatch, actor_lr=3e-2,
                        critic_lr=3e-2, entropy_weight=entropy_weight)
     runs = []
-    for minibatch_fn in (ppo_minibatch, tape_ppo_minibatch):
+    for tape in (False, True):
         gen = Generator(SPEC, obs_dim=6, latent_dim=3, hidden_dim=hidden, seed=seed)
         anchor = gen.clone()
+        minibatch_fn = tape_minibatch_of(anchor) if tape else ppo_minibatch
         actor, critic = GaussianActor(gen), Critic(6, hidden_dim=hidden, seed=seed)
         buffer = compute_gae(collect_rollouts(PointMassEnv(SPEC, reward_mode="dense"), actor,
                                               critic, length, np.random.default_rng(seed)),
@@ -355,7 +370,7 @@ def abort_dump(tape, point, bad, after, parameter):
                 corrupt(point, bad, actor, critic, buffer)
 
     def tape_minibatch(*args):
-        row, actor_grads, critic_grads = tape_ppo_minibatch(*args)
+        row, actor_grads, critic_grads = tape_minibatch_of(anchor)(*args)
         if armed and point == "gradient":
             poisoned(actor_grads, parameter, bad)
             poisoned(critic_grads, parameter, bad)
