@@ -12,9 +12,18 @@ through the squared regression of the hypotheses onto the fixed target, with
 the global scale treated as a constant, and :func:`fixed_point_loss` returns
 that gradient with respect to the hypotheses alongside the loss.
 
-The geometry works over any leading axes, (..., B, G, S) hypotheses against
+:func:`compute_drift_field` takes (..., B, G, S) hypotheses against
 (..., B, U, S) references, one independent instance per leading index; the
-time slices of step-wise mode are such an axis.
+time slices of step-wise mode are such an axis.  Inside, the pool axis leads:
+the stage functions take (G, ..., B, W) hypotheses, (U, ..., B, W)
+references, (U, G, ..., B, W) displacements and (U, G, ..., B) distances,
+affinities and coefficients.  A softmax, mass balance or force sum over G or
+U is then a few whole-slice adds, where a reduction over a last axis of 2-5
+elements costs numpy a loop per outer element.  These sums add left to right
+from 0.0, as numpy adds fewer than 8 elements on any axis, so a pool of
+G + C_p <= 7 gets the bits of the last-axis pipeline; the width sum of a
+chunk (S >= 8) stays numpy's pairwise last-axis sum, and the scale and RMS
+means stay reductions over C-order (..., B, G, U) and (..., B, G) copies.
 """
 
 from __future__ import annotations
@@ -79,7 +88,9 @@ def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray) -> np.nd
 class DriftFieldTensors:
     """All intermediates of one drift-field evaluation, for diagnostics and tests.
 
-    Arrays keep the hypotheses' leading axes; ``scale`` has one entry per index.
+    Arrays keep the hypotheses' leading axes and are views in the public
+    (..., B, G, U) and (..., B, G, W) layouts of the pool-first arrays the
+    pipeline computes; ``scale`` has one entry per index.
     """
 
     distances: np.ndarray
@@ -100,77 +111,123 @@ def _per_index(scale, trailing: int) -> np.ndarray:
     return scale.reshape(scale.shape + (1,) * trailing)
 
 
-def pairwise_distances(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Euclidean distance between every hypothesis (..., i, r) and reference (..., i, u)."""
-    detached = np.asarray(detached, dtype=np.float64)
-    refs = np.asarray(refs, dtype=np.float64)
+def _sum_leading(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis from 0.0, left to right: the order in which
+    numpy sums an axis of fewer than 8 elements, whichever axis it is."""
+    acc = a[0] + 0.0
+    for x in a[1:]:
+        acc += x
+    return acc
+
+
+def _sum_width(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in numpy's order: pairwise from 8 elements on,
+    and below 8 in sequence, which whole-slice adds give without numpy's cost
+    per outer element."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    return _sum_leading(a.T).T
+
+
+# Cheap views between the layouts; np.moveaxis costs microseconds per call.
+
+def _pool_first(points: np.ndarray) -> np.ndarray:
+    """The (C, ..., B, W) view of a (..., B, C, W) array."""
+    n = points.ndim
+    return points.transpose((n - 2, *range(n - 2), n - 1))
+
+
+def _pool_back(points: np.ndarray) -> np.ndarray:
+    """The (..., B, C, W) view of a (C, ..., B, W) array."""
+    n = points.ndim
+    return points.transpose((*range(1, n - 1), 0, n - 1))
+
+
+def _pairs_back(pairs: np.ndarray) -> np.ndarray:
+    """The (..., B, G, U) view of a (U, G, ..., B) pair array."""
+    return pairs.transpose((*range(2, pairs.ndim), 1, 0))
+
+
+def displacements(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """The (U, G, ..., B, W) displacements refs - hypotheses from every
+    (G, ..., B, W) hypothesis to every (U, ..., B, W) reference."""
     if detached.ndim < 3 or refs.ndim != detached.ndim:
-        raise DriftConfigError("pairwise_distances expects (..., B, G, S) and (..., B, U, S)")
-    if detached.shape[:-2] != refs.shape[:-2] or detached.shape[-1] != refs.shape[-1]:
+        raise DriftConfigError("displacements expects (G, ..., B, W) and (U, ..., B, W)")
+    if detached.shape[1:] != refs.shape[1:]:
         raise DriftConfigError(
             f"batch/space mismatch: {detached.shape} vs {refs.shape}")
-    diff = detached[..., :, None, :] - refs[..., None, :, :]
-    return np.sqrt(np.square(diff).sum(axis=-1))
+    return refs[:, None] - detached[None]
+
+
+def pairwise_distances(displacement: np.ndarray) -> np.ndarray:
+    """Euclidean length (U, G, ..., B) of every (U, G, ..., B, W) displacement."""
+    return np.sqrt(_sum_width(np.square(displacement)))
 
 
 def global_scale(distances: np.ndarray, scale_floor: float) -> np.ndarray:
-    """Mean distance over (i, r, u) with a floor, one per leading index."""
-    return np.maximum(distances.mean(axis=(-3, -2, -1)), scale_floor)
+    """Mean (U, G, ..., B) distance over (B, G, U) with a floor, one per
+    leading index, summed in the order of a C-order (..., B, G, U) block."""
+    block = np.ascontiguousarray(_pairs_back(distances))
+    return np.maximum(block.mean(axis=(-3, -2, -1)), scale_floor)
 
 
-def symmetric_affinity(distances: np.ndarray, scale: float | np.ndarray,
-                       temperature: float) -> np.ndarray:
+def symmetric_affinity(normalized: np.ndarray, temperature: float) -> np.ndarray:
     """Geometric mean of the reference-axis and hypothesis-axis softmaxes.
 
-    Both softmaxes are taken over the same normalized logits -d/(R*scale).
+    Both softmaxes are taken over the same logits -d/(R*scale), from the
+    (U, G, ..., B) scale-normalized distances d/R.
     """
-    logits = -(distances / _per_index(scale, 3)) / temperature
-    s_u = _softmax_np(logits, axis=-1)
-    s_r = _softmax_np(logits, axis=-2)
+    logits = -normalized / temperature
+    s_u = _softmax_leading(logits)
+    s_r = _softmax_leading(logits.swapaxes(0, 1)).swapaxes(0, 1)
     return np.sqrt(s_u * s_r)
 
 
-def _softmax_np(logits: np.ndarray, axis: int) -> np.ndarray:
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def _softmax_leading(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=0)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / _sum_leading(e)
 
 
 def balanced_coefficients(affinity: np.ndarray) -> np.ndarray:
-    """Signed coefficients with cross-side mass balancing.
+    """Signed (U, G, ..., B) coefficients with cross-side mass balancing.
 
-    The first G = ``affinity.shape[-2]`` references are the negative side, the
+    The first G = ``affinity.shape[1]`` references are the negative side, the
     rest the positive side.  Negative-side entries get -A * S_plus,
     positive-side entries +A * S_minus, so the two sides exchange exactly
     opposite total mass per hypothesis.
     """
-    g = affinity.shape[-2]
-    negative, positive = affinity[..., :g], affinity[..., g:]
-    s_minus = negative.sum(axis=-1, keepdims=True)
-    s_plus = positive.sum(axis=-1, keepdims=True)
-    return np.concatenate([-negative * s_plus, positive * s_minus], axis=-1)
+    g = affinity.shape[1]
+    negative, positive = affinity[:g], affinity[g:]
+    s_minus = _sum_leading(negative)
+    s_plus = _sum_leading(positive)
+    return np.concatenate([-negative * s_plus, positive * s_minus])
 
 
-def per_scale_force(alpha: np.ndarray, refs: np.ndarray, detached: np.ndarray,
-                    scale: float | np.ndarray) -> np.ndarray:
-    """Coefficient-weighted sum of scale-normalized displacements toward references."""
-    disp = (refs[..., None, :, :] - detached[..., :, None, :]) / _per_index(scale, 4)
-    return np.einsum("...gu,...gud->...gd", alpha, disp)
+def per_scale_force(alpha: np.ndarray, displacement: np.ndarray) -> np.ndarray:
+    """(G, ..., B, W) force: the sum over the references of the (U, G, ..., B)
+    coefficients times the scale-normalized (U, G, ..., B, W) displacements."""
+    return _sum_leading(alpha[..., None] * displacement)
 
 
 def rms_normalize(force: np.ndarray, force_floor: float) -> np.ndarray:
-    """Divide by the per-index RMS of per-(i, r) force norms, floored to avoid blowup."""
-    mean_sq = np.square(force).sum(axis=-1).mean(axis=(-2, -1))
-    return force / _per_index(np.sqrt(mean_sq + force_floor), 3)
+    """Divide a (G, ..., B, W) force by the per-index RMS of its per-(i, r)
+    norms, floored to avoid blowup; the mean runs over a C-order (..., B, G)
+    block, as in the public layout."""
+    sq_norm = _sum_width(np.square(force))
+    block = np.ascontiguousarray(sq_norm.transpose((*range(1, sq_norm.ndim), 0)))
+    mean_sq = block.mean(axis=(-2, -1))
+    return force / _per_index(np.sqrt(mean_sq + force_floor), 2)
 
 
 def aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
                          scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the normalized per-temperature forces and build the detached target."""
+    """Sum the normalized per-temperature (G, ..., B, W) forces and build the
+    detached target from the (G, ..., B, W) hypotheses."""
     aggregate = forces[0].copy()
     for f in forces[1:]:
         aggregate += f
-    target = detached / _per_index(scale, 3) + aggregate
+    target = detached / _per_index(scale, 2) + aggregate
     return aggregate, target
 
 
@@ -180,22 +237,34 @@ def compute_drift_field(detached: np.ndarray, refs: np.ndarray,
     """Run the full geometry pipeline on (..., B, G, S) hypotheses and their
     (..., B, G + C_p, S) reference pool.
 
+    The pipeline runs pool-first; the displacements and the scale-normalized
+    distances are formed once, outside the temperature loop.  Inputs that are
+    the (..., B, C, S) views of C-order (C, ..., B, S) arrays, as
+    :func:`drift_loss` passes them, are taken without a copy.
+
     Hypotheses too large to square give an infinite or NaN target without a
     warning; :func:`fixed_point_loss` then raises ``AutodiffError``.
     """
-    d = pairwise_distances(detached, refs)
+    hyp = np.ascontiguousarray(_pool_first(np.asarray(detached, dtype=np.float64)))
+    pool = np.ascontiguousarray(_pool_first(np.asarray(refs, dtype=np.float64)))
+    displacement = displacements(hyp, pool)
+    d = pairwise_distances(displacement)
     scale = global_scale(d, config.scale_floor)
-    out = DriftFieldTensors(distances=d, scale=scale)
-    normalized = []
+    normalized = d / _per_index(scale, 1)
+    displacement /= _per_index(scale, 2)
+    out = DriftFieldTensors(distances=_pairs_back(d), scale=scale)
+    forces = []
     for temp in config.temperatures:
-        aff = symmetric_affinity(d, scale, temp)
+        aff = symmetric_affinity(normalized, temp)
         alpha = balanced_coefficients(aff)
-        force = per_scale_force(alpha, refs, detached, scale)
-        out.affinities[temp] = aff
-        out.coefficients[temp] = alpha
-        out.forces[temp] = force
-        normalized.append(rms_normalize(force, config.force_floor))
-    out.aggregate, out.target = aggregate_and_target(normalized, detached, scale)
+        force = per_scale_force(alpha, displacement)
+        out.affinities[temp] = _pairs_back(aff)
+        out.coefficients[temp] = _pairs_back(alpha)
+        out.forces[temp] = _pool_back(force)
+        forces.append(rms_normalize(force, config.force_floor))
+    aggregate, target = aggregate_and_target(forces, hyp, scale)
+    out.aggregate = _pool_back(aggregate)
+    out.target = _pool_back(target)
     return out
 
 
@@ -250,11 +319,12 @@ def drift_loss(values: np.ndarray, positives: np.ndarray, config: DriftConfig,
         raise DriftConfigError(f"chunk width {s} is not a multiple of slice width {width}")
 
     def split(x: np.ndarray) -> np.ndarray:
-        """(B, C, S) -> (K, B, C, width) in C order, so that each slice's sums add
-        in the order of a separate 3-d instance and keep its bits."""
-        return np.ascontiguousarray(np.moveaxis(x.reshape(b, x.shape[1], -1, width), 2, 0))
+        """(B, C, S) -> the (K, B, C, width) view of a C-order (C, K, B, width)
+        array, the pipeline's own layout, which it then takes without a copy."""
+        pool_first = x.reshape(b, x.shape[1], -1, width).transpose(1, 2, 0, 3)
+        return _pool_back(np.ascontiguousarray(pool_first))
 
     fld = compute_drift_field(split(hypotheses), split(refs), config)
-    target = np.moveaxis(fld.target, 0, 2).reshape(b, g, s)
+    target = fld.target.transpose(1, 2, 0, 3).reshape(b, g, s)
     loss, grad = fixed_point_loss(hypotheses, target, np.repeat(fld.scale, width))
     return loss, grad, fld

@@ -140,6 +140,7 @@ class RolloutBuffer:
         return self.obs.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Receding-horizon collection: one policy query per H_e environment steps.
@@ -148,7 +149,9 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     buffer.  The stored log-probabilities come from the same
     :meth:`GaussianActor.evaluate` and formulas, with the same row-invariant
     kernel (:func:`autodiff.row_matmul`), as the batched epoch-0 recompute of
-    :func:`ppo_update`, so that recompute reproduces them bitwise.
+    :func:`ppo_update`, so that recompute reproduces them bitwise.  An
+    overflow raises ``AutodiffError`` at the next finiteness check, without a
+    warning.
     """
     spec = actor.spec
     generator = actor.generator
@@ -370,8 +373,9 @@ def finetune(generator: Generator, config: PPOConfig, reward_mode: str = "sparse
     """Fine-tune ``generator`` in place: per iteration, collect, GAE and one
     :func:`ppo_update` against a frozen clone, with one actor, critic, env, rng
     and optimizer pair for the run.  ``config.anchor_decay`` takes the anchor
-    weight linearly to 0 by the last iteration; a :class:`NumericalAbort` dump
-    also names the iteration.  Returns the actor, the critic and one
+    weight linearly to 0 by the last iteration.  A non-finite value in an
+    update, or in the collection before it, raises a :class:`NumericalAbort`
+    whose dump names the iteration.  Returns the actor, the critic and one
     ``FINETUNE_METRICS_HEADER`` row per iteration."""
     anchor = generator.clone()
     actor = GaussianActor(generator, log_std_init=log_std_init)
@@ -382,7 +386,11 @@ def finetune(generator: Generator, config: PPOConfig, reward_mode: str = "sparse
     critic_opt = AdamW(critic.params.keys(), lr=config.critic_lr)
     rows = []
     for iteration in range(1, config.iterations + 1):
-        buffer = collect_rollouts(env, actor, critic, config.rollout_length, rng)
+        try:
+            buffer = collect_rollouts(env, actor, critic, config.rollout_length, rng)
+        except AutodiffError as exc:
+            raise NumericalAbort(f"PPO iteration {iteration} rollouts: {exc}",
+                                 dump={"iteration": iteration}) from exc
         compute_gae(buffer, config.gamma, config.gae_lambda)
         weight = config.anchor_weight
         if config.anchor_decay and config.iterations > 1:

@@ -3,9 +3,12 @@
 The numerical references are re-derived with explicit index loops and scalar
 math, on purpose sharing no code with the package: a loop drift field, central
 finite differences, the closed-form scalar Gaussian density, and an O(T^2)
-advantage double sum.  ``ScalarPointMassEnv`` is the point-mass state machine
-the package once stepped one micro-step at a time, with scalar bookkeeping; it
-is the reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
+advantage double sum.  ``drift_field_as_built`` is the vectorised drift
+pipeline as it was before its arrays put the pool axis first, with a
+last-axis numpy reduction for every sum; it pins the pool-first pipeline bit
+for bit.  ``ScalarPointMassEnv`` is the point-mass state machine the package
+once stepped one micro-step at a time, with scalar bookkeeping; it is the
+reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
 reference is the one-episode-at-a-time loop that the lockstep
 ``ppo.evaluate_policy`` replaced; it drives that scalar env and the package's
 batch-1 deployment path, and ``steering_actor`` gives it a policy whose
@@ -34,8 +37,8 @@ import numpy as np
 from driftkit import envs
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import Tensor, backward, square
-from driftkit.drift import (DriftConfig, DriftConfigError, build_reference_pool,
-                            compute_drift_field)
+from driftkit.drift import (DriftConfig, DriftConfigError, DriftFieldTensors,
+                            build_reference_pool, compute_drift_field)
 from driftkit.envs import OBS_DIM, sample_start_goal
 from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix, sample_latents
 from driftkit.ppo import anchor_loss, clipped_surrogate, ppo_ratio
@@ -132,6 +135,124 @@ def drift_field_loops(hypotheses: np.ndarray, refs: np.ndarray, temperatures,
     return {"distances": d, "scale": scale, "affinities": affinities,
             "coefficients": coefficients, "forces": forces,
             "aggregate": aggregate, "target": target, "loss": loss}
+
+
+# -- the as-built vectorised drift pipeline -----------------------------------
+#
+# ``drift.compute_drift_field`` and its stage functions as they were before the
+# pipeline put the pool axis first, copied verbatim apart from the
+# ``as_built`` prefix: every array in the (..., B, G, U) / (..., B, G, S)
+# layout, each sum over G, U or a side of the pool a last-axis numpy
+# reduction, and the force an ``einsum``.  The pool-first pipeline is pinned
+# to it bitwise wherever the two add in the same order.
+
+
+
+
+def as_built_per_index(scale, trailing: int) -> np.ndarray:
+    """A per-leading-index scale, shaped to broadcast over ``trailing`` more axes."""
+    scale = np.asarray(scale, dtype=np.float64)
+    return scale.reshape(scale.shape + (1,) * trailing)
+
+
+def as_built_pairwise_distances(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every hypothesis (..., i, r) and reference (..., i, u)."""
+    detached = np.asarray(detached, dtype=np.float64)
+    refs = np.asarray(refs, dtype=np.float64)
+    if detached.ndim < 3 or refs.ndim != detached.ndim:
+        raise DriftConfigError("pairwise_distances expects (..., B, G, S) and (..., B, U, S)")
+    if detached.shape[:-2] != refs.shape[:-2] or detached.shape[-1] != refs.shape[-1]:
+        raise DriftConfigError(
+            f"batch/space mismatch: {detached.shape} vs {refs.shape}")
+    diff = detached[..., :, None, :] - refs[..., None, :, :]
+    return np.sqrt(np.square(diff).sum(axis=-1))
+
+
+def as_built_global_scale(distances: np.ndarray, scale_floor: float) -> np.ndarray:
+    """Mean distance over (i, r, u) with a floor, one per leading index."""
+    return np.maximum(distances.mean(axis=(-3, -2, -1)), scale_floor)
+
+
+def as_built_symmetric_affinity(distances: np.ndarray, scale: float | np.ndarray,
+                                temperature: float) -> np.ndarray:
+    """Geometric mean of the reference-axis and hypothesis-axis softmaxes.
+
+    Both softmaxes are taken over the same normalized logits -d/(R*scale).
+    """
+    logits = -(distances / as_built_per_index(scale, 3)) / temperature
+    s_u = as_built_softmax_np(logits, axis=-1)
+    s_r = as_built_softmax_np(logits, axis=-2)
+    return np.sqrt(s_u * s_r)
+
+
+def as_built_softmax_np(logits: np.ndarray, axis: int) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def as_built_balanced_coefficients(affinity: np.ndarray) -> np.ndarray:
+    """Signed coefficients with cross-side mass balancing.
+
+    The first G = ``affinity.shape[-2]`` references are the negative side, the
+    rest the positive side.  Negative-side entries get -A * S_plus,
+    positive-side entries +A * S_minus, so the two sides exchange exactly
+    opposite total mass per hypothesis.
+    """
+    g = affinity.shape[-2]
+    negative, positive = affinity[..., :g], affinity[..., g:]
+    s_minus = negative.sum(axis=-1, keepdims=True)
+    s_plus = positive.sum(axis=-1, keepdims=True)
+    return np.concatenate([-negative * s_plus, positive * s_minus], axis=-1)
+
+
+def as_built_per_scale_force(alpha: np.ndarray, refs: np.ndarray, detached: np.ndarray,
+                             scale: float | np.ndarray) -> np.ndarray:
+    """Coefficient-weighted sum of scale-normalized displacements toward references."""
+    disp = (refs[..., None, :, :] - detached[..., :, None, :]) / as_built_per_index(scale, 4)
+    return np.einsum("...gu,...gud->...gd", alpha, disp)
+
+
+def as_built_rms_normalize(force: np.ndarray, force_floor: float) -> np.ndarray:
+    """Divide by the per-index RMS of per-(i, r) force norms, floored to avoid blowup."""
+    mean_sq = np.square(force).sum(axis=-1).mean(axis=(-2, -1))
+    return force / as_built_per_index(np.sqrt(mean_sq + force_floor), 3)
+
+
+def as_built_aggregate_and_target(forces: list[np.ndarray], detached: np.ndarray,
+                                  scale: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the normalized per-temperature forces and build the detached target."""
+    aggregate = forces[0].copy()
+    for f in forces[1:]:
+        aggregate += f
+    target = detached / as_built_per_index(scale, 3) + aggregate
+    return aggregate, target
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def drift_field_as_built(detached: np.ndarray, refs: np.ndarray,
+                         config: DriftConfig) -> DriftFieldTensors:
+    """Run the full geometry pipeline on (..., B, G, S) hypotheses and their
+    (..., B, G + C_p, S) reference pool.
+
+    Hypotheses too large to square give an infinite or NaN target without a
+    warning; :func:`fixed_point_loss` then raises ``AutodiffError``.
+    """
+    d = as_built_pairwise_distances(detached, refs)
+    scale = as_built_global_scale(d, config.scale_floor)
+    out = DriftFieldTensors(distances=d, scale=scale)
+    normalized = []
+    for temp in config.temperatures:
+        aff = as_built_symmetric_affinity(d, scale, temp)
+        alpha = as_built_balanced_coefficients(aff)
+        force = as_built_per_scale_force(alpha, refs, detached, scale)
+        out.affinities[temp] = aff
+        out.coefficients[temp] = alpha
+        out.forces[temp] = force
+        normalized.append(as_built_rms_normalize(force, config.force_floor))
+    out.aggregate, out.target = as_built_aggregate_and_target(normalized, detached, scale)
+    return out
+
 
 
 def finite_diff(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -103,7 +103,8 @@ def test_criterion_2_mass_balance_identity():
     n, g, c_p = 10_000, 3, 2
     aff = rng.uniform(0.0, 1.0, size=(n, g, g + c_p))
     neg, pos = np.arange(g), np.arange(g, g + c_p)
-    alpha = balanced_coefficients(aff)
+    # the stage function takes and returns the pipeline's pool-first (U, G, n)
+    alpha = balanced_coefficients(aff.T).T
     residual = np.abs(alpha[:, :, neg].sum(axis=2) + alpha[:, :, pos].sum(axis=2))
     worst = float(residual.max())
     assert worst < 1e-9, f"residual {worst:.3e}"

@@ -14,7 +14,7 @@ import pytest
 import driftkit
 from driftkit import cli
 from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
-from driftkit.cli import main
+from driftkit.cli import EXIT_NUMERIC, main
 from driftkit.envs import PointMassEnv, load_dataset
 from driftkit.generator import Generator
 from driftkit.ppo import evaluate_policy
@@ -206,6 +206,21 @@ def test_finetune_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys, tiny_
     assert dump["iteration"] == 1
     assert dump["epoch"] == 0
     assert len(dump["minibatch_indices"]) == 4
+    assert not (out / "checkpoint_final.json").exists()
+
+
+def test_finetune_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys,
+                                                                    tiny_checkpoint):
+    # the first update leaves finite but huge weights, and the next collection
+    # overflows in the actor's forward pass, outside any update
+    cfg = write_config(tmp_path / "f.json", {
+        "checkpoint.path": tiny_checkpoint, "ppo.actor_lr": 1e308, "ppo.iterations": 2,
+        "ppo.rollout_length": 8, "ppo.minibatch_size": 8, "ppo.update_epochs": 1})
+    out = tmp_path / "ft"
+    assert main(["finetune", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    assert "numerical abort: PPO iteration 2 rollouts:" in capsys.readouterr().err
+    dump = json.loads((out / "abort_dump.json").read_text())
+    assert dump == {"iteration": 2}
     assert not (out / "checkpoint_final.json").exists()
 
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from driftkit.autodiff import Tensor, backward
 from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATURES,
                             aggregate_and_target, balanced_coefficients,
-                            build_reference_pool, compute_drift_field, fixed_point_loss,
-                            drift_loss, global_scale, pairwise_distances,
-                            per_scale_force, rms_normalize, symmetric_affinity)
+                            build_reference_pool, compute_drift_field, displacements,
+                            fixed_point_loss, drift_loss, global_scale,
+                            pairwise_distances, per_scale_force, rms_normalize,
+                            symmetric_affinity)
 
-from .oracles import drift_field_loops, finite_diff, tape_fixed_point_loss
+from .oracles import (as_built_per_scale_force, drift_field_as_built, drift_field_loops,
+                      finite_diff, tape_fixed_point_loss)
 
 
 def random_instance(rng, b=None, g=None, u_extra=None, s=None):
@@ -28,25 +30,45 @@ def random_instance(rng, b=None, g=None, u_extra=None, s=None):
     return hyp, build_reference_pool(hyp, pos)
 
 
+# The stage functions take the pipeline's pool-first layout: a (B, C, S)
+# array goes in as its (C, B, S) transpose, and a (U, G, B) pair array comes
+# back to (B, G, U) by ``.T``.
+
+
+def pool_first(x):
+    """(B, C, S) <-> (C, B, S)."""
+    return x.swapaxes(0, 1)
+
+
+def distances_of(det, refs):
+    """(B, G, U) distances from (B, G, S) hypotheses and (B, U, S) references."""
+    return pairwise_distances(displacements(pool_first(det), pool_first(refs))).T
+
+
+def bits(x) -> bytes:
+    """The bytes of an array in C order: signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(x).tobytes()
+
+
 # -- pairwise distances ---------------------------------------------------
 
 
 def test_distance_three_four_five():
     det = np.array([[[0.0, 0.0]]])
     refs = np.array([[[3.0, 4.0]]])
-    assert pairwise_distances(det, refs)[0, 0, 0] == 5.0
+    assert distances_of(det, refs)[0, 0, 0] == 5.0
 
 
 def test_distance_zero_for_identical():
     det = np.array([[[1.5, -2.0, 0.25]]])
-    assert pairwise_distances(det, det)[0, 0, 0] == 0.0
+    assert distances_of(det, det)[0, 0, 0] == 0.0
 
 
 def test_distances_match_loop_oracle():
     rng = np.random.default_rng(11)
     det = rng.normal(size=(2, 3, 4))
     refs = rng.normal(size=(2, 5, 4))
-    d = pairwise_distances(det, refs)
+    d = distances_of(det, refs)
     expected = np.zeros((2, 3, 5))
     for i in range(2):
         for r in range(3):
@@ -57,7 +79,7 @@ def test_distances_match_loop_oracle():
 
 def test_distance_shape_mismatch():
     with pytest.raises(DriftConfigError):
-        pairwise_distances(np.zeros((1, 2, 3)), np.zeros((2, 2, 3)))
+        displacements(pool_first(np.zeros((1, 2, 3))), pool_first(np.zeros((2, 2, 3))))
 
 
 # -- global scale ---------------------------------------------------------
@@ -65,36 +87,36 @@ def test_distance_shape_mismatch():
 
 def test_global_scale_uniform_mean():
     d = np.array([[[1.0, 2.0, 3.0]]])  # B=1, G=1, U=3
-    assert global_scale(d, 1e-6) == 2.0
+    assert global_scale(d.T, 1e-6) == 2.0
 
 
 def test_global_scale_floor_active():
     d = np.zeros((1, 2, 3))
-    assert global_scale(d, 1e-6) == 1e-6
+    assert global_scale(d.T, 1e-6) == 1e-6
 
 
 # -- symmetric affinity ---------------------------------------------------
 
 
 def test_affinity_degenerate_single_pair_is_one():
-    d = np.array([[[4.2]]])
-    a = symmetric_affinity(d, 1.0, 0.2)
+    d = np.array([[[4.2]]])  # at scale 1
+    a = symmetric_affinity(d.T, 0.2).T
     assert a[0, 0, 0] == 1.0
 
 
 def test_affinity_equal_distances_gives_half():
-    d = np.full((1, 2, 2), 3.0)
-    a = symmetric_affinity(d, 1.0, 0.5)
+    d = np.full((1, 2, 2), 3.0)  # at scale 1
+    a = symmetric_affinity(d.T, 0.5).T
     np.testing.assert_allclose(a, 0.5, atol=1e-15, rtol=0)
 
 
 def test_affinity_matches_loop_oracle():
     rng = np.random.default_rng(5)
     values, refs = random_instance(rng)
-    d = pairwise_distances(values, refs)
-    scale = global_scale(d, 1e-6)
+    d = distances_of(values, refs)
+    scale = global_scale(d.T, 1e-6)
     for temp in (0.05, 0.2, 1.0):
-        a = symmetric_affinity(d, scale, temp)
+        a = symmetric_affinity(d.T / scale, temp).T
         oracle = drift_field_loops(values, refs, (temp,), 1e-6, 1e-6)
         np.testing.assert_allclose(a, oracle["affinities"][temp], atol=1e-12, rtol=0)
 
@@ -105,7 +127,7 @@ def test_affinity_matches_loop_oracle():
 def test_coefficients_two_element_identity():
     a_self, a_pos = 0.3, 0.8
     aff = np.array([[[a_self, a_pos]]])
-    alpha = balanced_coefficients(aff)
+    alpha = balanced_coefficients(aff.T).T
     np.testing.assert_allclose(alpha[0, 0], [-a_self * a_pos, a_pos * a_self],
                                atol=0, rtol=0)
     assert alpha.sum() == 0.0
@@ -114,7 +136,7 @@ def test_coefficients_two_element_identity():
 def test_coefficients_zero_side_gives_zero():
     # G=2: both hypotheses give their two negative references zero affinity
     aff = np.array([[[0.0, 0.0, 0.7], [0.0, 0.0, 0.4]]])
-    alpha = balanced_coefficients(aff)
+    alpha = balanced_coefficients(aff.T).T
     np.testing.assert_array_equal(alpha, np.zeros_like(alpha))
 
 
@@ -131,7 +153,7 @@ def test_mass_balance_and_oracle_on_random_affinities():
         g, c_p = int(rng.integers(1, 5)), int(rng.integers(1, 4))
         aff = rng.uniform(0, 1, size=(2, g, g + c_p))
         neg, pos = np.arange(g), np.arange(g, g + c_p)
-        alpha = balanced_coefficients(aff)
+        alpha = balanced_coefficients(aff.T).T
         residual = alpha[:, :, neg].sum(axis=2) + alpha[:, :, pos].sum(axis=2)
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -143,7 +165,8 @@ def test_force_zero_when_reference_coincides():
     det = np.array([[[1.0, 2.0]]])
     refs = det.copy()
     alpha = np.array([[[0.9]]])
-    f = per_scale_force(alpha, refs, det, 0.5)
+    disp = displacements(pool_first(det), pool_first(refs)) / 0.5
+    f = pool_first(per_scale_force(alpha.T, disp))
     np.testing.assert_array_equal(f, np.zeros((1, 1, 2)))
 
 
@@ -151,7 +174,8 @@ def test_force_zero_for_zero_coefficients():
     rng = np.random.default_rng(2)
     det = rng.normal(size=(1, 2, 3))
     refs = rng.normal(size=(1, 4, 3))
-    f = per_scale_force(np.zeros((1, 2, 4)), refs, det, 1.0)
+    disp = displacements(pool_first(det), pool_first(refs)) / 1.0
+    f = pool_first(per_scale_force(np.zeros((1, 2, 4)).T, disp))
     np.testing.assert_array_equal(f, np.zeros((1, 2, 3)))
 
 
@@ -166,9 +190,20 @@ def test_force_matches_loop_oracle():
                                atol=1e-12, rtol=0)
 
 
+def test_force_sum_of_negative_zeros_is_positive_zero_as_built():
+    # negative coefficients on zero displacements give -0.0 terms; numpy's sum
+    # and the as-built einsum start from +0.0, so their total is +0.0
+    det = np.zeros((1, 2, 3))
+    alpha = -np.ones((1, 2, 2))
+    disp = displacements(pool_first(det), pool_first(det))
+    f = pool_first(per_scale_force(alpha.T, disp))
+    ref = as_built_per_scale_force(alpha, det, det, 1.0)
+    assert bits(f) == bits(ref) == bits(np.zeros((1, 2, 3)))
+
+
 def test_rms_normalize_zero_input_stays_zero():
     f = np.zeros((2, 3, 4))
-    np.testing.assert_array_equal(rms_normalize(f, 1e-6), f)
+    np.testing.assert_array_equal(pool_first(rms_normalize(pool_first(f), 1e-6)), f)
 
 
 def test_rms_normalize_equal_rows_near_unit():
@@ -176,7 +211,7 @@ def test_rms_normalize_equal_rows_near_unit():
     f = np.zeros((1, 2, 2))
     f[:, :, 0] = c
     eps = 1e-6
-    out = rms_normalize(f, eps)
+    out = pool_first(rms_normalize(pool_first(f), eps))
     norms = np.sqrt(np.square(out).sum(axis=-1))
     # first-order bound plus float rounding slack
     np.testing.assert_allclose(norms, 1.0, atol=eps / (2 * c * c) + 1e-15, rtol=0)
@@ -186,7 +221,7 @@ def test_rms_normalize_mean_square_identity():
     rng = np.random.default_rng(9)
     f = rng.normal(size=(3, 4, 5))
     eps = 1e-6
-    out = rms_normalize(f, eps)
+    out = pool_first(rms_normalize(pool_first(f), eps))
     m = np.square(f).sum(axis=-1).mean()
     got = np.square(out).sum(axis=-1).mean()
     np.testing.assert_allclose(got, m / (m + eps), rtol=1e-12)
@@ -199,21 +234,24 @@ def test_aggregate_single_temperature_passthrough():
     rng = np.random.default_rng(1)
     f = rng.normal(size=(1, 2, 3))
     det = rng.normal(size=(1, 2, 3))
-    v, target = aggregate_and_target([f], det, 2.0)
+    v, target = aggregate_and_target([pool_first(f)], pool_first(det), 2.0)
+    v, target = pool_first(v), pool_first(target)
     np.testing.assert_array_equal(v, f)
     np.testing.assert_allclose(target, det / 2.0 + f, rtol=0, atol=0)
 
 
 def test_zero_drift_target_is_scaled_hypotheses():
     det = np.array([[[2.0, 4.0]]])
-    v, target = aggregate_and_target([np.zeros((1, 1, 2))], det, 2.0)
+    v, target = aggregate_and_target([np.zeros((1, 1, 2))], pool_first(det), 2.0)
+    target = pool_first(target)
     np.testing.assert_array_equal(target, det / 2.0)
 
 
 def test_aggregate_two_temperatures_sum():
     f1 = np.full((1, 1, 2), 1.0)
     f2 = np.full((1, 1, 2), 0.25)
-    v, _ = aggregate_and_target([f1, f2], np.zeros((1, 1, 2)), 1.0)
+    v, _ = aggregate_and_target([pool_first(f1), pool_first(f2)], np.zeros((1, 1, 2)), 1.0)
+    v = pool_first(v)
     np.testing.assert_array_equal(v, f1 + f2)
 
 
@@ -310,8 +348,8 @@ def test_mass_balance_through_pipeline():
 def test_softmax_axis_sums_through_pipeline():
     rng = np.random.default_rng(19)
     values, refs = random_instance(rng, b=2, g=3, s=4)
-    d = pairwise_distances(values, refs)
-    scale = global_scale(d, 1e-6)
+    d = distances_of(values, refs)
+    scale = global_scale(d.T, 1e-6)
     logits = -(d / scale) / 0.2
     shifted_u = logits - logits.max(axis=2, keepdims=True)
     p_u = np.exp(shifted_u) / np.exp(shifted_u).sum(axis=2, keepdims=True)
@@ -514,3 +552,73 @@ def test_config_validation():
         DriftConfig(temperatures=(0.2, 0.2))
     with pytest.raises(DriftConfigError):
         DriftConfig(loss_mode="other")
+
+
+# -- the pool-first pipeline against the as-built one -------------------------
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.booleans(), k=st.integers(1, 16),
+       b=st.integers(1, 33), g=st.integers(1, 6), c_p=st.integers(1, 6),
+       slice_width=st.integers(1, 8), chunk_width=st.integers(1, 40), tie=st.booleans(),
+       temperatures=temperature_sets)
+def test_property_pool_first_pipeline_is_bitwise_the_as_built_one(
+        seed, chunk, k, b, g, c_p, slice_width, chunk_width, tie, temperatures):
+    # pools of G + C_p <= 7, where both pipelines add every G, U and pool-side
+    # sum in sequence; a tie puts a positive on a hypothesis, so zero
+    # displacements and signed zeros occur
+    c_p = min(c_p, 7 - g)
+    k, w = (1, chunk_width) if chunk else (k, slice_width)
+    rng = np.random.default_rng(seed)
+    hyp = rng.uniform(-2, 2, size=(k, b, g, w))
+    pos = rng.uniform(-2, 2, size=(k, b, c_p, w))
+    if tie:
+        pos[:, :, 0] = hyp[:, :, -1]
+    refs = np.concatenate([hyp, pos], axis=2)
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures))
+    new = compute_drift_field(hyp, refs, config)
+    old = drift_field_as_built(hyp, refs, config)
+
+    for name in ("distances", "scale", "aggregate", "target"):
+        assert getattr(new, name).shape == getattr(old, name).shape
+    assert bits(new.distances) == bits(old.distances)
+    assert bits(new.scale) == bits(old.scale)
+    for t in config.temperatures:
+        assert bits(new.affinities[t]) == bits(old.affinities[t])
+        assert bits(new.coefficients[t]) == bits(old.coefficients[t])
+    pairs = [(new.forces[t], old.forces[t]) for t in config.temperatures]
+    pairs += [(new.aggregate, old.aggregate), (new.target, old.target)]
+    for mine, ref in pairs:
+        if w > 1:
+            assert bits(mine) == bits(ref)
+        else:
+            # at width 1 the as-built einsum summed the force over U in two
+            # interleaved SIMD lanes, not in sequence (DECISIONS.md)
+            np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 9), c_p=st.integers(1, 3),
+       horizon=st.integers(1, 5), temperatures=temperature_sets)
+def test_property_large_pools_sum_in_the_same_order_at_every_shape(
+        seed, g, c_p, horizon, temperatures):
+    # B = 1 and width 1 make the pool the only long axis: U reaches 12, and a
+    # numpy reduction would switch to pairwise sums from 8 elements on in one
+    # shape and not in the other
+    rng = np.random.default_rng(seed)
+    hyp = rng.uniform(-2, 2, size=(1, g, horizon))
+    pos = rng.uniform(-2, 2, size=(1, c_p, horizon))
+    config = DriftConfig(hypothesis_count=g, temperatures=tuple(temperatures),
+                         loss_mode="step_wise")
+    _, _, fld = drift_loss(hyp, pos, config, slice_width=1)
+    for h in range(horizon):
+        sl = hyp[:, :, h:h + 1]
+        ref = compute_drift_field(sl, build_reference_pool(sl, pos[:, :, h:h + 1]), config)
+        assert bits(fld.distances[h]) == bits(ref.distances)
+        assert bits(fld.scale[h]) == bits(ref.scale)
+        for t in config.temperatures:
+            assert bits(fld.affinities[t][h]) == bits(ref.affinities[t])
+            assert bits(fld.coefficients[t][h]) == bits(ref.coefficients[t])
+            assert bits(fld.forces[t][h]) == bits(ref.forces[t])
+        assert bits(fld.aggregate[h]) == bits(ref.aggregate)
+        assert bits(fld.target[h]) == bits(ref.target)
