@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, check_finite, clip, exp, square
 from .autodiff import matmul  # noqa: F401 -- patch point of the bench/spans.py tracer
-from .generator import ChunkSpec, Dense, Generator, SpecError
+from .generator import ChunkSpec, Dense, Flat, Generator, SpecError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -60,6 +60,8 @@ class GaussianActor:
             "scale_w": np.zeros((generator.hidden_dim, d)),
             "scale_b": np.full(d, float(log_std_init)),
         })
+        # the optimizer's two vectors, in :meth:`parameters` order
+        self.bundles = (generator.params, self.head)
 
     @property
     def spec(self):
@@ -86,8 +88,9 @@ class GaussianActor:
 
     @np.errstate(over="ignore", invalid="ignore")
     def backward(self, acts: tuple[tuple, np.ndarray], d_mean: np.ndarray,
-                 d_log_std: np.ndarray) -> dict[str, np.ndarray]:
-        """The gradient of every :meth:`parameters` leaf, by name, from
+                 d_log_std: np.ndarray) -> tuple[Flat, Flat]:
+        """The gradient of every :meth:`parameters` leaf, one :class:`Flat` per
+        bundle of ``bundles`` (the backbone's, then the head's), from
         dL/d(mean) and dL/d(log_std) of an :meth:`evaluate` output.
 
         The clip passes dL/d(log_std) only strictly inside its bounds, as the
@@ -100,8 +103,8 @@ class GaussianActor:
         d_pre = d_log_std * ((pre_log_std > lo) & (pre_log_std < hi))
         head_grads = {}
         d_feat = self.head.backward(head_grads, "scale", backbone[2], d_pre)
-        return {**self.generator.backward(backbone, d_mean, d_feat),
-                **self.head.checked(head_grads)}
+        return (self.generator.backward(backbone, d_mean, d_feat),
+                self.head.checked(head_grads))
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""

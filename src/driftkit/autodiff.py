@@ -59,12 +59,13 @@ _SEQ = itertools.count()
 class Tensor:
     """Dense float64 array plus an optional gradient accumulator.
 
-    A leaf's ``data`` may be rebound to a new array between graphs (the
-    optimizer updates parameters that way), but an array is never mutated in
-    place: every backward rule captures the arrays it needs at forward time,
-    so a recorded graph keeps differentiating the values it was built from.
-    ``grad`` is otherwise the only field that changes, and only by
-    :func:`backward`.
+    Every backward rule captures the arrays it needs at forward time.  An
+    op's result is a fresh array that nothing writes into, but a network
+    parameter (``generator.Leaf``) is a view of its bundle's vector, which
+    the optimizer and :meth:`generator.Dense.load` update in place: a graph
+    recorded before such an update differentiates the updated values, so it
+    is replayed before the parameters move.  ``grad`` is otherwise the only
+    field that changes, and only by :func:`backward`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "_seq")

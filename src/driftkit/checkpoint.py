@@ -115,8 +115,8 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
-    """The generator of a :func:`load_checkpoint` document; its leaves hold the
-    document's arrays, which updates rebind and never write into."""
+    """The generator of a :func:`load_checkpoint` document; its bundle holds a
+    copy of the document's arrays, so the document stays as it was loaded."""
     gen = Generator(doc["chunk_spec"], obs_dim=doc["obs_dim"], latent_dim=doc["latent_dim"],
                     hidden_dim=doc["hidden_dim"])
     gen.params.load(doc["ema_params" if use_ema and "ema_params" in doc else "params"])

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .autodiff import AutodiffError
 from .config import SEED_KEY, ConfigError, fields_of, load_config
 from .drift import DriftConfig, DriftConfigError
 from .envs import (EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
@@ -93,22 +94,28 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
         actor = ckpt.restore_actor(doc, use_ema=cfg["eval.use_ema"])
         coverage = {}
-        # coverage runs first, so a bad dataset or coverage count fails before any episode
-        if cfg["eval.dataset"]:
-            for key in ("eval.coverage_samples", "eval.coverage_conditions"):
-                if cfg[key] < 1:
-                    raise ConfigError(f"{key} must be >= 1")
-            data_path = Path(cfg["eval.dataset"])
-            dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
-            coverage["mode_coverage"] = mode_coverage(
-                actor.generator, dataset, cfg["eval.coverage_samples"],
-                np.random.default_rng(seed), max_conditions=cfg["eval.coverage_conditions"])
-        before = actor.generator.nfe_count
-        t0 = time.perf_counter()
-        report = evaluate_policy(
-            lambda: PointMassEnv(actor.spec, reward_mode=cfg["eval.reward_mode"]),
-            actor, episodes, seed)
-        elapsed = time.perf_counter() - t0
+        # a non-finite value in the coverage rows or the episodes is a numerical abort
+        stage = "mode_coverage"
+        try:
+            # coverage runs first, so a bad dataset or coverage count fails before any episode
+            if cfg["eval.dataset"]:
+                for key in ("eval.coverage_samples", "eval.coverage_conditions"):
+                    if cfg[key] < 1:
+                        raise ConfigError(f"{key} must be >= 1")
+                data_path = Path(cfg["eval.dataset"])
+                dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
+                coverage["mode_coverage"] = mode_coverage(
+                    actor.generator, dataset, cfg["eval.coverage_samples"],
+                    np.random.default_rng(seed), max_conditions=cfg["eval.coverage_conditions"])
+            stage = "episodes"
+            before = actor.generator.nfe_count
+            t0 = time.perf_counter()
+            report = evaluate_policy(
+                lambda: PointMassEnv(actor.spec, reward_mode=cfg["eval.reward_mode"]),
+                actor, episodes, seed)
+            elapsed = time.perf_counter() - t0
+        except AutodiffError as exc:
+            raise NumericalAbort(f"eval {stage}: {exc}", dump={"stage": stage}) from exc
         decisions = max(1, actor.generator.nfe_count - before)
         report.update(coverage, policy="checkpoint")
         report["nfe_per_decision"] = 1.0 if report["nfe_violations"] == 0 else None

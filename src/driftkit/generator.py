@@ -25,6 +25,7 @@ configs, checkpoints and dataset metadata are read through one typed reader
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, fields
 
@@ -84,22 +85,89 @@ def executed_prefix(chunk: np.ndarray, spec: ChunkSpec) -> np.ndarray:
     return grid[spec.exec_start:spec.exec_start + spec.exec_len].copy()
 
 
+class Flat(dict):
+    """Named arrays that are reshaped views of one contiguous float64 ``vector``.
+
+    ``layout`` lists ``(name, shape)`` in vector order.  A whole-bundle pass
+    (an optimizer step, an EMA step, a rescale) is one operation on
+    ``vector``; a per-name reader sees the same bits through the views.  An
+    entry is written through (``flat[name][...] = x``); rebinding it would
+    detach it from the vector, so it raises.
+    """
+
+    def __init__(self, layout, vector: np.ndarray | None = None):
+        self.layout = tuple(layout)
+        sizes = [math.prod(shape) for _, shape in self.layout]
+        self.vector = np.zeros(sum(sizes)) if vector is None else vector
+        offset = 0
+        for (name, shape), size in zip(self.layout, sizes):
+            dict.__setitem__(self, name, self.vector[offset:offset + size].reshape(shape))
+            offset += size
+
+    @classmethod
+    def of(cls, arrays: dict) -> "Flat":
+        """A copy of ``arrays``, laid out in their order."""
+        flat = cls((name, np.shape(arr)) for name, arr in arrays.items())
+        for name, arr in arrays.items():
+            flat[name][...] = arr
+        return flat
+
+    def copy(self) -> "Flat":
+        return Flat(self.layout, self.vector.copy())
+
+    def checked(self, what: str) -> "Flat":
+        """``self``; ``AutodiffError`` naming the first entry that holds a NaN
+        or an infinity (``"<what> <name> has non-finite values"``)."""
+        if not np.isfinite(self.vector).all():
+            for name, arr in self.items():
+                check_finite(arr, f"{what} {name}")
+        return self
+
+    def __setitem__(self, name, value):
+        raise TypeError(f"{name!r} is a view of a flat vector: write into it")
+
+
+_TENSOR_DATA = Tensor.data
+
+
+class Leaf(Tensor):
+    """A parameter: a tape leaf whose ``data`` is a fixed view of its bundle's
+    vector.  Updates write through the view (``leaf.data[...] = x``);
+    assigning ``data`` raises, so a leaf cannot leave its bundle."""
+
+    __slots__ = ()
+
+    def _bind(self, view):
+        try:
+            _TENSOR_DATA.__get__(self)
+        except AttributeError:  # the one binding, by Tensor.__init__
+            return _TENSOR_DATA.__set__(self, view)
+        raise AttributeError("a parameter leaf's data is a view of its bundle's vector; "
+                             "write into it with leaf.data[...] = value")
+
+    data = property(_TENSOR_DATA.__get__, _bind)
+
+
 class Dense(dict):
     """The leaf parameters of a network's dense layers, by name.
 
     Layer ``name`` owns the leaves ``{name}_w`` (fan_in, fan_out) and
-    ``{name}_b``.  The bundle builds the leaves, copies them out
-    (:meth:`arrays`), loads arrays into them (:meth:`load`, which rebinds each
-    leaf's ``data`` so every holder of the leaf sees it) and evaluates one
-    layer on either backend (:meth:`linear`).
+    ``{name}_b``.  Every value lives in one contiguous vector, ``data`` (a
+    :class:`Flat`), and each leaf's ``data`` is a view of it; a gradient is a
+    :class:`Flat` of the same layout (:meth:`checked`).  The bundle builds
+    the leaves, copies them out (:meth:`arrays`), copies arrays into them
+    (:meth:`load`), evaluates one layer on either backend (:meth:`linear`)
+    and differentiates it (:meth:`backward`).
     """
 
     def __init__(self, owner: str, arrays: dict):
-        super().__init__((name, Tensor(arr, requires_grad=True))
-                         for name, arr in arrays.items())
         self.owner = owner
-        self._layers = {name[:-2]: (name, name[:-2] + "_b")
-                        for name in self if name.endswith("_w")}
+        self.data = Flat.of(arrays)
+        super().__init__((name, Leaf(view, requires_grad=True))
+                         for name, view in self.data.items())
+        # layer -> its weight's and bias's names and views
+        self._layers = {w[:-2]: (w, w[:-2] + "_b", self.data[w], self.data[w[:-2] + "_b"])
+                        for w in self if w.endswith("_w")}
 
     @classmethod
     def init(cls, owner: str, rng: np.random.Generator, layers) -> "Dense":
@@ -115,13 +183,13 @@ class Dense(dict):
 
     def arrays(self) -> dict[str, np.ndarray]:
         """A copy of every leaf's array."""
-        return {name: t.data.copy() for name, t in self.items()}
+        return {name: arr.copy() for name, arr in self.data.items()}
 
     def load(self, arrays: dict) -> None:
-        """Rebind every leaf to the same-named array.
+        """Copy the same-named array into every leaf.
 
         The names must match exactly, every shape must agree and every value
-        must be finite; nothing is rebound unless all entries check out.
+        must be finite; nothing is written unless all entries check out.
         """
         missing = sorted(set(self) - set(arrays))
         unexpected = sorted(set(arrays) - set(self))
@@ -129,23 +197,22 @@ class Dense(dict):
             raise SpecError(f"{self.owner} parameters: missing {missing}, "
                             f"unexpected {unexpected}")
         checked = {}
-        for name, current in self.items():
+        for name, current in self.data.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != current.shape:
                 raise SpecError(f"{self.owner} parameter {name}: shape {arr.shape} "
                                 f"!= expected {current.shape}")
             checked[name] = check_finite(arr, f"{self.owner} parameter {name}")
         for name, arr in checked.items():
-            self[name].data = arr
+            self.data[name][...] = arr
 
     def linear(self, x, layer: str):
         """``x @ w + b`` of one layer: recorded on the tape for a ``Tensor`` ``x``,
         with :func:`affine` on the leaves' arrays for an array ``x``."""
-        w_name, b_name = self._layers[layer]
-        w, b = self[w_name], self[b_name]
+        w_name, b_name, w, b = self._layers[layer]
         if isinstance(x, Tensor):
-            return matmul(x, w) + b
-        return affine(x, w.data, b.data)
+            return matmul(x, self[w_name]) + self[b_name]
+        return affine(x, w, b)
 
     def backward(self, grads: dict, layer: str, x: np.ndarray, g: np.ndarray,
                  to_input: bool = True) -> np.ndarray | None:
@@ -156,16 +223,21 @@ class Dense(dict):
         network input (``to_input=False``) gets none.  Each is the tape rule's
         expression with its operand order, so the bits are the tape's.
         """
-        w_name, b_name = self._layers[layer]
+        w_name, b_name, w, _ = self._layers[layer]
         grads[w_name] = x.T @ g
         grads[b_name] = g.sum(axis=0)
-        return g @ self[w_name].data.T if to_input else None
+        return g @ w.T if to_input else None
 
-    def checked(self, grads: dict) -> dict[str, np.ndarray]:
-        """``grads`` by name in parameter order; ``AutodiffError`` if one holds
-        a NaN or an infinity."""
-        return {name: check_finite(grads[name], f"gradient of {self.owner} parameter {name}")
-                for name in self}
+    def checked(self, grads: dict) -> Flat:
+        """``grads`` packed into one vector of the bundle's layout; ``AutodiffError``
+        naming the first that holds a NaN or an infinity.
+
+        A fresh vector made here, after the step's other arrays, keeps the
+        allocator from trimming and refaulting them every step, which a
+        long-lived buffer written in place did (DECISIONS.md, "One flat
+        vector per bundle")."""
+        flat = Flat(self.data.layout, np.concatenate([grads[name].ravel() for name in self]))
+        return flat.checked(f"gradient of {self.owner} parameter")
 
 
 def _backbone(p: Dense, obs, z):
@@ -214,7 +286,7 @@ class Generator:
 
     def clone(self) -> "Generator":
         twin = Generator(self.spec, self.obs_dim, self.latent_dim, self.hidden_dim)
-        twin.params.load(self.params.arrays())
+        twin.params.load(self.params.data)
         return twin
 
     # -- forward --------------------------------------------------------
@@ -243,7 +315,7 @@ class Generator:
 
     @np.errstate(over="ignore", invalid="ignore")
     def backward(self, acts: tuple, d_chunk: np.ndarray,
-                 d_feat: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                 d_feat: np.ndarray | None = None) -> Flat:
         """The gradient of every parameter, by name in parameter order, from
         dL/d(chunk) and, if the loss also reads the observation feature, dL/d(feat).
 

@@ -29,7 +29,7 @@ from .autodiff import backward, matmul  # noqa: F401 -- patch points of the benc
 from .actor import (DEFAULT_LOG_STD_INIT, ActorOutput, GaussianActor, prefix_entropy,
                     prefix_log_prob, sample_gaussian)
 from .envs import PointMassEnv, VecPointMassEnv
-from .generator import ChunkSpec, Dense, Generator, executed_prefix, tanh_grad
+from .generator import ChunkSpec, Dense, Flat, Generator, executed_prefix, tanh_grad
 from .training import AdamW, NumericalAbort
 
 RATIO_LOG_CLAMP = 40.0
@@ -97,7 +97,7 @@ class Critic:
         return _value_mlp(self.params, obs)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def backward(self, acts: tuple, d_values: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, acts: tuple, d_values: np.ndarray) -> Flat:
         """The gradient of every parameter, by name in parameter order, from
         dL/d(values) of an :meth:`evaluate` output; ``AutodiffError`` if one
         holds a NaN or an infinity."""
@@ -298,8 +298,9 @@ def ppo_objective(out: ActorOutput, values: np.ndarray, frozen: np.ndarray,
 def ppo_minibatch(actor: GaussianActor, critic: Critic, frozen: np.ndarray,
                   buffer: RolloutBuffer, idx: np.ndarray, norm_adv: np.ndarray,
                   config: PPOConfig, anchor_weight: float):
-    """The ``UpdateStats`` row and the actor's and the critic's gradients, by
-    parameter name, of the buffer rows ``idx``.
+    """The ``UpdateStats`` row and the actor's and the critic's gradients of
+    the buffer rows ``idx``: one :class:`Flat` vector per bundle, the actor's
+    two in the order of its ``bundles``.
 
     ``frozen`` holds the anchor's mean chunks of every buffer row.  One array
     evaluation each of the live actor (which also gives the anchor term its
@@ -358,7 +359,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
             try:
                 row, actor_grads, critic_grads = ppo_minibatch(
                     actor, critic, frozen, buffer, idx, norm_adv, config, anchor_weight)
-                actor_opt.step(actor.parameters(), actor_grads)
+                actor_opt.step(actor.bundles, actor_grads)
                 critic_opt.step(critic.params, critic_grads)
             except AutodiffError as exc:
                 raise NumericalAbort(f"PPO epoch {epoch}: {exc}", dump={

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor, check_finite
+from .autodiff import AutodiffError
 from .autodiff import backward  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .drift import DriftConfig, drift_loss
-from .generator import Generator, sample_hypotheses
+from .generator import Dense, Flat, Generator, sample_hypotheses
 
 METRICS_HEADER = ("step", "loss", "grad_norm", "s_norm", "lr")
 
@@ -70,26 +70,32 @@ def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     return base * step / warmup_steps
 
 
-def grad_clip(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Rescale so the global norm is at most max_norm; direction preserved."""
+def grad_clip(grads: Flat, max_norm: float) -> tuple[Flat, float]:
+    """Rescale ``grads`` in place so the global norm is at most max_norm;
+    direction preserved.  The squares are summed leaf by leaf in parameter
+    order, then the vector is rescaled with one multiply."""
     if max_norm <= 0:
         raise TrainConfigError("max_norm must be positive")
     total = 0.0
     for g in grads.values():
         total += float(np.square(g).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm:
-        return grads, norm
-    factor = max_norm / norm
-    return {k: g * factor for k, g in grads.items()}, norm
+    if norm > max_norm:
+        grads.vector *= max_norm / norm
+    return grads, norm
 
 
 class AdamW:
     """Adam moments with decoupled weight decay; decay is scaled by the step's lr.
 
-    :meth:`step` rebinds each parameter leaf's ``data`` to the updated array,
-    so every holder of a leaf sees the new values without copying them back.
-    ``grads`` needs every parameter's name, as the explicit backward passes give it.
+    :meth:`step` updates a bundle (:class:`Dense`), or a tuple of bundles,
+    with whole-vector passes: per bundle, one vector each of m and v (zeros
+    before the first step, a new pair after each) and two scratch vectors.
+    Every expression and operand order is the per-leaf update's, so the bits
+    are too.  The new values are checked before anything is written: a
+    non-finite one raises ``AutodiffError`` naming its leaf and leaves the
+    parameters, m, v and the step count as they were.  ``param_names`` are
+    the bundles' leaf names, in order; :meth:`state` lists m and v by them.
     """
 
     def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -100,35 +106,65 @@ class AdamW:
         self.weight_decay = weight_decay
         self.eps = eps
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {name: None for name in param_names}
-        self.v: dict[str, np.ndarray] = {name: None for name in param_names}
+        self.names = list(param_names)
+        # per bundle, from the first step: (m, v) and the scratch (vector, new values)
+        self.moments: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self.scratch: list[tuple[np.ndarray, Flat]] | None = None
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
+    @np.errstate(over="ignore", invalid="ignore")
+    def step(self, params: Dense | tuple[Dense, ...], grads: Flat | tuple[Flat, ...],
              lr: float | None = None) -> None:
+        """One update of ``params`` from ``grads``, the same bundles' gradients;
+        an overflow raises at the check, without a warning."""
+        if isinstance(params, Dense):
+            params, grads = (params,), (grads,)
+        if self.moments is None:
+            names = [name for p in params for name in p]
+            if names != self.names:
+                raise KeyError(f"AdamW over {self.names} stepped with {names}")
+            self.moments = [(np.zeros(p.data.vector.size), np.zeros(p.data.vector.size))
+                            for p in params]
+            self.scratch = [(np.empty(p.data.vector.size), Flat(p.data.layout)) for p in params]
         lr = self.lr if lr is None else lr
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for name, p in params.items():
-            g = grads[name]
-            if self.m[name] is None:
-                self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            new = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                                 + self.weight_decay * p.data)
-            p.data = check_finite(new, f"AdamW update of {name}")
+        t = self.step_count + 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        moments = []
+        for p, g, (m, v), (s, new) in zip(params, grads, self.moments, self.scratch):
+            if g.layout != new.layout:
+                raise KeyError(f"{p.owner}: gradient layout {g.layout} does not match "
+                               f"the parameters' {new.layout}")
+            x, g, out = p.data.vector, g.vector, new.vector
+            m = np.multiply(m, b1)
+            m += np.multiply(g, 1.0 - b1, out=s)
+            v = np.multiply(v, b2)
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            # x - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * x)
+            np.divide(m, bc1, out=s)
+            np.sqrt(np.divide(v, bc2, out=out), out=out)
+            out += self.eps
+            s /= out
+            s += np.multiply(x, self.weight_decay, out=out)
+            s *= lr
+            np.subtract(x, s, out=out)
+            new.checked("AdamW update of")
+            moments.append((m, v))
+        for p, (_, new) in zip(params, self.scratch):
+            p.data.vector[...] = new.vector
+        self.moments = moments
+        self.step_count = t
 
     def state(self) -> dict:
-        return {
-            "step_count": self.step_count,
-            "m": {k: (v.tolist() if v is not None else None) for k, v in self.m.items()},
-            "v": {k: (v.tolist() if v is not None else None) for k, v in self.v.items()},
-        }
+        def by_name(which: int) -> dict:
+            if not self.step_count:
+                return {name: None for name in self.names}
+            return {name: arr.tolist() for mv, (_, new) in zip(self.moments, self.scratch)
+                    for name, arr in Flat(new.layout, mv[which]).items()}
+
+        return {"step_count": self.step_count, "m": by_name(0), "v": by_name(1)}
 
 
 def ema_decay_at(step: int, decay: float, power: float) -> float:
@@ -136,16 +172,16 @@ def ema_decay_at(step: int, decay: float, power: float) -> float:
     return min(decay, ((1.0 + step) / (10.0 + step)) ** power)
 
 
-def ema_update(shadow: dict[str, np.ndarray], params: dict[str, Tensor], step: int,
-               decay: float, power: float) -> dict[str, np.ndarray]:
+def ema_update(shadow: Flat, params: Dense, step: int, decay: float, power: float) -> Flat:
+    """Move the shadow of ``params`` toward them in place, ``d*s + (1-d)*p``
+    with the ramped decay ``d``, as one vector pass."""
+    if shadow.layout != params.data.layout:
+        raise TrainConfigError(f"ema layout {shadow.layout} does not match "
+                               f"{params.data.layout}")
     d = ema_decay_at(step, decay, power)
-    out = {}
-    for name, p in params.items():
-        s = shadow[name]
-        if s.shape != p.data.shape:
-            raise TrainConfigError(f"ema shape mismatch for {name}")
-        out[name] = d * s + (1.0 - d) * p.data
-    return out
+    shadow.vector *= d
+    shadow.vector += (1.0 - d) * params.data.vector
+    return shadow
 
 
 @dataclass
@@ -163,8 +199,8 @@ def drift_train_step(generator: Generator, obs_batch: np.ndarray,
 
     No tape is recorded: the loss hands back dL/d(hypotheses) and
     :meth:`Generator.backward` carries it through the backbone.  Returns (loss
-    value, per-parameter gradient arrays, field scale averaged over the loss
-    slices).
+    value, the generator's gradient as one :class:`Flat` vector, field scale
+    averaged over the loss slices).
     """
     values, _, acts = sample_hypotheses(generator, obs_batch, config.hypothesis_count, rng)
     experts = np.asarray(expert_batch, dtype=np.float64)
@@ -194,7 +230,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     opt = AdamW(generator.params.keys(), lr=config.learning_rate,
                 beta1=config.beta1, beta2=config.beta2,
                 weight_decay=config.weight_decay)
-    shadow = generator.params.arrays()
+    shadow = generator.params.data.copy()
     result = TrainResult(ema_params=shadow)
 
     steps_per_epoch = max(1, (n + config.batch_size - 1) // config.batch_size)
@@ -221,14 +257,13 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
         except AutodiffError as exc:
             raise NumericalAbort(f"step {step}: {exc}", dump={
                 "step": step, "minibatch_indices": idx.tolist()}) from exc
-        shadow = ema_update(shadow, generator.params, opt.step_count - 1,
-                            config.ema_decay, config.ema_power)
+        ema_update(shadow, generator.params, opt.step_count - 1,
+                   config.ema_decay, config.ema_power)
         result.metrics.append({"step": step, "loss": loss, "grad_norm": norm,
                                "s_norm": scale, "lr": lr})
         if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
             on_checkpoint(step)
 
-    result.ema_params = shadow
     result.rng_state = rng.bit_generator.state
     result.optimizer_state = opt.state()
     return result

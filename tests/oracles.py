@@ -25,7 +25,12 @@ shares the package's drift geometry and tape on purpose, and is the bitwise
 reference for the explicit step.  ``tape_ppo_minibatch`` is, likewise, the
 PPO minibatch that ``ppo.ppo_update`` recorded on the tape before
 ``ppo.ppo_minibatch`` wrote its gradient out, and ``leaf_grads`` reads a
-tape replay's gradients by parameter name for both tape steps.
+tape replay's gradients by parameter name for both tape steps, packed like
+the explicit steps' into one vector per bundle.  ``AdamWPerName``,
+``grad_clip_per_name`` and ``ema_update_per_name`` are the optimizer, the
+gradient clip and the EMA as they ran before each bundle kept one flat
+vector: a loop over leaves, each update rebinding the leaf to a new array.
+They pin the whole-vector passes of ``driftkit.training`` bit for bit.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ import numpy as np
 
 from driftkit import envs
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
-from driftkit.autodiff import Tensor, backward, square
+from driftkit.autodiff import Tensor, backward, check_finite, square
 from driftkit.drift import (DriftConfig, DriftConfigError, DriftFieldTensors,
                             build_reference_pool, compute_drift_field)
 from driftkit.envs import OBS_DIM, sample_start_goal
-from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix, sample_latents
+from driftkit.generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
+                                sample_latents)
 from driftkit.ppo import anchor_loss, clipped_surrogate, ppo_ratio
+from driftkit.training import TrainConfigError, ema_decay_at
 
 
 def softmax_rows(values: list[float]) -> list[float]:
@@ -581,10 +588,11 @@ def mode_coverage_loop(generator: Generator, dataset, samples: int, rng: np.rand
 # -- the tape Stage-1 step and PPO minibatch ----------------------------------
 
 
-def leaf_grads(grad_map: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """:func:`backward`'s gradients by parameter name; zeros for a leaf the loss missed."""
-    return {name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
-            for name, p in params.items()}
+def leaf_grads(grad_map: dict, params: Dense) -> Flat:
+    """:func:`backward`'s gradients of a bundle's leaves, packed into one
+    vector in parameter order; zeros for a leaf the loss missed."""
+    return Flat.of({name: grad_map[p] if p in grad_map else np.zeros_like(p.data)
+                    for name, p in params.items()})
 
 
 def tape_fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.ndarray) -> Tensor:
@@ -687,4 +695,82 @@ def tape_ppo_minibatch(actor, critic, anchor, buffer, idx, norm_adv, config, anc
     grad_map = backward(total)
     clipped = (ratio.data < 1.0 - config.clip) | (ratio.data > 1.0 + config.clip)
     row = (ratio.data.mean(), clipped.mean(), value_loss.data, entropy.data, anchor_term.data)
-    return row, leaf_grads(grad_map, actor.parameters()), leaf_grads(grad_map, critic.params)
+    return (row, tuple(leaf_grads(grad_map, bundle) for bundle in actor.bundles),
+            leaf_grads(grad_map, critic.params))
+
+
+# -- the per-leaf optimizer ----------------------------------------------------
+
+
+def grad_clip_per_name(grads: dict[str, np.ndarray],
+                       max_norm: float) -> tuple[dict[str, np.ndarray], float]:
+    """Rescale so the global norm is at most max_norm; direction preserved."""
+    if max_norm <= 0:
+        raise TrainConfigError("max_norm must be positive")
+    total = 0.0
+    for g in grads.values():
+        total += float(np.square(g).sum())
+    norm = float(np.sqrt(total))
+    if norm <= max_norm:
+        return grads, norm
+    factor = max_norm / norm
+    return {k: g * factor for k, g in grads.items()}, norm
+
+
+class AdamWPerName:
+    """Adam moments with decoupled weight decay; decay is scaled by the step's lr.
+
+    :meth:`step` rebinds each parameter leaf's ``data`` to the updated array,
+    so every holder of a leaf sees the new values without copying them back.
+    ``grads`` needs every parameter's name, as the explicit backward passes give it.
+    """
+
+    def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 weight_decay: float = 0.0, eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.weight_decay = weight_decay
+        self.eps = eps
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {name: None for name in param_names}
+        self.v: dict[str, np.ndarray] = {name: None for name in param_names}
+
+    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray],
+             lr: float | None = None) -> None:
+        lr = self.lr if lr is None else lr
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in params.items():
+            g = grads[name]
+            if self.m[name] is None:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            new = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                                 + self.weight_decay * p.data)
+            p.data = check_finite(new, f"AdamW update of {name}")
+
+    def state(self) -> dict:
+        return {
+            "step_count": self.step_count,
+            "m": {k: (v.tolist() if v is not None else None) for k, v in self.m.items()},
+            "v": {k: (v.tolist() if v is not None else None) for k, v in self.v.items()},
+        }
+
+
+def ema_update_per_name(shadow: dict[str, np.ndarray], params: dict[str, Tensor], step: int,
+                        decay: float, power: float) -> dict[str, np.ndarray]:
+    d = ema_decay_at(step, decay, power)
+    out = {}
+    for name, p in params.items():
+        s = shadow[name]
+        if s.shape != p.data.shape:
+            raise TrainConfigError(f"ema shape mismatch for {name}")
+        out[name] = d * s + (1.0 - d) * p.data
+    return out

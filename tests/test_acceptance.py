@@ -141,9 +141,9 @@ def test_criterion_3_gradient_suite():
         original = p.data.copy()
 
         def fd_fn(arr):
-            p.data = arr
+            p.data[...] = arr
             value = fixed_point_loss(hypotheses()[0], field.target, field.scale)[0]
-            p.data = original
+            p.data[...] = original
             return value
 
         numeric = finite_diff(fd_fn, original.copy(), h=1e-6)
@@ -168,9 +168,9 @@ def test_criterion_3_gradient_suite():
         original = p.data.copy()
 
         def fd_fn(arr):
-            p.data = arr
+            p.data[...] = arr
             value = logp_value().item()
-            p.data = original
+            p.data[...] = original
             return value
 
         numeric = finite_diff(fd_fn, original.copy(), h=1e-6)
@@ -209,16 +209,16 @@ def test_criterion_3_gradient_suite():
     frozen, _ = anchor.evaluate(buf.obs, buf.latents)
     _, actor_grads, critic_grads = ppo_minibatch(actor, critic, frozen, buf, np.arange(len(buf)),
                                                  adv, cfg, cfg.anchor_weight)
-    grads = {**actor_grads, **critic_grads}
+    grads = {**actor_grads[0], **actor_grads[1], **critic_grads}
     worst_rl = 0.0
     for name, p in {**actor.parameters(), **critic.params}.items():
         analytic = grads[name]
         original = p.data.copy()
 
         def fd_fn(arr):
-            p.data = arr
+            p.data[...] = arr
             value = objective().item()
-            p.data = original
+            p.data[...] = original
             return value
 
         numeric = finite_diff(fd_fn, original.copy(), h=1e-6)

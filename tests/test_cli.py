@@ -224,6 +224,27 @@ def test_finetune_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, ca
     assert not (out / "checkpoint_final.json").exists()
 
 
+@pytest.mark.parametrize("stage", ["mode_coverage", "episodes"])
+def test_eval_blow_up_exits_3_with_stage_in_dump(tmp_path, capsys, tiny_data, tiny_checkpoint,
+                                                  stage):
+    # finite weights that the loader accepts, whose first pre-activation overflows
+    doc = json.loads(Path(tiny_checkpoint).read_text())
+    obs_w = doc["params"]["obs_w"]
+    obs_w["data"] = [1e308] * len(obs_w["data"])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    dataset = str(tiny_data / "dataset.csv") if stage == "mode_coverage" else None
+    cfg = write_config(tmp_path / "e.json", {
+        "checkpoint.path": str(path), "eval.use_ema": False, "eval.episodes": 2,
+        "eval.dataset": dataset, **TINY_CHUNK})
+    out = tmp_path / "ev"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"numerical abort: eval {stage}: affine output has non-finite values" in err
+    assert json.loads((out / "abort_dump.json").read_text()) == {"stage": stage}
+    assert not (out / "report.json").exists()
+
+
 def test_malformed_json_rejected_with_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

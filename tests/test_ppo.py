@@ -488,16 +488,16 @@ def test_total_objective_gradient_matches_finite_differences():
     frozen, _ = anchor.evaluate(buf.obs, buf.latents)
     _, actor_grads, critic_grads = ppo_minibatch(actor, critic, frozen, buf, np.arange(len(buf)),
                                                  adv, cfg, cfg.anchor_weight)
-    grads = {**actor_grads, **critic_grads}
+    grads = {**actor_grads[0], **actor_grads[1], **critic_grads}
     all_params = {**actor.parameters(), **critic.params}
     for name, p in all_params.items():
         analytic = grads[name]
         original = p.data.copy()
 
         def fd_fn(arr):
-            p.data = arr
+            p.data[...] = arr
             value = objective().item()
-            p.data = original
+            p.data[...] = original
             return value
 
         numeric = finite_diff(fd_fn, original.copy(), h=1e-6)
@@ -559,8 +559,10 @@ def test_finetune_keeps_its_optimizers_across_iterations(monkeypatch):
     assert all(call["actor_opt"] is calls[0]["actor_opt"] for call in calls)
     assert all(call["critic_opt"] is calls[0]["critic_opt"] for call in calls)
     assert calls[0]["actor_opt"].step_count == 3 * 2
-    assert set(calls[0]["actor_opt"].m) == set(actor.parameters())
-    assert set(calls[0]["critic_opt"].m) == set(critic.params)
+    for opt, params in ((calls[0]["actor_opt"], actor.parameters()),
+                        (calls[0]["critic_opt"], critic.params)):
+        moments = opt.state()["m"]
+        assert set(moments) == set(params) and None not in moments.values()
 
 
 def test_ppo_config_validation():

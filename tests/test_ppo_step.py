@@ -53,8 +53,9 @@ def assert_same_minibatch(step, ref, actor, critic):
     row, actor_grads, critic_grads = step
     ref_row, ref_actor, ref_critic = ref
     assert [np.float64(x).tobytes() for x in row] == [np.float64(x).tobytes() for x in ref_row]
-    for grads, ref_grads, params in ((actor_grads, ref_actor, actor.parameters()),
+    for grads, ref_grads, params in (*zip(actor_grads, ref_actor, actor.bundles),
                                      (critic_grads, ref_critic, critic.params)):
+        assert grads.vector.tobytes() == ref_grads.vector.tobytes()
         assert list(grads) == list(ref_grads) == list(params)
         for name, grad in grads.items():
             ref_grad = ref_grads[name]
@@ -323,9 +324,7 @@ def corrupt(point, bad, actor, critic, buffer):
     huge = bad if np.isnan(bad) else np.copysign(1e200, bad)
 
     def poison(bundle, name, where):
-        arr = bundle[name].data.copy()
-        arr[where] = bad
-        bundle[name].data = arr
+        bundle[name].data[where] = bad
 
     if point == "observation":
         buffer.obs[5, 1] = bad
@@ -345,7 +344,6 @@ def corrupt(point, bad, actor, critic, buffer):
 
 def poisoned(grads: dict, name: str, bad: float) -> None:
     if name in grads:
-        grads[name] = grads[name].copy()
         grads[name].flat[0] = bad
 
 
@@ -372,8 +370,8 @@ def abort_dump(tape, point, bad, after, parameter):
     def tape_minibatch(*args):
         row, actor_grads, critic_grads = tape_minibatch_of(anchor)(*args)
         if armed and point == "gradient":
-            poisoned(actor_grads, parameter, bad)
-            poisoned(critic_grads, parameter, bad)
+            for grads in (*actor_grads, critic_grads):
+                poisoned(grads, parameter, bad)
         return row, actor_grads, critic_grads
 
     dense_backward = Dense.backward

@@ -191,9 +191,7 @@ def abort_dump(step_fn, where, bad):
 
     def poison_weight(step):
         if step == 1:
-            arr = gen.params["trunk2_w"].data.copy()
-            arr[3, 5] = bad
-            gen.params["trunk2_w"].data = arr
+            gen.params["trunk2_w"].data[3, 5] = bad
 
     if where == "observation":
         dataset.observations[40, 0, 2] = bad

@@ -6,12 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftkit.autodiff import AutodiffError, Tensor, backward, clip, matmul
+from driftkit.autodiff import AutodiffError, backward, clip, matmul
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
-from driftkit.generator import ChunkSpec, Generator
+from driftkit.generator import ChunkSpec, Dense, Flat, Generator
 from driftkit.training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
                                ema_decay_at, ema_update, grad_clip, train, warmup_lr)
+
+from .oracles import leaf_grads
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 
@@ -66,48 +68,48 @@ def test_step_wise_mode_trains_with_finite_losses():
     assert all(m["s_norm"] > 0 for m in result.metrics)
 
 
-def test_adamw_updates_leaves_in_place_and_old_graph_keeps_its_gradients():
-    # matmul, square and clip all read parameter leaves directly here; after
-    # the step their backward rules must still see the forward-time values
-    # (b starts inside the clip band and the step moves it outside)
+def bundle(**arrays) -> Dense:
+    return Dense("toy", {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()})
+
+
+def test_adamw_updates_leaves_in_place():
+    # the leaves keep their identity and their memory: the step writes the
+    # new values into the bundle's vector, which every leaf views
     rng = np.random.default_rng(17)
-    params = {"x": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-              "w": Tensor(rng.normal(size=(4, 2)), requires_grad=True),
-              "b": Tensor([0.01, -0.02], requires_grad=True)}
+    params = bundle(x=rng.normal(size=(3, 4)), w=rng.normal(size=(4, 2)), b=[0.01, -0.02])
     x, w, b = params["x"], params["w"], params["b"]
     loss = ((matmul(x, w) + b).tanh().square().mean()
             + w.square().sum() + clip(b, -0.05, 0.05).sum())
-    grads = backward(loss)
-    before = {name: grads[p].copy() for name, p in params.items()}
-    old_data = {name: p.data for name, p in params.items()}
+    grads = leaf_grads(backward(loss), params)
+    old_data = params.arrays()
+    views = {name: p.data for name, p in params.items()}
 
-    AdamW(params.keys(), lr=0.5).step(params, before)
+    AdamW(params.keys(), lr=0.5).step(params, grads)
     assert params["x"] is x and params["w"] is w and params["b"] is b
     for name, p in params.items():
+        assert p.data is views[name] and np.shares_memory(p.data, params.data.vector)
         assert not np.array_equal(p.data, old_data[name])
-
-    after = backward(loss)
-    for name, p in params.items():
-        assert np.array_equal(after[p], before[name]), name
 
 
 def test_adamw_nonfinite_update_raises_and_keeps_the_leaf():
-    p = Tensor(np.ones(3), requires_grad=True)
-    old = p.data
+    params = bundle(p=np.ones(3))
+    old = params["p"].data
     with np.errstate(invalid="ignore"), pytest.raises(AutodiffError):
-        AdamW(["p"], lr=0.1).step({"p": p}, {"p": np.array([0.0, np.nan, 0.0])})
-    assert p.data is old
+        AdamW(["p"], lr=0.1).step(params, Flat.of({"p": np.array([0.0, np.nan, 0.0])}))
+    assert params["p"].data is old
+    assert np.array_equal(old, np.ones(3))
 
 
 def test_grad_clip_below_threshold_is_identity():
-    grads = {"a": np.array([0.3, 0.4])}
+    grads = Flat.of({"a": np.array([0.3, 0.4])})
+    before = grads["a"].copy()
     clipped, norm = grad_clip(grads, 1.0)
     assert norm == 0.5
-    assert np.array_equal(clipped["a"], grads["a"])
+    assert np.array_equal(clipped["a"], before)
 
 
 def test_grad_clip_scales_down_preserving_direction():
-    grads = {"a": np.array([2.0, 0.0]), "b": np.array([0.0, 0.0])}
+    grads = Flat.of({"a": np.array([2.0, 0.0]), "b": np.array([0.0, 0.0])})
     clipped, norm = grad_clip(grads, 1.0)
     assert norm == 2.0
     np.testing.assert_allclose(clipped["a"], [1.0, 0.0], rtol=0, atol=0)
@@ -115,29 +117,29 @@ def test_grad_clip_scales_down_preserving_direction():
 
 def test_grad_clip_random_global_norm_bound():
     rng = np.random.default_rng(0)
-    grads = {f"p{i}": rng.normal(size=(3, 3)) for i in range(4)}
+    grads = Flat.of({f"p{i}": rng.normal(size=(3, 3)) for i in range(4)})
     clipped, _ = grad_clip(grads, 1.0)
     total = np.sqrt(sum(np.square(g).sum() for g in clipped.values()))
     assert total <= 1.0 + 1e-12
 
 
 def test_ema_fixed_point_when_shadow_equals_params():
-    params = {"w": Tensor(np.ones((2, 2)), requires_grad=True)}
-    shadow = {"w": np.ones((2, 2))}
+    params = bundle(w=np.ones((2, 2)))
+    shadow = Flat.of({"w": np.ones((2, 2))})
     out = ema_update(shadow, params, step=0, decay=0.9999, power=0.75)
-    np.testing.assert_array_equal(out["w"], shadow["w"])
+    np.testing.assert_array_equal(out["w"], np.ones((2, 2)))
 
 
 def test_ema_zero_decay_copies_params():
-    params = {"w": Tensor(np.full((2,), 5.0), requires_grad=True)}
-    shadow = {"w": np.zeros(2)}
+    params = bundle(w=np.full((2,), 5.0))
+    shadow = Flat.of({"w": np.zeros(2)})
     out = ema_update(shadow, params, step=0, decay=1e-12, power=1.0)
     np.testing.assert_allclose(out["w"], params["w"].data, rtol=0, atol=1e-11)
 
 
 def test_ema_converges_monotonically_to_constant_params():
-    params = {"w": Tensor(np.full((3,), 2.0), requires_grad=True)}
-    shadow = {"w": np.zeros(3)}
+    params = bundle(w=np.full((3,), 2.0))
+    shadow = Flat.of({"w": np.zeros(3)})
     gaps = []
     for step in range(100):
         shadow = ema_update(shadow, params, step, decay=0.9999, power=0.75)
@@ -146,9 +148,9 @@ def test_ema_converges_monotonically_to_constant_params():
 
 
 def test_ema_shape_mismatch_rejected():
-    params = {"w": Tensor(np.zeros((2, 2)), requires_grad=True)}
+    params = bundle(w=np.zeros((2, 2)))
     with pytest.raises(TrainConfigError):
-        ema_update({"w": np.zeros(3)}, params, 0, 0.9999, 0.75)
+        ema_update(Flat.of({"w": np.zeros(3)}), params, 0, 0.9999, 0.75)
 
 
 def test_ema_decay_schedule_ramps_to_cap():
@@ -242,10 +244,11 @@ def test_config_validation():
 
 
 def test_adamw_step_without_a_gradient_for_a_parameter_raises():
-    # leaf_grads fills a zero for every leaf the loss missed; a name absent
-    # from the gradients is a caller's mistake, not a zero gradient
-    p = Tensor(np.ones(3), requires_grad=True)
-    old = p.data
+    # a bundle's gradient has every leaf of its layout; one that lacks a leaf
+    # is a caller's mistake, not a zero gradient
+    params = bundle(p=np.ones(3))
+    old = params["p"].data
     with pytest.raises(KeyError, match="'p'"):
-        AdamW(["p"], lr=0.1).step({"p": p}, {})
-    assert p.data is old
+        AdamW(["p"], lr=0.1).step(params, Flat.of({}))
+    assert params["p"].data is old
+    assert np.array_equal(old, np.ones(3))
