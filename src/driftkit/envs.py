@@ -33,6 +33,12 @@ class EnvError(ValueError):
     """Invalid environment settings: an unknown reward mode or non-planar actions."""
 
 
+def _clip(x, lo: float, hi: float) -> np.ndarray:
+    """``np.clip(x, lo, hi)`` without numpy's Python wrapper: its ufunc is
+    defined as this pair, NaN propagation included, so the bits are clip's."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     return np.concatenate([pos, goal, last_action], axis=-1)
 
@@ -86,8 +92,8 @@ class VecPointMassEnv:
         if self.done[rows].any():
             raise RuntimeError("step after episode end")
         n = rows.size
-        actions = np.clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
-                          -1.0, 1.0)
+        actions = _clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
+                        -1.0, 1.0)
         h_e = actions.shape[1]
         hist = self.history[rows]
         goal = np.repeat(hist[:, -1:, 2:4], h_e, axis=1)
@@ -166,14 +172,14 @@ def plan(pos: np.ndarray, steps: int, controller) -> tuple[np.ndarray, np.ndarra
     positions = np.empty_like(actions)
     for k in range(steps):
         a = actions[:, k] = controller(pos, k)
-        pos = positions[:, k] = np.clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
+        pos = positions[:, k] = _clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
     return actions, positions
 
 
 def scripted_action(pos: np.ndarray, goal: np.ndarray,
                     gain: float = SCRIPTED_GAIN) -> np.ndarray:
     """Straight-to-goal proportional controller, the optimal baseline."""
-    return np.clip(gain * (goal - pos), -1.0, 1.0)
+    return _clip(gain * (goal - pos), -1.0, 1.0)
 
 
 def scripted_chunks(obs: np.ndarray, spec: ChunkSpec) -> np.ndarray:
@@ -232,7 +238,7 @@ def mode_action(pos: np.ndarray, goal: np.ndarray, step: int, signs: np.ndarray,
     base = base * (MODE_SPEED_CAP / np.maximum(speed, MODE_SPEED_CAP))
     perp = np.stack([-direction[:, 1], direction[:, 0]], axis=1)
     swing = swing_amp * np.sin(np.pi * (step + 1) / (swing_len + 1)) if step < swing_len else 0.0
-    action = np.clip(base + (signs * swing)[:, None] * perp, -1.0, 1.0)
+    action = _clip(base + (signs * swing)[:, None] * perp, -1.0, 1.0)
     return np.where(at_rest, np.zeros(ACTION_DIM), action)
 
 
@@ -302,7 +308,7 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
     }
     return ImitationDataset(
         observations=obs,
-        chunks=np.clip(chunks, -1.0, 1.0),
+        chunks=_clip(chunks, -1.0, 1.0),
         modes=np.asarray(sample_modes, dtype=np.int64),
         spec=spec,
         metadata=metadata,

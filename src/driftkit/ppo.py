@@ -3,9 +3,12 @@
 Rollouts store the latent drawn at every decision; update epochs reuse those
 latents verbatim, which makes the conditional likelihood ratio identical to
 the joint-policy ratio (the latent prior cancels) and lets the first epoch
-recompute exactly the collection-time log-probabilities.  The total objective
-is the clipped surrogate plus value regression, an entropy bonus, and a
-squared-distance anchor to the frozen pretrained mean.
+recompute exactly the collection-time log-probabilities.  Collection steps
+only the trajectory one decision at a time (the actor, the sample and the env
+step) and scores every row after it, in one log-probability pass and one
+critic pass (:func:`collect_rollouts`).  The total objective is the clipped
+surrogate plus value regression, an entropy bonus, and a squared-distance
+anchor to the frozen pretrained mean.
 
 An update records no tape.  It evaluates the frozen anchor once on the whole
 buffer.  Each minibatch evaluates the actor and the critic once on arrays and
@@ -145,13 +148,17 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Receding-horizon collection: one policy query per H_e environment steps.
 
-    Every query is tape-free and writes decision ``t`` into row ``t`` of the
-    buffer.  The stored log-probabilities come from the same
-    :meth:`GaussianActor.evaluate` and formulas, with the same row-invariant
-    kernel (:func:`autodiff.row_matmul`), as the batched epoch-0 recompute of
-    :func:`ppo_update`, so that recompute reproduces them bitwise.  An
-    overflow raises ``AutodiffError`` at the next finiteness check, without a
-    warning.
+    Each decision makes the reset-seed and latent draws, one batch-1
+    :meth:`GaussianActor.evaluate`, the Gaussian sample and the env step, and
+    keeps the actor's mean and log-scale rows.  After the loop, one
+    :func:`prefix_log_prob` gives every row's log-probability and one critic
+    evaluation every row's value, plus the bootstrap value of the final
+    history unless the last decision ended its episode.  The row-invariant
+    kernel (:func:`autodiff.row_matmul`) and per-row reductions give these the
+    bits of batch-1 queries and of the batched epoch-0 recompute of
+    :func:`ppo_update`, which therefore reproduces them exactly.  An overflow
+    raises ``AutodiffError`` without a warning: in the actor at the decision
+    it enters, in the log-probabilities or the critic after the last decision.
     """
     spec = actor.spec
     generator = actor.generator
@@ -161,6 +168,7 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                         old_log_probs=np.empty(length), rewards=np.empty(length),
                         values=np.empty(length), dones=np.empty(length, dtype=bool),
                         bootstrap_value=0.0)
+    means, log_stds = np.empty((length, spec.chunk_dim)), np.empty((length, spec.chunk_dim))
     obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
     ep_return = 0.0
     for t in range(length):
@@ -169,9 +177,7 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
         out, _ = actor.evaluate(obs_flat, z)
         prefix = executed_prefix(sample_gaussian(out.mean, out.log_std, rng)[0], spec)
         buf.obs[t], buf.latents[t], buf.exec_actions[t] = obs_flat[0], z[0], prefix.reshape(-1)
-        buf.old_log_probs[t] = prefix_log_prob(buf.exec_actions[t:t + 1], out)[0]
-        values, _ = critic.evaluate(obs_flat)
-        buf.values[t] = values[0]
+        means[t], log_stds[t] = out.mean[0], out.log_std[0]
         obs_hist, reward, done = env.step_prefix(prefix)
         buf.rewards[t], buf.dones[t] = reward, done
         ep_return += reward
@@ -179,9 +185,14 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
             buf.episode_returns.append(ep_return)
             ep_return = 0.0
             obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
-    if length and not buf.dones[-1]:
-        values, _ = critic.evaluate(obs_hist.reshape(1, -1))
-        buf.bootstrap_value = float(values[0])
+    if length:
+        buf.old_log_probs = prefix_log_prob(buf.exec_actions, ActorOutput(means, log_stds, spec))
+        bootstrap = not buf.dones[-1]
+        rows = np.concatenate([buf.obs, obs_hist.reshape(1, -1)]) if bootstrap else buf.obs
+        values, _ = critic.evaluate(rows)
+        buf.values = values[:length]
+        if bootstrap:
+            buf.bootstrap_value = float(values[length])
     return buf
 
 

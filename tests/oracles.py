@@ -12,10 +12,14 @@ reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
 reference is the one-episode-at-a-time loop that the lockstep
 ``ppo.evaluate_policy`` replaced; it drives that scalar env and the package's
 batch-1 deployment path, and ``steering_actor`` gives it a policy whose
-episodes end in every possible way.  ``synth_multimodal_loop`` is the
-demonstration synthesis the package once ran one point mass and one
-micro-step at a time, with the scalar swerving controller; it is the
-reference for the row-vectorised ``envs.plan``.  ``mode_coverage_loop`` is
+episodes end in every possible way.  ``collect_rollouts_loop`` is the
+rollout collection that ``ppo.collect_rollouts`` replaced, with a batch-1
+log-probability and a batch-1 critic evaluation at every decision; it pins
+the one-pass log-probabilities and values of the new collection bit for
+bit.  ``synth_multimodal_loop`` is the demonstration synthesis the package
+once ran one point mass and one micro-step at a time, with the scalar
+swerving controller; it is the reference for the row-vectorised
+``envs.plan``.  ``mode_coverage_loop`` is
 the per-condition mode coverage that the one-pass ``envs.mode_coverage``
 replaced.  The tape Stage-1 step (``tape_drift_train_step`` and the tape
 ``fixed_point_loss``, ``drift_loss`` and ``sample_hypotheses`` under it) is
@@ -40,14 +44,14 @@ import math
 import numpy as np
 
 from driftkit import envs
-from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
+from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_gaussian
 from driftkit.autodiff import Tensor, backward, check_finite, square
 from driftkit.drift import (DriftConfig, DriftConfigError, DriftFieldTensors,
                             build_reference_pool, compute_drift_field)
 from driftkit.envs import OBS_DIM, sample_start_goal
 from driftkit.generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
                                 sample_latents)
-from driftkit.ppo import anchor_loss, clipped_surrogate, ppo_ratio
+from driftkit.ppo import Critic, RolloutBuffer, anchor_loss, clipped_surrogate, ppo_ratio
 from driftkit.training import TrainConfigError, ema_decay_at
 
 
@@ -453,8 +457,9 @@ def scripted_eval_loop(spec: ChunkSpec, reward_mode: str, episodes: int,
 STEERING_SPEC = ChunkSpec(horizon=6, action_dim=2, history_len=2, exec_len=4)
 
 
-def steering_actor(noise: float = 1.0, gain: float = 2.5) -> GaussianActor:
-    """A hand-set backbone that steers toward the goal, on ``STEERING_SPEC``.
+def steering_actor(noise: float = 1.0, gain: float = 2.5,
+                   spec: ChunkSpec = STEERING_SPEC) -> GaussianActor:
+    """A hand-set backbone that steers toward the goal, on ``spec``.
 
     Every action of a chunk is about ``gain * (goal - pos + noise * z)`` for
     the newest observed position and the 2-d latent ``z``, squashed through
@@ -463,9 +468,9 @@ def steering_actor(noise: float = 1.0, gain: float = 2.5) -> GaussianActor:
     the rest hit the episode cap.
     """
     eps = 0.1
-    gen = Generator(STEERING_SPEC, obs_dim=OBS_DIM, latent_dim=2, hidden_dim=4, seed=0)
+    gen = Generator(spec, obs_dim=OBS_DIM, latent_dim=2, hidden_dim=4, seed=0)
     arrays = {name: np.zeros_like(value) for name, value in gen.params.arrays().items()}
-    newest = (STEERING_SPEC.history_len - 1) * OBS_DIM
+    newest = (spec.history_len - 1) * OBS_DIM
     for i in range(2):
         arrays["obs_w"][newest + i, i] = -eps
         arrays["obs_w"][newest + 2 + i, i] = eps
@@ -476,6 +481,48 @@ def steering_actor(noise: float = 1.0, gain: float = 2.5) -> GaussianActor:
         arrays["head_w"][i, i::2] = gain / eps
     gen.params.load(arrays)
     return GaussianActor(gen)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def collect_rollouts_loop(env, actor: GaussianActor, critic: Critic, length: int,
+                          rng: np.random.Generator) -> RolloutBuffer:
+    """``ppo.collect_rollouts`` with every query made at its decision.
+
+    Each decision evaluates the actor, samples, computes its batch-1
+    log-probability and its batch-1 critic value, then steps the env; the
+    bootstrap value of a final history whose episode has not ended is one more
+    batch-1 critic evaluation.
+    """
+    spec = actor.spec
+    generator = actor.generator
+    buf = RolloutBuffer(obs=np.empty((length, spec.history_len * generator.obs_dim)),
+                        latents=np.empty((length, generator.latent_dim)),
+                        exec_actions=np.empty((length, spec.exec_dim)),
+                        old_log_probs=np.empty(length), rewards=np.empty(length),
+                        values=np.empty(length), dones=np.empty(length, dtype=bool),
+                        bootstrap_value=0.0)
+    obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
+    ep_return = 0.0
+    for t in range(length):
+        obs_flat = obs_hist.reshape(1, -1)
+        z = rng.standard_normal((1, generator.latent_dim))
+        out, _ = actor.evaluate(obs_flat, z)
+        prefix = executed_prefix(sample_gaussian(out.mean, out.log_std, rng)[0], spec)
+        buf.obs[t], buf.latents[t], buf.exec_actions[t] = obs_flat[0], z[0], prefix.reshape(-1)
+        buf.old_log_probs[t] = prefix_log_prob(buf.exec_actions[t:t + 1], out)[0]
+        values, _ = critic.evaluate(obs_flat)
+        buf.values[t] = values[0]
+        obs_hist, reward, done = env.step_prefix(prefix)
+        buf.rewards[t], buf.dones[t] = reward, done
+        ep_return += reward
+        if done:
+            buf.episode_returns.append(ep_return)
+            ep_return = 0.0
+            obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
+    if length and not buf.dones[-1]:
+        values, _ = critic.evaluate(obs_hist.reshape(1, -1))
+        buf.bootstrap_value = float(values[0])
+    return buf
 
 
 # -- multimodal demonstrations, one point mass and one micro-step at a time

@@ -209,12 +209,12 @@ def test_finetune_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys, tiny_
     assert not (out / "checkpoint_final.json").exists()
 
 
-def test_finetune_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys,
-                                                                    tiny_checkpoint):
-    # the first update leaves finite but huge weights, and the next collection
-    # overflows in the actor's forward pass, outside any update
+def finetune_collection_blow_up(tmp_path, capsys, tiny_checkpoint, lr_key):
+    """Exit 3 with dump ``{"iteration": 2}`` when the network whose lr is
+    ``lr_key`` (1e308) overflows in the second collection: the first update
+    leaves finite but huge weights, and the collection runs outside any update."""
     cfg = write_config(tmp_path / "f.json", {
-        "checkpoint.path": tiny_checkpoint, "ppo.actor_lr": 1e308, "ppo.iterations": 2,
+        "checkpoint.path": tiny_checkpoint, lr_key: 1e308, "ppo.iterations": 2,
         "ppo.rollout_length": 8, "ppo.minibatch_size": 8, "ppo.update_epochs": 1})
     out = tmp_path / "ft"
     assert main(["finetune", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
@@ -222,6 +222,18 @@ def test_finetune_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, ca
     dump = json.loads((out / "abort_dump.json").read_text())
     assert dump == {"iteration": 2}
     assert not (out / "checkpoint_final.json").exists()
+
+
+def test_finetune_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys,
+                                                                    tiny_checkpoint):
+    # the actor overflows in its per-decision forward pass
+    finetune_collection_blow_up(tmp_path, capsys, tiny_checkpoint, "ppo.actor_lr")
+
+
+def test_finetune_critic_collection_blow_up_exits_3_with_iteration_in_dump(tmp_path, capsys,
+                                                                           tiny_checkpoint):
+    # the critic overflows in its one pass after the trajectory
+    finetune_collection_blow_up(tmp_path, capsys, tiny_checkpoint, "ppo.critic_lr")
 
 
 @pytest.mark.parametrize("stage", ["mode_coverage", "episodes"])
