@@ -76,6 +76,7 @@ class GaussianActor:
         log_std = clip(self.head.linear(feat, "scale"), *self.log_std_bounds)
         return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, obs_flat: np.ndarray,
                  z: np.ndarray) -> tuple[ActorOutput, tuple[tuple, np.ndarray]]:
         """:meth:`forward` without the tape: the same output, holding arrays,

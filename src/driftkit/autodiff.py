@@ -22,6 +22,9 @@ them runs on either backend with bitwise-equal values.
 
 An op whose result overflows does not warn: it yields an infinity or a NaN,
 and the finiteness check of every node raises :class:`AutodiffError` on it.
+:func:`row_matmul` and :func:`affine` open no error-state scope of their
+own: they run inside the one that the tape's :func:`matmul` and each
+network's ``evaluate`` open per call, not per layer.
 
 Broadcasting is restricted to leading-dimension expansion (a shape may be
 prefixed with extra axes, nothing else); drift-field index algebra is always
@@ -246,6 +249,7 @@ def div(a, b):
                    lambda g, ad, bd, o: -g * ad / (bd * bd))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -262,14 +266,13 @@ def matmul(a, b):
     return _node(data, "matmul", (a, b), bw)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``x @ w`` for a (B, k) ``x``, with each row computed as its own 1 x k product.
 
     Every row goes through the same vector-matrix call whatever B is, so a
     row's bits do not depend on the rest of the batch (see module docstring).
-    An overflow yields an infinity or a NaN without a warning; the caller's
-    finiteness check raises on it.
+    Under its caller's error-state scope, an overflow yields an infinity or a
+    NaN without a warning; the caller's finiteness check raises on it.
     """
     return np.matmul(x[:, None, :], w)[:, 0]
 
@@ -284,11 +287,14 @@ def check_finite(data: np.ndarray, what: str) -> np.ndarray:
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tape-free ``x @ w + b`` with :func:`matmul`'s forward kernel.
 
-    The result is checked after the bias add; since tanh and clipping keep
-    finite values finite, checking every pre-activation covers a whole
-    tape-free MLP.
+    The bias is added in place into the fresh product, and the result is
+    checked after it; since tanh and clipping keep finite values finite,
+    checking every pre-activation covers a whole tape-free MLP.  It runs
+    inside its caller's error-state scope, as :func:`row_matmul` does.
     """
-    return check_finite(row_matmul(x, w) + b, "affine output")
+    out = row_matmul(x, w)
+    out += b
+    return check_finite(out, "affine output")
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -68,11 +68,11 @@ class VecPointMassEnv:
     def reset(self, seeds) -> np.ndarray:
         """Start env ``i`` from ``sample_start_goal(default_rng(seeds[i]))`` at
         rest; return the (N, T_o, d_o) observation histories."""
-        newest = [_observe(*sample_start_goal(np.random.default_rng(seed)), np.zeros(2))
-                  for seed in seeds]
-        n = len(newest)
-        self.history = np.repeat(np.reshape(newest, (n, 1, OBS_DIM)),
-                                 self.spec.history_len, axis=1)
+        n = len(seeds)
+        newest = np.zeros((n, 1, OBS_DIM))
+        for row, seed in zip(newest[:, 0], seeds):
+            row[0:2], row[2:4] = sample_start_goal(np.random.default_rng(seed))
+        self.history = np.repeat(newest, self.spec.history_len, axis=1)
         self.t = np.zeros(n, dtype=np.int64)
         self.done = np.zeros(n, dtype=bool)
         self.succeeded = np.zeros(n, dtype=bool)
@@ -156,11 +156,16 @@ class PointMassEnv:
 
 
 def sample_start_goal(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform start and goal with a minimum separation so episodes are non-trivial."""
+    """Uniform start and goal with a minimum separation so episodes are non-trivial.
+
+    A try draws start then goal in one ``uniform(size=4)``, the values of two
+    ``size=2`` draws; the distance is ``np.linalg.norm``'s 1-D expression.
+    """
     while True:
-        pos = rng.uniform(-0.9, 0.9, size=2)
-        goal = rng.uniform(-0.9, 0.9, size=2)
-        if np.linalg.norm(pos - goal) >= MIN_START_DISTANCE:
+        start_goal = rng.uniform(-0.9, 0.9, size=4)
+        pos, goal = start_goal[:2], start_goal[2:]
+        offset = pos - goal
+        if np.sqrt(offset.dot(offset)) >= MIN_START_DISTANCE:
             return pos, goal
 
 

@@ -262,7 +262,8 @@ class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
     ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
-    :meth:`evaluate` call on B rows adds B.  A batch-1 deployment decision
+    :meth:`evaluate` call on B rows adds B, and an :meth:`evaluate` call that
+    rejects its inputs adds nothing.  A batch-1 deployment decision
     adds exactly 1, and the deployment and evaluation loops check one
     evaluation per decision against it.
     """
@@ -300,17 +301,31 @@ class Generator:
         chunk, acts = _backbone(self.params, obs_flat, z)
         return chunk, acts[2]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, obs_flat: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, tuple]:
         """One network evaluation without the tape: the (B, D) chunk batch and
         the :func:`_backbone` activations that :meth:`backward` differentiates
         through (``[2]`` is the observation feature).
 
-        Raises ``AutodiffError`` on a non-finite input or pre-activation, as
-        the tape would.
+        Both inputs are checked before the evaluation counts: an observation
+        that is not (B, T_o * d_o) or a latent that is not (B, C) raises
+        ``SpecError`` naming the expected shape, and a non-finite input
+        ``AutodiffError``.  A non-finite pre-activation raises
+        ``AutodiffError`` too, as the tape would, and without a warning: the
+        call's one error-state scope covers every layer.
         """
-        obs_flat = check_finite(np.asarray(obs_flat, dtype=np.float64), "observation input")
+        obs_flat = np.asarray(obs_flat, dtype=np.float64)
+        z = np.asarray(z, dtype=np.float64)
+        width = self.spec.history_len * self.obs_dim
+        if obs_flat.ndim != 2 or obs_flat.shape[1] != width:
+            raise SpecError(f"observation input has shape {obs_flat.shape}, "
+                            f"expected (rows, {width})")
+        if z.shape != (obs_flat.shape[0], self.latent_dim):
+            raise SpecError(f"latent input has shape {z.shape}, "
+                            f"expected {(obs_flat.shape[0], self.latent_dim)}")
+        check_finite(obs_flat, "observation input")
+        check_finite(z, "latent input")
         self.nfe_count += obs_flat.shape[0]
-        z = check_finite(np.asarray(z, dtype=np.float64), "latent input")
         return _backbone(self.params, obs_flat, z)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -341,8 +356,7 @@ class Generator:
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic single-pass chunk for one observation history."""
         obs = self._flatten_obs(obs_hist)
-        z = np.asarray(z, dtype=np.float64).reshape(1, self.latent_dim)
-        chunk, _ = self.evaluate(obs, z)
+        chunk, _ = self.evaluate(obs, np.asarray(z, dtype=np.float64).reshape(1, -1))
         return chunk[0]
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ tape's.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ from .autodiff import (AutodiffError, Tensor, check_finite, clip, exp, minimum, 
 from .autodiff import backward, matmul  # noqa: F401 -- patch points of the bench/spans.py tracer
 from .actor import (DEFAULT_LOG_STD_INIT, ActorOutput, GaussianActor, prefix_entropy,
                     prefix_log_prob, sample_gaussian)
-from .envs import PointMassEnv, VecPointMassEnv
+from .envs import EPISODE_CAP, PointMassEnv, VecPointMassEnv
 from .generator import ChunkSpec, Dense, Flat, Generator, executed_prefix, tanh_grad
 from .training import AdamW, NumericalAbort
 
@@ -93,6 +94,7 @@ class Critic:
     def forward(self, obs_flat: Tensor) -> Tensor:
         return _value_mlp(self.params, obs_flat)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, obs_flat: np.ndarray) -> tuple[np.ndarray, tuple]:
         """:meth:`forward` without the tape, on an observation array: the values
         and the activations ``(obs, h1, h2)`` that :meth:`backward` reads."""
@@ -455,21 +457,27 @@ def evaluate_policy(env_factory, actor: GaussianActor, episodes: int,
     ``env_factory`` builds a :class:`PointMassEnv`, whose settings the
     episodes share.  Episode ``e`` starts from ``reset(seed + e)`` and draws
     its latents from its own stream, spawned ``e``-th from ``seed``, so its
-    outcome does not depend on the other episodes.  Each lockstep control step
+    outcome does not depend on the other episodes.  The stream is drawn once,
+    as a block of one row per decision an episode can make before
+    ``EPISODE_CAP``; the draw fills the block in order, so row ``k`` holds
+    the bits of the ``k``-th one-row draw.  Each lockstep control step ``k``
     (:func:`run_episodes`) makes one network evaluation over the running
-    episodes, whose rows equal batch-1 ``deploy_action`` calls bitwise.
-    ``nfe_violations`` counts control steps whose evaluation count differs
-    from the number of running episodes.
+    episodes with their rows ``k``, whose rows equal batch-1
+    ``deploy_action`` calls bitwise.  ``nfe_violations`` counts control steps
+    whose evaluation count differs from the number of running episodes.
     """
     env = env_factory()
-    # a negative count is left for run_episodes to reject
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(seed).spawn(max(episodes, 0))]
     generator = actor.generator
+    # a negative count is left for run_episodes to reject
+    latents = np.empty((max(episodes, 0), -(-EPISODE_CAP // env.spec.exec_len),
+                        generator.latent_dim))
+    for block, child in zip(latents, np.random.SeedSequence(seed).spawn(len(latents))):
+        np.random.default_rng(child).standard_normal(out=block)
+    control_steps = itertools.count()
     violations = []
 
     def chunk_fn(obs, active):
-        z = np.stack([streams[e].standard_normal(generator.latent_dim) for e in active])
+        z = latents[active, next(control_steps)]
         before = generator.nfe_count
         chunks, _ = generator.evaluate(obs.reshape(active.size, -1), z)
         violations.append(generator.nfe_count - before != active.size)

@@ -6,7 +6,11 @@ finite differences, the closed-form scalar Gaussian density, and an O(T^2)
 advantage double sum.  ``drift_field_as_built`` is the vectorised drift
 pipeline as it was before its arrays put the pool axis first, with a
 last-axis numpy reduction for every sum; it pins the pool-first pipeline bit
-for bit.  ``ScalarPointMassEnv`` is the point-mass state machine the package
+for bit.  ``sample_start_goal`` is the start-and-goal sampler as it was
+before each try became one 4-value draw: two 2-value draws per try and
+``np.linalg.norm``; it pins ``envs.sample_start_goal`` and the resets built on
+it bit for bit, and the scalar references below reset through it.
+``ScalarPointMassEnv`` is the point-mass state machine the package
 once stepped one micro-step at a time, with scalar bookkeeping; it is the
 reference for the one-pass ``envs.VecPointMassEnv``.  The evaluation
 reference is the one-episode-at-a-time loop that the lockstep
@@ -48,7 +52,7 @@ from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob, sampl
 from driftkit.autodiff import Tensor, backward, check_finite, square
 from driftkit.drift import (DriftConfig, DriftConfigError, DriftFieldTensors,
                             build_reference_pool, compute_drift_field)
-from driftkit.envs import OBS_DIM, sample_start_goal
+from driftkit.envs import MIN_START_DISTANCE, OBS_DIM
 from driftkit.generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
                                 sample_latents)
 from driftkit.ppo import Critic, RolloutBuffer, anchor_loss, clipped_surrogate, ppo_ratio
@@ -312,6 +316,15 @@ def gae_bruteforce(rewards, values, dones, bootstrap: float,
                 break
             coef *= gamma * lam
     return adv
+
+
+def sample_start_goal(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform start and goal with a minimum separation so episodes are non-trivial."""
+    while True:
+        pos = rng.uniform(-0.9, 0.9, size=2)
+        goal = rng.uniform(-0.9, 0.9, size=2)
+        if np.linalg.norm(pos - goal) >= MIN_START_DISTANCE:
+            return pos, goal
 
 
 class ScalarPointMassEnv:

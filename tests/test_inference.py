@@ -5,6 +5,8 @@ tape's finiteness contract."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,9 @@ from hypothesis import strategies as st
 
 from driftkit.actor import GaussianActor, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, row_matmul
-from driftkit.generator import ChunkSpec, Generator
-from driftkit.ppo import Critic
+from driftkit.envs import PointMassEnv
+from driftkit.generator import ChunkSpec, Generator, SpecError
+from driftkit.ppo import Critic, evaluate_policy
 
 SPEC = ChunkSpec(horizon=5, action_dim=2, history_len=2, exec_len=3)
 OBS_DIM = 3
@@ -184,6 +187,93 @@ def test_infer_rejects_overflowing_pre_activation():
         gen.forward(Tensor(obs), Tensor(z))
     with pytest.raises(AutodiffError):
         gen.evaluate(obs, z)
+
+
+def rejected_inputs():
+    """(obs, z) pairs that :meth:`Generator.evaluate` rejects, and the error each raises."""
+    obs, z, _ = rows(0, 2, 1.0)
+    nan_z = z.copy()
+    nan_z[1, 0] = np.nan
+    inf_obs = obs.copy()
+    inf_obs[0, 1] = np.inf
+    return [(obs, nan_z, AutodiffError), (inf_obs, z, AutodiffError),
+            (obs, np.zeros((2, LATENT_DIM + 3)), SpecError),
+            (obs, np.zeros((3, LATENT_DIM)), SpecError),
+            (obs, z[0], SpecError),
+            (obs[:, :-1], z, SpecError),
+            (obs.reshape(-1), z, SpecError)]
+
+
+@pytest.mark.parametrize("case", range(len(rejected_inputs())))
+def test_a_rejected_evaluation_does_not_count(case):
+    gen = make_actor(0).generator
+    obs, z, error = rejected_inputs()[case]
+    with pytest.raises(error) as info:
+        gen.evaluate(obs, z)
+    assert gen.nfe_count == 0
+    if error is SpecError:
+        # the message names the expected shape
+        assert (f"expected (rows, {N_OBS})" in str(info.value)
+                or f"expected ({len(obs)}, {LATENT_DIM})" in str(info.value))
+
+
+def test_deployment_rejects_a_latent_of_the_wrong_size_before_counting():
+    actor = make_actor(0)
+    obs, _, _ = rows(0, 1, 1.0)
+    expected = rf"latent input has shape \(1, 7\), expected \(1, {LATENT_DIM}\)"
+    with pytest.raises(SpecError, match=expected):
+        actor.deploy_action(obs, np.zeros(7))
+    assert actor.generator.nfe_count == 0
+
+
+# every dense layer, and the paths that evaluate it
+OVERFLOW_CASES = ([(layer, path) for layer in ("obs", "lat", "trunk1", "trunk2", "head")
+                   for path in ("Generator.evaluate", "GaussianActor.evaluate", "deploy_action",
+                                "evaluate_policy", "Generator.forward")]
+                  + [("scale", "GaussianActor.evaluate")]
+                  + [(layer, path) for layer in ("v1", "v2", "v3")
+                     for path in ("Critic.evaluate", "Critic.forward")])
+
+
+def overflowing_networks(layer: str) -> tuple[GaussianActor, Critic]:
+    """An actor and a critic on the point-mass geometry whose weights are 0 and
+    biases 1, so every activation is tanh(1) > 0, except ``layer``'s weight,
+    which is 1e308 everywhere: its pre-activations sum positive terms past
+    the float64 range."""
+    spec = ChunkSpec(horizon=4, action_dim=2, history_len=2, exec_len=2)
+    actor = GaussianActor(Generator(spec, obs_dim=6, latent_dim=LATENT_DIM, hidden_dim=8))
+    critic = Critic(12, hidden_dim=8)
+    for bundle in (actor.generator.params, actor.head, critic.params):
+        arrays = {name: np.full_like(arr, 0.0 if name.endswith("_w") else 1.0)
+                  for name, arr in bundle.arrays().items()}
+        if f"{layer}_w" in arrays:
+            arrays[f"{layer}_w"][...] = 1e308
+        bundle.load(arrays)
+    return actor, critic
+
+
+@pytest.mark.parametrize("layer, path", OVERFLOW_CASES)
+def test_every_layer_overflow_raises_without_a_warning(layer, path):
+    # each evaluation opens one error-state scope that covers all its layers
+    actor, critic = overflowing_networks(layer)
+    gen = actor.generator
+    obs, z = np.full((2, 12), 0.5), np.full((2, LATENT_DIM), 0.5)
+    run = {
+        "Generator.evaluate": lambda: gen.evaluate(obs, z),
+        "GaussianActor.evaluate": lambda: actor.evaluate(obs, z),
+        "deploy_action": lambda: actor.deploy_action(obs[0].reshape(2, 6), z[0]),
+        # the env's own observations and latents: these seeds overflow the
+        # input layers at the first control step
+        "evaluate_policy": lambda: evaluate_policy(
+            lambda: PointMassEnv(gen.spec), actor, 20, 0),
+        "Generator.forward": lambda: gen.forward(Tensor(obs), Tensor(z)),
+        "Critic.evaluate": lambda: critic.evaluate(obs),
+        "Critic.forward": lambda: critic.forward(Tensor(obs)),
+    }[path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AutodiffError):
+            run()
 
 
 def test_critic_value_rejects_non_finite_input():

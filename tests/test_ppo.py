@@ -3,6 +3,10 @@ surrogate arithmetic, anchor behavior, and the full-objective gradient."""
 
 from __future__ import annotations
 
+import cProfile
+import math
+import pstats
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 from driftkit import ppo
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, backward
-from driftkit.envs import PointMassEnv, scripted_chunks, synth_multimodal
+from driftkit.envs import EPISODE_CAP, PointMassEnv, scripted_chunks, synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
 from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
@@ -296,6 +300,55 @@ def test_lockstep_evaluation_equals_the_episode_loop(episodes, seed, reward_mode
     expected, _, _ = evaluate_policy_loop(steering_env_factory(reward_mode), actor,
                                           episodes, seed)
     assert report == expected
+
+
+@pytest.mark.parametrize("exec_len", [1, 7, 9])
+def test_lockstep_evaluation_to_the_cap_equals_the_episode_loop(exec_len):
+    # a policy that steers away from the goal: every episode makes
+    # ceil(EPISODE_CAP / exec_len) decisions and reads the last row of its
+    # latent block; 7 and 9 do not divide the cap
+    spec = ChunkSpec(horizon=10, action_dim=2, history_len=2, exec_len=exec_len)
+    actor = steering_actor(gain=-0.5, spec=spec)
+    factory = lambda: PointMassEnv(spec, reward_mode="dense")
+    report = evaluate_policy(factory, actor, 12, 5)
+    expected, decisions, finished = evaluate_policy_loop(factory, actor, 12, 5)
+    assert report == expected
+    assert all(env.t == EPISODE_CAP and not env.succeeded for env in finished)
+    assert decisions == 12 * math.ceil(EPISODE_CAP / exec_len)
+
+
+class ProfiledGenerator(np.random.Generator):
+    """``np.random.Generator`` with ``standard_normal`` as a Python call, which
+    cProfile records (it does not see the compiled method)."""
+
+    def standard_normal(self, *args, **kwargs):
+        return super().standard_normal(*args, **kwargs)
+
+
+def profiled_calls(fn) -> pstats.Stats:
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        fn()
+    finally:
+        profiler.disable()
+    return pstats.Stats(profiler)
+
+
+def test_evaluation_draws_once_per_episode_and_its_call_count_repeats(monkeypatch):
+    # a deterministic cost counter: the calls cProfile sees are the same on
+    # every run, and the latent draws are one per episode, not one per decision
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: ProfiledGenerator(np.random.PCG64(seed)))
+    actor = steering_actor()
+    factory = steering_env_factory("sparse")
+    expected = evaluate_policy(factory, actor, 20, 3)
+    runs = [profiled_calls(lambda: evaluate_policy(factory, actor, 20, 3)) for _ in range(2)]
+    draws = [sum(calls for (_, _, name), (_, calls, *_) in run.stats.items()
+                 if name == "standard_normal") for run in runs]
+    assert draws == [20, 20]
+    assert runs[0].total_calls == runs[1].total_calls
+    assert expected == evaluate_policy_loop(factory, actor, 20, 3)[0]
 
 
 def test_evaluation_of_no_episodes_reports_nothing_and_negative_counts_are_rejected():
