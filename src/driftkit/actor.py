@@ -8,9 +8,11 @@ property is untouched.
 
 The scale head and the prefix log-density are each written once with engine
 ops that take either backend: :meth:`GaussianActor.forward` yields tape
-tensors, :meth:`GaussianActor.evaluate` plain arrays (rollout collection and
-the PPO update), and :func:`prefix_log_prob` of either output has
-bitwise-equal values.  The PPO update differentiates without the tape:
+tensors, :meth:`GaussianActor.evaluate` plain arrays (the PPO update), and
+:func:`prefix_log_prob` of either output has bitwise-equal values.  Rollout
+collection queries one row at a time through :meth:`GaussianActor.decide`,
+the backbone's batch-1 workspace kernel, with the same bits as the row's
+:meth:`GaussianActor.evaluate`.  The PPO update differentiates without the tape:
 :meth:`GaussianActor.evaluate` also keeps the backbone's activations and the
 pre-clip log-scale, and :meth:`GaussianActor.backward` carries dL/d(mean) and
 dL/d(log_std) through the head and the backbone.
@@ -106,6 +108,16 @@ class GaussianActor:
         d_feat = self.head.backward(head_grads, "scale", backbone[2], d_pre)
         return (self.generator.backward(backbone, d_mean, d_feat),
                 self.head.checked(head_grads))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def decide(self, obs_hist: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (D,) mean and clipped log-scale of one row through the backbone's
+        batch-1 kernel (:meth:`Generator.decide`), with the scale head on its
+        workspace's feature: rollout collection's query, with the row's
+        :meth:`evaluate` bits and no activations kept."""
+        mean = self.generator.decide(obs_hist, z).copy()
+        feat = self.generator.workspace.feat[None]
+        return mean, clip(self.head.linear(feat, "scale")[0], *self.log_std_bounds)
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""

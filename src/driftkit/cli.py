@@ -85,6 +85,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
 def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
     episodes = cfg["eval.episodes"] if episodes_override is None else episodes_override
     seed = cfg["eval.seed"]
+    if seed < 0:
+        raise ConfigError("eval.seed must be >= 0")
     if cfg["eval.policy"] == "scripted":
         spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
         report = run_episodes(spec, cfg["eval.reward_mode"], episodes, seed,

@@ -28,6 +28,7 @@ means stay reductions over C-order (..., B, G, U) and (..., B, G) copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,8 @@ class DriftConfig:
             raise DriftConfigError("hypothesis_count must be positive")
         if not self.temperatures:
             raise DriftConfigError("at least one temperature required")
-        if any(t <= 0 for t in self.temperatures):
-            raise DriftConfigError("temperatures must be positive")
+        if not all(0.0 < t < math.inf for t in self.temperatures):
+            raise DriftConfigError("temperatures must be positive and finite")
         if len(set(self.temperatures)) != len(self.temperatures):
             raise DriftConfigError("temperatures must be distinct")
         if self.scale_floor <= 0 or self.force_floor <= 0:

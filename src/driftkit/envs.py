@@ -269,6 +269,8 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
     """
     if min(modes, conditions, samples_per_condition) < 1:
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
+    if seed < 0 or warmup_max < 0:
+        raise EnvError("seed and warmup_max must be >= 0")
     spec = spec or ChunkSpec()
     if spec.action_dim != ACTION_DIM:
         raise SpecError("point-mass actions are planar (action_dim must be 2)")
@@ -394,6 +396,8 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
     if checked["modes"] != len(checked["mode_signs"]):
         raise SpecError(f"{where}key 'modes' is {checked['modes']}, "
                         f"but 'mode_signs' holds {len(checked['mode_signs'])} values")
+    if not np.isfinite(checked["mode_signs"]).all():
+        raise SpecError(f"{where}key 'mode_signs' holds a non-finite value")
     obs_shape = (spec.history_len, metadata["obs_dim"])
     width = obs_shape[0] * obs_shape[1]
     with open(csv_path, newline="") as fh:

@@ -8,7 +8,7 @@ scale head, so it is returned alongside the chunk.
 The network is written once (:func:`_backbone`) with engine ops that take
 either backend, and evaluated either on the autodiff tape
 (:meth:`Generator.forward`, the tests' gradient oracle) or on plain arrays
-(:meth:`Generator.evaluate`, the one tape-free entry point).  Both run the
+(:meth:`Generator.evaluate`, the one batched tape-free entry point).  Both run the
 same numpy calls around the same row-invariant kernel
 (:func:`autodiff.row_matmul`), so their values agree bitwise, and a row's
 values do not depend on its batch.  :meth:`Generator.evaluate` also hands
@@ -16,6 +16,11 @@ back the activations as a plain tuple, which a values-only caller drops for
 nothing, and :meth:`Generator.backward` is the backbone's reverse pass
 written out, each product in the tape's order, so its gradients equal the
 tape's bitwise.
+
+A batch-1 decision (:meth:`Generator.decide`, :meth:`Generator.generate`)
+runs the same layers through the generator's :class:`Workspace`, with two
+finiteness checks, not seven, and the bits of its row of a batched
+:meth:`Generator.evaluate` (``tests/test_inference.py``).
 
 The JSON helpers at the end of the module own the format of every JSON file:
 configs, checkpoints and dataset metadata are read through one typed reader
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 
@@ -258,20 +264,67 @@ def tanh_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     return g * (1.0 - a * a)
 
 
+class Workspace:
+    """The buffers of one batch-1 evaluation, allocated once per generator.
+
+    ``x`` holds the flattened observation, then the latent; ``pre`` the
+    pre-activations of the obs, lat, trunk1 and trunk2 layers (H each), then
+    the head's D; ``act`` their tanh outputs, ``feat`` first.  The feature and
+    latent activations are adjacent, so trunk1 reads them as one vector with
+    no concat.  Every layer is ``np.matmul`` of a 1-D input into its ``pre``
+    segment, the bias added in place, then ``np.tanh`` into its ``act``
+    segment, on fixed views of the parameters (:meth:`Dense.load` and the
+    optimizer write in place, so the next :meth:`run` reads the new values).
+    Its buffers are reused by every call, so one generator makes one batch-1
+    decision at a time.
+    """
+
+    def __init__(self, gen: "Generator"):
+        width, h = gen.spec.history_len * gen.obs_dim, gen.hidden_dim
+        self.x = np.empty(width + gen.latent_dim)
+        self.pre = np.empty(4 * h + gen.spec.chunk_dim)
+        self.act = np.empty(4 * h)
+        self.obs, self.z = self.x[:width], self.x[width:]
+        self.feat, self.chunk = self.act[:h], self.pre[4 * h:]
+        layers, act = gen.params._layers, self.act
+        inputs = {"obs": self.obs, "lat": self.z, "trunk1": act[:2 * h], "trunk2": act[2 * h:3 * h]}
+        # (input, weight, bias, pre-activation, activation) of each tanh layer
+        self.layers = [(x, *layers[name][2:], self.pre[k * h:(k + 1) * h], act[k * h:(k + 1) * h])
+                       for k, (name, x) in enumerate(inputs.items())]
+        self.head = (act[3 * h:], *layers["head"][2:])
+
+    def run(self) -> np.ndarray:
+        """The ``chunk`` segment of ``pre`` for the inputs in ``x``;
+        ``AutodiffError`` if any pre-activation is non-finite (an overflow
+        stays in ``pre`` although tanh maps it to +-1).  Runs in its caller's
+        error-state scope."""
+        for x, w, b, pre, act in self.layers:
+            np.matmul(x, w, out=pre)
+            pre += b
+            np.tanh(pre, out=act)
+        x, w, b = self.head
+        np.matmul(x, w, out=self.chunk)
+        self.chunk += b
+        check_finite(self.pre, "affine output")
+        return self.chunk
+
+
 class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
     ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
-    :meth:`evaluate` call on B rows adds B, and an :meth:`evaluate` call that
-    rejects its inputs adds nothing.  A batch-1 deployment decision
-    adds exactly 1, and the deployment and evaluation loops check one
-    evaluation per decision against it.
+    :meth:`evaluate` call on B rows adds B, a :meth:`decide` (or
+    :meth:`generate`) call adds 1, and a call that rejects its inputs adds
+    nothing.  The deployment and evaluation loops check one evaluation per
+    decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
                  hidden_dim: int = 64, seed: int = 0):
         if obs_dim < 1 or latent_dim < 1 or hidden_dim < 1:
             raise SpecError("dimensions must be positive")
+        if seed < 0:
+            raise SpecError("generator init seed must be >= 0")
         self.spec = spec
         self.obs_dim = obs_dim
         self.latent_dim = latent_dim
@@ -281,6 +334,7 @@ class Generator:
         self.params = Dense.init("generator", np.random.default_rng(seed), (
             ("obs", spec.history_len * obs_dim, h), ("lat", latent_dim, h),
             ("trunk1", 2 * h, h), ("trunk2", h, h), ("head", h, spec.chunk_dim)))
+        self.workspace = Workspace(self)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return self.params.arrays()
@@ -353,11 +407,36 @@ class Generator:
         p.backward(grads, "obs", obs, tanh_grad(g_feat, feat), to_input=False)
         return p.checked(grads)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Deterministic single-pass chunk for one observation history."""
-        obs = self._flatten_obs(obs_hist)
-        chunk, _ = self.evaluate(obs, np.asarray(z, dtype=np.float64).reshape(1, -1))
-        return chunk[0]
+        """Deterministic single-pass chunk for one observation history: a copy
+        of :meth:`decide`'s, under one error-state scope."""
+        return self.decide(obs_hist, z).copy()
+
+    def decide(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """One network evaluation of one row through :attr:`workspace`: the
+        chunk as a view of it, valid until the next call, with the observation
+        feature in ``workspace.feat``.  Runs in its caller's error-state scope.
+
+        The inputs are checked as :meth:`evaluate` checks one row, with its
+        messages, before the evaluation counts; the bits are the row's
+        :meth:`evaluate` bits (``tests/test_inference.py``).
+        """
+        ws = self.workspace
+        obs = np.asarray(obs_hist, dtype=np.float64)
+        z = np.asarray(z, dtype=np.float64)
+        if obs.size != ws.obs.size or z.size != ws.z.size:
+            # evaluate's message for the observation's rows and a one-row latent
+            rows = self._flatten_obs(obs).shape[0]
+            raise SpecError(f"latent input has shape {(1, z.size)}, "
+                            f"expected {(rows, self.latent_dim)}")
+        ws.obs[...] = obs.reshape(-1)
+        ws.z[...] = z.reshape(-1)
+        if not np.isfinite(ws.x).all():
+            check_finite(ws.obs, "observation input")
+            check_finite(ws.z, "latent input")
+        self.nfe_count += 1
+        return ws.run()
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs_hist, dtype=np.float64)
@@ -421,14 +500,24 @@ def typed(value, kind, key: str, where: str, error=SpecError):
     """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
     number, an int never from a bool), or as ``tuple[X, ...]`` (``tuple[X, X]``)
     from a list of ``X`` values (of that length).  Anything else raises
-    ``error("<where>key '<key>' expects <kind>, got <value>")``."""
+    ``error("<where>key '<key>' expects <kind>, got <value>")``.
+
+    A float must be finite: JSON's ``NaN`` and ``Infinity`` (which Python's
+    reader accepts), or an int past the float range, raise ``error("<where>key
+    '<key>' expects a finite float, got <value>")``; no key needs an infinity.
+    A list's items are left to its owner, which names the bad entry (a
+    checkpoint names the parameter)."""
     items = typing.get_args(kind)
     if items:
         if (type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]
                 and (items[-1] is ... or len(value) == len(items))):
             return tuple(map(items[0], value))
     elif type(value) in JSON_TYPES[kind]:
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        if abs(value) <= sys.float_info.max:  # false for NaN, too for an int past the range
+            return float(value)
+        raise error(f"{where}key {key!r} expects a finite float, got {value!r}")
     raise error(f"{where}key {key!r} expects {kind.__name__}, got {value!r}")
 
 

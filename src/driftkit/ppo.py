@@ -79,6 +79,8 @@ class PPOConfig:
             raise PPOConfigError("rollout_length, update_epochs and iterations must be >= 0")
         if self.minibatch_size < 1:
             raise PPOConfigError("minibatch_size must be positive")
+        if self.seed < 0:
+            raise PPOConfigError("seed must be >= 0")
 
 
 class Critic:
@@ -150,17 +152,19 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
                      rng: np.random.Generator) -> RolloutBuffer:
     """Receding-horizon collection: one policy query per H_e environment steps.
 
-    Each decision makes the reset-seed and latent draws, one batch-1
-    :meth:`GaussianActor.evaluate`, the Gaussian sample and the env step, and
+    Each decision makes the reset-seed and latent draws, one
+    :meth:`GaussianActor.decide` (the backbone's batch-1 workspace kernel and
+    the scale head on its feature), the Gaussian sample and the env step, and
     keeps the actor's mean and log-scale rows.  After the loop, one
     :func:`prefix_log_prob` gives every row's log-probability and one critic
     evaluation every row's value, plus the bootstrap value of the final
-    history unless the last decision ended its episode.  The row-invariant
-    kernel (:func:`autodiff.row_matmul`) and per-row reductions give these the
-    bits of batch-1 queries and of the batched epoch-0 recompute of
-    :func:`ppo_update`, which therefore reproduces them exactly.  An overflow
-    raises ``AutodiffError`` without a warning: in the actor at the decision
-    it enters, in the log-probabilities or the critic after the last decision.
+    history unless the last decision ended its episode.  The batch-1 kernel
+    reaches the same vector-matrix call as a row of the row-invariant
+    :func:`autodiff.row_matmul`, and the reductions are per row, so these
+    have the bits of the batched epoch-0 recompute of :func:`ppo_update`,
+    which therefore reproduces them exactly.  An overflow raises
+    ``AutodiffError`` without a warning: in the actor at the decision it
+    enters, in the log-probabilities or the critic after the last decision.
     """
     spec = actor.spec
     generator = actor.generator
@@ -174,12 +178,12 @@ def collect_rollouts(env, actor: GaussianActor, critic: Critic, length: int,
     obs_hist = env.reset(int(rng.integers(0, 2**63 - 1)))
     ep_return = 0.0
     for t in range(length):
-        obs_flat = obs_hist.reshape(1, -1)
-        z = rng.standard_normal((1, generator.latent_dim))
-        out, _ = actor.evaluate(obs_flat, z)
-        prefix = executed_prefix(sample_gaussian(out.mean, out.log_std, rng)[0], spec)
-        buf.obs[t], buf.latents[t], buf.exec_actions[t] = obs_flat[0], z[0], prefix.reshape(-1)
-        means[t], log_stds[t] = out.mean[0], out.log_std[0]
+        z = rng.standard_normal(generator.latent_dim)
+        mean, log_std = actor.decide(obs_hist, z)
+        prefix = executed_prefix(sample_gaussian(mean, log_std, rng), spec)
+        buf.obs[t], buf.latents[t] = obs_hist.reshape(-1), z
+        buf.exec_actions[t] = prefix.reshape(-1)
+        means[t], log_stds[t] = mean, log_std
         obs_hist, reward, done = env.step_prefix(prefix)
         buf.rewards[t], buf.dones[t] = reward, done
         ep_return += reward
@@ -391,6 +395,8 @@ def finetune(generator: Generator, config: PPOConfig, reward_mode: str = "sparse
     update, or in the collection before it, raises a :class:`NumericalAbort`
     whose dump names the iteration.  Returns the actor, the critic and one
     ``FINETUNE_METRICS_HEADER`` row per iteration."""
+    if critic_seed < 0:
+        raise PPOConfigError("critic_seed must be >= 0")
     anchor = generator.clone()
     actor = GaussianActor(generator, log_std_init=log_std_init)
     critic = Critic(generator.spec.history_len * generator.obs_dim, seed=critic_seed)

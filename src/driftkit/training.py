@@ -4,6 +4,7 @@ EMA shadow parameters, gradient clipping and CSV metrics."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,10 @@ class TrainConfig:
             raise TrainConfigError("betas must lie in (0, 1)")
         if not (0.0 < self.ema_decay < 1.0):
             raise TrainConfigError("ema_decay must lie in (0, 1)")
+        if not (0.0 <= self.ema_power < math.inf):
+            raise TrainConfigError("ema_power must be finite and >= 0")
+        if self.seed < 0:
+            raise TrainConfigError("seed must be >= 0")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise TrainConfigError("learning_rate and weight_decay must be >= 0")
         if self.grad_clip <= 0:

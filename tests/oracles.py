@@ -396,7 +396,9 @@ def evaluate_policy_loop(env_factory, actor: GaussianActor, episodes: int,
     spawned from ``seed``.  Each decision's micro-step rewards are summed by
     ``step_prefix``, and the decision totals are summed into the episode
     total.  Returns the report, the number of decisions made, and every
-    episode's finished env.
+    episode's finished env.  ``deploy_action`` runs the generator's batch-1
+    workspace kernel, and ``evaluate_policy`` batched ``row_matmul`` rows, so
+    equal reports also pin those two kernels to each other.
     """
     probe = env_factory()
     streams = np.random.SeedSequence(seed).spawn(episodes)

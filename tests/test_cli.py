@@ -139,6 +139,31 @@ BAD_SETTINGS = [
     ("synth", {"synth.samples_per_condition": 0},
      "modes, conditions and samples_per_condition must be >= 1"),
     ("synth", {"chunk.action_dim": 3}, "point-mass actions are planar (action_dim must be 2)"),
+    # a negative seed is rejected by the seed's owner, before numpy's seeding
+    ("synth", {"synth.seed": -1}, "seed and warmup_max must be >= 0"),
+    ("train", {"data.path": None, "train.seed": -1}, "seed must be >= 0"),
+    ("train", {"data.path": None, "model.init_seed": -1}, "generator init seed must be >= 0"),
+    ("finetune", {"ppo.seed": -1}, "seed must be >= 0"),
+    ("finetune", {"ppo.critic_seed": -1}, "critic_seed must be >= 0"),
+    ("eval", {"eval.seed": -1}, "eval.seed must be >= 0"),
+    ("eval", {"eval.policy": "scripted", "eval.seed": -1}, "eval.seed must be >= 0"),
+    ("synth", {"synth.warmup_max": -1}, "seed and warmup_max must be >= 0"),
+    ("train", {"data.path": None, "train.ema_power": -1e308}, "ema_power must be finite and >= 0"),
+    # JSON's NaN and Infinity never reach a float setting
+    ("train", {"data.path": None, "train.grad_clip": float("nan")},
+     "config key 'train.grad_clip' expects a finite float, got nan"),
+    ("finetune", {"ppo.log_std_init": float("nan")},
+     "config key 'ppo.log_std_init' expects a finite float, got nan"),
+    ("finetune", {"ppo.log_std_init": float("inf")},
+     "config key 'ppo.log_std_init' expects a finite float, got inf"),
+    ("finetune", {"ppo.actor_lr": -float("inf")},
+     "config key 'ppo.actor_lr' expects a finite float, got -inf"),
+    ("train", {"data.path": None, "train.learning_rate": 10**400},
+     f"config key 'train.learning_rate' expects a finite float, got {10**400}"),
+    ("train", {"data.path": None, "drift.temperatures": [0.2, float("inf")]},
+     "temperatures must be positive and finite"),
+    ("train", {"data.path": None, "drift.temperatures": [float("nan")]},
+     "temperatures must be positive and finite"),
 ]
 
 
@@ -367,6 +392,10 @@ CORRUPT_INPUTS = [
     ("dataset-meta-five-modes-two-signs-eval", "eval", "dataset_meta.json", _with("modes", 5),
      lambda path, text: f"dataset metadata {path}: key 'modes' is 5, "
                         "but 'mode_signs' holds 2 values"),
+    # a sign is read as a float list, whose items its owner checks
+    ("dataset-meta-nan-sign-eval", "eval", "dataset_meta.json",
+     _with("mode_signs", [float("nan"), 1.0]),
+     lambda path, text: f"dataset metadata {path}: key 'mode_signs' holds a non-finite value"),
     ("dataset-obs-inf-eval", "eval", "dataset.csv", _in_first_record("obs_0", "inf"),
      lambda path, text: f"dataset {path} line 2: obs_0 is inf, not finite"),
     ("dataset-expert-nan-train", "train", "dataset.csv", _in_first_record("act_3", "nan"),

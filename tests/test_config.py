@@ -6,11 +6,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 
 import pytest
 
-from driftkit.config import (CHUNK_KEYS, DRIFT_KEYS, FINETUNE_KEYS, MODEL_KEYS, SYNTH_KEYS,
-                             TRAIN_KEYS, ConfigError, fields_of, resolve_config)
+from driftkit.config import (CHUNK_KEYS, COMMAND_KEYS, DRIFT_KEYS, FINETUNE_KEYS, MODEL_KEYS,
+                             SYNTH_KEYS, TRAIN_KEYS, ConfigError, fields_of, resolve_config)
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
 from driftkit.generator import ChunkSpec, Generator
@@ -81,3 +82,17 @@ def test_values_are_coerced_to_the_field_kind():
 def test_unknown_keys_and_wrong_kinds_are_rejected(command, raw):
     with pytest.raises(ConfigError):
         resolve_config(raw, command)
+
+
+FLOAT_KEYS = sorted({(command, key) for command, table in COMMAND_KEYS.items()
+                     for key, (kind, _) in table.items() if kind is float})
+
+
+@pytest.mark.parametrize("command, key", FLOAT_KEYS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+def test_every_float_key_rejects_a_non_finite_value(command, key, bad):
+    # JSON's NaN and Infinity parse as floats, and an int past the float range
+    # would overflow; every float key names itself and asks for a finite float
+    with pytest.raises(ConfigError, match=rf"key '{key}' expects a finite float"):
+        resolve_config({key: bad}, command)
+    assert resolve_config({key: 0.5}, command)[key] == 0.5

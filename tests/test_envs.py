@@ -305,6 +305,21 @@ def test_synthesis_is_bitwise_deterministic():
     assert np.array_equal(a.modes, b.modes)
 
 
+@pytest.mark.parametrize("setting", [{"seed": -1}, {"warmup_max": -1}])
+def test_synthesis_rejects_a_negative_seed_or_warm_up_bound(setting):
+    with pytest.raises(EnvError, match=r"seed and warmup_max must be >= 0"):
+        synth_multimodal(conditions=3, **setting)
+
+
+def test_zero_warm_up_starts_every_condition_at_rest():
+    # warmup_max = 0 is allowed: every history is T_o copies of the start
+    # state, with no past action
+    ds = synth_multimodal(conditions=6, warmup_max=0, seed=1)
+    obs = ds.observations
+    assert np.array_equal(obs, np.repeat(obs[:, :1], obs.shape[1], axis=1))
+    assert not obs[..., 4:].any()
+
+
 def test_chunks_respect_action_bounds():
     ds = synth_multimodal(modes=3, conditions=20, samples_per_condition=2,
                           noise=0.3, seed=2)

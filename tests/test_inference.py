@@ -5,6 +5,8 @@ tape's finiteness contract."""
 
 from __future__ import annotations
 
+import cProfile
+import pstats
 import warnings
 
 import numpy as np
@@ -229,8 +231,8 @@ def test_deployment_rejects_a_latent_of_the_wrong_size_before_counting():
 # every dense layer, and the paths that evaluate it
 OVERFLOW_CASES = ([(layer, path) for layer in ("obs", "lat", "trunk1", "trunk2", "head")
                    for path in ("Generator.evaluate", "GaussianActor.evaluate", "deploy_action",
-                                "evaluate_policy", "Generator.forward")]
-                  + [("scale", "GaussianActor.evaluate")]
+                                "evaluate_policy", "Generator.forward", "GaussianActor.decide")]
+                  + [("scale", "GaussianActor.evaluate"), ("scale", "GaussianActor.decide")]
                   + [(layer, path) for layer in ("v1", "v2", "v3")
                      for path in ("Critic.evaluate", "Critic.forward")])
 
@@ -262,6 +264,7 @@ def test_every_layer_overflow_raises_without_a_warning(layer, path):
         "Generator.evaluate": lambda: gen.evaluate(obs, z),
         "GaussianActor.evaluate": lambda: actor.evaluate(obs, z),
         "deploy_action": lambda: actor.deploy_action(obs[0].reshape(2, 6), z[0]),
+        "GaussianActor.decide": lambda: actor.decide(obs[0], z[0]),
         # the env's own observations and latents: these seeds overflow the
         # input layers at the first control step
         "evaluate_policy": lambda: evaluate_policy(
@@ -282,3 +285,150 @@ def test_critic_value_rejects_non_finite_input():
     obs[0, 0] = np.nan
     with pytest.raises(AutodiffError):
         critic.evaluate(obs)
+
+
+# -- the batch-1 workspace kernel ------------------------------------------
+
+
+@pytest.mark.parametrize("fan_in, fan_out", BENCH_LAYERS + [
+    (k, m) for k in (1, 3, 5, 7) for _, m in BENCH_LAYERS])
+@settings(max_examples=10, deadline=None)
+@given(offset=st.integers(min_value=0, max_value=9), seed=seeds, scale=scales)
+def test_one_dimensional_product_equals_the_kernel_row(fan_in, fan_out, offset, seed, scale):
+    # the workspace's layer: a 1-D input segment times the weight, written
+    # into a segment of a longer buffer, has the bits of a row_matmul row
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
+    buffer = scale * rng.standard_normal(offset + fan_in + 2)
+    x = buffer[offset:offset + fan_in]
+    out = np.full(offset + fan_out + 3, np.nan)
+    np.matmul(x, w, out=out[offset:offset + fan_out])
+    assert out[offset:offset + fan_out].tobytes() == row_matmul(x[None], w)[0].tobytes()
+
+
+def generate_via_evaluate(gen: Generator, obs_hist, z) -> np.ndarray:
+    """The batch-1 decision as one row of :meth:`Generator.evaluate`, with its
+    input handling: the reference for :meth:`Generator.generate`."""
+    chunk, _ = gen.evaluate(gen._flatten_obs(obs_hist),
+                            np.asarray(z, dtype=np.float64).reshape(1, -1))
+    return chunk[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.sampled_from([1, 2, 8, 17, 64]), obs_dim=st.integers(1, 6),
+       latent_dim=st.integers(1, 11), history=st.integers(1, 3),
+       horizon=st.integers(3, 8), batch=st.integers(1, 12), seed=seeds, scale=scales)
+def test_generate_equals_its_row_of_a_batched_evaluation(hidden, obs_dim, latent_dim, history,
+                                                         horizon, batch, seed, scale):
+    spec = ChunkSpec(horizon=horizon, action_dim=2, history_len=history, exec_len=1)
+    gen = Generator(spec, obs_dim=obs_dim, latent_dim=latent_dim, hidden_dim=hidden,
+                    seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    # biases away from 0, so every layer's add matters
+    gen.params.load({name: arr if name.endswith("_w") else rng.normal(size=arr.shape)
+                     for name, arr in gen.params.arrays().items()})
+    obs = scale * rng.standard_normal((batch, history * obs_dim))
+    z = rng.standard_normal((batch, latent_dim))
+    chunks, _ = gen.evaluate(obs, z)
+    for i in range(batch):
+        one = gen.generate(obs[i].reshape(history, obs_dim), z[i])
+        assert one.tobytes() == chunks[i].tobytes()
+    assert gen.nfe_count == 2 * batch
+
+
+@PROPERTY
+@given(batch=batches, seed=seeds, scale=scales)
+def test_collection_query_equals_its_row_of_the_actor_evaluation(batch, seed, scale):
+    actor = make_actor(seed % 1000)
+    obs, z, _ = rows(seed, batch, scale)
+    out, _ = actor.evaluate(obs, z)
+    for i in range(batch):
+        mean, log_std = actor.decide(obs[i], z[i])
+        assert mean.shape == log_std.shape == (SPEC.chunk_dim,)
+        assert mean.tobytes() == out.mean[i].tobytes()
+        assert log_std.tobytes() == out.log_std[i].tobytes()
+    assert actor.generator.nfe_count == 2 * batch
+
+
+def bad_decision_inputs():
+    """(observation history, latent) pairs that a batch-1 decision rejects."""
+    obs, z, _ = rows(0, 2, 1.0)
+    nan_obs, inf_z = obs[0].copy(), z[0].copy()
+    nan_obs[2] = np.nan
+    inf_z[1] = -np.inf
+    return [(nan_obs, z[0]), (obs[0], inf_z), (nan_obs, inf_z), (obs, z[0]), (obs, z),
+            (obs[0], z[0, :-1]), (obs[0, :-1], z[0]), (obs[0, :-1], z[0, :-1]),
+            (np.zeros(0), z[0]), (obs[0], np.zeros((1, LATENT_DIM + 1)))]
+
+
+@pytest.mark.parametrize("case", range(len(bad_decision_inputs())))
+@pytest.mark.parametrize("path", ["generate", "decide"])
+def test_a_rejected_decision_raises_the_batched_message_and_does_not_count(case, path):
+    actor = make_actor(0)
+    gen = actor.generator
+    obs, z = bad_decision_inputs()[case]
+    with pytest.raises((AutodiffError, SpecError)) as want:
+        generate_via_evaluate(make_actor(0).generator, obs, z)
+    run = gen.generate if path == "generate" else actor.decide
+    with pytest.raises(want.type) as got:
+        run(obs, z)
+    assert str(got.value) == str(want.value)
+    assert gen.nfe_count == 0
+
+
+def test_a_returned_chunk_is_a_copy_that_the_next_decision_leaves_alone():
+    actor = make_actor(3)
+    obs, z, _ = rows(3, 2, 1.0)
+    first = actor.deploy_action(obs[0], z[0])
+    kept = first.copy()
+    mean, log_std = actor.decide(obs[0], z[0])
+    for out in (first, mean, log_std):
+        assert not np.shares_memory(out, actor.generator.workspace.pre)
+    second = actor.deploy_action(obs[1], z[1])
+    actor.decide(obs[1], z[1])
+    assert first.tobytes() == kept.tobytes() == mean.tobytes()
+    assert second.tobytes() != kept.tobytes()
+
+
+def test_a_parameter_load_is_seen_by_the_next_decision():
+    actor = make_actor(4)
+    gen = actor.generator
+    obs, z, _ = rows(4, 1, 1.0)
+    before = gen.generate(obs[0], z[0])
+    arrays = gen.params.arrays()
+    arrays["head_b"] = arrays["head_b"] + 1.0
+    arrays["trunk2_w"] = -arrays["trunk2_w"]
+    gen.params.load(arrays)
+    after = gen.generate(obs[0], z[0])
+    assert after.tobytes() != before.tobytes()
+    assert after.tobytes() == generate_via_evaluate(gen, obs[0], z[0]).tobytes()
+
+
+def test_a_clone_decides_like_the_original_in_its_own_workspace():
+    gen = make_actor(5).generator
+    twin = gen.clone()
+    obs, z, _ = rows(5, 3, 2.0)
+    for i in range(3):
+        assert twin.generate(obs[i], z[i]).tobytes() == gen.generate(obs[i], z[i]).tobytes()
+    for buffer in ("x", "pre", "act"):
+        assert not np.shares_memory(getattr(twin.workspace, buffer),
+                                    getattr(gen.workspace, buffer))
+    assert not np.shares_memory(twin.workspace.pre, gen.params.data.vector)
+
+
+def test_a_decision_call_count_repeats():
+    # a deterministic cost counter: cProfile's total calls of a warmed-up
+    # batch-1 decision are the same on every call (21 when written; 80 before
+    # the workspace kernel)
+    actor = make_actor(6)
+    obs, z, _ = rows(6, 1, 1.0)
+    for _ in range(3):
+        actor.deploy_action(obs[0], z[0])
+    counts = []
+    for _ in range(2):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        actor.deploy_action(obs[0], z[0])
+        profiler.disable()
+        counts.append(pstats.Stats(profiler).total_calls)
+    assert counts[0] == counts[1]

@@ -189,6 +189,19 @@ def test_loss_finite_throughout_default_config():
     assert all(np.isfinite(m["grad_norm"]) for m in result.metrics)
 
 
+@pytest.mark.parametrize("power", [-1e308, -0.5, np.nan, np.inf])
+def test_ema_power_must_be_finite_and_non_negative(power):
+    with pytest.raises(TrainConfigError, match=r"ema_power must be finite and >= 0"):
+        TrainConfig(ema_power=power)
+
+
+def test_ema_ramp_stays_in_range_at_the_ends_of_the_power_range():
+    # power 0 holds the ramp at 1, so the decay is the configured one; a huge
+    # finite power takes the ramp to 0 without an overflow
+    assert ema_decay_at(3, 0.99, TrainConfig(ema_power=0.0).ema_power) == 0.99
+    assert ema_decay_at(3, 0.99, TrainConfig(ema_power=1e308).ema_power) == 0.0
+
+
 def test_empty_dataset_rejected():
     ds = toy_dataset()
     ds.observations = ds.observations[:0]
