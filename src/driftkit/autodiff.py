@@ -348,11 +348,17 @@ def tmean(a, axis=None):
 
 
 def clip(a, lo: float, hi: float):
-    """Clamp to [lo, hi]; gradient is 1 strictly inside and 0 at or past the bounds."""
+    """Clamp to [lo, hi]; gradient is 1 strictly inside and 0 at or past the bounds.
+
+    The clamp is ``np.minimum(np.maximum(a, lo), hi)``, which skips
+    ``np.clip``'s Python wrapper.  With no zero bound its bits are
+    ``np.clip``'s, NaN and infinities included.  At a zero bound the sign of
+    a zero may differ: ``np.clip(-0.0, 0.0, 1.0)`` is -0.0, this clamp +0.0.
+    """
     if not isinstance(a, Tensor):
-        return np.clip(a, lo, hi)
+        return np.minimum(np.maximum(a, lo), hi)
     ad = a.data
-    data = np.clip(ad, lo, hi)
+    data = np.minimum(np.maximum(ad, lo), hi)
 
     def bw(g):
         inside = (ad > lo) & (ad < hi)

@@ -3,7 +3,9 @@
 One document stores the chunk geometry, network dimensions, flat parameter
 arrays, and optionally the EMA shadow, optimizer state, rng state, the
 Stage-2 scale head and the critic.  Keys are sorted and floats use repr, so
-identical state serializes to identical bytes.  Loading checks every field
+identical state serializes to identical bytes.  The file is the compact
+``json.dump(doc, sort_keys=True)`` text and a newline, written one entry at
+a time through the C encoder (:func:`_write`).  Loading checks every field
 that a restore reads, with :func:`driftkit.generator.read_keys`, and decodes
 each packed array once.
 """
@@ -22,6 +24,9 @@ from .generator import Generator, SpecError, read_json_object, read_keys, read_s
 from .ppo import Critic
 
 FORMAT_VERSION = 1
+
+# ``encode`` runs the C encoder; ``json.dump`` never does, it iterates in Python
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _pack(arrays: dict[str, np.ndarray]) -> dict:
@@ -42,6 +47,22 @@ def _unpack(doc: dict, key: str, where: str) -> None:
         arr = packed[name] = np.reshape(data, shape)
         if not np.isfinite(arr).all():
             raise SpecError(f"{where}{key.split('.')[0]} parameter {name} is not finite")
+
+
+def _write(fh, obj) -> None:
+    """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True, separators=(",", ":"))``
+    does, encoding one value below a string-keyed dict at a time, so only one
+    packed array's text is held at once.  Any other value, an empty dict or
+    one with a non-string key included, goes to the encoder whole."""
+    if not (isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj)):
+        fh.write(_encode(obj))
+        return
+    sep = "{"
+    for key in sorted(obj):
+        fh.write(f"{sep}{_encode(key)}:")
+        _write(fh, obj[key])
+        sep = ","
+    fh.write("}")
 
 
 def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
@@ -81,7 +102,7 @@ def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            _write(fh, doc)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

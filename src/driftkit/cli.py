@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 3 numerical abort, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -183,8 +182,7 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         try:
-            with open(Path(args.out) / "abort_dump.json", "w") as fh:
-                json.dump(exc.dump, fh, indent=2, sort_keys=True)
+            write_json(Path(args.out) / "abort_dump.json", exc.dump)
         except OSError:
             pass
         return EXIT_NUMERIC

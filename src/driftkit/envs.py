@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import clip
 from .generator import (ChunkSpec, Generator, SpecError, read_json_object, read_keys,
                         read_spec, write_json)
 
@@ -30,13 +31,8 @@ SCRIPTED_GAIN = 3.0
 
 
 class EnvError(ValueError):
-    """Invalid environment settings: an unknown reward mode or non-planar actions."""
-
-
-def _clip(x, lo: float, hi: float) -> np.ndarray:
-    """``np.clip(x, lo, hi)`` without numpy's Python wrapper: its ufunc is
-    defined as this pair, NaN propagation included, so the bits are clip's."""
-    return np.minimum(np.maximum(x, lo), hi)
+    """Invalid environment or synthesis settings: an unknown reward mode,
+    non-planar actions, a negative seed or warm-up, a gain out of range."""
 
 
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
@@ -92,8 +88,8 @@ class VecPointMassEnv:
         if self.done[rows].any():
             raise RuntimeError("step after episode end")
         n = rows.size
-        actions = _clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
-                        -1.0, 1.0)
+        actions = clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
+                       -1.0, 1.0)
         h_e = actions.shape[1]
         hist = self.history[rows]
         goal = np.repeat(hist[:, -1:, 2:4], h_e, axis=1)
@@ -177,14 +173,14 @@ def plan(pos: np.ndarray, steps: int, controller) -> tuple[np.ndarray, np.ndarra
     positions = np.empty_like(actions)
     for k in range(steps):
         a = actions[:, k] = controller(pos, k)
-        pos = positions[:, k] = _clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
+        pos = positions[:, k] = clip(pos + a * DT, -ARENA_HALF_WIDTH, ARENA_HALF_WIDTH)
     return actions, positions
 
 
 def scripted_action(pos: np.ndarray, goal: np.ndarray,
                     gain: float = SCRIPTED_GAIN) -> np.ndarray:
     """Straight-to-goal proportional controller, the optimal baseline."""
-    return _clip(gain * (goal - pos), -1.0, 1.0)
+    return clip(gain * (goal - pos), -1.0, 1.0)
 
 
 def scripted_chunks(obs: np.ndarray, spec: ChunkSpec) -> np.ndarray:
@@ -223,6 +219,9 @@ def mode_signs(n_modes: int) -> np.ndarray:
 
 
 MODE_SPEED_CAP = 0.6
+# far past the gain at which every approach runs at the speed cap; a larger
+# one overflows the approach speed
+MODE_GAIN_MAX = 1e6
 
 
 def mode_action(pos: np.ndarray, goal: np.ndarray, step: int, signs: np.ndarray,
@@ -243,7 +242,7 @@ def mode_action(pos: np.ndarray, goal: np.ndarray, step: int, signs: np.ndarray,
     base = base * (MODE_SPEED_CAP / np.maximum(speed, MODE_SPEED_CAP))
     perp = np.stack([-direction[:, 1], direction[:, 0]], axis=1)
     swing = swing_amp * np.sin(np.pi * (step + 1) / (swing_len + 1)) if step < swing_len else 0.0
-    action = _clip(base + (signs * swing)[:, None] * perp, -1.0, 1.0)
+    action = clip(base + (signs * swing)[:, None] * perp, -1.0, 1.0)
     return np.where(at_rest, np.zeros(ACTION_DIM), action)
 
 
@@ -271,6 +270,8 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
     if seed < 0 or warmup_max < 0:
         raise EnvError("seed and warmup_max must be >= 0")
+    if not 0.0 < gain <= MODE_GAIN_MAX:
+        raise EnvError(f"gain must lie in (0, {MODE_GAIN_MAX:g}]")
     spec = spec or ChunkSpec()
     if spec.action_dim != ACTION_DIM:
         raise SpecError("point-mass actions are planar (action_dim must be 2)")
@@ -315,7 +316,7 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
     }
     return ImitationDataset(
         observations=obs,
-        chunks=_clip(chunks, -1.0, 1.0),
+        chunks=clip(chunks, -1.0, 1.0),
         modes=np.asarray(sample_modes, dtype=np.int64),
         spec=spec,
         metadata=metadata,
@@ -398,6 +399,9 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
                         f"but 'mode_signs' holds {len(checked['mode_signs'])} values")
     if not np.isfinite(checked["mode_signs"]).all():
         raise SpecError(f"{where}key 'mode_signs' holds a non-finite value")
+    if not 0.0 < checked["gain"] <= MODE_GAIN_MAX:
+        raise SpecError(f"{where}key 'gain' is {checked['gain']!r}, "
+                        f"outside (0, {MODE_GAIN_MAX:g}]")
     obs_shape = (spec.history_len, metadata["obs_dim"])
     width = obs_shape[0] * obs_shape[1]
     with open(csv_path, newline="") as fh:

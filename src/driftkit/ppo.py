@@ -278,7 +278,7 @@ def ppo_objective(out: ActorOutput, values: np.ndarray, frozen: np.ndarray,
     prefix = out.spec.exec_slice()
     logp = prefix_log_prob(exec_actions, out)
     ratio = ppo_ratio(logp, old_log_probs)
-    unclipped, clipped = ratio * advantages, np.clip(ratio, lo, hi) * advantages
+    unclipped, clipped = ratio * advantages, clip(ratio, lo, hi) * advantages
     surrogate = np.minimum(unclipped, clipped).mean()
     err = values - returns
     value_loss = 0.5 * square(err).mean()

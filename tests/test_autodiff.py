@@ -178,6 +178,28 @@ def test_clip_boundary_gradient_is_zero():
     np.testing.assert_array_equal(grads[x], [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
+CLIP_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308]
+CLIP_BOUNDS = [(-5.0, 1.0), (-40.0, 40.0), (0.8, 1.2), (-1.0, 1.0)]
+NONZERO = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from(CLIP_SPECIALS) | st.floats(), min_size=1, max_size=32),
+       bounds=st.sampled_from(CLIP_BOUNDS) | st.tuples(NONZERO, NONZERO).map(sorted)
+       | st.tuples(st.sampled_from([0.0, -0.0]), NONZERO).map(sorted))
+def test_clip_has_np_clip_bits_unless_a_bound_is_zero(values, bounds):
+    lo, hi = bounds
+    x = np.array(values)
+    got, want = ad.clip(x, lo, hi), np.clip(x, lo, hi)
+    if lo and hi:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # the same values; only the sign of a zero may differ
+        np.testing.assert_array_equal(got, want)
+    # one clip with a zero bound where they do differ
+    assert np.signbit(np.clip(-0.0, 0.0, 1.0)) and not np.signbit(ad.clip(-0.0, 0.0, 1.0))
+
+
 def test_concat_roundtrip_gradients():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.full((2, 3), 2.0), requires_grad=True)

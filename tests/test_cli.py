@@ -10,11 +10,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftkit
 from driftkit import cli
 from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
 from driftkit.cli import EXIT_NUMERIC, main
+from driftkit.config import COMMAND_KEYS
 from driftkit.envs import PointMassEnv, load_dataset
 from driftkit.generator import Generator
 from driftkit.ppo import evaluate_policy
@@ -83,7 +86,10 @@ def test_numerical_blow_up_exits_3_with_abort_dump(tmp_path, capsys):
     code, out = train_dir(tmp_path, data, extra={"train.learning_rate": 1e300})
     assert code == 3
     assert "numerical abort: step 2" in capsys.readouterr().err
-    dump = json.loads((out / "abort_dump.json").read_text())
+    text = (out / "abort_dump.json").read_text()
+    # written like every other indented file, with a final newline
+    assert text.endswith("}\n")
+    dump = json.loads(text)
     assert dump["step"] == 2
     assert sorted(dump["minibatch_indices"]) == list(range(24))
     assert not (out / "checkpoint_final.json").exists()
@@ -148,6 +154,9 @@ BAD_SETTINGS = [
     ("eval", {"eval.seed": -1}, "eval.seed must be >= 0"),
     ("eval", {"eval.policy": "scripted", "eval.seed": -1}, "eval.seed must be >= 0"),
     ("synth", {"synth.warmup_max": -1}, "seed and warmup_max must be >= 0"),
+    # found by the settings property below: the approach speed overflowed
+    ("synth", {"synth.gain": 1e308}, "gain must lie in (0, 1e+06]"),
+    ("synth", {"synth.gain": -1e308}, "gain must lie in (0, 1e+06]"),
     ("train", {"data.path": None, "train.ema_power": -1e308}, "ema_power must be finite and >= 0"),
     # JSON's NaN and Infinity never reach a float setting
     ("train", {"data.path": None, "train.grad_clip": float("nan")},
@@ -189,6 +198,51 @@ def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, monkeypatch, ti
     # a bad coverage count is rejected before the evaluation runs any episode
     if "eval.dataset" in payload:
         assert not evaluations
+
+
+# Typed value pools for the settings property: a key draws from its kind's pool.
+SETTING_POOLS = {
+    int: [-1, 0, 1, 3],
+    float: [0.0, -1.0, 1e308, -1e308, 1e-320, float("nan"), float("inf"), -float("inf")],
+    str: ["", "x"],
+    bool: [False, True],
+    tuple[float, ...]: [[], [0.7], [0.02, 0.05, 0.2], [0.0], [-1.0], [1e-320]],
+}
+
+# A tiny run of each command, which the property changes one or two keys of;
+# every size key is already small, and the int pool keeps it so.
+TINY_RUNS = {
+    "synth": {"synth.conditions": 2, **TINY_CHUNK},
+    "train": {"train.steps": 2, "model.latent_dim": 4, "model.hidden_dim": 8,
+              "drift.temperatures": [0.7]},
+    "eval": {"eval.episodes": 1, "eval.coverage_samples": 2, "eval.coverage_conditions": 2,
+             **TINY_CHUNK},
+    "finetune": {"ppo.iterations": 1, "ppo.rollout_length": 4, "ppo.minibatch_size": 4,
+                 "ppo.update_epochs": 1},
+}
+
+
+@st.composite
+def setting_changes(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    table = COMMAND_KEYS[command]
+    keys = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=2, unique=True))
+    return command, {key: draw(st.sampled_from(SETTING_POOLS[table[key][0]])) for key in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(change=setting_changes())
+def test_any_setting_exits_with_a_driftkit_code(tmp_path_factory, tiny_data, tiny_checkpoint,
+                                                change):
+    command, payload = change
+    run = tmp_path_factory.mktemp("run")
+    paths = {"train": {"data.path": str(tiny_data / "dataset.csv")},
+             "eval": {"checkpoint.path": tiny_checkpoint},
+             "finetune": {"checkpoint.path": tiny_checkpoint}}.get(command, {})
+    cfg = write_config(run / "c.json", {**paths, **TINY_RUNS[command], **payload})
+    code = main([command, "--config", cfg, "--out", str(run / "o")])
+    assert code in (0, 2, 3, 4)
+    assert (run / "o" / "abort_dump.json").exists() == (code == EXIT_NUMERIC)
 
 
 def driftkit_error_classes():
@@ -388,6 +442,9 @@ CORRUPT_INPUTS = [
      lambda path, text: f"dataset metadata {path}: no key 'chunk_spec.exec_len'"),
     ("dataset-meta-no-gain-eval", "eval", "dataset_meta.json", _without("gain"),
      lambda path, text: f"dataset metadata {path}: no key 'gain'"),
+    # coverage replans the mode centres with the synthesis gain, as synth checks it
+    ("dataset-meta-huge-gain-eval", "eval", "dataset_meta.json", _with("gain", 1e308),
+     lambda path, text: f"dataset metadata {path}: key 'gain' is 1e+308, outside (0, 1e+06]"),
     # coverage scores against one centre per sign, so the mode count must match them
     ("dataset-meta-five-modes-two-signs-eval", "eval", "dataset_meta.json", _with("modes", 5),
      lambda path, text: f"dataset metadata {path}: key 'modes' is 5, "

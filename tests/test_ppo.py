@@ -4,6 +4,7 @@ surrogate arithmetic, anchor behavior, and the full-objective gradient."""
 from __future__ import annotations
 
 import cProfile
+import gc
 import math
 import pstats
 
@@ -326,12 +327,17 @@ class ProfiledGenerator(np.random.Generator):
 
 
 def profiled_calls(fn) -> pstats.Stats:
+    """cProfile's stats of ``fn()``; the cycle collector, which can run other
+    objects' Python finalizers inside it, is held off."""
+    gc.collect()
+    gc.disable()
     profiler = cProfile.Profile()
     profiler.enable()
     try:
         fn()
     finally:
         profiler.disable()
+        gc.enable()
     return pstats.Stats(profiler)
 
 
