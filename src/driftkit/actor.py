@@ -11,11 +11,12 @@ ops that take either backend: :meth:`GaussianActor.forward` yields tape
 tensors, :meth:`GaussianActor.evaluate` plain arrays (the PPO update), and
 :func:`prefix_log_prob` of either output has bitwise-equal values.  Rollout
 collection queries one row at a time through :meth:`GaussianActor.decide`,
-the backbone's batch-1 workspace kernel, with the same bits as the row's
-:meth:`GaussianActor.evaluate`.  The PPO update differentiates without the tape:
-:meth:`GaussianActor.evaluate` also keeps the backbone's activations and the
-pre-clip log-scale, and :meth:`GaussianActor.backward` carries dL/d(mean) and
-dL/d(log_std) through the head and the backbone.
+the backbone's batch-1 workspace kernel (:meth:`Generator.generate`), with
+the same bits as the row's :meth:`GaussianActor.evaluate`.  The PPO update
+differentiates without the tape: :meth:`GaussianActor.evaluate` also keeps
+the backbone's activations and the pre-clip log-scale, and
+:meth:`GaussianActor.backward` carries dL/d(mean) and dL/d(log_std) through
+the head and the backbone.
 """
 
 from __future__ import annotations
@@ -112,10 +113,10 @@ class GaussianActor:
     @np.errstate(over="ignore", invalid="ignore")
     def decide(self, obs_hist: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (D,) mean and clipped log-scale of one row through the backbone's
-        batch-1 kernel (:meth:`Generator.decide`), with the scale head on its
+        batch-1 kernel (:meth:`Generator.generate`), with the scale head on its
         workspace's feature: rollout collection's query, with the row's
         :meth:`evaluate` bits and no activations kept."""
-        mean = self.generator.decide(obs_hist, z).copy()
+        mean = self.generator.generate(obs_hist, z)
         feat = self.generator.workspace.feat[None]
         return mean, clip(self.head.linear(feat, "scale")[0], *self.log_std_bounds)
 

@@ -18,14 +18,13 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import AutodiffError
-from .config import SEED_KEY, ConfigError, fields_of, load_config
-from .drift import DriftConfig, DriftConfigError
-from .envs import (EnvError, PointMassEnv, SpecError, load_dataset, mode_coverage,
-                   save_dataset, scripted_chunks, synth_multimodal)
-from .generator import ChunkSpec, Generator, write_json
-from .ppo import (FINETUNE_METRICS_HEADER, PPOConfig, PPOConfigError, evaluate_policy,
-                  finetune, run_episodes)
-from .training import NumericalAbort, TrainConfig, TrainConfigError, train, write_metrics_csv
+from .config import SEED_KEY, fields_of, load_config
+from .drift import DriftConfig
+from .envs import (PointMassEnv, load_dataset, mode_coverage, save_dataset, scripted_chunks,
+                   synth_multimodal)
+from .generator import ChunkSpec, Generator, SpecError, write_json
+from .ppo import FINETUNE_METRICS_HEADER, PPOConfig, evaluate_policy, finetune, run_episodes
+from .training import NumericalAbort, TrainConfig, train, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,14 +36,14 @@ def _setup_logging() -> None:
     level = os.environ.get("DRIFTKIT_LOG", "info").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level not in levels:
-        raise ConfigError(f"DRIFTKIT_LOG must be one of {sorted(levels)}")
+        raise SpecError(f"DRIFTKIT_LOG must be one of {sorted(levels)}")
     logging.basicConfig(level=levels[level], format="%(levelname)s %(message)s")
 
 
 def _require(cfg: dict, key: str) -> str:
     value = cfg.get(key)
     if not value:
-        raise ConfigError(f"config key {key!r} is required")
+        raise SpecError(f"config key {key!r} is required")
     return value
 
 
@@ -83,15 +82,15 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
     episodes = cfg["eval.episodes"] if episodes_override is None else episodes_override
-    seed = cfg["eval.seed"]
+    seed, policy = cfg["eval.seed"], cfg["eval.policy"]
     if seed < 0:
-        raise ConfigError("eval.seed must be >= 0")
-    if cfg["eval.policy"] == "scripted":
+        raise SpecError("eval.seed must be >= 0")
+    if policy == "scripted":
         spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
         report = run_episodes(spec, cfg["eval.reward_mode"], episodes, seed,
                               lambda obs, active: scripted_chunks(obs, spec))
         report.update(nfe_violations=None, policy="scripted")
-    elif cfg["eval.policy"] == "checkpoint":
+    elif policy == "checkpoint":
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
         actor = ckpt.restore_actor(doc, use_ema=cfg["eval.use_ema"])
         coverage = {}
@@ -102,7 +101,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
             if cfg["eval.dataset"]:
                 for key in ("eval.coverage_samples", "eval.coverage_conditions"):
                     if cfg[key] < 1:
-                        raise ConfigError(f"{key} must be >= 1")
+                        raise SpecError(f"{key} must be >= 1")
                 data_path = Path(cfg["eval.dataset"])
                 dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
                 coverage["mode_coverage"] = mode_coverage(
@@ -122,7 +121,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         report["nfe_per_decision"] = 1.0 if report["nfe_violations"] == 0 else None
         report["wall_clock_per_decision_ms"] = 1e3 * elapsed / decisions
     else:
-        raise ConfigError(f"eval.policy must be 'checkpoint' or 'scripted'")
+        raise SpecError(f"eval.policy must be 'checkpoint' or 'scripted', got {policy!r}")
     write_json(out / "report.json", report)
     print(f"eval: episodes={episodes} success_rate={report.get('success_rate')} "
           f"mean_return={report.get('mean_return')}")
@@ -175,8 +174,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, out, args.episodes)
         return cmd_finetune(cfg, out)
-    except (ConfigError, DriftConfigError, EnvError, PPOConfigError, SpecError,
-            TrainConfigError) as exc:
+    except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:

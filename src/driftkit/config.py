@@ -20,7 +20,7 @@ import typing
 
 from .drift import DriftConfig
 from .envs import synth_multimodal
-from .generator import ChunkSpec, Generator, read_json_object, typed
+from .generator import ChunkSpec, Generator, SpecError, read_json_object, typed
 from .ppo import PPOConfig, finetune
 from .training import TrainConfig
 
@@ -84,10 +84,6 @@ SEED_KEY = {"synth": "synth.seed", "train": "train.seed", "eval": "eval.seed",
             "finetune": "ppo.seed"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def load_config(path, command: str) -> dict:
     """Read, validate against the command's key table, and fill defaults."""
     return resolve_config(read_json_object(path, "config"), command)
@@ -96,14 +92,14 @@ def load_config(path, command: str) -> dict:
 def resolve_config(raw: dict, command: str) -> dict:
     table = COMMAND_KEYS.get(command)
     if table is None:
-        raise ConfigError(f"unknown command {command!r}")
+        raise SpecError(f"unknown command {command!r}")
     unknown = sorted(set(raw) - set(table))
     if unknown:
-        raise ConfigError(f"unknown config keys for {command!r}: {unknown}")
+        raise SpecError(f"unknown config keys for {command!r}: {unknown}")
     resolved = {}
     for key, (kind, default) in table.items():
         if key in raw and raw[key] is not None:
-            resolved[key] = typed(raw[key], kind, key, "config ", ConfigError)
+            resolved[key] = typed(raw[key], kind, key, "config ")
         else:
             resolved[key] = default
     return resolved

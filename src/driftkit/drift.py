@@ -34,15 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import check_finite
+from .generator import SpecError
 
 DEFAULT_TEMPERATURES = (0.2,)
 MULTISCALE_TEMPERATURES = (0.02, 0.05, 0.2)
 
 LOSS_MODES = ("chunk", "step_wise")
-
-
-class DriftConfigError(ValueError):
-    """Invalid drift-field configuration or pool construction."""
 
 
 @dataclass(frozen=True)
@@ -57,17 +54,17 @@ class DriftConfig:
 
     def __post_init__(self):
         if self.hypothesis_count < 1:
-            raise DriftConfigError("hypothesis_count must be positive")
+            raise SpecError("hypothesis_count must be positive")
         if not self.temperatures:
-            raise DriftConfigError("at least one temperature required")
+            raise SpecError("at least one temperature required")
         if not all(0.0 < t < math.inf for t in self.temperatures):
-            raise DriftConfigError("temperatures must be positive and finite")
+            raise SpecError("temperatures must be positive and finite")
         if len(set(self.temperatures)) != len(self.temperatures):
-            raise DriftConfigError("temperatures must be distinct")
+            raise SpecError("temperatures must be distinct")
         if self.scale_floor <= 0 or self.force_floor <= 0:
-            raise DriftConfigError("floors must be positive")
+            raise SpecError("floors must be positive")
         if self.loss_mode not in LOSS_MODES:
-            raise DriftConfigError(f"loss_mode must be one of {LOSS_MODES}")
+            raise SpecError(f"loss_mode must be one of {LOSS_MODES}")
 
 
 def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray) -> np.ndarray:
@@ -75,13 +72,13 @@ def build_reference_pool(hypotheses: np.ndarray, positives: np.ndarray) -> np.nd
     (B, G + C_p, S) reference array, hypotheses first."""
     det = np.asarray(hypotheses, dtype=np.float64)
     if det.ndim != 3:
-        raise DriftConfigError(f"hypotheses must be (B, G, S), got {det.shape}")
+        raise SpecError(f"hypotheses must be (B, G, S), got {det.shape}")
     b, _, s = det.shape
     positives = np.asarray(positives, dtype=np.float64)
     if positives.ndim != 3 or positives.shape[0] != b or positives.shape[2] != s:
-        raise DriftConfigError(f"positives must be (B, C_p, S), got {positives.shape}")
+        raise SpecError(f"positives must be (B, C_p, S), got {positives.shape}")
     if positives.shape[1] < 1:
-        raise DriftConfigError("positive reference set must be non-empty")
+        raise SpecError("positive reference set must be non-empty")
     return np.concatenate([det, positives], axis=1)
 
 
@@ -153,10 +150,9 @@ def displacements(detached: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """The (U, G, ..., B, W) displacements refs - hypotheses from every
     (G, ..., B, W) hypothesis to every (U, ..., B, W) reference."""
     if detached.ndim < 3 or refs.ndim != detached.ndim:
-        raise DriftConfigError("displacements expects (G, ..., B, W) and (U, ..., B, W)")
+        raise SpecError("displacements expects (G, ..., B, W) and (U, ..., B, W)")
     if detached.shape[1:] != refs.shape[1:]:
-        raise DriftConfigError(
-            f"batch/space mismatch: {detached.shape} vs {refs.shape}")
+        raise SpecError(f"batch/space mismatch: {detached.shape} vs {refs.shape}")
     return refs[:, None] - detached[None]
 
 
@@ -288,7 +284,7 @@ def fixed_point_loss(values: np.ndarray, target: np.ndarray,
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != target.shape:
-        raise DriftConfigError(f"values {values.shape} vs target {target.shape}")
+        raise SpecError(f"values {values.shape} vs target {target.shape}")
     check_finite(target, "drift target")
     check_finite(np.asarray(scale, dtype=np.float64), "drift scale")
     resid = values / scale - target
@@ -315,9 +311,9 @@ def drift_loss(values: np.ndarray, positives: np.ndarray, config: DriftConfig,
     b, g, s = hypotheses.shape
     width = s if config.loss_mode == "chunk" else slice_width
     if width is None or width < 1:
-        raise DriftConfigError("step_wise mode requires a positive slice_width")
+        raise SpecError("step_wise mode requires a positive slice_width")
     if s % width != 0:
-        raise DriftConfigError(f"chunk width {s} is not a multiple of slice width {width}")
+        raise SpecError(f"chunk width {s} is not a multiple of slice width {width}")
 
     def split(x: np.ndarray) -> np.ndarray:
         """(B, C, S) -> the (K, B, C, width) view of a C-order (C, K, B, width)

@@ -30,11 +30,6 @@ MIN_START_DISTANCE = 0.4
 SCRIPTED_GAIN = 3.0
 
 
-class EnvError(ValueError):
-    """Invalid environment or synthesis settings: an unknown reward mode,
-    non-planar actions, a negative seed or warm-up, a gain out of range."""
-
-
 def _observe(pos: np.ndarray, goal: np.ndarray, last_action: np.ndarray) -> np.ndarray:
     return np.concatenate([pos, goal, last_action], axis=-1)
 
@@ -54,9 +49,9 @@ class VecPointMassEnv:
 
     def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
         if reward_mode not in ("dense", "sparse"):
-            raise EnvError(f"unknown reward mode {reward_mode!r}")
+            raise SpecError(f"unknown reward mode {reward_mode!r}")
         if spec.action_dim != ACTION_DIM:
-            raise EnvError("point-mass actions are planar (action_dim must be 2)")
+            raise SpecError("point-mass actions are planar (action_dim must be 2)")
         self.spec = spec
         self.reward_mode = reward_mode
         self.reset([])
@@ -269,9 +264,9 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
     if min(modes, conditions, samples_per_condition) < 1:
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
     if seed < 0 or warmup_max < 0:
-        raise EnvError("seed and warmup_max must be >= 0")
+        raise SpecError("seed and warmup_max must be >= 0")
     if not 0.0 < gain <= MODE_GAIN_MAX:
-        raise EnvError(f"gain must lie in (0, {MODE_GAIN_MAX:g}]")
+        raise SpecError(f"gain must lie in (0, {MODE_GAIN_MAX:g}]")
     spec = spec or ChunkSpec()
     if spec.action_dim != ACTION_DIM:
         raise SpecError("point-mass actions are planar (action_dim must be 2)")

@@ -17,10 +17,10 @@ nothing, and :meth:`Generator.backward` is the backbone's reverse pass
 written out, each product in the tape's order, so its gradients equal the
 tape's bitwise.
 
-A batch-1 decision (:meth:`Generator.decide`, :meth:`Generator.generate`)
-runs the same layers through the generator's :class:`Workspace`, with two
-finiteness checks, not seven, and the bits of its row of a batched
-:meth:`Generator.evaluate` (``tests/test_inference.py``).
+A batch-1 decision (:meth:`Generator.generate`) runs the same layers
+through the generator's :class:`Workspace`, with two finiteness checks, not
+seven, and the bits of its row of a batched :meth:`Generator.evaluate`
+(``tests/test_inference.py``).
 
 The JSON helpers at the end of the module own the format of every JSON file:
 configs, checkpoints and dataset metadata are read through one typed reader
@@ -41,7 +41,10 @@ from .autodiff import Tensor, affine, check_finite, concat, matmul, tanh
 
 
 class SpecError(ValueError):
-    """Invalid chunk geometry or generator configuration, or a malformed input file."""
+    """The one error for a rejected setting, input file or argument, in every
+    module: bad geometry or configuration, a malformed config, checkpoint or
+    dataset, an input of the wrong shape.  The CLI prints it as ``config
+    error: ...`` and exits 2; a non-finite value is ``AutodiffError`` instead."""
 
 
 @dataclass(frozen=True)
@@ -313,10 +316,9 @@ class Generator:
     """The one-step backbone f(obs_hist, z) -> flattened action chunk.
 
     ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
-    :meth:`evaluate` call on B rows adds B, a :meth:`decide` (or
-    :meth:`generate`) call adds 1, and a call that rejects its inputs adds
-    nothing.  The deployment and evaluation loops check one evaluation per
-    decision against it.
+    :meth:`evaluate` call on B rows adds B, a :meth:`generate` call adds 1,
+    and a call that rejects its inputs adds nothing.  The deployment and
+    evaluation loops check one evaluation per decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -368,6 +370,14 @@ class Generator:
         ``AutodiffError`` too, as the tape would, and without a warning: the
         call's one error-state scope covers every layer.
         """
+        obs_flat, z = self._checked(obs_flat, z)
+        self.nfe_count += obs_flat.shape[0]
+        return _backbone(self.params, obs_flat, z)
+
+    def _checked(self, obs_flat, z) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, T_o * d_o) observation and (B, C) latent as float64 arrays:
+        the checks of :meth:`evaluate`, and of :meth:`generate` once its own
+        fail, so every message comes from here."""
         obs_flat = np.asarray(obs_flat, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         width = self.spec.history_len * self.obs_dim
@@ -379,8 +389,7 @@ class Generator:
                             f"expected {(obs_flat.shape[0], self.latent_dim)}")
         check_finite(obs_flat, "observation input")
         check_finite(z, "latent input")
-        self.nfe_count += obs_flat.shape[0]
-        return _backbone(self.params, obs_flat, z)
+        return obs_flat, z
 
     @np.errstate(over="ignore", invalid="ignore")
     def backward(self, acts: tuple, d_chunk: np.ndarray,
@@ -409,34 +418,26 @@ class Generator:
 
     @np.errstate(over="ignore", invalid="ignore")
     def generate(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Deterministic single-pass chunk for one observation history: a copy
-        of :meth:`decide`'s, under one error-state scope."""
-        return self.decide(obs_hist, z).copy()
+        """Deterministic single-pass chunk for one observation history: one
+        network evaluation of one row through :attr:`workspace`, under one
+        error-state scope, with the observation feature left in
+        ``workspace.feat`` until the next call.
 
-    def decide(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """One network evaluation of one row through :attr:`workspace`: the
-        chunk as a view of it, valid until the next call, with the observation
-        feature in ``workspace.feat``.  Runs in its caller's error-state scope.
-
-        The inputs are checked as :meth:`evaluate` checks one row, with its
-        messages, before the evaluation counts; the bits are the row's
+        The inputs are checked as :meth:`evaluate` checks one row, by its own
+        checks, before the evaluation counts; the bits are the row's
         :meth:`evaluate` bits (``tests/test_inference.py``).
         """
         ws = self.workspace
         obs = np.asarray(obs_hist, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         if obs.size != ws.obs.size or z.size != ws.z.size:
-            # evaluate's message for the observation's rows and a one-row latent
-            rows = self._flatten_obs(obs).shape[0]
-            raise SpecError(f"latent input has shape {(1, z.size)}, "
-                            f"expected {(rows, self.latent_dim)}")
+            self._checked(self._flatten_obs(obs), z.reshape(1, -1))  # raises
         ws.obs[...] = obs.reshape(-1)
         ws.z[...] = z.reshape(-1)
         if not np.isfinite(ws.x).all():
-            check_finite(ws.obs, "observation input")
-            check_finite(ws.z, "latent input")
+            self._checked(ws.obs[None], ws.z[None])  # raises
         self.nfe_count += 1
-        return ws.run()
+        return ws.run().copy()
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs_hist, dtype=np.float64)
@@ -496,15 +497,16 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def typed(value, kind, key: str, where: str, error=SpecError):
+def typed(value, kind, key: str, where: str):
     """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
     number, an int never from a bool), or as ``tuple[X, ...]`` (``tuple[X, X]``)
     from a list of ``X`` values (of that length).  Anything else raises
-    ``error("<where>key '<key>' expects <kind>, got <value>")``.
+    ``SpecError("<where>key '<key>' expects <kind>, got <value>")``.
 
     A float must be finite: JSON's ``NaN`` and ``Infinity`` (which Python's
-    reader accepts), or an int past the float range, raise ``error("<where>key
-    '<key>' expects a finite float, got <value>")``; no key needs an infinity.
+    reader accepts), or an int past the float range, raise
+    ``SpecError("<where>key '<key>' expects a finite float, got <value>")``; no
+    key needs an infinity.
     A list's items are left to its owner, which names the bad entry (a
     checkpoint names the parameter)."""
     items = typing.get_args(kind)
@@ -517,8 +519,8 @@ def typed(value, kind, key: str, where: str, error=SpecError):
             return value
         if abs(value) <= sys.float_info.max:  # false for NaN, too for an int past the range
             return float(value)
-        raise error(f"{where}key {key!r} expects a finite float, got {value!r}")
-    raise error(f"{where}key {key!r} expects {kind.__name__}, got {value!r}")
+        raise SpecError(f"{where}key {key!r} expects a finite float, got {value!r}")
+    raise SpecError(f"{where}key {key!r} expects {kind.__name__}, got {value!r}")
 
 
 def read_keys(doc: dict, kinds: dict, where: str) -> dict:

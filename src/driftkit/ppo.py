@@ -33,7 +33,8 @@ from .autodiff import backward, matmul  # noqa: F401 -- patch points of the benc
 from .actor import (DEFAULT_LOG_STD_INIT, ActorOutput, GaussianActor, prefix_entropy,
                     prefix_log_prob, sample_gaussian)
 from .envs import EPISODE_CAP, PointMassEnv, VecPointMassEnv
-from .generator import ChunkSpec, Dense, Flat, Generator, executed_prefix, tanh_grad
+from .generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
+                        tanh_grad)
 from .training import AdamW, NumericalAbort
 
 RATIO_LOG_CLAMP = 40.0
@@ -42,10 +43,6 @@ log = logging.getLogger(__name__)
 
 FINETUNE_METRICS_HEADER = ("iter", "mean_return", "clip_frac", "ratio_mean",
                            "value_loss", "entropy", "anchor_loss")
-
-
-class PPOConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,20 +64,20 @@ class PPOConfig:
 
     def __post_init__(self):
         if not (0.0 < self.clip < 1.0):
-            raise PPOConfigError("clip must lie in (0, 1)")
+            raise SpecError("clip must lie in (0, 1)")
         if not (0.0 < self.gamma <= 1.0):
-            raise PPOConfigError("gamma must lie in (0, 1]")
+            raise SpecError("gamma must lie in (0, 1]")
         if not (0.0 <= self.gae_lambda <= 1.0):
-            raise PPOConfigError("gae_lambda must lie in [0, 1]")
+            raise SpecError("gae_lambda must lie in [0, 1]")
         for name in ("value_weight", "entropy_weight", "anchor_weight"):
             if getattr(self, name) < 0:
-                raise PPOConfigError(f"{name} must be >= 0")
+                raise SpecError(f"{name} must be >= 0")
         if min(self.rollout_length, self.update_epochs, self.iterations) < 0:
-            raise PPOConfigError("rollout_length, update_epochs and iterations must be >= 0")
+            raise SpecError("rollout_length, update_epochs and iterations must be >= 0")
         if self.minibatch_size < 1:
-            raise PPOConfigError("minibatch_size must be positive")
+            raise SpecError("minibatch_size must be positive")
         if self.seed < 0:
-            raise PPOConfigError("seed must be >= 0")
+            raise SpecError("seed must be >= 0")
 
 
 class Critic:
@@ -351,7 +348,7 @@ def ppo_update(buffer: RolloutBuffer, actor: GaussianActor, critic: Critic,
     schedule of ``config.anchor_weight``).
     """
     if buffer.advantages is None:
-        raise PPOConfigError("buffer advantages missing; run compute_gae first")
+        raise SpecError("buffer advantages missing; run compute_gae first")
     n = len(buffer)
     if n == 0 or config.update_epochs == 0:
         return UpdateStats()
@@ -396,7 +393,7 @@ def finetune(generator: Generator, config: PPOConfig, reward_mode: str = "sparse
     whose dump names the iteration.  Returns the actor, the critic and one
     ``FINETUNE_METRICS_HEADER`` row per iteration."""
     if critic_seed < 0:
-        raise PPOConfigError("critic_seed must be >= 0")
+        raise SpecError("critic_seed must be >= 0")
     anchor = generator.clone()
     actor = GaussianActor(generator, log_std_init=log_std_init)
     critic = Critic(generator.spec.history_len * generator.obs_dim, seed=critic_seed)
@@ -439,7 +436,7 @@ def run_episodes(spec: ChunkSpec, reward_mode: str, episodes: int, seed: int,
     return and success rate.
     """
     if episodes < 0:
-        raise PPOConfigError("episodes must be >= 0")
+        raise SpecError("episodes must be >= 0")
     envs = VecPointMassEnv(spec, reward_mode)
     obs = envs.reset([seed + e for e in range(episodes)])
     returns = np.zeros(episodes)

@@ -12,13 +12,9 @@ import numpy as np
 from .autodiff import AutodiffError
 from .autodiff import backward  # noqa: F401 -- patch point of the bench/spans.py tracer
 from .drift import DriftConfig, drift_loss
-from .generator import Dense, Flat, Generator, sample_hypotheses
+from .generator import Dense, Flat, Generator, SpecError, sample_hypotheses
 
 METRICS_HEADER = ("step", "loss", "grad_norm", "s_norm", "lr")
-
-
-class TrainConfigError(ValueError):
-    pass
 
 
 class NumericalAbort(RuntimeError):
@@ -49,23 +45,23 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise TrainConfigError("batch_size must be positive")
+            raise SpecError("batch_size must be positive")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise TrainConfigError("betas must lie in (0, 1)")
+            raise SpecError("betas must lie in (0, 1)")
         if not (0.0 < self.ema_decay < 1.0):
-            raise TrainConfigError("ema_decay must lie in (0, 1)")
+            raise SpecError("ema_decay must lie in (0, 1)")
         if not (0.0 <= self.ema_power < math.inf):
-            raise TrainConfigError("ema_power must be finite and >= 0")
+            raise SpecError("ema_power must be finite and >= 0")
         if self.seed < 0:
-            raise TrainConfigError("seed must be >= 0")
+            raise SpecError("seed must be >= 0")
         if self.learning_rate < 0 or self.weight_decay < 0:
-            raise TrainConfigError("learning_rate and weight_decay must be >= 0")
+            raise SpecError("learning_rate and weight_decay must be >= 0")
         if self.grad_clip <= 0:
-            raise TrainConfigError("grad_clip must be positive")
+            raise SpecError("grad_clip must be positive")
         if self.epochs < 0 or self.checkpoint_every < 0:
-            raise TrainConfigError("epochs and checkpoint_every must be >= 0")
+            raise SpecError("epochs and checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 0:
-            raise TrainConfigError("steps must be >= 0")
+            raise SpecError("steps must be >= 0")
 
 
 def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
@@ -80,7 +76,7 @@ def grad_clip(grads: Flat, max_norm: float) -> tuple[Flat, float]:
     direction preserved.  The squares are summed leaf by leaf in parameter
     order, then the vector is rescaled with one multiply."""
     if max_norm <= 0:
-        raise TrainConfigError("max_norm must be positive")
+        raise SpecError("max_norm must be positive")
     total = 0.0
     for g in grads.values():
         total += float(np.square(g).sum())
@@ -181,8 +177,7 @@ def ema_update(shadow: Flat, params: Dense, step: int, decay: float, power: floa
     """Move the shadow of ``params`` toward them in place, ``d*s + (1-d)*p``
     with the ramped decay ``d``, as one vector pass."""
     if shadow.layout != params.data.layout:
-        raise TrainConfigError(f"ema layout {shadow.layout} does not match "
-                               f"{params.data.layout}")
+        raise SpecError(f"ema layout {shadow.layout} does not match {params.data.layout}")
     d = ema_decay_at(step, decay, power)
     shadow.vector *= d
     shadow.vector += (1.0 - d) * params.data.vector
@@ -230,7 +225,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     chunks = np.asarray(dataset.chunks, dtype=np.float64)
     n = obs.shape[0]
     if n == 0:
-        raise TrainConfigError("dataset is empty")
+        raise SpecError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     opt = AdamW(generator.params.keys(), lr=config.learning_rate,
                 beta1=config.beta1, beta2=config.beta2,
@@ -275,7 +270,8 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
 
 
 def write_metrics_csv(path, rows, header=METRICS_HEADER) -> None:
-    """Append-only CSV with repr-formatted floats so reruns are byte-identical."""
+    """Write ``path`` afresh: the ``header`` line, then one line per row, with
+    repr-formatted floats so reruns are byte-identical."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -50,13 +50,13 @@ import numpy as np
 from driftkit import envs
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob, sample_gaussian
 from driftkit.autodiff import Tensor, backward, check_finite, square
-from driftkit.drift import (DriftConfig, DriftConfigError, DriftFieldTensors,
-                            build_reference_pool, compute_drift_field)
+from driftkit.drift import (DriftConfig, DriftFieldTensors, build_reference_pool,
+                            compute_drift_field)
 from driftkit.envs import MIN_START_DISTANCE, OBS_DIM
 from driftkit.generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
                                 sample_latents)
 from driftkit.ppo import Critic, RolloutBuffer, anchor_loss, clipped_surrogate, ppo_ratio
-from driftkit.training import TrainConfigError, ema_decay_at
+from driftkit.training import ema_decay_at
 
 
 def softmax_rows(values: list[float]) -> list[float]:
@@ -175,9 +175,9 @@ def as_built_pairwise_distances(detached: np.ndarray, refs: np.ndarray) -> np.nd
     detached = np.asarray(detached, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
     if detached.ndim < 3 or refs.ndim != detached.ndim:
-        raise DriftConfigError("pairwise_distances expects (..., B, G, S) and (..., B, U, S)")
+        raise SpecError("pairwise_distances expects (..., B, G, S) and (..., B, U, S)")
     if detached.shape[:-2] != refs.shape[:-2] or detached.shape[-1] != refs.shape[-1]:
-        raise DriftConfigError(
+        raise SpecError(
             f"batch/space mismatch: {detached.shape} vs {refs.shape}")
     diff = detached[..., :, None, :] - refs[..., None, :, :]
     return np.sqrt(np.square(diff).sum(axis=-1))
@@ -666,7 +666,7 @@ def tape_fixed_point_loss(values: Tensor, target: np.ndarray, scale: float | np.
     detached hypotheses plus the drift.
     """
     if values.shape != target.shape:
-        raise DriftConfigError(f"values {values.shape} vs target {target.shape}")
+        raise SpecError(f"values {values.shape} vs target {target.shape}")
     return square(values / scale - Tensor(target)).mean()
 
 
@@ -688,9 +688,9 @@ def tape_drift_loss(values: Tensor, positives: np.ndarray, config: DriftConfig,
     b, g, s = hypotheses.shape
     width = s if config.loss_mode == "chunk" else slice_width
     if width is None or width < 1:
-        raise DriftConfigError("step_wise mode requires a positive slice_width")
+        raise SpecError("step_wise mode requires a positive slice_width")
     if s % width != 0:
-        raise DriftConfigError(f"chunk width {s} is not a multiple of slice width {width}")
+        raise SpecError(f"chunk width {s} is not a multiple of slice width {width}")
 
     def split(x: np.ndarray) -> np.ndarray:
         """(B, C, S) -> (K, B, C, width) in C order, so that each slice's sums add
@@ -768,7 +768,7 @@ def grad_clip_per_name(grads: dict[str, np.ndarray],
                        max_norm: float) -> tuple[dict[str, np.ndarray], float]:
     """Rescale so the global norm is at most max_norm; direction preserved."""
     if max_norm <= 0:
-        raise TrainConfigError("max_norm must be positive")
+        raise SpecError("max_norm must be positive")
     total = 0.0
     for g in grads.values():
         total += float(np.square(g).sum())
@@ -833,6 +833,6 @@ def ema_update_per_name(shadow: dict[str, np.ndarray], params: dict[str, Tensor]
     for name, p in params.items():
         s = shadow[name]
         if s.shape != p.data.shape:
-            raise TrainConfigError(f"ema shape mismatch for {name}")
+            raise SpecError(f"ema shape mismatch for {name}")
         out[name] = d * s + (1.0 - d) * p.data
     return out

@@ -11,10 +11,10 @@ import math
 import pytest
 
 from driftkit.config import (CHUNK_KEYS, COMMAND_KEYS, DRIFT_KEYS, FINETUNE_KEYS, MODEL_KEYS,
-                             SYNTH_KEYS, TRAIN_KEYS, ConfigError, fields_of, resolve_config)
+                             SYNTH_KEYS, TRAIN_KEYS, fields_of, resolve_config)
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
-from driftkit.generator import ChunkSpec, Generator
+from driftkit.generator import ChunkSpec, Generator, SpecError
 from driftkit.ppo import PPOConfig
 from driftkit.training import TrainConfig
 
@@ -80,7 +80,7 @@ def test_values_are_coerced_to_the_field_kind():
     ("synth", {"chunk.horizon": "16"}),
 ])
 def test_unknown_keys_and_wrong_kinds_are_rejected(command, raw):
-    with pytest.raises(ConfigError):
+    with pytest.raises(SpecError):
         resolve_config(raw, command)
 
 
@@ -93,6 +93,6 @@ FLOAT_KEYS = sorted({(command, key) for command, table in COMMAND_KEYS.items()
 def test_every_float_key_rejects_a_non_finite_value(command, key, bad):
     # JSON's NaN and Infinity parse as floats, and an int past the float range
     # would overflow; every float key names itself and asks for a finite float
-    with pytest.raises(ConfigError, match=rf"key '{key}' expects a finite float"):
+    with pytest.raises(SpecError, match=rf"key '{key}' expects a finite float"):
         resolve_config({key: bad}, command)
     assert resolve_config({key: 0.5}, command)[key] == 0.5

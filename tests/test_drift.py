@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit.autodiff import Tensor, backward
-from driftkit.drift import (DriftConfig, DriftConfigError, MULTISCALE_TEMPERATURES,
+from driftkit.drift import (DriftConfig, MULTISCALE_TEMPERATURES,
                             aggregate_and_target, balanced_coefficients,
                             build_reference_pool, compute_drift_field, displacements,
                             fixed_point_loss, drift_loss, global_scale,
                             pairwise_distances, per_scale_force, rms_normalize,
                             symmetric_affinity)
+from driftkit.generator import SpecError
 
 from .oracles import (as_built_per_scale_force, drift_field_as_built, drift_field_loops,
                       finite_diff, tape_fixed_point_loss)
@@ -78,7 +79,7 @@ def test_distances_match_loop_oracle():
 
 
 def test_distance_shape_mismatch():
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         displacements(pool_first(np.zeros((1, 2, 3))), pool_first(np.zeros((2, 2, 3))))
 
 
@@ -143,7 +144,7 @@ def test_coefficients_zero_side_gives_zero():
 def test_coefficients_empty_positive_side_rejected():
     # the coefficients' positive side is the pool's positives, which the pool
     # requires to be non-empty
-    with pytest.raises(DriftConfigError, match="positive reference set must be non-empty"):
+    with pytest.raises(SpecError, match="positive reference set must be non-empty"):
         build_reference_pool(np.ones((2, 3, 4)), np.ones((2, 0, 4)))
 
 
@@ -300,7 +301,7 @@ def test_loss_gradient_matches_finite_differences_with_fixed_target():
 
 
 def test_loss_shape_mismatch_rejected():
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         fixed_point_loss(np.zeros((1, 1, 2)), np.zeros((1, 1, 3)), 1.0)
 
 
@@ -469,18 +470,18 @@ def test_step_wise_requires_slice_width():
     rng = np.random.default_rng(8)
     values = rng.normal(size=(1, 2, 4))
     config = DriftConfig(hypothesis_count=2, loss_mode="step_wise")
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         drift_loss(values, rng.normal(size=(1, 1, 4)), config)
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         drift_loss(values, rng.normal(size=(1, 1, 4)), config, slice_width=3)
 
 
 def test_hypotheses_must_be_3d():
     rng = np.random.default_rng(9)
     pos = rng.normal(size=(1, 1, 4))
-    with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
+    with pytest.raises(SpecError, match=r"hypotheses must be \(B, G, S\)"):
         build_reference_pool(rng.normal(size=(2, 4)), pos)
-    with pytest.raises(DriftConfigError, match=r"hypotheses must be \(B, G, S\)"):
+    with pytest.raises(SpecError, match=r"hypotheses must be \(B, G, S\)"):
         drift_loss(rng.normal(size=(1, 2, 2, 4)), pos, DriftConfig(hypothesis_count=2))
 
 
@@ -544,13 +545,13 @@ def test_property_chunk_mode_is_bitwise_the_3d_pipeline(seed, b, g, s, temperatu
 
 
 def test_config_validation():
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         DriftConfig(hypothesis_count=0)
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         DriftConfig(temperatures=())
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         DriftConfig(temperatures=(0.2, 0.2))
-    with pytest.raises(DriftConfigError):
+    with pytest.raises(SpecError):
         DriftConfig(loss_mode="other")
 
 

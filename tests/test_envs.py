@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftkit import envs
-from driftkit.envs import (DT, OBS_DIM, EnvError, ImitationDataset, PointMassEnv,
+from driftkit.envs import (DT, OBS_DIM, ImitationDataset, PointMassEnv,
                            VecPointMassEnv, load_dataset, mode_action, mode_centers,
                            mode_coverage, save_dataset, scripted_action, scripted_chunks,
                            synth_multimodal)
@@ -112,7 +112,7 @@ def test_step_after_done_raises(monkeypatch):
     env.micro_step(np.zeros(2))
     with pytest.raises(RuntimeError, match="step after episode end") as info:
         env.micro_step(np.zeros(2))
-    assert not isinstance(info.value, EnvError)
+    assert not isinstance(info.value, SpecError)
 
 
 def test_out_of_bounds_actions_are_clipped():
@@ -268,9 +268,9 @@ def test_env_before_its_first_reset_counts_as_ended():
 
 
 def test_vector_env_rejects_the_settings_the_single_env_rejects():
-    with pytest.raises(EnvError):
+    with pytest.raises(SpecError):
         VecPointMassEnv(SPEC, reward_mode="bogus")
-    with pytest.raises(EnvError):
+    with pytest.raises(SpecError):
         VecPointMassEnv(ChunkSpec(horizon=4, action_dim=3, history_len=1, exec_len=2))
 
 
@@ -307,7 +307,7 @@ def test_synthesis_is_bitwise_deterministic():
 
 @pytest.mark.parametrize("setting", [{"seed": -1}, {"warmup_max": -1}])
 def test_synthesis_rejects_a_negative_seed_or_warm_up_bound(setting):
-    with pytest.raises(EnvError, match=r"seed and warmup_max must be >= 0"):
+    with pytest.raises(SpecError, match=r"seed and warmup_max must be >= 0"):
         synth_multimodal(conditions=3, **setting)
 
 

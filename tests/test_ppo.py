@@ -17,8 +17,8 @@ from driftkit import ppo
 from driftkit.actor import GaussianActor, prefix_entropy, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, backward
 from driftkit.envs import EPISODE_CAP, PointMassEnv, scripted_chunks, synth_multimodal
-from driftkit.generator import ChunkSpec, Generator
-from driftkit.ppo import (Critic, PPOConfig, PPOConfigError, RolloutBuffer,
+from driftkit.generator import ChunkSpec, Generator, SpecError
+from driftkit.ppo import (Critic, PPOConfig, RolloutBuffer,
                           anchor_loss, clipped_surrogate, collect_rollouts,
                           compute_gae, finetune, ppo_minibatch, ppo_update, evaluate_policy,
                           ppo_ratio, run_episodes)
@@ -361,7 +361,7 @@ def test_evaluation_of_no_episodes_reports_nothing_and_negative_counts_are_rejec
     report = evaluate_policy(steering_env_factory("dense"), steering_actor(), 0, 1)
     assert report == {"episodes": 0, "mean_return": None, "success_rate": None,
                       "nfe_violations": 0}
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         evaluate_policy(steering_env_factory("dense"), steering_actor(), -1, 1)
 
 
@@ -625,13 +625,13 @@ def test_finetune_keeps_its_optimizers_across_iterations(monkeypatch):
 
 
 def test_ppo_config_validation():
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         PPOConfig(clip=0.0)
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         PPOConfig(gamma=0.0)
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         PPOConfig(gae_lambda=1.5)
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         PPOConfig(anchor_weight=-1.0)
-    with pytest.raises(PPOConfigError):
+    with pytest.raises(SpecError):
         PPOConfig(iterations=-3)

@@ -9,8 +9,8 @@ import pytest
 from driftkit.autodiff import AutodiffError, backward, clip, matmul
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
-from driftkit.generator import ChunkSpec, Dense, Flat, Generator
-from driftkit.training import (AdamW, NumericalAbort, TrainConfig, TrainConfigError,
+from driftkit.generator import ChunkSpec, Dense, Flat, Generator, SpecError
+from driftkit.training import (AdamW, NumericalAbort, TrainConfig,
                                ema_decay_at, ema_update, grad_clip, train, warmup_lr)
 
 from .oracles import leaf_grads
@@ -149,7 +149,7 @@ def test_ema_converges_monotonically_to_constant_params():
 
 def test_ema_shape_mismatch_rejected():
     params = bundle(w=np.zeros((2, 2)))
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         ema_update(Flat.of({"w": np.zeros(3)}), params, 0, 0.9999, 0.75)
 
 
@@ -191,7 +191,7 @@ def test_loss_finite_throughout_default_config():
 
 @pytest.mark.parametrize("power", [-1e308, -0.5, np.nan, np.inf])
 def test_ema_power_must_be_finite_and_non_negative(power):
-    with pytest.raises(TrainConfigError, match=r"ema_power must be finite and >= 0"):
+    with pytest.raises(SpecError, match=r"ema_power must be finite and >= 0"):
         TrainConfig(ema_power=power)
 
 
@@ -206,7 +206,7 @@ def test_empty_dataset_rejected():
     ds = toy_dataset()
     ds.observations = ds.observations[:0]
     ds.chunks = ds.chunks[:0]
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         train(ds, tiny_generator(), DriftConfig(), TrainConfig(steps=1))
 
 
@@ -244,15 +244,15 @@ def test_nonfinite_loss_aborts_with_dump():
 
 
 def test_config_validation():
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         TrainConfig(batch_size=0)
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         TrainConfig(beta1=1.0)
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         TrainConfig(ema_decay=0.0)
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         TrainConfig(grad_clip=0.0)
-    with pytest.raises(TrainConfigError):
+    with pytest.raises(SpecError):
         TrainConfig(checkpoint_every=-5)
 
 
