@@ -31,7 +31,7 @@ from .generator import ChunkSpec, Dense, Flat, Generator, SpecError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-DEFAULT_LOG_STD_BOUNDS = (-5.0, 1.0)
+LOG_STD_BOUNDS = (-5.0, 1.0)
 DEFAULT_LOG_STD_INIT = float(np.log(0.15))
 
 
@@ -51,13 +51,8 @@ class ActorOutput:
 class GaussianActor:
     """Backbone mean + clipped state-conditioned log-scale head."""
 
-    def __init__(self, generator: Generator, log_std_init: float = DEFAULT_LOG_STD_INIT,
-                 log_std_bounds: tuple[float, float] = DEFAULT_LOG_STD_BOUNDS):
-        lo, hi = log_std_bounds
-        if not lo < hi:
-            raise SpecError("log_std bounds must satisfy lo < hi")
+    def __init__(self, generator: Generator, log_std_init: float = DEFAULT_LOG_STD_INIT):
         self.generator = generator
-        self.log_std_bounds = (float(lo), float(hi))
         d = generator.spec.chunk_dim
         self.head = Dense("actor head", {
             "scale_w": np.zeros((generator.hidden_dim, d)),
@@ -76,7 +71,7 @@ class GaussianActor:
     def forward(self, obs_flat: Tensor, z: Tensor) -> ActorOutput:
         """One backbone evaluation yielding mean and clipped log-scale."""
         mean, feat = self.generator.forward(obs_flat, z)
-        log_std = clip(self.head.linear(feat, "scale"), *self.log_std_bounds)
+        log_std = clip(self.head.linear(feat, "scale"), *LOG_STD_BOUNDS)
         return ActorOutput(mean=mean, log_std=log_std, spec=self.spec)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -87,7 +82,7 @@ class GaussianActor:
         (:meth:`Generator.evaluate`) and the log-scale before its clip."""
         mean, acts = self.generator.evaluate(obs_flat, z)
         pre_log_std = self.head.linear(acts[2], "scale")
-        log_std = clip(pre_log_std, *self.log_std_bounds)
+        log_std = clip(pre_log_std, *LOG_STD_BOUNDS)
         return ActorOutput(mean=mean, log_std=log_std, spec=self.spec), (acts, pre_log_std)
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -103,7 +98,7 @@ class GaussianActor:
         holds a NaN or an infinity.
         """
         backbone, pre_log_std = acts
-        lo, hi = self.log_std_bounds
+        lo, hi = LOG_STD_BOUNDS
         d_pre = d_log_std * ((pre_log_std > lo) & (pre_log_std < hi))
         head_grads = {}
         d_feat = self.head.backward(head_grads, "scale", backbone[2], d_pre)
@@ -118,7 +113,7 @@ class GaussianActor:
         :meth:`evaluate` bits and no activations kept."""
         mean = self.generator.generate(obs_hist, z)
         feat = self.generator.workspace.feat[None]
-        return mean, clip(self.head.linear(feat, "scale")[0], *self.log_std_bounds)
+        return mean, clip(self.head.linear(feat, "scale")[0], *LOG_STD_BOUNDS)
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""

@@ -25,12 +25,14 @@ from .ppo import Critic
 
 FORMAT_VERSION = 1
 
-# ``encode`` runs the C encoder; ``json.dump`` never does, it iterates in Python
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# ``encode`` runs the C encoder; ``json.dump`` never does, it iterates in Python.
+# An array is turned into its list of floats only as it is written.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           default=np.ndarray.tolist).encode
 
 
 def _pack(arrays: dict[str, np.ndarray]) -> dict:
-    return {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    return {name: {"shape": list(arr.shape), "data": arr.reshape(-1)}
             for name, arr in arrays.items()}
 
 
@@ -79,7 +81,7 @@ def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
         "obs_dim": generator.obs_dim,
         "latent_dim": generator.latent_dim,
         "hidden_dim": generator.hidden_dim,
-        "params": _pack(generator.params.arrays()),
+        "params": _pack(generator.params.data),
     }
     if ema_params is not None:
         doc["ema_params"] = _pack(ema_params)
@@ -88,15 +90,12 @@ def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
     if optimizer_state is not None:
         doc["optimizer"] = optimizer_state
     if actor is not None:
-        doc["actor_head"] = {
-            "params": _pack(actor.head.arrays()),
-            "log_std_bounds": list(actor.log_std_bounds),
-        }
+        doc["actor_head"] = {"params": _pack(actor.head.data)}
     if critic is not None:
         doc["critic"] = {
             "input_dim": critic.input_dim,
             "hidden_dim": critic.hidden_dim,
-            "params": _pack(critic.params.arrays()),
+            "params": _pack(critic.params.data),
         }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -127,7 +126,6 @@ def load_checkpoint(path) -> dict:
     if "ema_params" in doc:
         _unpack(doc, "ema_params", where)
     if "actor_head" in doc:
-        read_keys(doc, {"actor_head.log_std_bounds": tuple[float, float]}, where)
         _unpack(doc, "actor_head.params", where)
     if "critic" in doc:
         read_keys(doc, {"critic.input_dim": int, "critic.hidden_dim": int}, where)
@@ -146,11 +144,9 @@ def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
 
 def restore_actor(doc: dict, use_ema: bool = False) -> GaussianActor:
     gen = restore_generator(doc, use_ema=use_ema)
-    head = doc.get("actor_head")
-    if head is None:
-        return GaussianActor(gen)
-    actor = GaussianActor(gen, log_std_bounds=tuple(head["log_std_bounds"]))
-    actor.head.load(head["params"])
+    actor = GaussianActor(gen)
+    if "actor_head" in doc:
+        actor.head.load(doc["actor_head"]["params"])
     return actor
 
 

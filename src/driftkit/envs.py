@@ -172,10 +172,9 @@ def plan(pos: np.ndarray, steps: int, controller) -> tuple[np.ndarray, np.ndarra
     return actions, positions
 
 
-def scripted_action(pos: np.ndarray, goal: np.ndarray,
-                    gain: float = SCRIPTED_GAIN) -> np.ndarray:
+def scripted_action(pos: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """Straight-to-goal proportional controller, the optimal baseline."""
-    return clip(gain * (goal - pos), -1.0, 1.0)
+    return clip(SCRIPTED_GAIN * (goal - pos), -1.0, 1.0)
 
 
 def scripted_chunks(obs: np.ndarray, spec: ChunkSpec) -> np.ndarray:

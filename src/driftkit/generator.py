@@ -448,12 +448,6 @@ class Generator:
         return obs.reshape(-1, expected)
 
 
-def sample_latents(rng: np.random.Generator, batch: int, count: int,
-                   latent_dim: int) -> np.ndarray:
-    """Draw (B, G, C) independent standard-normal latents."""
-    return rng.standard_normal((batch, count, latent_dim))
-
-
 def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Generate G hypotheses per observation from independent latents.
@@ -467,7 +461,7 @@ def sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: int,
         raise SpecError("hypothesis count must be positive")
     obs = generator._flatten_obs(obs_batch)
     b = obs.shape[0]
-    latents = sample_latents(rng, b, count, generator.latent_dim)
+    latents = rng.standard_normal((b, count, generator.latent_dim))
     obs_rep = np.repeat(obs, count, axis=0)
     chunk, acts = generator.evaluate(obs_rep, latents.reshape(b * count, -1))
     return chunk.reshape(b, count, generator.spec.chunk_dim), latents, acts
@@ -499,8 +493,8 @@ def write_json(path, obj) -> None:
 
 def typed(value, kind, key: str, where: str):
     """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
-    number, an int never from a bool), or as ``tuple[X, ...]`` (``tuple[X, X]``)
-    from a list of ``X`` values (of that length).  Anything else raises
+    number, an int never from a bool), or as ``tuple[X, ...]`` from a list of
+    ``X`` values.  Anything else raises
     ``SpecError("<where>key '<key>' expects <kind>, got <value>")``.
 
     A float must be finite: JSON's ``NaN`` and ``Infinity`` (which Python's
@@ -511,8 +505,7 @@ def typed(value, kind, key: str, where: str):
     checkpoint names the parameter)."""
     items = typing.get_args(kind)
     if items:
-        if (type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]
-                and (items[-1] is ... or len(value) == len(items))):
+        if type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]:
             return tuple(map(items[0], value))
     elif type(value) in JSON_TYPES[kind]:
         if kind is not float:

@@ -16,6 +16,9 @@ from .generator import Dense, Flat, Generator, SpecError, sample_hypotheses
 
 METRICS_HEADER = ("step", "loss", "grad_norm", "s_norm", "lr")
 
+# Adam's denominator guard: sqrt(v_hat) + ADAM_EPS
+ADAM_EPS = 1e-8
+
 
 class NumericalAbort(RuntimeError):
     """Raised when a loss or gradient goes non-finite; carries a diagnostic dump."""
@@ -100,12 +103,11 @@ class AdamW:
     """
 
     def __init__(self, param_names, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 weight_decay: float = 0.0, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.weight_decay = weight_decay
-        self.eps = eps
         self.step_count = 0
         self.names = list(param_names)
         # per bundle, from the first step: (m, v) and the scratch (vector, new values)
@@ -146,7 +148,7 @@ class AdamW:
             # x - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * x)
             np.divide(m, bc1, out=s)
             np.sqrt(np.divide(v, bc2, out=out), out=out)
-            out += self.eps
+            out += ADAM_EPS
             s /= out
             s += np.multiply(x, self.weight_decay, out=out)
             s *= lr

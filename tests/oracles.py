@@ -39,11 +39,16 @@ the explicit steps' into one vector per bundle.  ``AdamWPerName``,
 gradient clip and the EMA as they ran before each bundle kept one flat
 vector: a loop over leaves, each update rebinding the leaf to a new array.
 They pin the whole-vector passes of ``driftkit.training`` bit for bit.
+``profiled_calls`` is not a reference: it is cProfile's run of one call with
+the cycle collector held off, the counter every call-count test reads.
 """
 
 from __future__ import annotations
 
+import cProfile
+import gc
 import math
+import pstats
 
 import numpy as np
 
@@ -53,8 +58,7 @@ from driftkit.autodiff import Tensor, backward, check_finite, square
 from driftkit.drift import (DriftConfig, DriftFieldTensors, build_reference_pool,
                             compute_drift_field)
 from driftkit.envs import MIN_START_DISTANCE, OBS_DIM
-from driftkit.generator import (ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix,
-                                sample_latents)
+from driftkit.generator import ChunkSpec, Dense, Flat, Generator, SpecError, executed_prefix
 from driftkit.ppo import Critic, RolloutBuffer, anchor_loss, clipped_surrogate, ppo_ratio
 from driftkit.training import ema_decay_at
 
@@ -714,7 +718,7 @@ def tape_sample_hypotheses(generator: Generator, obs_batch: np.ndarray, count: i
         raise SpecError("hypothesis count must be positive")
     obs = generator._flatten_obs(obs_batch)
     b = obs.shape[0]
-    latents = sample_latents(rng, b, count, generator.latent_dim)
+    latents = rng.standard_normal((b, count, generator.latent_dim))
     obs_rep = np.repeat(obs, count, axis=0)
     chunk, _ = generator.forward(Tensor(obs_rep),
                                  Tensor(latents.reshape(b * count, -1)))
@@ -836,3 +840,18 @@ def ema_update_per_name(shadow: dict[str, np.ndarray], params: dict[str, Tensor]
             raise SpecError(f"ema shape mismatch for {name}")
         out[name] = d * s + (1.0 - d) * p.data
     return out
+
+
+def profiled_calls(fn) -> pstats.Stats:
+    """cProfile's stats of ``fn()``; the cycle collector, which can run other
+    objects' Python finalizers inside it, is held off."""
+    gc.collect()
+    gc.disable()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        fn()
+    finally:
+        profiler.disable()
+        gc.enable()
+    return pstats.Stats(profiler)

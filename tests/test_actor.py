@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from driftkit.actor import (DEFAULT_LOG_STD_BOUNDS, GaussianActor, LOG_2PI,
+from driftkit.actor import (GaussianActor, LOG_2PI, LOG_STD_BOUNDS,
                             prefix_entropy, prefix_log_prob, sample_gaussian)
 from driftkit.autodiff import Tensor, backward
 from driftkit.generator import ChunkSpec, Generator
@@ -60,7 +60,7 @@ def test_huge_head_output_is_clipped_to_upper_bound():
     actor = GaussianActor(gen, log_std_init=1e3)
     out = forward_arrays(actor, np.ones((1, 3)), np.zeros(4))
     np.testing.assert_array_equal(out.log_std.data,
-                                  np.full((1, SPEC.chunk_dim), DEFAULT_LOG_STD_BOUNDS[1]))
+                                  np.full((1, SPEC.chunk_dim), LOG_STD_BOUNDS[1]))
 
 
 def test_forward_matches_golden_file():

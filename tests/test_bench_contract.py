@@ -7,9 +7,11 @@ rename, a dropped import or a method moved to a helper makes
 ``Tracer.install()`` raise ``KeyError`` in a traced benchmark run; the first
 test catches that without running the benchmark.  The others pin the run
 defaults the benchmark reads and what its eval phase counts as a decision.
-The last runs every workload of ``BENCHMARK.json`` in-process at the
+The last two run every workload of ``BENCHMARK.json`` in-process at the
 benchmark's ``tiny`` profile, so a change to a call the benchmark makes
-fails here and not only in a benchmark run.
+fails here and not only in a benchmark run, and a phase whose Python call
+count differs between two rounds (a count the wall clock's noise cannot
+hide) fails too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from driftkit.autodiff import Tensor
 from driftkit.config import FINETUNE_KEYS
 from driftkit.generator import ChunkSpec, Generator
 
-from .oracles import evaluate_policy_loop, steering_actor
+from .oracles import evaluate_policy_loop, profiled_calls, steering_actor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,3 +118,17 @@ def test_every_benchmark_workload_runs_clean_and_repeats_its_digests(tmp_path):
                 digests[name, traced] = [result.digest for result in rounds[0]]
     for name in names:
         assert digests[name, True] == digests[name, False], name
+
+
+def test_every_benchmark_phase_repeats_its_call_count(tmp_path):
+    workloads = load_bench("workloads")
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for name in names:
+        work = workloads.Workload(driftkit, name, 1, workloads.PROFILES["tiny"], tmp_path)
+        phases = {"setup": work.setup, "learn": work.learn_round,
+                  "deploy": work.deploy_round, "eval": work.eval_round}
+        for phase in phases.values():  # warm-up: imports, caches, the kept state
+            phase()
+        rounds = [{key: profiled_calls(phase).total_calls for key, phase in phases.items()}
+                  for _ in range(2)]
+        assert rounds[0] == rounds[1], name

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import driftkit
 from driftkit import cli
+from driftkit.actor import LOG_STD_BOUNDS
 from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
 from driftkit.autodiff import AutodiffError
 from driftkit.cli import EXIT_CONFIG, EXIT_NUMERIC, main
@@ -431,10 +432,6 @@ CORRUPT_INPUTS = [
     ("checkpoint-head-w-shape", "eval", "checkpoint.json", _with("params.head_w.shape", [3]),
      lambda path, text: f"checkpoint {path}: key 'params.head_w.shape' is [3], "
                         "but the data holds 128 values"),
-    ("checkpoint-three-log-std-bounds", "eval", "checkpoint.json",
-     _with("actor_head", {"params": {}, "log_std_bounds": [-5.0, 0.0, 1.0]}),
-     lambda path, text: f"checkpoint {path}: key 'actor_head.log_std_bounds' expects tuple, "
-                        "got [-5.0, 0.0, 1.0]"),
     ("dataset-meta-obs-dim-str", "train", "dataset_meta.json", _with("obs_dim", "six"),
      lambda path, text: f"dataset metadata {path}: key 'obs_dim' expects int, got 'six'"),
     ("dataset-meta-no-exec-len", "train", "dataset_meta.json",
@@ -601,6 +598,40 @@ def test_finetune_runs_and_is_deterministic(tmp_path):
         (out_b / "checkpoint_final.json").read_bytes()
     header = (out_a / "metrics.csv").read_text().splitlines()[0]
     assert header == "iter,mean_return,clip_frac,ratio_mean,value_loss,entropy,anchor_loss"
+
+
+def test_a_finetune_checkpoint_with_the_old_log_std_bounds_entry_still_loads(tmp_path):
+    # fine-tune checkpoints once also stored the head's clip bounds, always these
+    data = synth_dir(tmp_path)
+    _, run = train_dir(tmp_path, data, steps=4)
+    cfg = write_config(tmp_path / "f.json", {
+        "checkpoint.path": str(run / "checkpoint_final.json"), "ppo.iterations": 1,
+        "ppo.rollout_length": 8, "ppo.minibatch_size": 4, "ppo.seed": 2})
+    assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft")]) == 0
+    new = tmp_path / "ft" / "checkpoint_final.json"
+    doc = json.loads(new.read_text())
+    assert "log_std_bounds" not in doc["actor_head"]
+    doc["actor_head"]["log_std_bounds"] = [-5.0, 1.0]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    head, old_head = (restore_actor(load_checkpoint(path)).head for path in (new, old))
+    assert head.data.vector.tobytes() == old_head.data.vector.tobytes()
+    # the old file's head clips at the constant bounds
+    actor = restore_actor(load_checkpoint(old))
+    obs, z = np.zeros((2, actor.generator.obs_dim)), np.zeros((2, actor.generator.latent_dim))
+    for bias, bound in ((-1e3, LOG_STD_BOUNDS[0]), (1e3, LOG_STD_BOUNDS[1])):
+        actor.head["scale_b"].data[...] = bias
+        assert (actor.evaluate(obs, z)[0].log_std == bound).all()
+    reports = []
+    for path in (new, old):
+        out = tmp_path / f"eval-{path.stem}"
+        cfg = write_config(tmp_path / f"e-{path.stem}.json", {
+            "checkpoint.path": str(path), "eval.episodes": 3, "eval.seed": 1, **TINY_CHUNK})
+        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_clock_per_decision_ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_finetune_missing_checkpoint_key_is_config_error(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from driftkit.autodiff import Tensor
 from driftkit.generator import (ChunkSpec, Generator, SpecError, executed_prefix,
-                                sample_hypotheses, sample_latents)
+                                sample_hypotheses)
 
 TINY_SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 
@@ -86,8 +86,9 @@ def test_identical_latents_give_identical_rows():
 
 
 def test_latent_draws_match_committed_transcript():
+    gen = Generator(TINY_SPEC, obs_dim=3, latent_dim=3, hidden_dim=8, seed=0)
     rng = np.random.default_rng(20240)
-    lat = sample_latents(rng, 2, 2, 3)
+    _, lat, _ = sample_hypotheses(gen, np.zeros((2, 1, 3)), 2, rng)
     np.testing.assert_array_equal(lat, np.array(GOLDEN_LATENTS))
 
 

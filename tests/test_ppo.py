@@ -3,10 +3,7 @@ surrogate arithmetic, anchor behavior, and the full-objective gradient."""
 
 from __future__ import annotations
 
-import cProfile
-import gc
 import math
-import pstats
 
 import numpy as np
 import pytest
@@ -26,7 +23,7 @@ from driftkit.training import AdamW, NumericalAbort, TrainConfig, train
 from driftkit.drift import DriftConfig
 
 from .oracles import (STEERING_SPEC, evaluate_policy_loop, finite_diff, gae_bruteforce,
-                      scripted_eval_loop, steering_actor)
+                      profiled_calls, scripted_eval_loop, steering_actor)
 
 SPEC = ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2)
 OBS_DIM = 6
@@ -324,21 +321,6 @@ class ProfiledGenerator(np.random.Generator):
 
     def standard_normal(self, *args, **kwargs):
         return super().standard_normal(*args, **kwargs)
-
-
-def profiled_calls(fn) -> pstats.Stats:
-    """cProfile's stats of ``fn()``; the cycle collector, which can run other
-    objects' Python finalizers inside it, is held off."""
-    gc.collect()
-    gc.disable()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        fn()
-    finally:
-        profiler.disable()
-        gc.enable()
-    return pstats.Stats(profiler)
 
 
 def test_evaluation_draws_once_per_episode_and_its_call_count_repeats(monkeypatch):

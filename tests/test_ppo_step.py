@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from driftkit import autodiff, ppo
-from driftkit.actor import GaussianActor, prefix_log_prob
+from driftkit.actor import LOG_STD_BOUNDS, GaussianActor, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor
 from driftkit.envs import PointMassEnv
 from driftkit.generator import ChunkSpec, Dense, Generator
@@ -97,7 +97,7 @@ def old_log_prob(logp: float, regime: str, clip_eps: float, rng) -> float | None
 
 def pin_log_scale(actor: GaussianActor, regimes, rng) -> None:
     """Head weights that put column ``j`` of the pre-clip log-scale in ``regimes[j]``."""
-    lo, hi = actor.log_std_bounds
+    lo, hi = LOG_STD_BOUNDS
     w = 0.3 * rng.standard_normal(actor.head["scale_w"].shape)
     b = rng.uniform(lo + 1.0, hi - 1.0, size=len(regimes))
     for j, regime in enumerate(regimes):
