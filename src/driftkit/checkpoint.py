@@ -1,13 +1,14 @@
 """Self-describing JSON checkpoints.
 
-One document stores the chunk geometry, network dimensions, flat parameter
-arrays, and optionally the EMA shadow, optimizer state, rng state, the
-Stage-2 scale head and the critic.  Keys are sorted and floats use repr, so
-identical state serializes to identical bytes.  The file is the compact
-``json.dump(doc, sort_keys=True)`` text and a newline, written one entry at
-a time through the C encoder (:func:`_write`).  Loading checks every field
-that a restore reads, with :func:`driftkit.generator.read_keys`, and decodes
-each packed array once.
+One document stores the chunk geometry, the generator's dimensions and flat
+parameter arrays, and optionally the EMA shadow, optimizer state and rng
+state.  A fine-tune run stores its generator alone; the scale head and
+critic entries of older files are ignored.  Keys are sorted and floats use
+repr, so identical state serializes to identical bytes.  The file is the
+compact ``json.dump(doc, sort_keys=True)`` text and a newline, written one
+entry at a time through the C encoder (:func:`_write`).  Loading checks
+every field that a restore reads, with :func:`driftkit.generator.read_keys`,
+and decodes each packed array once.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .actor import GaussianActor
 from .generator import Generator, SpecError, read_json_object, read_keys, read_spec
-from .ppo import Critic
 
 FORMAT_VERSION = 1
 
@@ -48,7 +47,7 @@ def _unpack(doc: dict, key: str, where: str) -> None:
                             f"but the data holds {len(data)} values")
         arr = packed[name] = np.reshape(data, shape)
         if not np.isfinite(arr).all():
-            raise SpecError(f"{where}{key.split('.')[0]} parameter {name} is not finite")
+            raise SpecError(f"{where}{key} parameter {name} is not finite")
 
 
 def _write(fh, obj) -> None:
@@ -68,8 +67,7 @@ def _write(fh, obj) -> None:
 
 
 def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
-                    optimizer_state=None, actor: GaussianActor | None = None,
-                    critic: Critic | None = None) -> None:
+                    optimizer_state=None) -> None:
     """Write atomically: a temp file in the same directory, then ``os.replace``.
 
     If serialisation fails, a previous file at ``path`` is left as it was and
@@ -89,14 +87,6 @@ def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
         doc["rng_state"] = rng_state
     if optimizer_state is not None:
         doc["optimizer"] = optimizer_state
-    if actor is not None:
-        doc["actor_head"] = {"params": _pack(actor.head.data)}
-    if critic is not None:
-        doc["critic"] = {
-            "input_dim": critic.input_dim,
-            "hidden_dim": critic.hidden_dim,
-            "params": _pack(critic.params.data),
-        }
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -125,11 +115,6 @@ def load_checkpoint(path) -> dict:
     _unpack(doc, "params", where)
     if "ema_params" in doc:
         _unpack(doc, "ema_params", where)
-    if "actor_head" in doc:
-        _unpack(doc, "actor_head.params", where)
-    if "critic" in doc:
-        read_keys(doc, {"critic.input_dim": int, "critic.hidden_dim": int}, where)
-        _unpack(doc, "critic.params", where)
     return doc
 
 
@@ -140,20 +125,3 @@ def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
                     hidden_dim=doc["hidden_dim"])
     gen.params.load(doc["ema_params" if use_ema and "ema_params" in doc else "params"])
     return gen
-
-
-def restore_actor(doc: dict, use_ema: bool = False) -> GaussianActor:
-    gen = restore_generator(doc, use_ema=use_ema)
-    actor = GaussianActor(gen)
-    if "actor_head" in doc:
-        actor.head.load(doc["actor_head"]["params"])
-    return actor
-
-
-def restore_critic(doc: dict) -> Critic | None:
-    entry = doc.get("critic")
-    if entry is None:
-        return None
-    critic = Critic(entry["input_dim"], entry["hidden_dim"])
-    critic.params.load(entry["params"])
-    return critic

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
+from .actor import GaussianActor
 from .autodiff import AutodiffError
 from .config import SEED_KEY, fields_of, load_config
 from .drift import DriftConfig
@@ -92,7 +93,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         report.update(nfe_violations=None, policy="scripted")
     elif policy == "checkpoint":
         doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
-        actor = ckpt.restore_actor(doc, use_ema=cfg["eval.use_ema"])
+        actor = GaussianActor(ckpt.restore_generator(doc, use_ema=cfg["eval.use_ema"]))
         coverage = {}
         # a non-finite value in the coverage rows or the episodes is a numerical abort
         stage = "mode_coverage"
@@ -132,10 +133,9 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
     doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
     generator = ckpt.restore_generator(doc, use_ema=cfg["ppo.use_ema"])
     ppo_config = PPOConfig(**fields_of(cfg, "ppo", PPOConfig))
-    actor, critic, rows = finetune(generator, ppo_config, **fields_of(cfg, "ppo", finetune))
+    _, _, rows = finetune(generator, ppo_config, **fields_of(cfg, "ppo", finetune))
     write_metrics_csv(out / "metrics.csv", rows, header=FINETUNE_METRICS_HEADER)
-    ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
-                         actor=actor, critic=critic)
+    ckpt.save_checkpoint(out / "checkpoint_final.json", generator)
     print(f"finetune: iterations={ppo_config.iterations} seed={ppo_config.seed} "
           f"-> {out / 'checkpoint_final.json'}")
     return EXIT_OK

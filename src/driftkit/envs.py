@@ -264,6 +264,8 @@ def synth_multimodal(modes: int = 2, conditions: int = 200, samples_per_conditio
         raise SpecError("modes, conditions and samples_per_condition must be >= 1")
     if seed < 0 or warmup_max < 0:
         raise SpecError("seed and warmup_max must be >= 0")
+    if noise < 0 or swing_len < 0:
+        raise SpecError("noise and swing_len must be >= 0")
     if not 0.0 < gain <= MODE_GAIN_MAX:
         raise SpecError(f"gain must lie in (0, {MODE_GAIN_MAX:g}]")
     spec = spec or ChunkSpec()
@@ -388,6 +390,9 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
     spec = read_spec(metadata, where)
     checked = read_keys(metadata, {"obs_dim": int, "modes": int, "mode_signs": tuple[float, ...],
                                    "gain": float, "swing_amp": float, "swing_len": int}, where)
+    for key, low in (("modes", 1), ("swing_len", 0)):
+        if checked[key] < low:
+            raise SpecError(f"{where}key {key!r} is {checked[key]}, below {low}")
     if checked["modes"] != len(checked["mode_signs"]):
         raise SpecError(f"{where}key 'modes' is {checked['modes']}, "
                         f"but 'mode_signs' holds {len(checked['mode_signs'])} values")

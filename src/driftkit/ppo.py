@@ -84,8 +84,6 @@ class Critic:
     """Two-layer tanh MLP mapping the flattened observation history to a value."""
 
     def __init__(self, input_dim: int, hidden_dim: int = 64, seed: int = 0):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         h = hidden_dim
         self.params = Dense.init("critic", np.random.default_rng(seed), (
             ("v1", input_dim, h), ("v2", h, h), ("v3", h, 1)))

@@ -65,11 +65,13 @@ class TrainConfig:
             raise SpecError("epochs and checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 0:
             raise SpecError("steps must be >= 0")
+        if self.warmup_steps < 0:
+            raise SpecError("warmup_steps must be >= 0")
 
 
 def warmup_lr(base: float, step: int, warmup_steps: int) -> float:
     """Linear ramp: at 1-based step k < warmup the rate is base * k / warmup."""
-    if warmup_steps <= 0 or step >= warmup_steps:
+    if step >= warmup_steps:
         return base
     return base * step / warmup_steps
 

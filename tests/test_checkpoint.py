@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from driftkit import checkpoint
 from driftkit.actor import GaussianActor
 from driftkit.autodiff import AutodiffError
-from driftkit.checkpoint import (load_checkpoint, restore_actor, restore_critic,
-                                 restore_generator, save_checkpoint)
+from driftkit.checkpoint import load_checkpoint, restore_generator, save_checkpoint
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
 from driftkit.generator import ChunkSpec, Generator, SpecError
@@ -53,21 +52,6 @@ def test_ema_parameters_restore_separately(tmp_path):
     for name in ema:
         assert np.array_equal(shadow.params[name].data, ema[name])
         assert np.array_equal(live.params[name].data, gen.params[name].data)
-
-
-def test_actor_and_critic_roundtrip(tmp_path):
-    gen = Generator(SPEC, obs_dim=5, latent_dim=3, hidden_dim=8, seed=2)
-    actor = GaussianActor(gen, log_std_init=-1.0)
-    critic = Critic(10, hidden_dim=8, seed=3)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, gen, actor=actor, critic=critic)
-    doc = load_checkpoint(path)
-    actor2 = restore_actor(doc)
-    critic2 = restore_critic(doc)
-    for name, t in actor.head.items():
-        assert np.array_equal(actor2.head[name].data, t.data)
-    for name, t in critic.params.items():
-        assert np.array_equal(critic2.params[name].data, t.data)
 
 
 def test_identical_state_serializes_to_identical_bytes(tmp_path):
@@ -139,14 +123,6 @@ def checkpoint_states(draw):
         kwargs["optimizer_state"] = {"step_count": steps, **{
             moment: {name: _values(rng, arr.shape).tolist() if steps else None
                      for name, arr in arrays.items()} for moment in ("m", "v")}}
-    if draw(st.booleans()):
-        actor = kwargs["actor"] = GaussianActor(gen)
-        actor.head.load({name: _values(rng, arr.shape)
-                         for name, arr in actor.head.arrays().items()})
-    if draw(st.booleans()):
-        critic = kwargs["critic"] = Critic(draw(st.integers(1, 5)), hidden_dim=draw(st.integers(1, 4)))
-        critic.params.load({name: _values(rng, arr.shape)
-                            for name, arr in critic.params.arrays().items()})
     return gen, kwargs
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import driftkit
 from driftkit import cli
-from driftkit.actor import LOG_STD_BOUNDS
-from driftkit.checkpoint import load_checkpoint, restore_actor, restore_generator
+from driftkit.actor import GaussianActor
+from driftkit.checkpoint import load_checkpoint, restore_generator
 from driftkit.autodiff import AutodiffError
 from driftkit.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from driftkit.config import COMMAND_KEYS
@@ -144,6 +144,10 @@ BAD_SETTINGS = [
      "eval.coverage_samples must be >= 1"),
     ("train", {"data.path": None, "train.checkpoint_every": -5},
      "epochs and checkpoint_every must be >= 0"),
+    # a negative warm-up, noise or swing length once ran as 0 and was recorded as given
+    ("train", {"data.path": None, "train.warmup_steps": -1}, "warmup_steps must be >= 0"),
+    ("synth", {"synth.noise": -1.0}, "noise and swing_len must be >= 0"),
+    ("synth", {"synth.swing_len": -1}, "noise and swing_len must be >= 0"),
     ("synth", {"synth.conditions": 0}, "modes, conditions and samples_per_condition must be >= 1"),
     ("synth", {"synth.samples_per_condition": 0},
      "modes, conditions and samples_per_condition must be >= 1"),
@@ -446,6 +450,14 @@ CORRUPT_INPUTS = [
     ("dataset-meta-five-modes-two-signs-eval", "eval", "dataset_meta.json", _with("modes", 5),
      lambda path, text: f"dataset metadata {path}: key 'modes' is 5, "
                         "but 'mode_signs' holds 2 values"),
+    # coverage of no modes used to crash reshaping the mode centres
+    ("dataset-meta-zero-modes-eval", "eval", "dataset_meta.json",
+     lambda text: _with("mode_signs", [])(_with("modes", 0)(text)),
+     lambda path, text: f"dataset metadata {path}: key 'modes' is 0, below 1"),
+    # a negative swing length once planned as 0
+    ("dataset-meta-negative-swing-len-eval", "eval", "dataset_meta.json",
+     _with("swing_len", -1),
+     lambda path, text: f"dataset metadata {path}: key 'swing_len' is -1, below 0"),
     # a sign is read as a float list, whose items its owner checks
     ("dataset-meta-nan-sign-eval", "eval", "dataset_meta.json",
      _with("mode_signs", [float("nan"), 1.0]),
@@ -560,7 +572,8 @@ def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):
     assert report["nfe_per_decision"] == 1.0
     assert 0.0 <= report["mode_coverage"] <= 1.0
     # the second is shared by the episodes' decisions only, not the coverage rows
-    actor = restore_actor(load_checkpoint(run / "checkpoint_final.json"), use_ema=True)
+    actor = GaussianActor(restore_generator(load_checkpoint(run / "checkpoint_final.json"),
+                                            use_ema=True))
     evaluate_policy(lambda: PointMassEnv(actor.spec, reward_mode="dense"), actor, 3, 1)
     assert report["wall_clock_per_decision_ms"] == 1e3 / actor.generator.nfe_count
 
@@ -579,7 +592,8 @@ def test_finetune_zero_iterations_keeps_policy(tmp_path):
     tuned = restore_generator(doc1)
     for name in base.params:
         assert np.array_equal(tuned.params[name].data, base.params[name].data)
-    assert "actor_head" in doc1 and "critic" in doc1
+    # the run hands on its generator alone
+    assert "actor_head" not in doc1 and "critic" not in doc1
 
 
 def test_finetune_runs_and_is_deterministic(tmp_path):
@@ -600,38 +614,91 @@ def test_finetune_runs_and_is_deterministic(tmp_path):
     assert header == "iter,mean_return,clip_frac,ratio_mean,value_loss,entropy,anchor_loss"
 
 
-def test_a_finetune_checkpoint_with_the_old_log_std_bounds_entry_still_loads(tmp_path):
-    # fine-tune checkpoints once also stored the head's clip bounds, always these
+def _packed(bundle):
+    return {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            for name, arr in bundle.arrays().items()}
+
+
+def _outputs(tmp_path, checkpoint, data, name):
+    """What the commands that read a checkpoint make of ``checkpoint``: the exit
+    code and report of an ``eval`` with mode coverage, and the exit code and
+    files of a 1-iteration ``finetune``."""
+    evald, tuned = tmp_path / f"eval-{name}", tmp_path / f"ft-{name}"
+    ecfg = write_config(tmp_path / f"e-{name}.json", {
+        "checkpoint.path": str(checkpoint), "eval.episodes": 2, "eval.seed": 1,
+        "eval.dataset": str(data / "dataset.csv"), "eval.coverage_samples": 2,
+        "eval.coverage_conditions": 2})
+    fcfg = write_config(tmp_path / f"f-{name}.json", {
+        "checkpoint.path": str(checkpoint), **TINY_RUNS["finetune"]})
+    outputs = [main(["eval", "--config", ecfg, "--out", str(evald)])]
+    if outputs[0] == 0:
+        report = json.loads((evald / "report.json").read_text())
+        del report["wall_clock_per_decision_ms"]
+        outputs.append(report)
+    outputs.append(main(["finetune", "--config", fcfg, "--out", str(tuned)]))
+    if outputs[-1] == 0:
+        outputs += [(tuned / f).read_bytes() for f in ("metrics.csv", "checkpoint_final.json")]
+    return outputs
+
+
+def test_a_finetune_checkpoint_with_the_old_head_and_critic_entries_still_loads(tmp_path,
+                                                                             monkeypatch):
+    # fine-tune checkpoints once also stored the run's scale head, with its
+    # clip bounds, and its critic; such a file restores the same generator
     data = synth_dir(tmp_path)
     _, run = train_dir(tmp_path, data, steps=4)
+    runs, cli_finetune = [], cli.finetune
+
+    def kept_finetune(*args, **kwargs):
+        runs.append(cli_finetune(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "finetune", kept_finetune)
     cfg = write_config(tmp_path / "f.json", {
         "checkpoint.path": str(run / "checkpoint_final.json"), "ppo.iterations": 1,
         "ppo.rollout_length": 8, "ppo.minibatch_size": 4, "ppo.seed": 2})
     assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "ft")]) == 0
+    (actor, critic, _), = runs
     new = tmp_path / "ft" / "checkpoint_final.json"
     doc = json.loads(new.read_text())
-    assert "log_std_bounds" not in doc["actor_head"]
-    doc["actor_head"]["log_std_bounds"] = [-5.0, 1.0]
+    assert "actor_head" not in doc and "critic" not in doc
+    input_dim, hidden_dim = critic.params["v1_w"].data.shape
+    doc["actor_head"] = {"log_std_bounds": [-5.0, 1.0], "params": _packed(actor.head)}
+    doc["critic"] = {"input_dim": input_dim, "hidden_dim": hidden_dim,
+                     "params": _packed(critic.params)}
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    head, old_head = (restore_actor(load_checkpoint(path)).head for path in (new, old))
-    assert head.data.vector.tobytes() == old_head.data.vector.tobytes()
-    # the old file's head clips at the constant bounds
-    actor = restore_actor(load_checkpoint(old))
-    obs, z = np.zeros((2, actor.generator.obs_dim)), np.zeros((2, actor.generator.latent_dim))
-    for bias, bound in ((-1e3, LOG_STD_BOUNDS[0]), (1e3, LOG_STD_BOUNDS[1])):
-        actor.head["scale_b"].data[...] = bias
-        assert (actor.evaluate(obs, z)[0].log_std == bound).all()
-    reports = []
-    for path in (new, old):
-        out = tmp_path / f"eval-{path.stem}"
-        cfg = write_config(tmp_path / f"e-{path.stem}.json", {
-            "checkpoint.path": str(path), "eval.episodes": 3, "eval.seed": 1, **TINY_CHUNK})
-        assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        del report["wall_clock_per_decision_ms"]
-        reports.append(report)
-    assert reports[0] == reports[1]
+    restored = [restore_generator(load_checkpoint(path)).params.data.vector
+                for path in (new, old)]
+    assert restored[0].tobytes() == restored[1].tobytes()
+    assert _outputs(tmp_path, new, data, "new") == _outputs(tmp_path, old, data, "old")
+
+
+# Entries a checkpoint may hold although no command reads them back: the
+# Stage-1 run's random state and AdamW moments (ROADMAP item 5).
+UNREAD_ENTRIES = ("optimizer", "rng_state")
+
+
+@pytest.mark.parametrize("stage", ["train", "finetune"])
+def test_every_checkpoint_entry_is_read(tmp_path, tiny_data, tiny_checkpoint, stage):
+    # a final checkpoint without any one of its top-level entries is rejected
+    # or changes what eval or finetune make of it: the file holds no state
+    # that only its writer sees
+    path = Path(tiny_checkpoint)
+    if stage == "finetune":
+        cfg = write_config(tmp_path / "tune.json", {"checkpoint.path": tiny_checkpoint,
+                                                    **TINY_RUNS["finetune"]})
+        assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "tune")]) == 0
+        path = tmp_path / "tune" / "checkpoint_final.json"
+    doc = json.loads(path.read_text())
+    full = _outputs(tmp_path, path, tiny_data, "full")
+    unread = []
+    for key in sorted(doc):
+        stripped = tmp_path / f"without-{key}.json"
+        stripped.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        if _outputs(tmp_path, stripped, tiny_data, f"without-{key}") == full:
+            unread.append(key)
+    assert [key for key in unread if key not in UNREAD_ENTRIES] == []
 
 
 def test_finetune_missing_checkpoint_key_is_config_error(tmp_path):

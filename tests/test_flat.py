@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 
 from driftkit.actor import GaussianActor
 from driftkit.autodiff import AutodiffError, Tensor
-from driftkit.checkpoint import (load_checkpoint, restore_actor, restore_critic,
-                                 restore_generator, save_checkpoint)
+from driftkit.checkpoint import load_checkpoint, restore_generator, save_checkpoint
 from driftkit.generator import ChunkSpec, Dense, Flat, Generator
 from driftkit.ppo import Critic
 from driftkit.training import AdamW, ema_update, grad_clip, warmup_lr
@@ -173,13 +172,12 @@ def test_every_leaf_stays_a_view_of_its_bundle(tmp_path):
     twin = gen.clone()
     assert_views(twin.params)
     assert not np.shares_memory(twin.params.data.vector, gen.params.data.vector)
-    # restore_* from a saved document
+    # restore_generator from a saved document
     shadow = gen.params.data.copy()
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, gen, ema_params=shadow, actor=actor, critic=critic)
+    save_checkpoint(path, gen, ema_params=shadow)
     doc = load_checkpoint(path)
-    for bundle in (restore_generator(doc).params, restore_generator(doc, use_ema=True).params,
-                   restore_actor(doc).head, restore_critic(doc).params):
+    for bundle in (restore_generator(doc).params, restore_generator(doc, use_ema=True).params):
         assert_views(bundle)
     # an AdamW step of the actor's two bundles and of the critic, then an EMA step
     rng = np.random.default_rng(3)

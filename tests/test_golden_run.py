@@ -49,7 +49,7 @@ EXPECTED = {
     "tuned/metrics.csv":
         "4a7000e86d912b449d1a13ba20edde8b66cd8223155f0a8e7ad877e5ecd19758",
     "tuned/checkpoint_final.json":
-        "71d825ac2f2a57341bad0ab1cd1eca64e834a18b683eed22213424f42764a736",
+        "377474672b3fef628b7131873af317612928df2ca6f4c9a3532da35f6c09215c",
     "eval/report.json":
         "9d018ca04e62054282fb742a13e44a506452395205a9f910a04a6d1b724375a0",
 }
