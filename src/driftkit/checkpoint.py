@@ -118,10 +118,15 @@ def load_checkpoint(path) -> dict:
     return doc
 
 
-def restore_generator(doc: dict, use_ema: bool = False) -> Generator:
-    """The generator of a :func:`load_checkpoint` document; its bundle holds a
-    copy of the document's arrays, so the document stays as it was loaded."""
+def restore_generator(doc: dict, use_ema: bool | None = None) -> Generator:
+    """The generator of a :func:`load_checkpoint` document, its bundle a copy
+    of ``ema_params`` or ``params``: ``use_ema=None`` takes ``ema_params`` if
+    the document has them, and ``True`` without them raises :class:`SpecError`."""
+    if use_ema is None:
+        use_ema = "ema_params" in doc
+    elif use_ema and "ema_params" not in doc:
+        raise SpecError("use_ema is true, but the checkpoint has no ema_params")
     gen = Generator(doc["chunk_spec"], obs_dim=doc["obs_dim"], latent_dim=doc["latent_dim"],
                     hidden_dim=doc["hidden_dim"])
-    gen.params.load(doc["ema_params" if use_ema and "ema_params" in doc else "params"])
+    gen.params.load(doc["ema_params" if use_ema else "params"])
     return gen

@@ -48,6 +48,15 @@ def _require(cfg: dict, key: str) -> str:
     return value
 
 
+def _restore(cfg: dict, ema_key: str) -> Generator:
+    """The generator at ``checkpoint.path``, its EMA or live set as ``cfg[ema_key]`` says."""
+    path = Path(_require(cfg, "checkpoint.path"))
+    doc = ckpt.load_checkpoint(path)
+    if cfg[ema_key] and "ema_params" not in doc:
+        raise SpecError(f"{ema_key} is true, but checkpoint {path} has no ema_params")
+    return ckpt.restore_generator(doc, use_ema=cfg[ema_key])
+
+
 # -- commands ------------------------------------------------------------
 
 
@@ -81,19 +90,19 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
-    episodes = cfg["eval.episodes"] if episodes_override is None else episodes_override
-    seed, policy = cfg["eval.seed"], cfg["eval.policy"]
+def cmd_eval(cfg: dict, out: Path) -> int:
+    episodes, seed = cfg["eval.episodes"], cfg["eval.seed"]
     if seed < 0:
         raise SpecError("eval.seed must be >= 0")
-    if policy == "scripted":
-        spec = ChunkSpec(**fields_of(cfg, "chunk", ChunkSpec))
+    if cfg["eval.policy"] == "scripted":
+        # a longer plan executes the same prefix, so the plan is that prefix long
+        h, e = cfg["chunk.history_len"], cfg["chunk.exec_len"]
+        spec = ChunkSpec(horizon=max(1, h + e - 1), history_len=h, exec_len=e)
         report = run_episodes(spec, cfg["eval.reward_mode"], episodes, seed,
                               lambda obs, active: scripted_chunks(obs, spec))
         report.update(nfe_violations=None, policy="scripted")
-    elif policy == "checkpoint":
-        doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
-        actor = GaussianActor(ckpt.restore_generator(doc, use_ema=cfg["eval.use_ema"]))
+    else:
+        actor = GaussianActor(_restore(cfg, "eval.use_ema"))
         coverage = {}
         # a non-finite value in the coverage rows or the episodes is a numerical abort
         stage = "mode_coverage"
@@ -121,8 +130,6 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
         report.update(coverage, policy="checkpoint")
         report["nfe_per_decision"] = 1.0 if report["nfe_violations"] == 0 else None
         report["wall_clock_per_decision_ms"] = 1e3 * elapsed / decisions
-    else:
-        raise SpecError(f"eval.policy must be 'checkpoint' or 'scripted', got {policy!r}")
     write_json(out / "report.json", report)
     print(f"eval: episodes={episodes} success_rate={report.get('success_rate')} "
           f"mean_return={report.get('mean_return')}")
@@ -130,8 +137,7 @@ def cmd_eval(cfg: dict, out: Path, episodes_override: int | None) -> int:
 
 
 def cmd_finetune(cfg: dict, out: Path) -> int:
-    doc = ckpt.load_checkpoint(Path(_require(cfg, "checkpoint.path")))
-    generator = ckpt.restore_generator(doc, use_ema=cfg["ppo.use_ema"])
+    generator = _restore(cfg, "ppo.use_ema")
     ppo_config = PPOConfig(**fields_of(cfg, "ppo", PPOConfig))
     _, _, rows = finetune(generator, ppo_config, **fields_of(cfg, "ppo", finetune))
     write_metrics_csv(out / "metrics.csv", rows, header=FINETUNE_METRICS_HEADER)
@@ -164,6 +170,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             cfg[SEED_KEY[args.command]] = args.seed
+        if getattr(args, "episodes", None) is not None:
+            cfg["eval.episodes"] = args.episodes
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "config.json", cfg)
@@ -172,7 +180,7 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg, out)
         if args.command == "eval":
-            return cmd_eval(cfg, out, args.episodes)
+            return cmd_eval(cfg, out)
         return cmd_finetune(cfg, out)
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,6 +19,9 @@ METRICS_HEADER = ("step", "loss", "grad_norm", "s_norm", "lr")
 # Adam's denominator guard: sqrt(v_hat) + ADAM_EPS
 ADAM_EPS = 1e-8
 
+# the run length, in passes over the dataset, of a run that sets no ``steps``
+DEFAULT_EPOCHS = 100
+
 
 class NumericalAbort(RuntimeError):
     """Raised when a loss or gradient goes non-finite; carries a diagnostic dump."""
@@ -30,7 +33,8 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings; defaults follow the fixed experiment table."""
+    """Optimizer and schedule settings; defaults follow the fixed experiment table.
+    ``steps=None`` runs :data:`DEFAULT_EPOCHS` passes over the dataset."""
 
     batch_size: int = 32
     learning_rate: float = 1e-4
@@ -38,7 +42,6 @@ class TrainConfig:
     beta2: float = 0.999
     weight_decay: float = 1e-6
     grad_clip: float = 1.0
-    epochs: int = 100
     steps: int | None = None
     warmup_steps: int = 500
     ema_decay: float = 0.9999
@@ -61,8 +64,8 @@ class TrainConfig:
             raise SpecError("learning_rate and weight_decay must be >= 0")
         if self.grad_clip <= 0:
             raise SpecError("grad_clip must be positive")
-        if self.epochs < 0 or self.checkpoint_every < 0:
-            raise SpecError("epochs and checkpoint_every must be >= 0")
+        if self.checkpoint_every < 0:
+            raise SpecError("checkpoint_every must be >= 0")
         if self.steps is not None and self.steps < 0:
             raise SpecError("steps must be >= 0")
         if self.warmup_steps < 0:
@@ -239,7 +242,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
 
     steps_per_epoch = max(1, (n + config.batch_size - 1) // config.batch_size)
     total_steps = config.steps if config.steps is not None \
-        else config.epochs * steps_per_epoch
+        else DEFAULT_EPOCHS * steps_per_epoch
 
     order = np.arange(n)
     cursor = steps_per_epoch  # force a reshuffle on the first step

@@ -64,10 +64,25 @@ def test_every_patch_point_is_defined_on_its_owner():
 
 def test_finetune_keys_hold_the_run_defaults_the_benchmark_reads():
     # bench/workloads.py takes ``FINETUNE_KEYS[key][1]`` as the CLI default
-    assert FINETUNE_KEYS["ppo.use_ema"] == (bool, True)
+    assert FINETUNE_KEYS["ppo.use_ema"] == (bool, None)
     assert FINETUNE_KEYS["ppo.log_std_init"] == (float, DEFAULT_LOG_STD_INIT)
     assert FINETUNE_KEYS["ppo.reward_mode"] == (str, "sparse")
     assert all(len(entry) == 2 for entry in FINETUNE_KEYS.values())
+
+
+def test_the_default_use_ema_restores_the_ema_the_benchmark_loads(tmp_path):
+    # the setup round restores its pretrained file with ``use_ema=True`` and
+    # the learn round with the ``ppo.use_ema`` default: both load the EMA bits
+    gen = Generator(ChunkSpec(horizon=4, action_dim=2, history_len=1, exec_len=2),
+                    obs_dim=2, latent_dim=3, hidden_dim=5)
+    path = tmp_path / "pretrained.json"
+    driftkit.checkpoint.save_checkpoint(
+        path, gen, ema_params={name: arr / 2 for name, arr in gen.param_arrays().items()})
+    doc = driftkit.checkpoint.load_checkpoint(path)
+    restored = [driftkit.checkpoint.restore_generator(doc, use_ema=use_ema).params.data.vector
+                for use_ema in (FINETUNE_KEYS["ppo.use_ema"][1], True)]
+    assert restored[0].tobytes() == restored[1].tobytes()
+    assert restored[0].tobytes() != gen.params.data.vector.tobytes()
 
 
 def test_eval_decisions_are_the_generators_nfe_delta():

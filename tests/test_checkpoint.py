@@ -52,6 +52,15 @@ def test_ema_parameters_restore_separately(tmp_path):
     for name in ema:
         assert np.array_equal(shadow.params[name].data, ema[name])
         assert np.array_equal(live.params[name].data, gen.params[name].data)
+    # the default takes the shadow if the file has one, the live set otherwise
+    assert restore_generator(doc).params.data.vector.tobytes() == \
+        shadow.params.data.vector.tobytes()
+    save_checkpoint(path, gen)
+    doc = load_checkpoint(path)
+    assert restore_generator(doc).params.data.vector.tobytes() == \
+        live.params.data.vector.tobytes()
+    with pytest.raises(SpecError, match="use_ema is true, but the checkpoint has no ema_params"):
+        restore_generator(doc, use_ema=True)
 
 
 def test_identical_state_serializes_to_identical_bytes(tmp_path):

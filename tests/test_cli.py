@@ -19,14 +19,13 @@ from driftkit.actor import GaussianActor
 from driftkit.checkpoint import load_checkpoint, restore_generator
 from driftkit.autodiff import AutodiffError
 from driftkit.cli import EXIT_CONFIG, EXIT_NUMERIC, main
-from driftkit.config import COMMAND_KEYS
+from driftkit.config import run_keys
 from driftkit.envs import PointMassEnv, load_dataset
 from driftkit.generator import Generator, SpecError
 from driftkit.ppo import evaluate_policy
 from driftkit.training import NumericalAbort
 
-TINY_CHUNK = {"chunk.horizon": 4, "chunk.action_dim": 2,
-              "chunk.history_len": 1, "chunk.exec_len": 2}
+TINY_CHUNK = {"chunk.horizon": 4, "chunk.history_len": 1, "chunk.exec_len": 2}
 
 
 def write_config(path, payload):
@@ -143,7 +142,7 @@ BAD_SETTINGS = [
     ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0},
      "eval.coverage_samples must be >= 1"),
     ("train", {"data.path": None, "train.checkpoint_every": -5},
-     "epochs and checkpoint_every must be >= 0"),
+     "checkpoint_every must be >= 0"),
     # a negative warm-up, noise or swing length once ran as 0 and was recorded as given
     ("train", {"data.path": None, "train.warmup_steps": -1}, "warmup_steps must be >= 0"),
     ("synth", {"synth.noise": -1.0}, "noise and swing_len must be >= 0"),
@@ -151,7 +150,8 @@ BAD_SETTINGS = [
     ("synth", {"synth.conditions": 0}, "modes, conditions and samples_per_condition must be >= 1"),
     ("synth", {"synth.samples_per_condition": 0},
      "modes, conditions and samples_per_condition must be >= 1"),
-    ("synth", {"chunk.action_dim": 3}, "point-mass actions are planar (action_dim must be 2)"),
+    # point-mass actions are planar, so no run sets the action dimension
+    ("synth", {"chunk.action_dim": 3}, "unknown config keys for 'synth': ['chunk.action_dim']"),
     # a negative seed is rejected by the seed's owner, before numpy's seeding
     ("synth", {"synth.seed": -1}, "seed and warmup_max must be >= 0"),
     ("train", {"data.path": None, "train.seed": -1}, "seed must be >= 0"),
@@ -188,7 +188,7 @@ BAD_SETTINGS = [
                          ids=[f"{c}-{'-'.join(p)}" for c, p, _ in BAD_SETTINGS])
 def test_bad_setting_exits_2_with_config_error(tmp_path, capsys, monkeypatch, tiny_data,
                                                tiny_checkpoint, command, payload, message):
-    if command in ("eval", "finetune"):
+    if command == "finetune" or command == "eval" and payload.get("eval.policy") != "scripted":
         payload = {"checkpoint.path": tiny_checkpoint, **payload}
     # a dataset key names the module's tiny dataset
     payload = {key: str(tiny_data / "dataset.csv") if key in ("data.path", "eval.dataset")
@@ -217,40 +217,146 @@ SETTING_POOLS = {
     tuple[float, ...]: [[], [0.7], [0.02, 0.05, 0.2], [0.0], [-1.0], [1e-320]],
 }
 
-# A tiny run of each command, which the property changes one or two keys of;
-# every size key is already small, and the int pool keeps it so.
+# A tiny run of each command and of each eval policy, which the property
+# changes one or two keys of; every size key is already small, and the int
+# pool keeps it so.  :func:`tiny_run` adds the input files.
 TINY_RUNS = {
     "synth": {"synth.conditions": 2, **TINY_CHUNK},
     "train": {"train.steps": 2, "model.latent_dim": 4, "model.hidden_dim": 8,
               "drift.temperatures": [0.7]},
-    "eval": {"eval.episodes": 1, "eval.coverage_samples": 2, "eval.coverage_conditions": 2,
-             **TINY_CHUNK},
-    "finetune": {"ppo.iterations": 1, "ppo.rollout_length": 4, "ppo.minibatch_size": 4,
+    "eval": {"eval.episodes": 1, "eval.coverage_samples": 2, "eval.coverage_conditions": 2},
+    "eval-scripted": {"eval.policy": "scripted", "eval.episodes": 1, "chunk.history_len": 1,
+                      "chunk.exec_len": 2},
+    "finetune": {"ppo.iterations": 1, "ppo.rollout_length": 4, "ppo.minibatch_size": 2,
                  "ppo.update_epochs": 1},
 }
 
 
+def tiny_run(run, data, checkpoint):
+    """``(command, settings)`` of ``TINY_RUNS[run]`` reading the dataset
+    directory ``data`` and the checkpoint file ``checkpoint``."""
+    inputs = {"train": {"data.path": str(data / "dataset.csv")},
+              "eval": {"checkpoint.path": str(checkpoint),
+                       "eval.dataset": str(data / "dataset.csv")},
+              "finetune": {"checkpoint.path": str(checkpoint)}}
+    return run.split("-")[0], {**inputs.get(run, {}), **TINY_RUNS[run]}
+
+
+# ``{key: (kind, default)}`` of the keys each tiny run reads
+RUN_KEYS = {run: run_keys(tiny_run(run, Path("d"), "c")[1], run.split("-")[0])[0]
+            for run in TINY_RUNS}
+
+
+@pytest.mark.parametrize("run", sorted(TINY_RUNS))
+def test_every_tiny_run_exits_0_as_it_stands(tmp_path, tiny_data, tiny_checkpoint, run):
+    # the settings property and the tripwire below change these runs one key
+    # at a time; a fixture that fails as it stands would make both vacuous
+    command, settings = tiny_run(run, tiny_data, tiny_checkpoint)
+    cfg = write_config(tmp_path / "c.json", settings)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 @st.composite
 def setting_changes(draw):
-    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
-    table = COMMAND_KEYS[command]
+    run = draw(st.sampled_from(sorted(TINY_RUNS)))
+    table = RUN_KEYS[run]
     keys = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=2, unique=True))
-    return command, {key: draw(st.sampled_from(SETTING_POOLS[table[key][0]])) for key in keys}
+    return run, {key: draw(st.sampled_from(SETTING_POOLS[table[key][0]])) for key in keys}
 
 
 @settings(max_examples=200, deadline=None)
 @given(change=setting_changes())
 def test_any_setting_exits_with_a_driftkit_code(tmp_path_factory, tiny_data, tiny_checkpoint,
                                                 change):
-    command, payload = change
+    run_name, payload = change
     run = tmp_path_factory.mktemp("run")
-    paths = {"train": {"data.path": str(tiny_data / "dataset.csv")},
-             "eval": {"checkpoint.path": tiny_checkpoint},
-             "finetune": {"checkpoint.path": tiny_checkpoint}}.get(command, {})
-    cfg = write_config(run / "c.json", {**paths, **TINY_RUNS[command], **payload})
+    command, settings = tiny_run(run_name, tiny_data, tiny_checkpoint)
+    cfg = write_config(run / "c.json", {**settings, **payload})
     code = main([command, "--config", cfg, "--out", str(run / "o")])
     assert code in (0, 2, 3, 4)
     assert (run / "o" / "abort_dump.json").exists() == (code == EXIT_NUMERIC)
+
+
+# For the settings tripwire: a valid value of every key a run reads or once
+# read, other than its default; a run that sets the key to it gets the default.
+OTHER_DATA, OTHER_CHECKPOINT = "<other dataset>", "<other checkpoint>"
+ALTERNATES = {
+    "synth.modes": 3, "synth.conditions": 3, "synth.samples_per_condition": 3,
+    "synth.noise": 0.1, "synth.seed": 1, "synth.gain": 2.0, "synth.swing_amp": 0.25,
+    "synth.swing_len": 4, "synth.warmup_max": 2,
+    "chunk.horizon": 5, "chunk.history_len": 2, "chunk.exec_len": 3,
+    "data.path": OTHER_DATA, "train.batch_size": 8, "train.learning_rate": 1e-3,
+    "train.beta1": 0.9, "train.beta2": 0.99, "train.weight_decay": 0.1,
+    "train.grad_clip": 1e-3, "train.steps": 3, "train.warmup_steps": 1,
+    "train.ema_decay": 0.1, "train.ema_power": 2.0, "train.seed": 1,
+    "train.checkpoint_every": 1,
+    "drift.hypothesis_count": 2, "drift.temperatures": [0.2], "drift.scale_floor": 100.0,
+    "drift.force_floor": 100.0, "drift.loss_mode": "step_wise",
+    "model.latent_dim": 3, "model.hidden_dim": 6, "model.init_seed": 1,
+    "checkpoint.path": OTHER_CHECKPOINT, "eval.episodes": 2, "eval.seed": 1,
+    "eval.reward_mode": "sparse", "eval.policy": "scripted", "eval.use_ema": False,
+    "eval.dataset": OTHER_DATA, "eval.coverage_samples": 1, "eval.coverage_conditions": 1,
+    "ppo.clip": 0.01, "ppo.value_weight": 0.25, "ppo.entropy_weight": 0.5,
+    "ppo.anchor_weight": 0.5, "ppo.gamma": 0.5, "ppo.gae_lambda": 0.5,
+    "ppo.rollout_length": 5, "ppo.update_epochs": 2, "ppo.minibatch_size": 2,
+    "ppo.actor_lr": 1e-2, "ppo.critic_lr": 1e-2, "ppo.iterations": 2,
+    "ppo.anchor_decay": True, "ppo.seed": 1, "ppo.reward_mode": "dense",
+    "ppo.log_std_init": -1.0, "ppo.critic_seed": 1, "ppo.use_ema": False,
+    # keys that no run reads any more
+    "chunk.action_dim": 3, "train.epochs": 7,
+}
+# the settings added to a tiny run, and to its baseline, under which a key it
+# reads binds
+BINDS_WITH = {"ppo.anchor_decay": {"ppo.iterations": 2}}
+# ``"<run>: <key>"`` pairs that neither change an output nor are rejected by
+# name, each with its reason
+UNBOUND = {}
+
+
+def _run_outputs(tmp_path, capsys, command, settings):
+    """The exit code, the error text and the output files (all but the config
+    snapshot, and the report without its wall clock) of one run."""
+    out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+    cfg = write_config(out.with_suffix(".json"), settings)
+    code = main([command, "--config", cfg, "--out", str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))
+             if path.name != "config.json"} if out.exists() else {}
+    if "report.json" in files:
+        report = json.loads(files["report.json"])
+        report.pop("wall_clock_per_decision_ms", None)
+        files["report.json"] = report
+    return code, capsys.readouterr().err, files
+
+
+def test_every_setting_binds_or_is_rejected_by_name(tmp_path, capsys, tiny_data,
+                                                    tiny_checkpoint):
+    # each key set alone, on each tiny run, to a value other than the run's:
+    # the run must change an output file, or exit 2 naming the key
+    other_data = synth_dir(tmp_path, "other-data", conditions=6, modes=3)
+    _, other_run = train_dir(tmp_path, tiny_data, "other-run", steps=3)
+    inputs = {OTHER_DATA: str(other_data / "dataset.csv"),
+              OTHER_CHECKPOINT: str(other_run / "checkpoint_final.json")}
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    baselines, unbound = {}, []
+    for run in TINY_RUNS:
+        command, settings = tiny_run(run, tiny_data, tiny_checkpoint)
+        for key, value in ALTERNATES.items():
+            base = {**settings, **(BINDS_WITH.get(key, {}) if key in RUN_KEYS[run] else {})}
+            value = inputs.get(value, value) if isinstance(value, str) else value
+            if base.get(key) == value:  # the run sets the alternate: take the default
+                value = RUN_KEYS[run][key][1]
+            assert base.get(key) != value, (run, key)
+            name = json.dumps(base, sort_keys=True)
+            if name not in baselines:
+                baselines[name] = _run_outputs(runs, capsys, command, base)
+                assert baselines[name][0] == 0, (run, key, baselines[name][1])
+            code, err, files = _run_outputs(runs, capsys, command, {**base, key: value})
+            if not (code == 0 and files != baselines[name][2] or code == 2 and key in err):
+                unbound.append(f"{run}: {key}")
+    assert sorted(set(unbound) - set(UNBOUND)) == []
+    assert sorted(set(UNBOUND) - set(unbound)) == []
+    assert set().union(*RUN_KEYS.values()) <= set(ALTERNATES)
 
 
 def driftkit_error_classes():
@@ -332,7 +438,7 @@ def test_eval_blow_up_exits_3_with_stage_in_dump(tmp_path, capsys, tiny_data, ti
     dataset = str(tiny_data / "dataset.csv") if stage == "mode_coverage" else None
     cfg = write_config(tmp_path / "e.json", {
         "checkpoint.path": str(path), "eval.use_ema": False, "eval.episodes": 2,
-        "eval.dataset": dataset, **TINY_CHUNK})
+        "eval.dataset": dataset})
     out = tmp_path / "ev"
     assert main(["eval", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
     err = capsys.readouterr().err
@@ -553,6 +659,27 @@ def test_eval_zero_episodes_is_empty_success(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["episodes"] == 0
     assert report["mean_return"] is None
+    # the snapshot records the episodes that ran, as it does a --seed
+    assert json.loads((out / "config.json").read_text())["eval.episodes"] == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_use_ema_true_on_a_file_without_ema_names_the_key_and_the_file(tmp_path, capsys,
+                                                                      tiny_checkpoint, command):
+    # a tuned file holds its live parameters alone: the default runs them, and
+    # an explicit true, which used to fall back to them, is a config error
+    cfg = write_config(tmp_path / "tune.json", {"checkpoint.path": tiny_checkpoint,
+                                                **TINY_RUNS["finetune"]})
+    assert main(["finetune", "--config", cfg, "--out", str(tmp_path / "tune")]) == 0
+    tuned = tmp_path / "tune" / "checkpoint_final.json"
+    settings = {"eval": {"eval.episodes": 1}, "finetune": TINY_RUNS["finetune"]}[command]
+    key = {"eval": "eval.use_ema", "finetune": "ppo.use_ema"}[command]
+    for use_ema, code in ((None, 0), (False, 0), (True, 2)):
+        cfg = write_config(tmp_path / "c.json", {"checkpoint.path": str(tuned), key: use_ema,
+                                                 **settings})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == \
+        f"config error: {key} is true, but checkpoint {tuned} has no ema_params\n"
 
 
 def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):
@@ -561,7 +688,7 @@ def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "e.json", {
         "checkpoint.path": str(run / "checkpoint_final.json"),
         "eval.episodes": 3, "eval.seed": 1, "eval.dataset": str(data / "dataset.csv"),
-        "eval.coverage_samples": 8, "eval.coverage_conditions": 4, **TINY_CHUNK})
+        "eval.coverage_samples": 8, "eval.coverage_conditions": 4})
     out = tmp_path / "evalc"
     # a clock on which the evaluation takes exactly one second
     ticks = iter([0.0, 1.0])

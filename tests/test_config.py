@@ -7,6 +7,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -22,10 +23,10 @@ from driftkit.training import TrainConfig
 # the default snapshot each command writes.  A changed digest means a default,
 # a key or a resolved value's JSON form moved.
 DEFAULT_SNAPSHOT_SHA256 = {
-    "synth": "ee9e59d14c12f75f857f4071fcaf2a1f0a0aa42683f722b0c7657da53c8f1dc0",
-    "train": "80f553b4c7f8d58a235d200187b92042b7d82eaa0097802b0c2bf02d4ea56b9c",
-    "eval": "1e0e670c5eb7529af0f8f9f7894c871903ab61ea0c436211a76574d55aacd66e",
-    "finetune": "efbf48705a6a6b4fd741fc93c7d5a1095c5567f18d74e550d8f546ea10ab55fb",
+    "synth": "2d8ca0d8b5c57a063ce2444aa610d030ee3276c8a12cebbaac5a5c0053d5b06f",
+    "train": "c2b0ef5913ed8e634b90bb0c47cc7a17f901befbca931ad82f2a46cfeceef5db",
+    "eval": "68ad6d4ed78c55efc12a9d7ea6e714303f4db08781ee97c2e897191eb94e6bf6",
+    "finetune": "aa4bea4fb11afe44123736f9477aa2146fde1e33c5779bdea0a12ee4bd52ba4a",
 }
 
 
@@ -78,9 +79,38 @@ def test_values_are_coerced_to_the_field_kind():
     ("train", {"drift.temperatures": [True]}),
     ("finetune", {"ppo.anchor_decay": 1}),
     ("synth", {"chunk.horizon": "16"}),
+    ("eval", {"eval.policy": 1}),
 ])
 def test_unknown_keys_and_wrong_kinds_are_rejected(command, raw):
     with pytest.raises(SpecError):
+        resolve_config(raw, command)
+
+
+@pytest.mark.parametrize("command, raw, count", [
+    ("synth", {}, 12), ("train", {}, 21), ("finetune", {}, 19),
+    ("eval", {}, 7), ("eval", {"eval.dataset": "d.csv"}, 9),
+    ("eval", {"eval.policy": "scripted"}, 6),
+])
+def test_a_run_resolves_the_keys_it_reads(command, raw, count):
+    assert len(resolve_config(raw, command)) == count
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    ("synth", {"chunk.action_dim": 2}, "for 'synth': ['chunk.action_dim']"),
+    ("train", {"train.epochs": 7, "train.steps": 3}, "for 'train': ['train.epochs']"),
+    ("eval", {"chunk.horizon": 4},
+     "for 'eval' with eval.policy 'checkpoint' and no eval.dataset: ['chunk.horizon']"),
+    ("eval", {"eval.coverage_samples": 8},
+     "for 'eval' with eval.policy 'checkpoint' and no eval.dataset: ['eval.coverage_samples']"),
+    ("eval", {"eval.dataset": "d.csv", "chunk.exec_len": 2},
+     "for 'eval' with eval.policy 'checkpoint': ['chunk.exec_len']"),
+    ("eval", {"eval.policy": "scripted", "checkpoint.path": "c.json", "eval.use_ema": True,
+              "chunk.horizon": 4},
+     "for 'eval' with eval.policy 'scripted': "
+     "['checkpoint.path', 'chunk.horizon', 'eval.use_ema']"),
+])
+def test_a_key_the_run_does_not_read_is_rejected_by_name(command, raw, message):
+    with pytest.raises(SpecError, match=re.escape(f"unknown config keys {message}")):
         resolve_config(raw, command)
 
 

@@ -28,8 +28,7 @@ import json
 
 from driftkit.cli import main
 
-TINY_CHUNK = {"chunk.horizon": 4, "chunk.action_dim": 2,
-              "chunk.history_len": 1, "chunk.exec_len": 2}
+TINY_CHUNK = {"chunk.horizon": 4, "chunk.history_len": 1, "chunk.exec_len": 2}
 
 EXPECTED = {
     "data/dataset.csv":
@@ -86,7 +85,7 @@ def run_pipeline(root) -> dict[str, str]:
     evaluate = _write(root / "eval.json", {
         "checkpoint.path": str(tuned / "checkpoint_final.json"),
         "eval.episodes": 3, "eval.seed": 1, "eval.dataset": str(data / "dataset.csv"),
-        "eval.coverage_samples": 8, "eval.coverage_conditions": 4, **TINY_CHUNK})
+        "eval.coverage_samples": 8, "eval.coverage_conditions": 4})
     assert main(["eval", "--config", evaluate, "--out", str(evald)]) == 0
 
     digests = {}

@@ -27,11 +27,11 @@ def tiny_generator(seed=0):
     return Generator(SPEC, obs_dim=6, latent_dim=4, hidden_dim=16, seed=seed)
 
 
-def test_zero_epochs_leaves_params_untouched():
+def test_zero_steps_leave_params_untouched():
     ds = toy_dataset()
     gen = tiny_generator()
     before = gen.param_arrays()
-    result = train(ds, gen, DriftConfig(), TrainConfig(epochs=0, seed=1))
+    result = train(ds, gen, DriftConfig(), TrainConfig(steps=0, seed=1))
     assert result.metrics == []
     for name, arr in gen.param_arrays().items():
         assert np.array_equal(arr, before[name])
