@@ -108,12 +108,13 @@ class GaussianActor:
     @np.errstate(over="ignore", invalid="ignore")
     def decide(self, obs_hist: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (D,) mean and clipped log-scale of one row through the backbone's
-        batch-1 kernel (:meth:`Generator.generate`), with the scale head on its
-        workspace's feature: rollout collection's query, with the row's
-        :meth:`evaluate` bits and no activations kept."""
+        batch-1 kernel (:meth:`Generator.generate`), with the scale head as one
+        ``dot`` on its workspace's feature: rollout collection's query, with the
+        row's :meth:`evaluate` bits and no activations kept."""
         mean = self.generator.generate(obs_hist, z)
-        feat = self.generator.workspace.feat[None]
-        return mean, clip(self.head.linear(feat, "scale")[0], *LOG_STD_BOUNDS)
+        head = self.head.data
+        pre = self.generator.workspace.feat.dot(head["scale_w"]) + head["scale_b"]
+        return mean, clip(check_finite(pre, "affine output"), *LOG_STD_BOUNDS)
 
     def deploy_action(self, obs_hist: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Deterministic deployment path: the mean chunk, one evaluation."""

@@ -77,8 +77,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     generator = Generator(dataset.spec, obs_dim=dataset.metadata["obs_dim"],
                           **fields_of(cfg, "model", Generator))
     result = train(dataset, generator, drift_config, train_config,
-                   on_checkpoint=lambda step: ckpt.save_checkpoint(
-                       out / f"checkpoint_step{step}.json", generator))
+                   on_checkpoint=lambda step, ema: ckpt.save_checkpoint(
+                       out / f"checkpoint_step{step}.json", generator, ema_params=ema))
     write_metrics_csv(out / "metrics.csv", result.metrics)
     ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
                          ema_params=result.ema_params,

@@ -342,10 +342,10 @@ def mode_coverage(generator: Generator, dataset: ImitationDataset, samples: int,
     first-seen order, the first ``max_conditions`` of them if given.  One
     (conditions x samples, latent_dim) latent draw feeds one
     ``generator.evaluate``; each chunk goes to its nearest mode center, and the
-    per-condition fractions of the K modes hit are averaged.
+    per-condition fractions of the K modes hit are averaged.  ``samples`` and
+    ``max_conditions`` must be >= 1: ``cli.cmd_eval`` checks the two keys that
+    set them, by name, before it loads the dataset.
     """
-    if samples < 1 or (max_conditions is not None and max_conditions < 1):
-        raise SpecError("coverage samples and max_conditions must be >= 1")
     first = {}
     for i, hist in enumerate(dataset.observations):
         first.setdefault(hist.tobytes(), i)

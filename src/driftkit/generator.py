@@ -18,9 +18,9 @@ written out, each product in the tape's order, so its gradients equal the
 tape's bitwise.
 
 A batch-1 decision (:meth:`Generator.generate`) runs the same layers
-through the generator's :class:`Workspace`, with two finiteness checks, not
-seven, and the bits of its row of a batched :meth:`Generator.evaluate`
-(``tests/test_inference.py``).
+through the generator's :class:`Workspace`, with one finiteness check, over
+every pre-activation after the run, and the bits of its row of a batched
+:meth:`Generator.evaluate` (``tests/test_inference.py``).
 
 The JSON helpers at the end of the module own the format of every JSON file:
 configs, checkpoints and dataset metadata are read through one typed reader
@@ -274,8 +274,8 @@ class Workspace:
     pre-activations of the obs, lat, trunk1 and trunk2 layers (H each), then
     the head's D; ``act`` their tanh outputs, ``feat`` first.  The feature and
     latent activations are adjacent, so trunk1 reads them as one vector with
-    no concat.  Every layer is ``np.matmul`` of a 1-D input into its ``pre``
-    segment, the bias added in place, then ``np.tanh`` into its ``act``
+    no concat.  Every layer is ``x.dot(w, out=pre_k)`` of a 1-D input into its
+    ``pre`` segment, the bias added in place, then ``np.tanh`` into its ``act``
     segment, on fixed views of the parameters (:meth:`Dense.load` and the
     optimizer write in place, so the next :meth:`run` reads the new values).
     Its buffers are reused by every call, so one generator makes one batch-1
@@ -286,6 +286,7 @@ class Workspace:
         width, h = gen.spec.history_len * gen.obs_dim, gen.hidden_dim
         self.x = np.empty(width + gen.latent_dim)
         self.pre = np.empty(4 * h + gen.spec.chunk_dim)
+        self.zero = np.zeros_like(self.pre)  # pre . zero is NaN iff pre is not finite
         self.act = np.empty(4 * h)
         self.obs, self.z = self.x[:width], self.x[width:]
         self.feat, self.chunk = self.act[:h], self.pre[4 * h:]
@@ -297,18 +298,17 @@ class Workspace:
         self.head = (act[3 * h:], *layers["head"][2:])
 
     def run(self) -> np.ndarray:
-        """The ``chunk`` segment of ``pre`` for the inputs in ``x``;
-        ``AutodiffError`` if any pre-activation is non-finite (an overflow
-        stays in ``pre`` although tanh maps it to +-1).  Runs in its caller's
-        error-state scope."""
+        """The ``chunk`` segment of ``pre`` for the inputs in ``x``, unchecked:
+        a NaN or an infinity, from the inputs or from an overflow, stays in
+        ``pre`` (although tanh maps an overflow to +-1), where the caller
+        checks it.  Runs in its caller's error-state scope."""
         for x, w, b, pre, act in self.layers:
-            np.matmul(x, w, out=pre)
+            x.dot(w, out=pre)
             pre += b
             np.tanh(pre, out=act)
         x, w, b = self.head
-        np.matmul(x, w, out=self.chunk)
+        x.dot(w, out=self.chunk)
         self.chunk += b
-        check_finite(self.pre, "affine output")
         return self.chunk
 
 
@@ -376,8 +376,8 @@ class Generator:
 
     def _checked(self, obs_flat, z) -> tuple[np.ndarray, np.ndarray]:
         """The (B, T_o * d_o) observation and (B, C) latent as float64 arrays:
-        the checks of :meth:`evaluate`, and of :meth:`generate` once its own
-        fail, so every message comes from here."""
+        the checks of :meth:`evaluate`, and of :meth:`generate` once its
+        sizes or its finiteness check fail, so every message comes from here."""
         obs_flat = np.asarray(obs_flat, dtype=np.float64)
         z = np.asarray(z, dtype=np.float64)
         width = self.spec.history_len * self.obs_dim
@@ -423,9 +423,10 @@ class Generator:
         error-state scope, with the observation feature left in
         ``workspace.feat`` until the next call.
 
-        The inputs are checked as :meth:`evaluate` checks one row, by its own
-        checks, before the evaluation counts; the bits are the row's
-        :meth:`evaluate` bits (``tests/test_inference.py``).
+        A rejected call raises :meth:`evaluate`'s error and does not count;
+        one finiteness check, of ``pre`` after the run, covers the inputs too
+        (DECISIONS.md, "A batch-1 decision runs through a workspace").  The
+        bits are the row's :meth:`evaluate` bits (``tests/test_inference.py``).
         """
         ws = self.workspace
         obs = np.asarray(obs_hist, dtype=np.float64)
@@ -434,10 +435,12 @@ class Generator:
             self._checked(self._flatten_obs(obs), z.reshape(1, -1))  # raises
         ws.obs[...] = obs.reshape(-1)
         ws.z[...] = z.reshape(-1)
-        if not np.isfinite(ws.x).all():
-            self._checked(ws.obs[None], ws.z[None])  # raises
+        chunk = ws.run()
+        if ws.pre.dot(ws.zero) != 0:  # 0 * NaN and 0 * +-inf are NaN, 0 * x is +-0
+            self._checked(ws.obs[None], ws.z[None])  # raises on a non-finite input
+            check_finite(ws.pre, "affine output")  # raises on an overflow
         self.nfe_count += 1
-        return ws.run().copy()
+        return chunk.copy()
 
     def _flatten_obs(self, obs_hist: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs_hist, dtype=np.float64)

@@ -223,8 +223,9 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     """Run the Stage-1 loop; deterministic for a fixed seed.
 
     ``dataset`` must expose .observations (N, T_o, d_o) and .chunks (N, H, d_a).
-    ``on_checkpoint(step)``, if given, runs after every ``checkpoint_every``-th
-    update, with that step's parameters in ``generator``.  A non-finite value in
+    ``on_checkpoint(step, ema)``, if given, runs after every
+    ``checkpoint_every``-th update, with that step's parameters in
+    ``generator`` and their EMA shadow in ``ema``.  A non-finite value in
     the step (forward, backward or update) raises :class:`NumericalAbort`,
     whose dump holds the step and its minibatch indices.
     """
@@ -269,7 +270,7 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
         result.metrics.append({"step": step, "loss": loss, "grad_norm": norm,
                                "s_norm": scale, "lr": lr})
         if on_checkpoint and config.checkpoint_every and step % config.checkpoint_every == 0:
-            on_checkpoint(step)
+            on_checkpoint(step, shadow)
 
     result.rng_state = rng.bit_generator.state
     result.optimizer_state = opt.state()

@@ -137,6 +137,7 @@ BAD_SETTINGS = [
     ("eval", {"eval.reward_mode": "bogus"}, "unknown reward mode 'bogus'"),
     ("eval", {"eval.policy": "scripted", "eval.reward_mode": "bogus"},
      "unknown reward mode 'bogus'"),
+    # the coverage counts' one check is cmd_eval's, which names the key
     ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_conditions": 0},
      "eval.coverage_conditions must be >= 1"),
     ("eval", {"eval.episodes": 1, "eval.dataset": None, "eval.coverage_samples": 0},
@@ -680,6 +681,34 @@ def test_use_ema_true_on_a_file_without_ema_names_the_key_and_the_file(tmp_path,
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr().err == \
         f"config error: {key} is true, but checkpoint {tuned} has no ema_params\n"
+
+
+def test_every_stage1_checkpoint_holds_its_ema_and_eval_runs_it_by_default(
+        tmp_path, monkeypatch, tiny_data):
+    # a sweep over the periodic files and the final one evaluates one kind of
+    # parameter set: with use_ema null, each file's EMA
+    code, run = train_dir(tmp_path, tiny_data, steps=4, extra={"train.checkpoint_every": 2})
+    assert code == 0
+    final = load_checkpoint(run / "checkpoint_final.json")["ema_params"]
+    ran = []
+
+    def recorded_evaluate_policy(make_env, actor, *args):
+        ran.append(actor.generator.params.arrays())
+        return evaluate_policy(make_env, actor, *args)
+
+    monkeypatch.setattr(cli, "evaluate_policy", recorded_evaluate_policy)
+    for step in (2, 4):
+        path = run / f"checkpoint_step{step}.json"
+        doc = load_checkpoint(path)
+        assert doc["ema_params"].keys() == doc["params"].keys()
+        assert any(not np.array_equal(doc["ema_params"][name], arr)
+                   for name, arr in doc["params"].items())
+        cfg = write_config(tmp_path / "e.json", {"checkpoint.path": str(path),
+                                                 "eval.episodes": 1})
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path / f"e{step}")]) == 0
+        assert all(np.array_equal(ran[-1][name], arr) for name, arr in doc["ema_params"].items())
+    # the last periodic file holds the final file's shadow
+    assert all(np.array_equal(doc["ema_params"][name], arr) for name, arr in final.items())
 
 
 def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):

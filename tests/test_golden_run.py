@@ -40,11 +40,11 @@ EXPECTED = {
     "run/checkpoint_final.json":
         "5b5127afc4d9f82424a766e1c2cdbff1af5f7839b5071115b79cebd15296bf99",
     "run/checkpoint_step10.json":
-        "71c301b275605db673a5dfd2abc8f5ae017d832898bfbae119b996a6cc72940d",
+        "98f9e260f67bb275633c1232a72f74c9b24f62d87a805b416d7f447d7a61a26b",
     "run/checkpoint_step20.json":
-        "d531ea320bf80112055a4150da2c386a565cc8fb9e8ca83c148cac3a86953597",
+        "915a9628dcc65588295a5083ab46078f349bc90dcb9146b7f678d9e79e767a7d",
     "run/checkpoint_step30.json":
-        "cbda096ed1527753a9a9bdb5f5a3d7afc225e18e3fafa9608e019e4a51244109",
+        "5a12376a178941a69ac0cb423ca84cc0f67788c6c17db838dfbabd9ce9cb6a8a",
     "tuned/metrics.csv":
         "4a7000e86d912b449d1a13ba20edde8b66cd8223155f0a8e7ad877e5ecd19758",
     "tuned/checkpoint_final.json":

@@ -6,14 +6,19 @@ tape's finiteness contract."""
 from __future__ import annotations
 
 import cProfile
+import os
 import pstats
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftkit
 from driftkit.actor import GaussianActor, prefix_log_prob
 from driftkit.autodiff import AutodiffError, Tensor, row_matmul
 from driftkit.envs import PointMassEnv
@@ -290,20 +295,60 @@ def test_critic_value_rejects_non_finite_input():
 # -- the batch-1 workspace kernel ------------------------------------------
 
 
+def test_the_benchmark_shapes_are_every_dense_layer_in_the_tree():
+    spec = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
+    actor = GaussianActor(Generator(spec, obs_dim=6, latent_dim=8, hidden_dim=64))
+    bundles = (actor.generator.params, actor.head, Critic(12, hidden_dim=64).params)
+    assert {arr.shape for bundle in bundles for name, arr in bundle.data.items()
+            if name.endswith("_w")} == set(BENCH_LAYERS)
+
+
 @pytest.mark.parametrize("fan_in, fan_out", BENCH_LAYERS + [
-    (k, m) for k in (1, 3, 5, 7) for _, m in BENCH_LAYERS])
+    (k, m) for k in (1, 3, 5, 7) for _, m in BENCH_LAYERS] + [
+    (k, m) for k, _ in BENCH_LAYERS[:4] for m in (1, 2, 3)])
 @settings(max_examples=10, deadline=None)
-@given(offset=st.integers(min_value=0, max_value=9), seed=seeds, scale=scales)
-def test_one_dimensional_product_equals_the_kernel_row(fan_in, fan_out, offset, seed, scale):
-    # the workspace's layer: a 1-D input segment times the weight, written
-    # into a segment of a longer buffer, has the bits of a row_matmul row
+@given(offset=st.integers(min_value=0, max_value=9), stride=st.sampled_from([1, 2, 3]),
+       seed=seeds, scale=scales)
+def test_one_dimensional_product_equals_the_kernel_row(fan_in, fan_out, offset, stride,
+                                                       seed, scale):
+    # a batch-1 layer: the dot of a 1-D input, contiguous or strided, times the
+    # weight, written into a segment of a longer buffer, has the bits of a
+    # row_matmul row
     rng = np.random.default_rng(seed)
     w = rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-    buffer = scale * rng.standard_normal(offset + fan_in + 2)
-    x = buffer[offset:offset + fan_in]
+    buffer = scale * rng.standard_normal(offset + stride * fan_in + 2)
+    x = buffer[offset:offset + stride * fan_in:stride]
     out = np.full(offset + fan_out + 3, np.nan)
-    np.matmul(x, w, out=out[offset:offset + fan_out])
+    x.dot(w, out=out[offset:offset + fan_out])
     assert out[offset:offset + fan_out].tobytes() == row_matmul(x[None], w)[0].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0),
+                       min_size=1, max_size=300),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]), where=st.integers(0, 299))
+def test_the_dot_with_zeros_is_zero_exactly_when_every_value_is_finite(values, bad, where):
+    # the batch-1 finiteness check: 0 * x is +-0 for a finite x and NaN for a
+    # NaN or an infinity, and a sum of +-0 is 0 while a sum with a NaN is NaN
+    pre = np.array(values)
+    if bad is not None:
+        pre[where % pre.size] = bad
+    with np.errstate(invalid="ignore"):  # as in the decision's scope
+        assert (pre.dot(np.zeros_like(pre)) != 0) == (not np.isfinite(pre).all())
+
+
+def test_a_one_by_one_product_differs_only_in_a_zero_sign_that_the_bias_add_erases():
+    # at fan_in = fan_out = 1, the dot multiplies two scalars, which keeps a
+    # -0.0 product that the kernel row's 0 + x * w sums to +0.0; a bias other
+    # than -0.0 (the init's 0.0 and every value an optimizer or EMA step makes
+    # from it) gives both the same bits
+    x, w = np.array([-1.5]), np.array([[0.0]])
+    out = np.empty(1)
+    x.dot(w, out=out)
+    row = row_matmul(x[None], w)[0]
+    assert out == row
+    for b in (0.0, 5e-324, -2.0):
+        assert (out + b).tobytes() == (row + b).tobytes()
 
 
 def generate_via_evaluate(gen: Generator, obs_hist, z) -> np.ndarray:
@@ -314,40 +359,100 @@ def generate_via_evaluate(gen: Generator, obs_hist, z) -> np.ndarray:
     return chunk[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(hidden=st.sampled_from([1, 2, 8, 17, 64]), obs_dim=st.integers(1, 6),
-       latent_dim=st.integers(1, 11), history=st.integers(1, 3),
-       horizon=st.integers(3, 8), batch=st.integers(1, 12), seed=seeds, scale=scales)
-def test_generate_equals_its_row_of_a_batched_evaluation(hidden, obs_dim, latent_dim, history,
-                                                         horizon, batch, seed, scale):
+# actor geometries: a hidden width of 1 gives fan_out 1 to the obs, lat and
+# trunk layers and fan_in 1 to the head and the scale head
+geometries = st.fixed_dictionaries({
+    "hidden_dim": st.sampled_from([1, 2, 8, 17, 64]), "obs_dim": st.integers(1, 6),
+    "latent_dim": st.integers(1, 11), "history": st.integers(1, 3),
+    "horizon": st.integers(3, 8)})
+
+
+def random_actor(seed: int, hidden_dim, obs_dim, latent_dim, history, horizon):
+    """An actor of the given geometry whose biases and scale head are random,
+    so every layer's add matters, and the rng that drew them, for the inputs."""
     spec = ChunkSpec(horizon=horizon, action_dim=2, history_len=history, exec_len=1)
-    gen = Generator(spec, obs_dim=obs_dim, latent_dim=latent_dim, hidden_dim=hidden,
-                    seed=seed % 1000)
+    actor = GaussianActor(Generator(spec, obs_dim=obs_dim, latent_dim=latent_dim,
+                                    hidden_dim=hidden_dim, seed=seed % 1000))
     rng = np.random.default_rng(seed)
-    # biases away from 0, so every layer's add matters
-    gen.params.load({name: arr if name.endswith("_w") else rng.normal(size=arr.shape)
-                     for name, arr in gen.params.arrays().items()})
-    obs = scale * rng.standard_normal((batch, history * obs_dim))
-    z = rng.standard_normal((batch, latent_dim))
-    chunks, _ = gen.evaluate(obs, z)
-    for i in range(batch):
-        one = gen.generate(obs[i].reshape(history, obs_dim), z[i])
-        assert one.tobytes() == chunks[i].tobytes()
-    assert gen.nfe_count == 2 * batch
+    actor.generator.params.load({name: arr if name.endswith("_w") else rng.normal(size=arr.shape)
+                                 for name, arr in actor.generator.params.arrays().items()})
+    actor.head.load({"scale_w": rng.normal(scale=0.5, size=(hidden_dim, spec.chunk_dim)),
+                     "scale_b": rng.uniform(-3.0, 0.0, size=spec.chunk_dim)})
+    return actor, rng
 
 
-@PROPERTY
-@given(batch=batches, seed=seeds, scale=scales)
-def test_collection_query_equals_its_row_of_the_actor_evaluation(batch, seed, scale):
-    actor = make_actor(seed % 1000)
-    obs, z, _ = rows(seed, batch, scale)
+@settings(max_examples=60, deadline=None)
+@given(geometry=geometries, batch=st.integers(1, 12), seed=seeds, scale=scales)
+def test_a_decision_equals_its_row_of_a_batched_evaluation(geometry, batch, seed, scale):
+    # deployment's generate and collection's decide, each against its row of
+    # the batched evaluation that the PPO update recomputes
+    actor, rng = random_actor(seed, **geometry)
+    gen = actor.generator
+    obs = scale * rng.standard_normal((batch, gen.spec.history_len * gen.obs_dim))
+    z = rng.standard_normal((batch, gen.latent_dim))
     out, _ = actor.evaluate(obs, z)
     for i in range(batch):
+        one = gen.generate(obs[i].reshape(gen.spec.history_len, gen.obs_dim), z[i])
+        assert one.tobytes() == out.mean[i].tobytes()
         mean, log_std = actor.decide(obs[i], z[i])
-        assert mean.shape == log_std.shape == (SPEC.chunk_dim,)
+        assert mean.shape == log_std.shape == (gen.spec.chunk_dim,)
         assert mean.tobytes() == out.mean[i].tobytes()
         assert log_std.tobytes() == out.log_std[i].tobytes()
-    assert actor.generator.nfe_count == 2 * batch
+    assert gen.nfe_count == 3 * batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometry=geometries, where=st.sampled_from(["observation", "latent"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), index=st.integers(0, 63),
+       seed=seeds, scale=scales)
+def test_a_non_finite_input_raises_the_input_message_and_the_next_decision_is_clean(
+        geometry, where, bad, index, seed, scale):
+    # one finiteness check after the run covers the inputs: a NaN or an
+    # infinity anywhere in them raises the batched evaluation's input error,
+    # counts nothing, and leaves nothing behind in the workspace
+    actor, rng = random_actor(seed, **geometry)
+    gen = actor.generator
+    obs = scale * rng.standard_normal((2, gen.spec.history_len * gen.obs_dim))
+    z = rng.standard_normal((2, gen.latent_dim))
+    out, _ = actor.evaluate(obs[1:], z[1:])
+    bad_obs, bad_z = obs[0].copy(), z[0].copy()
+    poisoned = bad_obs if where == "observation" else bad_z
+    poisoned[index % poisoned.size] = bad
+    want = (out.mean[0].tobytes(), out.log_std[0].tobytes())
+    for run in (lambda *row: (gen.generate(*row),), actor.decide):
+        counted = gen.nfe_count
+        with pytest.raises(AutodiffError) as err:
+            run(bad_obs, bad_z)
+        assert type(err.value) is AutodiffError
+        assert str(err.value) == f"{where} input has non-finite values"
+        assert gen.nfe_count == counted
+        got = run(obs[1], z[1])
+        assert tuple(arr.tobytes() for arr in got) == want[:len(got)]
+
+
+@pytest.mark.parametrize("layer", ["obs", "lat"])
+@pytest.mark.parametrize("path", ["generate", "decide"])
+def test_a_finite_input_that_overflows_raises_affine_output(layer, path):
+    # every input coordinate 1e308 against weights of 1: each pre-activation
+    # of the input's layer sums past the float64 range
+    actor = make_actor(8)
+    gen = actor.generator
+    arrays = gen.param_arrays()
+    gen.params.load({**arrays, f"{layer}_w": np.ones_like(arrays[f"{layer}_w"])})
+    obs, z, _ = rows(8, 2, 1.0)
+    big = np.full_like(obs[0] if layer == "obs" else z[0], 1e308)
+    bad_obs, bad_z = (big, z[0]) if layer == "obs" else (obs[0], big)
+    with pytest.raises(AutodiffError) as want:
+        gen.evaluate(bad_obs[None], bad_z[None])
+    assert str(want.value) == "affine output has non-finite values"
+    out, _ = actor.evaluate(obs[1:], z[1:])
+    run, counted = (gen.generate if path == "generate" else actor.decide), gen.nfe_count
+    with pytest.raises(AutodiffError) as got:
+        run(bad_obs, bad_z)
+    assert str(got.value) == str(want.value)
+    assert gen.nfe_count == counted
+    clean = run(obs[1], z[1])
+    assert (clean if path == "generate" else clean[0]).tobytes() == out.mean[0].tobytes()
 
 
 def bad_decision_inputs():
@@ -418,8 +523,11 @@ def test_a_clone_decides_like_the_original_in_its_own_workspace():
 
 def test_a_decision_call_count_repeats():
     # a deterministic cost counter: cProfile's total calls of a warmed-up
-    # batch-1 decision are the same on every call (21 when written; 80 before
-    # the workspace kernel)
+    # batch-1 decision are the same on every call: 19 when written, 20 with
+    # np.matmul and an input check, 80 before the workspace kernel.  The count
+    # does not track dispatch cost: cProfile sees np.dot's Python-level
+    # dispatcher, but not a ufunc call such as np.matmul or a method such as
+    # ndarray.dot, so five np.dot calls would have raised it to 21
     actor = make_actor(6)
     obs, z, _ = rows(6, 1, 1.0)
     for _ in range(3):
@@ -432,3 +540,39 @@ def test_a_decision_call_count_repeats():
         profiler.disable()
         counts.append(pstats.Stats(profiler).total_calls)
     assert counts[0] == counts[1]
+
+
+# the properties that hold for this numpy and BLAS build, not by construction
+BUILD_PROPERTIES = ["test_kernel_rows_equal_rows_computed_alone",
+                    "test_kernel_is_row_invariant_at_the_benchmark_shapes",
+                    "test_one_dimensional_product_equals_the_kernel_row",
+                    "test_the_dot_with_zeros_is_zero_exactly_when_every_value_is_finite",
+                    "test_a_decision_equals_its_row_of_a_batched_evaluation"]
+
+# OpenBLAS reads its thread count once, when numpy loads it; the bundled
+# library reports the count it took, where it can be found
+RUN_WITH_THREADS = """
+import ctypes, glob, os, sys
+import numpy, pytest
+for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*")):
+    threads = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        print("blas threads:", threads())
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_the_build_properties_hold_with_two_blas_threads():
+    # gemm is the call OpenBLAS threads, and the kernels must not depend on it
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([str(Path(driftkit.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_WITH_THREADS, "-q", "-p", "no:cacheprovider",
+         *(f"{__file__}::{name}" for name in BUILD_PROPERTIES)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    assert all(line == "blas threads: 2" for line in result.stdout.splitlines()
+               if line.startswith("blas threads:"))

@@ -189,7 +189,7 @@ def abort_dump(step_fn, where, bad):
     gen = Generator(SPEC, obs_dim=6, latent_dim=4, hidden_dim=16, seed=0)
     config = TrainConfig(steps=4, seed=0, checkpoint_every=1)
 
-    def poison_weight(step):
+    def poison_weight(step, ema):
         if step == 1:
             gen.params["trunk2_w"].data[3, 5] = bad
 
