@@ -317,8 +317,8 @@ class Generator:
 
     ``nfe_count`` counts network evaluations per row: a :meth:`forward` or
     :meth:`evaluate` call on B rows adds B, a :meth:`generate` call adds 1,
-    and a call that rejects its inputs adds nothing.  The deployment and
-    evaluation loops check one evaluation per decision against it.
+    and a call that raises adds nothing.  The deployment and evaluation
+    loops check one evaluation per decision against it.
     """
 
     def __init__(self, spec: ChunkSpec, obs_dim: int, latent_dim: int = 8,
@@ -353,8 +353,8 @@ class Generator:
 
         Returns the (B, D) chunk batch and the (B, hidden) observation feature.
         """
-        self.nfe_count += obs_flat.shape[0]
         chunk, acts = _backbone(self.params, obs_flat, z)
+        self.nfe_count += obs_flat.shape[0]
         return chunk, acts[2]
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -363,16 +363,17 @@ class Generator:
         the :func:`_backbone` activations that :meth:`backward` differentiates
         through (``[2]`` is the observation feature).
 
-        Both inputs are checked before the evaluation counts: an observation
-        that is not (B, T_o * d_o) or a latent that is not (B, C) raises
-        ``SpecError`` naming the expected shape, and a non-finite input
-        ``AutodiffError``.  A non-finite pre-activation raises
-        ``AutodiffError`` too, as the tape would, and without a warning: the
-        call's one error-state scope covers every layer.
+        Both inputs are checked first: an observation that is not
+        (B, T_o * d_o) or a latent that is not (B, C) raises ``SpecError``
+        naming the expected shape, and a non-finite input ``AutodiffError``.
+        A non-finite pre-activation raises ``AutodiffError`` too, as the tape
+        would, and without a warning: the call's one error-state scope covers
+        every layer.  The rows count only once every layer has passed.
         """
         obs_flat, z = self._checked(obs_flat, z)
+        out = _backbone(self.params, obs_flat, z)
         self.nfe_count += obs_flat.shape[0]
-        return _backbone(self.params, obs_flat, z)
+        return out
 
     def _checked(self, obs_flat, z) -> tuple[np.ndarray, np.ndarray]:
         """The (B, T_o * d_o) observation and (B, C) latent as float64 arrays:

@@ -442,9 +442,14 @@ def test_a_finite_input_that_overflows_raises_affine_output(layer, path):
     obs, z, _ = rows(8, 2, 1.0)
     big = np.full_like(obs[0] if layer == "obs" else z[0], 1e308)
     bad_obs, bad_z = (big, z[0]) if layer == "obs" else (obs[0], big)
+    counted = gen.nfe_count
     with pytest.raises(AutodiffError) as want:
         gen.evaluate(bad_obs[None], bad_z[None])
     assert str(want.value) == "affine output has non-finite values"
+    assert gen.nfe_count == counted
+    with pytest.raises(AutodiffError):
+        gen.forward(Tensor(bad_obs[None]), Tensor(bad_z[None]))
+    assert gen.nfe_count == counted
     out, _ = actor.evaluate(obs[1:], z[1:])
     run, counted = (gen.generate if path == "generate" else actor.decide), gen.nfe_count
     with pytest.raises(AutodiffError) as got:
