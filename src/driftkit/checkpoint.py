@@ -1,14 +1,15 @@
 """Self-describing JSON checkpoints.
 
 One document stores the chunk geometry, the generator's dimensions and flat
-parameter arrays, and optionally the EMA shadow, optimizer state and rng
-state.  A fine-tune run stores its generator alone; the scale head and
-critic entries of older files are ignored.  Keys are sorted and floats use
-repr, so identical state serializes to identical bytes.  The file is the
-compact ``json.dump(doc, sort_keys=True)`` text and a newline, written one
-entry at a time through the C encoder (:func:`_write`).  Loading checks
-every field that a restore reads, with :func:`driftkit.generator.read_keys`,
-and decodes each packed array once.
+parameter arrays, and optionally their EMA shadow: what ``eval`` and
+``finetune`` read.  ``driftkit train`` writes the parameters and their EMA
+into every file, periodic or final, and a fine-tune run its generator alone;
+the scale head and critic entries of older files are ignored.  Keys are
+sorted and floats use repr, so identical state serializes to identical
+bytes.  The file is the compact ``json.dump(doc, sort_keys=True)`` text and a
+newline, written one entry at a time through the C encoder (:func:`_write`).
+Loading checks every field that a restore reads, with
+:func:`driftkit.generator.read_keys`, and decodes each packed array once.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _pack(arrays: dict[str, np.ndarray]) -> dict:
 
 def _unpack(doc: dict, key: str, where: str) -> None:
     """Replace each packed ``{shape, data}`` entry under ``key`` by its array,
-    whose data must fill the shape and be finite."""
+    whose data must fill the shape; ``typed`` has read every value as a finite float."""
     packed = read_keys(doc, {key: dict}, where)[key]
     for name in list(packed):
         kinds = {f"{key}.{name}.shape": tuple[int, ...], f"{key}.{name}.data": tuple[float, ...]}
@@ -45,9 +46,7 @@ def _unpack(doc: dict, key: str, where: str) -> None:
         if min(shape, default=0) < 0 or math.prod(shape) != len(data):
             raise SpecError(f"{where}key '{key}.{name}.shape' is {list(shape)}, "
                             f"but the data holds {len(data)} values")
-        arr = packed[name] = np.reshape(data, shape)
-        if not np.isfinite(arr).all():
-            raise SpecError(f"{where}{key} parameter {name} is not finite")
+        packed[name] = np.reshape(data, shape)
 
 
 def _write(fh, obj) -> None:
@@ -71,7 +70,9 @@ def save_checkpoint(path, generator: Generator, ema_params=None, rng_state=None,
     """Write atomically: a temp file in the same directory, then ``os.replace``.
 
     If serialisation fails, a previous file at ``path`` is left as it was and
-    the temp file is removed.
+    the temp file is removed.  ``rng_state`` and ``optimizer_state``, if
+    given, are written as the ``rng_state`` and ``optimizer`` entries; only
+    the benchmark's set-up passes them, and no loader reads them back.
     """
     doc = {
         "format_version": FORMAT_VERSION,

@@ -76,14 +76,15 @@ def cmd_train(cfg: dict, out: Path) -> int:
     train_config = TrainConfig(**fields_of(cfg, "train", TrainConfig))
     generator = Generator(dataset.spec, obs_dim=dataset.metadata["obs_dim"],
                           **fields_of(cfg, "model", Generator))
+
+    def save(name: str, ema) -> None:
+        # every Stage-1 file holds the backbone and its EMA, the state a command reads
+        ckpt.save_checkpoint(out / name, generator, ema_params=ema)
+
     result = train(dataset, generator, drift_config, train_config,
-                   on_checkpoint=lambda step, ema: ckpt.save_checkpoint(
-                       out / f"checkpoint_step{step}.json", generator, ema_params=ema))
+                   on_checkpoint=lambda step, ema: save(f"checkpoint_step{step}.json", ema))
     write_metrics_csv(out / "metrics.csv", result.metrics)
-    ckpt.save_checkpoint(out / "checkpoint_final.json", generator,
-                         ema_params=result.ema_params,
-                         rng_state=result.rng_state,
-                         optimizer_state=result.optimizer_state)
+    save("checkpoint_final.json", result.ema_params)
     final_loss = result.metrics[-1]["loss"] if result.metrics else None
     print(f"train: steps={len(result.metrics)} final_loss={final_loss} "
           f"seed={train_config.seed} -> {out / 'checkpoint_final.json'}")
@@ -114,6 +115,14 @@ def cmd_eval(cfg: dict, out: Path) -> int:
                         raise SpecError(f"{key} must be >= 1")
                 data_path = Path(cfg["eval.dataset"])
                 dataset = load_dataset(data_path, data_path.with_name("dataset_meta.json"))
+                # (observation shape, chunk shape) of each; coverage does not read exec_len
+                have, want = (((spec.history_len, obs_dim), (spec.horizon, spec.action_dim))
+                              for spec, obs_dim in ((dataset.spec, dataset.metadata["obs_dim"]),
+                                                    (actor.spec, actor.generator.obs_dim)))
+                if have != want:
+                    raise SpecError(f"eval.dataset {data_path} has observations of shape "
+                                    f"{have[0]} and chunks of shape {have[1]}, but the "
+                                    f"checkpoint's are {want[0]} and {want[1]}")
                 coverage["mode_coverage"] = mode_coverage(
                     actor.generator, dataset, cfg["eval.coverage_samples"],
                     np.random.default_rng(seed), max_conditions=cfg["eval.coverage_conditions"])

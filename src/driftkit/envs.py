@@ -396,8 +396,6 @@ def load_dataset(csv_path, meta_path) -> ImitationDataset:
     if checked["modes"] != len(checked["mode_signs"]):
         raise SpecError(f"{where}key 'modes' is {checked['modes']}, "
                         f"but 'mode_signs' holds {len(checked['mode_signs'])} values")
-    if not np.isfinite(checked["mode_signs"]).all():
-        raise SpecError(f"{where}key 'mode_signs' holds a non-finite value")
     if not 0.0 < checked["gain"] <= MODE_GAIN_MAX:
         raise SpecError(f"{where}key 'gain' is {checked['gain']!r}, "
                         f"outside (0, {MODE_GAIN_MAX:g}]")

@@ -495,6 +495,15 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _finite_sum(numbers) -> bool:
+    """Whether ``sum(numbers)`` is finite, in one C-level pass: true only if
+    every number is, though finite numbers whose sum overflows give false."""
+    try:
+        return math.isfinite(sum(numbers))
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def typed(value, kind, key: str, where: str):
     """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
     number, an int never from a bool), or as ``tuple[X, ...]`` from a list of
@@ -504,12 +513,14 @@ def typed(value, kind, key: str, where: str):
     A float must be finite: JSON's ``NaN`` and ``Infinity`` (which Python's
     reader accepts), or an int past the float range, raise
     ``SpecError("<where>key '<key>' expects a finite float, got <value>")``; no
-    key needs an infinity.
-    A list's items are left to its owner, which names the bad entry (a
-    checkpoint names the parameter)."""
+    key needs an infinity.  In a float list the first such item raises, named
+    ``'<key>[<index>]'``."""
     items = typing.get_args(kind)
     if items:
         if type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]:
+            if items[0] is float and not _finite_sum(value):
+                for index, item in enumerate(value):  # the first bad item raises
+                    typed(item, float, f"{key}[{index}]", where)
             return tuple(map(items[0], value))
     elif type(value) in JSON_TYPES[kind]:
         if kind is not float:

@@ -166,10 +166,13 @@ class AdamW:
         self.step_count = t
 
     def state(self) -> dict:
+        """The step count, and m and v by leaf name: ``None`` before the first
+        step, then views of the last step's moment vectors, which no later
+        step writes into."""
         def by_name(which: int) -> dict:
             if not self.step_count:
                 return {name: None for name in self.names}
-            return {name: arr.tolist() for mv, (_, new) in zip(self.moments, self.scratch)
+            return {name: arr for mv, (_, new) in zip(self.moments, self.scratch)
                     for name, arr in Flat(new.layout, mv[which]).items()}
 
         return {"step_count": self.step_count, "m": by_name(0), "v": by_name(1)}

@@ -164,8 +164,9 @@ def test_writer_text_equals_json_dump_on_any_document(doc):
 
 
 def _trained_state(hidden_dim):
-    """A generator of width ``hidden_dim`` two Stage-1 steps in, and the keywords
-    of the final checkpoint ``driftkit train`` writes: EMA, rng and optimizer."""
+    """A generator of width ``hidden_dim`` two Stage-1 steps in, and the
+    ``save_checkpoint`` keywords of the benchmark's set-up: EMA, rng and
+    optimizer state, the moments as ``AdamW.state`` hands them over."""
     dataset = synth_multimodal(conditions=6, samples_per_condition=2, seed=1)
     gen = Generator(dataset.spec, obs_dim=dataset.metadata["obs_dim"], latent_dim=8,
                     hidden_dim=hidden_dim, seed=2)

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 import driftkit
 from driftkit import cli
 from driftkit.actor import GaussianActor
-from driftkit.checkpoint import load_checkpoint, restore_generator
+from driftkit.checkpoint import load_checkpoint, restore_generator, save_checkpoint
 from driftkit.autodiff import AutodiffError
 from driftkit.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 from driftkit.config import run_keys
 from driftkit.envs import PointMassEnv, load_dataset
-from driftkit.generator import Generator, SpecError
+from driftkit.generator import ChunkSpec, Generator, SpecError
 from driftkit.ppo import evaluate_policy
 from driftkit.training import NumericalAbort
 
@@ -178,10 +178,13 @@ BAD_SETTINGS = [
      "config key 'ppo.actor_lr' expects a finite float, got -inf"),
     ("train", {"data.path": None, "train.learning_rate": 10**400},
      f"config key 'train.learning_rate' expects a finite float, got {10**400}"),
+    # an item of a float list is read as a float setting, named by its index
     ("train", {"data.path": None, "drift.temperatures": [0.2, float("inf")]},
-     "temperatures must be positive and finite"),
+     "config key 'drift.temperatures[1]' expects a finite float, got inf"),
     ("train", {"data.path": None, "drift.temperatures": [float("nan")]},
-     "temperatures must be positive and finite"),
+     "config key 'drift.temperatures[0]' expects a finite float, got nan"),
+    ("train", {"data.path": None, "drift.temperatures": [0.2, 10**400]},
+     f"config key 'drift.temperatures[1]' expects a finite float, got {10**400}"),
 ]
 
 
@@ -215,7 +218,8 @@ SETTING_POOLS = {
     float: [0.0, -1.0, 1e308, -1e308, 1e-320, float("nan"), float("inf"), -float("inf")],
     str: ["", "x"],
     bool: [False, True],
-    tuple[float, ...]: [[], [0.7], [0.02, 0.05, 0.2], [0.0], [-1.0], [1e-320]],
+    tuple[float, ...]: [[], [0.7], [0.02, 0.05, 0.2], [0.0], [-1.0], [1e-320], [10**400],
+                        [float("nan")]],
 }
 
 # A tiny run of each command and of each eval policy, which the property
@@ -480,10 +484,13 @@ def _with(key, value):
     return _edit(key, lambda obj, name: obj.__setitem__(name, value))
 
 
-def _nan_in_ema(text):
-    doc = json.loads(text)
-    doc["ema_params"]["head_w"]["data"][0] = float("nan")
-    return json.dumps(doc)
+def _in_head_w(key, value):
+    """An edit of a checkpoint text that sets item 3 of ``head_w``'s data under ``key``."""
+    def edit(text):
+        doc = json.loads(text)
+        doc[key]["head_w"]["data"][3] = value
+        return json.dumps(doc)
+    return edit
 
 
 def _in_first_record(column, value):
@@ -509,8 +516,14 @@ CORRUPT_INPUTS = [
      lambda path, text: f"checkpoint {path}: no key 'hidden_dim'"),
     ("checkpoint-no-hidden-dim-finetune", "finetune", "checkpoint.json",
      _without("hidden_dim"), lambda path, text: f"checkpoint {path}: no key 'hidden_dim'"),
-    ("checkpoint-nan-in-ema", "finetune", "checkpoint.json", _nan_in_ema,
-     lambda path, text: f"checkpoint {path}: ema_params parameter head_w is not finite"),
+    ("checkpoint-nan-in-ema", "finetune", "checkpoint.json",
+     _in_head_w("ema_params", float("nan")),
+     lambda path, text: f"checkpoint {path}: key 'ema_params.head_w.data[3]' expects a finite "
+                        "float, got nan"),
+    # an int past the float range once escaped as an OverflowError
+    ("checkpoint-huge-int-in-params", "eval", "checkpoint.json", _in_head_w("params", 10**400),
+     lambda path, text: f"checkpoint {path}: key 'params.head_w.data[3]' expects a finite "
+                        f"float, got {10**400}"),
     ("dataset-cell-abc", "train", "dataset.csv", _in_first_record("obs_0", "abc"),
      lambda path, text: f"dataset {path} line 2: could not convert string to float: 'abc'"),
     ("dataset-meta-truncated", "train", "dataset_meta.json", lambda text: text[:1],
@@ -565,10 +578,15 @@ CORRUPT_INPUTS = [
     ("dataset-meta-negative-swing-len-eval", "eval", "dataset_meta.json",
      _with("swing_len", -1),
      lambda path, text: f"dataset metadata {path}: key 'swing_len' is -1, below 0"),
-    # a sign is read as a float list, whose items its owner checks
+    # a sign is read as an item of a float list, named by its index
     ("dataset-meta-nan-sign-eval", "eval", "dataset_meta.json",
      _with("mode_signs", [float("nan"), 1.0]),
-     lambda path, text: f"dataset metadata {path}: key 'mode_signs' holds a non-finite value"),
+     lambda path, text: f"dataset metadata {path}: key 'mode_signs[0]' expects a finite float, "
+                        "got nan"),
+    ("dataset-meta-huge-int-sign-train", "train", "dataset_meta.json",
+     _with("mode_signs", [-1.0, 10**400]),
+     lambda path, text: f"dataset metadata {path}: key 'mode_signs[1]' expects a finite "
+                        f"float, got {10**400}"),
     ("dataset-obs-inf-eval", "eval", "dataset.csv", _in_first_record("obs_0", "inf"),
      lambda path, text: f"dataset {path} line 2: obs_0 is inf, not finite"),
     ("dataset-expert-nan-train", "train", "dataset.csv", _in_first_record("act_3", "nan"),
@@ -711,6 +729,47 @@ def test_every_stage1_checkpoint_holds_its_ema_and_eval_runs_it_by_default(
     assert all(np.array_equal(doc["ema_params"][name], arr) for name, arr in final.items())
 
 
+# checkpoint geometries against the tiny dataset's (horizon 4, action_dim 2,
+# history_len 1, exec_len 2, obs_dim 6): the chunk spec's changes and obs_dim
+OTHER_GEOMETRIES = {"horizon": ({"horizon": 6}, 6), "history-len": ({"history_len": 2}, 6),
+                    "action-dim": ({"action_dim": 3}, 6), "obs-dim": ({}, 7)}
+
+
+@pytest.mark.parametrize("geometry", sorted(OTHER_GEOMETRIES))
+def test_an_eval_dataset_of_another_geometry_is_rejected_before_coverage(
+        tmp_path, capsys, monkeypatch, tiny_data, geometry):
+    # it used to fail in mode_coverage, broadcasting the dataset's chunks
+    # against the generator's, with a numpy traceback
+    change, obs_dim = OTHER_GEOMETRIES[geometry]
+    spec = ChunkSpec(**{"horizon": 4, "history_len": 1, "exec_len": 2, **change})
+    path = tmp_path / "c.json"
+    save_checkpoint(path, Generator(spec, obs_dim=obs_dim, latent_dim=4, hidden_dim=8))
+    ran = []
+    monkeypatch.setattr(cli, "mode_coverage", lambda *args, **kwargs: ran.append("coverage"))
+    monkeypatch.setattr(cli, "evaluate_policy", lambda *args: ran.append("episodes"))
+    data = tiny_data / "dataset.csv"
+    cfg = write_config(tmp_path / "e.json", {"checkpoint.path": str(path),
+                                             "eval.dataset": str(data), "eval.episodes": 1})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: eval.dataset {data} has observations of shape (1, 6) and chunks of "
+        f"shape (4, 2), but the checkpoint's are {(spec.history_len, obs_dim)} and "
+        f"{(spec.horizon, spec.action_dim)}\n")
+    assert ran == []
+
+
+def test_an_eval_dataset_of_another_exec_len_runs(tmp_path, tiny_data):
+    # coverage scores whole chunks, so the executed prefix may differ
+    path = tmp_path / "c.json"
+    spec = ChunkSpec(horizon=4, history_len=1, exec_len=3)
+    save_checkpoint(path, Generator(spec, obs_dim=6, latent_dim=4, hidden_dim=8))
+    cfg = write_config(tmp_path / "e.json", {
+        "checkpoint.path": str(path), "eval.dataset": str(tiny_data / "dataset.csv"),
+        "eval.episodes": 1, "eval.coverage_samples": 2, "eval.coverage_conditions": 2})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "mode_coverage" in json.loads((tmp_path / "o" / "report.json").read_text())
+
+
 def test_eval_checkpoint_policy_reports_nfe_and_coverage(tmp_path, monkeypatch):
     data = synth_dir(tmp_path, conditions=8)
     _, run = train_dir(tmp_path, data, steps=4)
@@ -830,11 +889,6 @@ def test_a_finetune_checkpoint_with_the_old_head_and_critic_entries_still_loads(
     assert _outputs(tmp_path, new, data, "new") == _outputs(tmp_path, old, data, "old")
 
 
-# Entries a checkpoint may hold although no command reads them back: the
-# Stage-1 run's random state and AdamW moments (ROADMAP item 5).
-UNREAD_ENTRIES = ("optimizer", "rng_state")
-
-
 @pytest.mark.parametrize("stage", ["train", "finetune"])
 def test_every_checkpoint_entry_is_read(tmp_path, tiny_data, tiny_checkpoint, stage):
     # a final checkpoint without any one of its top-level entries is rejected
@@ -854,7 +908,7 @@ def test_every_checkpoint_entry_is_read(tmp_path, tiny_data, tiny_checkpoint, st
         stripped.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
         if _outputs(tmp_path, stripped, tiny_data, f"without-{key}") == full:
             unread.append(key)
-    assert [key for key in unread if key not in UNREAD_ENTRIES] == []
+    assert unread == []
 
 
 def test_finetune_missing_checkpoint_key_is_config_error(tmp_path):
@@ -884,13 +938,22 @@ def test_rerunning_from_the_config_snapshot_reproduces_outputs(tmp_path):
         (out2 / "checkpoint_final.json").read_bytes()
 
 
-def test_train_checkpoint_carries_rng_and_optimizer_state(tmp_path):
-    data = synth_dir(tmp_path)
-    _, run = train_dir(tmp_path, data, steps=3)
-    doc = load_checkpoint(run / "checkpoint_final.json")
-    assert doc["rng_state"]["bit_generator"] == "PCG64"
-    assert doc["optimizer"]["step_count"] == 3
-    assert "ema_params" in doc
+STAGE1_ENTRIES = {"format_version", "chunk_spec", "obs_dim", "latent_dim", "hidden_dim",
+                  "params", "ema_params"}
+
+
+def test_every_stage1_checkpoint_holds_the_backbone_and_its_ema_alone(tmp_path, tiny_data):
+    # the periodic files and the final one are written by one call: the final
+    # file of a run whose length is a multiple of checkpoint_every is its last
+    # periodic file
+    code, run = train_dir(tmp_path, tiny_data, steps=4, extra={"train.checkpoint_every": 2})
+    assert code == 0
+    paths = sorted(run.glob("checkpoint_*.json"))
+    assert [path.name for path in paths] == \
+        ["checkpoint_final.json", "checkpoint_step2.json", "checkpoint_step4.json"]
+    assert all(set(json.loads(path.read_text())) == STAGE1_ENTRIES for path in paths)
+    assert (run / "checkpoint_final.json").read_bytes() == \
+        (run / "checkpoint_step4.json").read_bytes()
 
 
 def test_pretrained_checkpoint_eval_band_across_seeds(tmp_path):

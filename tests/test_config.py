@@ -115,14 +115,27 @@ def test_a_key_the_run_does_not_read_is_rejected_by_name(command, raw, message):
 
 
 FLOAT_KEYS = sorted({(command, key) for command, table in COMMAND_KEYS.items()
-                     for key, (kind, _) in table.items() if kind is float})
+                     for key, (kind, _) in table.items() if kind in (float, tuple[float, ...])})
 
 
 @pytest.mark.parametrize("command, key", FLOAT_KEYS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 def test_every_float_key_rejects_a_non_finite_value(command, key, bad):
     # JSON's NaN and Infinity parse as floats, and an int past the float range
-    # would overflow; every float key names itself and asks for a finite float
-    with pytest.raises(SpecError, match=rf"key '{key}' expects a finite float"):
-        resolve_config({key: bad}, command)
-    assert resolve_config({key: 0.5}, command)[key] == 0.5
+    # would overflow; every float key names itself and asks for a finite float,
+    # and a float list key names the item by its index
+    if COMMAND_KEYS[command][key][0] is float:
+        value, name, good, read = bad, key, 0.5, 0.5
+    else:
+        value, name, good, read = [0.5, bad], f"{key}[1]", [0.5], (0.5,)
+    with pytest.raises(SpecError, match=rf"key '{re.escape(name)}' expects a finite float"):
+        resolve_config({key: value}, command)
+    assert resolve_config({key: good}, command)[key] == read
+
+
+@pytest.mark.parametrize("value", [[1e308, 1e308], [-1e308, 0.5, -1e308], [10**308, 10**308]])
+def test_a_float_list_of_finite_items_whose_sum_overflows_is_read(value):
+    # a list is checked by its sum first, and an overflowing sum of finite
+    # items falls back to the item-by-item reading, which accepts them
+    assert resolve_config({"drift.temperatures": value}, "train")["drift.temperatures"] == \
+        tuple(map(float, value))

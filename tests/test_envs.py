@@ -466,7 +466,7 @@ def test_coverage_requires_mode_metadata():
                       ds, 4, np.random.default_rng(0))
 
 
-def test_coverage_is_one_infer_and_one_plan_whatever_the_condition_count(monkeypatch):
+def test_coverage_is_one_evaluate_and_one_plan_whatever_the_condition_count(monkeypatch):
     ds = synth_multimodal(modes=3, conditions=9, samples_per_condition=2, seed=4, spec=SPEC)
     plan, plans = envs.plan, []
     monkeypatch.setattr(envs, "plan", lambda *args: plans.append(args[1]) or plan(*args))

@@ -40,8 +40,9 @@ def random_bundle(owner: str, shapes, rng) -> Dense:
 
 
 def state_bytes(opt) -> str:
-    # repr round-trips every float exactly, signed zeros included
-    return json.dumps(opt.state(), sort_keys=True)
+    # repr round-trips every float exactly, signed zeros included; AdamW hands
+    # over its moments as arrays, the per-name oracle as lists
+    return json.dumps(opt.state(), sort_keys=True, default=np.ndarray.tolist)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,6 +126,24 @@ def test_non_finite_update_names_the_leaf_and_writes_nothing():
         for name, arr in arrays.items():
             assert b[name].data.tobytes() == arr.tobytes(), name
     assert state_bytes(opt) == state and opt.step_count == 1
+
+
+def test_state_hands_over_views_of_the_moments_that_later_steps_leave_alone():
+    bundles, grads = overflowing_pair()
+    opt = AdamW([name for b in bundles for name in b], lr=1e-3)
+    opt.step(bundles, grads)
+    state = opt.state()
+    # no list is built: each entry is a view of its bundle's m or v vector
+    for which, moment in enumerate(("m", "v")):
+        for (name, arr), vector in zip(state[moment].items(),
+                                       [mv[which] for b, mv in zip(bundles, opt.moments)
+                                        for _ in b]):
+            assert np.shares_memory(arr, vector), (moment, name)
+    first = json.dumps(state, sort_keys=True, default=np.ndarray.tolist)
+    opt.step(bundles, grads)
+    # the next step makes new vectors, so a state handed over earlier keeps its values
+    assert json.dumps(state, sort_keys=True, default=np.ndarray.tolist) == first
+    assert state_bytes(opt) != first
 
 
 def test_non_finite_first_update_leaves_no_moments():

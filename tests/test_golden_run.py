@@ -38,7 +38,7 @@ EXPECTED = {
     "run/metrics.csv":
         "bd5eae72b45ad412fac71bcc84c68808cef00239213906b92d87823b3ac8f5dc",
     "run/checkpoint_final.json":
-        "5b5127afc4d9f82424a766e1c2cdbff1af5f7839b5071115b79cebd15296bf99",
+        "5a12376a178941a69ac0cb423ca84cc0f67788c6c17db838dfbabd9ce9cb6a8a",
     "run/checkpoint_step10.json":
         "98f9e260f67bb275633c1232a72f74c9b24f62d87a805b416d7f447d7a61a26b",
     "run/checkpoint_step20.json":
@@ -107,7 +107,7 @@ EXPECTED_STEP_WISE = {
     "metrics.csv":
         "c80d1d4b75fb5e5011570f27dcf9b7dee4f1a59f91f3a87d0cc05c48fb4bcf3b",
     "checkpoint_final.json":
-        "c22f9fb8bccc2bb617012c4e40f660337ac0f88af06c8c7e96b1f4fa0d69cbf6",
+        "4f14333bdd65021653a291a3842ce5806aefbc82a356cb644911879c5f4aceb0",
 }
 
 

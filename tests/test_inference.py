@@ -109,7 +109,7 @@ def rows(seed: int, batch: int, scale: float):
 
 @PROPERTY
 @given(batch=batches, seed=seeds, scale=scales)
-def test_generator_infer_equals_tape_forward_batched_and_per_row(batch, seed, scale):
+def test_generator_evaluate_equals_tape_forward_batched_and_per_row(batch, seed, scale):
     gen = make_actor(seed % 1000).generator
     obs, z, _ = rows(seed, batch, scale)
     chunk, feat = gen.forward(Tensor(obs), Tensor(z))
@@ -147,7 +147,7 @@ def test_array_prefix_log_prob_equals_tape_log_prob(batch, seed, scale):
 
 @PROPERTY
 @given(batch=batches, seed=seeds, scale=scales)
-def test_critic_value_equals_tape_forward(batch, seed, scale):
+def test_critic_evaluate_equals_tape_forward(batch, seed, scale):
     critic = Critic(N_OBS, hidden_dim=8, seed=seed % 1000)
     obs, _, _ = rows(seed, batch, scale)
     tape = critic.forward(Tensor(obs)).data
@@ -160,7 +160,7 @@ def test_critic_value_equals_tape_forward(batch, seed, scale):
         assert_row_equals_alone((values, *acts), (one, *one_acts), i)
 
 
-def test_infer_counts_one_evaluation_per_row():
+def test_evaluate_counts_one_evaluation_per_row():
     # both backends count the rows they evaluate, so a batched call over N
     # decisions costs N, as N batch-1 calls would
     gen = make_actor(0).generator
@@ -175,7 +175,7 @@ def test_infer_counts_one_evaluation_per_row():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["obs", "z"])
-def test_infer_rejects_non_finite_input(bad, where):
+def test_evaluate_rejects_non_finite_input(bad, where):
     gen = make_actor(0).generator
     obs, z, _ = rows(0, 3, 1.0)
     (obs if where == "obs" else z)[1, 0] = bad
@@ -183,7 +183,7 @@ def test_infer_rejects_non_finite_input(bad, where):
         gen.evaluate(obs, z)
 
 
-def test_infer_rejects_overflowing_pre_activation():
+def test_evaluate_rejects_overflowing_pre_activation():
     gen = make_actor(0).generator
     arrays = gen.param_arrays()
     arrays["obs_w"] = np.full_like(arrays["obs_w"], 1e308)
@@ -284,7 +284,7 @@ def test_every_layer_overflow_raises_without_a_warning(layer, path):
             run()
 
 
-def test_critic_value_rejects_non_finite_input():
+def test_critic_evaluate_rejects_non_finite_input():
     critic = Critic(N_OBS, hidden_dim=8)
     obs = np.zeros((2, N_OBS))
     obs[0, 0] = np.nan

@@ -603,7 +603,8 @@ def test_finetune_keeps_its_optimizers_across_iterations(monkeypatch):
     for opt, params in ((calls[0]["actor_opt"], actor.parameters()),
                         (calls[0]["critic_opt"], critic.params)):
         moments = opt.state()["m"]
-        assert set(moments) == set(params) and None not in moments.values()
+        assert set(moments) == set(params)
+        assert all(moment is not None for moment in moments.values())
 
 
 def test_ppo_config_validation():

@@ -253,7 +253,8 @@ def test_property_update_is_bitwise_the_tape_update(seed, length, minibatch, epo
         runs.append(({**actor.generator.params.arrays(), **actor.head.arrays(),
                       **critic.params.arrays()},
                      [(repr(astuple(s)[:-1]), s.first_epoch_ratios.tobytes()) for s in stats],
-                     actor_opt.state(), critic_opt.state(), rng.bit_generator.state))
+                     *(json.dumps(opt.state(), sort_keys=True, default=np.ndarray.tolist)
+                       for opt in (actor_opt, critic_opt)), rng.bit_generator.state))
     (params, *rest), (ref_params, *ref_rest) = runs
     for name, arr in params.items():
         assert arr.tobytes() == ref_params[name].tobytes(), name
