@@ -37,16 +37,16 @@ def _pack(arrays: dict[str, np.ndarray]) -> dict:
 
 
 def _unpack(doc: dict, key: str, where: str) -> None:
-    """Replace each packed ``{shape, data}`` entry under ``key`` by its array,
-    whose data must fill the shape; ``typed`` has read every value as a finite float."""
+    """Replace each packed ``{shape, data}`` entry under ``key`` by its data, read
+    by ``typed`` as one array of finite floats, viewed in the shape it must fill."""
     packed = read_keys(doc, {key: dict}, where)[key]
     for name in list(packed):
-        kinds = {f"{key}.{name}.shape": tuple[int, ...], f"{key}.{name}.data": tuple[float, ...]}
+        kinds = {f"{key}.{name}.shape": tuple[int, ...], f"{key}.{name}.data": np.ndarray}
         shape, data = read_keys(doc, kinds, where).values()
         if min(shape, default=0) < 0 or math.prod(shape) != len(data):
             raise SpecError(f"{where}key '{key}.{name}.shape' is {list(shape)}, "
                             f"but the data holds {len(data)} values")
-        packed[name] = np.reshape(data, shape)
+        packed[name] = data.reshape(shape)
 
 
 def _write(fh, obj) -> None:

@@ -158,11 +158,13 @@ def cmd_finetune(cfg: dict, out: Path) -> int:
 
 # -- entry ---------------------------------------------------------------
 
+COMMANDS = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval, "finetune": cmd_finetune}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="driftkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synth", "train", "eval", "finetune"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -184,13 +186,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "config.json", cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, out)
-        return cmd_finetune(cfg, out)
+        return COMMANDS[args.command](cfg, out)
     except SpecError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -495,33 +495,29 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _finite_sum(numbers) -> bool:
-    """Whether ``sum(numbers)`` is finite, in one C-level pass: true only if
-    every number is, though finite numbers whose sum overflows give false."""
-    try:
-        return math.isfinite(sum(numbers))
-    except OverflowError:  # an int past the float range
-        return False
-
-
 def typed(value, kind, key: str, where: str):
     """``value`` read as a ``kind`` of :data:`JSON_TYPES` (a float from any
-    number, an int never from a bool), or as ``tuple[X, ...]`` from a list of
-    ``X`` values.  Anything else raises
-    ``SpecError("<where>key '<key>' expects <kind>, got <value>")``.
+    number, an int never from a bool), as ``tuple[X, ...]`` from a list of
+    ``X`` values, or as ``np.ndarray``: a list that ``tuple[float, ...]``
+    accepts, as one float64 array of the same bits.  Anything else raises
+    ``SpecError("<where>key '<key>' expects <kind>, got <value>")``, and a
+    list's first bad item raises that error named ``'<key>[<index>]'``.
 
     A float must be finite: JSON's ``NaN`` and ``Infinity`` (which Python's
     reader accepts), or an int past the float range, raise
     ``SpecError("<where>key '<key>' expects a finite float, got <value>")``; no
-    key needs an infinity.  In a float list the first such item raises, named
-    ``'<key>[<index>]'``."""
+    key needs an infinity."""
+    if kind is np.ndarray:  # a list of floats in bulk; any other goes by the tuple rule
+        if type(value) is list and set(map(type, value)) <= {float}:
+            array = np.array(value, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+        return np.array(typed(value, tuple[float, ...], key, where), dtype=np.float64)
     items = typing.get_args(kind)
     if items:
-        if type(value) is list and set(map(type, value)) <= JSON_TYPES[items[0]]:
-            if items[0] is float and not _finite_sum(value):
-                for index, item in enumerate(value):  # the first bad item raises
-                    typed(item, float, f"{key}[{index}]", where)
-            return tuple(map(items[0], value))
+        if type(value) is list:
+            return tuple(typed(item, items[0], f"{key}[{index}]", where)
+                         for index, item in enumerate(value))
     elif type(value) in JSON_TYPES[kind]:
         if kind is not float:
             return value

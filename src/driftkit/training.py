@@ -248,15 +248,11 @@ def train(dataset, generator: Generator, drift_config: DriftConfig,
     total_steps = config.steps if config.steps is not None \
         else DEFAULT_EPOCHS * steps_per_epoch
 
-    order = np.arange(n)
-    cursor = steps_per_epoch  # force a reshuffle on the first step
     for step in range(1, total_steps + 1):
-        if cursor >= steps_per_epoch:
+        k = (step - 1) % steps_per_epoch  # the step's minibatch in its epoch
+        if k == 0:
             order = rng.permutation(n)
-            cursor = 0
-        lo = cursor * config.batch_size
-        idx = order[lo:lo + config.batch_size]
-        cursor += 1
+        idx = order[k * config.batch_size:(k + 1) * config.batch_size]
 
         try:
             loss, grads, scale = drift_train_step(

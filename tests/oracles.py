@@ -40,14 +40,19 @@ gradient clip and the EMA as they ran before each bundle kept one flat
 vector: a loop over leaves, each update rebinding the leaf to a new array.
 They pin the whole-vector passes of ``driftkit.training`` bit for bit.
 ``profiled_calls`` is not a reference: it is cProfile's run of one call with
-the cycle collector held off, the counter every call-count test reads.
+the cycle collector held off, the counter every call-count test reads.  Nor
+is ``openblas``, a function of the OpenBLAS that numpy bundles, through which
+``blas_core`` names the kernel class this process runs.
 """
 
 from __future__ import annotations
 
 import cProfile
+import ctypes
 import gc
+import glob
 import math
+import os
 import pstats
 
 import numpy as np
@@ -855,3 +860,22 @@ def profiled_calls(fn) -> pstats.Stats:
         profiler.disable()
         gc.enable()
     return pstats.Stats(profiler)
+
+
+def openblas(name: str, restype):
+    """The function ``name`` of the OpenBLAS that numpy bundles, taking no
+    argument and returning ``restype``; None where there is none."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "*openblas*")):
+        fn = getattr(ctypes.CDLL(lib), name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            return fn
+    return None
+
+
+def blas_core() -> str | None:
+    """The OpenBLAS kernel class this process runs (``SkylakeX``, ``Haswell``,
+    ...), which ``OPENBLAS_CORETYPE`` forces; None where the library cannot say."""
+    core = openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return None if core is None else core().decode()

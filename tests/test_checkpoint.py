@@ -19,7 +19,7 @@ from driftkit.autodiff import AutodiffError
 from driftkit.checkpoint import load_checkpoint, restore_generator, save_checkpoint
 from driftkit.drift import DriftConfig
 from driftkit.envs import synth_multimodal
-from driftkit.generator import ChunkSpec, Generator, SpecError
+from driftkit.generator import ChunkSpec, Generator, SpecError, typed
 from driftkit.ppo import Critic
 from driftkit.training import TrainConfig, train
 
@@ -161,6 +161,33 @@ def test_writer_text_equals_json_dump_on_any_document(doc):
     checkpoint._write(streamed, doc)
     _json_dump(dumped, doc)
     assert streamed.getvalue() == dumped.getvalue()
+
+
+# list items at the edges of the float rule: signed zeros, subnormals, the
+# largest floats and the ints around them, ints that floats round, NaN and the
+# infinities; and the items of another type
+FLOAT_MAX = 1.7976931348623157e308
+NUMBERS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX, int(FLOAT_MAX),
+                            int(FLOAT_MAX) + 1, -int(FLOAT_MAX) - 1, 2**53 + 1, -(2**53 + 1),
+                            2**64 + 1, 10**400, float("nan"), float("inf"), -float("inf")])
+           | st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**70, 2**70))
+OTHERS = st.sampled_from([True, False, "x", None]) | st.lists(st.floats(), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.lists(NUMBERS, max_size=6) | st.lists(NUMBERS | OTHERS, max_size=6)
+       | NUMBERS | OTHERS)
+def test_the_array_kind_reads_what_the_float_tuple_kind_reads_to_the_bit(value):
+    try:
+        expected = np.array(typed(value, tuple[float, ...], "k", "w: "), dtype=np.float64)
+    except SpecError as exc:
+        with pytest.raises(SpecError) as raised:
+            typed(value, np.ndarray, "k", "w: ")
+        assert str(raised.value) == str(exc)
+    else:
+        read = typed(value, np.ndarray, "k", "w: ")
+        assert (read.dtype, read.shape) == (np.float64, expected.shape)
+        assert read.tobytes() == expected.tobytes()
 
 
 def _trained_state(hidden_dim):

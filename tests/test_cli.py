@@ -185,6 +185,9 @@ BAD_SETTINGS = [
      "config key 'drift.temperatures[0]' expects a finite float, got nan"),
     ("train", {"data.path": None, "drift.temperatures": [0.2, 10**400]},
      f"config key 'drift.temperatures[1]' expects a finite float, got {10**400}"),
+    # a mistyped item is named and shown alone, like a non-finite one
+    ("train", {"data.path": None, "drift.temperatures": [0.2, "x"]},
+     "config key 'drift.temperatures[1]' expects float, got 'x'"),
 ]
 
 
@@ -385,7 +388,7 @@ def test_every_driftkit_error_but_numeric_ones_exits_2(tmp_path, capsys, monkeyp
     def boom(*args):
         raise SpecError("boom")
 
-    monkeypatch.setattr(cli, "cmd_synth", boom)
+    monkeypatch.setitem(cli.COMMANDS, "synth", boom)
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "config error: boom" in capsys.readouterr().err
 
@@ -549,10 +552,14 @@ CORRUPT_INPUTS = [
      lambda path, text: f"checkpoint {path}: key 'params' expects dict, got [1, 2]"),
     ("checkpoint-head-w-no-data", "eval", "checkpoint.json", _without("params.head_w.data"),
      lambda path, text: f"checkpoint {path}: no key 'params.head_w.data'"),
+    # a mistyped item is named by its index and shown alone, not with its list
     ("checkpoint-head-w-data-str", "eval", "checkpoint.json",
      _with("params.head_w.data", ["a"]),
-     lambda path, text: f"checkpoint {path}: key 'params.head_w.data' expects tuple, "
-                        "got ['a']"),
+     lambda path, text: f"checkpoint {path}: key 'params.head_w.data[0]' expects float, "
+                        "got 'a'"),
+    ("checkpoint-true-in-params", "eval", "checkpoint.json", _in_head_w("params", True),
+     lambda path, text: f"checkpoint {path}: key 'params.head_w.data[3]' expects float, "
+                        "got True"),
     ("checkpoint-head-w-shape", "eval", "checkpoint.json", _with("params.head_w.shape", [3]),
      lambda path, text: f"checkpoint {path}: key 'params.head_w.shape' is [3], "
                         "but the data holds 128 values"),
@@ -587,6 +594,9 @@ CORRUPT_INPUTS = [
      _with("mode_signs", [-1.0, 10**400]),
      lambda path, text: f"dataset metadata {path}: key 'mode_signs[1]' expects a finite "
                         f"float, got {10**400}"),
+    ("dataset-meta-str-sign-eval", "eval", "dataset_meta.json", _with("mode_signs", [-1.0, "+"]),
+     lambda path, text: f"dataset metadata {path}: key 'mode_signs[1]' expects float, "
+                        "got '+'"),
     ("dataset-obs-inf-eval", "eval", "dataset.csv", _in_first_record("obs_0", "inf"),
      lambda path, text: f"dataset {path} line 2: obs_0 is inf, not finite"),
     ("dataset-expert-nan-train", "train", "dataset.csv", _in_first_record("act_3", "nan"),
@@ -618,6 +628,24 @@ def test_corrupt_input_exits_2_naming_the_file(tmp_path, capsys, tiny_data, tiny
     cfg = write_config(tmp_path / "c.json", {key: str(files / name), **extra})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message(path, text)}\n"
+
+
+def test_a_bad_item_of_a_large_checkpoint_array_is_shown_alone(tmp_path, capsys):
+    # trunk1_w holds 8,192 values at hidden 64; the whole list used to be
+    # printed, a config error line of 177,750 characters
+    spec = ChunkSpec(horizon=4, history_len=1, exec_len=2)
+    path = tmp_path / "wide.json"
+    save_checkpoint(path, Generator(spec, obs_dim=6, latent_dim=8, hidden_dim=64))
+    doc = json.loads(path.read_text())
+    assert len(doc["params"]["trunk1_w"]["data"]) == 8192
+    doc["params"]["trunk1_w"]["data"][5] = "x"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path / "e.json", {"checkpoint.path": str(path)})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: checkpoint {path}: key 'params.trunk1_w.data[5]' "
+                   "expects float, got 'x'\n")
+    assert len(err) < 200
 
 
 def test_train_zero_steps_checkpoint_equals_initialization(tmp_path):

@@ -135,7 +135,6 @@ def test_every_float_key_rejects_a_non_finite_value(command, key, bad):
 
 @pytest.mark.parametrize("value", [[1e308, 1e308], [-1e308, 0.5, -1e308], [10**308, 10**308]])
 def test_a_float_list_of_finite_items_whose_sum_overflows_is_read(value):
-    # a list is checked by its sum first, and an overflowing sum of finite
-    # items falls back to the item-by-item reading, which accepts them
+    # each item is read alone, so finite items whose sum overflows are accepted
     assert resolve_config({"drift.temperatures": value}, "train")["drift.temperatures"] == \
         tuple(map(float, value))

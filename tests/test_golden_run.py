@@ -17,8 +17,9 @@ A second, smaller run pins the step-wise loss mode: a multi-temperature
 A refactor that keeps behaviour must leave every digest unchanged.  A change
 that moves them on purpose must record the new digests here together with a
 justification in ``CHANGES.md``.  The digests pin float64 numpy results, so
-they hold for one numpy build on one CPU family, like the forward golden
-files of ``tests/test_actor.py``.
+they hold for one numpy build on one OpenBLAS kernel class, SkylakeX, like
+the forward golden files of ``tests/test_actor.py``; a failure names the class
+the process runs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import hashlib
 import json
 
 from driftkit.cli import main
+
+from .oracles import blas_core
 
 TINY_CHUNK = {"chunk.horizon": 4, "chunk.history_len": 1, "chunk.exec_len": 2}
 
@@ -52,6 +55,12 @@ EXPECTED = {
     "eval/report.json":
         "9d018ca04e62054282fb742a13e44a506452395205a9f910a04a6d1b724375a0",
 }
+
+
+def recorded_core() -> str:
+    """The failure note of a digest test: which kernel class made the digests
+    and which one ran."""
+    return f"digests recorded on SkylakeX; this process runs {blas_core()}"
 
 
 def _write(path, payload) -> str:
@@ -100,7 +109,7 @@ def run_pipeline(root) -> dict[str, str]:
 
 
 def test_fixed_pipeline_outputs_match_recorded_digests(tmp_path):
-    assert run_pipeline(tmp_path) == EXPECTED
+    assert run_pipeline(tmp_path) == EXPECTED, recorded_core()
 
 
 EXPECTED_STEP_WISE = {
@@ -129,4 +138,4 @@ def run_step_wise_train(root) -> dict[str, str]:
 
 
 def test_step_wise_train_outputs_match_recorded_digests(tmp_path):
-    assert run_step_wise_train(tmp_path) == EXPECTED_STEP_WISE
+    assert run_step_wise_train(tmp_path) == EXPECTED_STEP_WISE, recorded_core()

@@ -25,6 +25,8 @@ from driftkit.envs import PointMassEnv
 from driftkit.generator import ChunkSpec, Generator, SpecError
 from driftkit.ppo import Critic, evaluate_policy
 
+from .oracles import blas_core
+
 SPEC = ChunkSpec(horizon=5, action_dim=2, history_len=2, exec_len=3)
 OBS_DIM = 3
 LATENT_DIM = 4
@@ -554,30 +556,46 @@ BUILD_PROPERTIES = ["test_kernel_rows_equal_rows_computed_alone",
                     "test_the_dot_with_zeros_is_zero_exactly_when_every_value_is_finite",
                     "test_a_decision_equals_its_row_of_a_batched_evaluation"]
 
-# OpenBLAS reads its thread count once, when numpy loads it; the bundled
-# library reports the count it took, where it can be found
-RUN_WITH_THREADS = """
-import ctypes, glob, os, sys
-import numpy, pytest
-for lib in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*")):
-    threads = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
-    if threads is not None:
-        threads.argtypes, threads.restype = [], ctypes.c_int
-        print("blas threads:", threads())
+# OpenBLAS reads its thread count and its core once, when numpy loads it; the
+# child reports the ones it took, where the bundled library can say
+RUN_REPORTING_BLAS = """
+import ctypes, sys
+import pytest
+from tests.oracles import blas_core, openblas
+threads = openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+if threads is not None:
+    print("blas threads:", threads())
+print("blas core:", blas_core())
 sys.exit(pytest.main(sys.argv[1:]))
 """
 
 
+def run_build_properties(**env) -> list[str]:
+    """The lines the child prints before pytest's, after :data:`BUILD_PROPERTIES`
+    passed in it with ``env`` added to its environment."""
+    paths = [str(Path(driftkit.__file__).parents[1]), str(Path(__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_REPORTING_BLAS, "-q", "-p", "no:cacheprovider",
+         *(f"{__file__}::{name}" for name in BUILD_PROPERTIES)],
+        env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(paths)},
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    return [line for line in result.stdout.splitlines() if line.startswith("blas ")]
+
+
 def test_the_build_properties_hold_with_two_blas_threads():
     # gemm is the call OpenBLAS threads, and the kernels must not depend on it
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join([str(Path(driftkit.__file__).parents[1]),
-                                          os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-c", RUN_WITH_THREADS, "-q", "-p", "no:cacheprovider",
-         *(f"{__file__}::{name}" for name in BUILD_PROPERTIES)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
-    assert all(line == "blas threads: 2" for line in result.stdout.splitlines()
+    assert all(line == "blas threads: 2" for line in run_build_properties(OPENBLAS_NUM_THREADS="2")
                if line.startswith("blas threads:"))
+
+
+def test_the_build_properties_hold_on_a_forced_non_native_core():
+    # another kernel class computes the products with other instructions, and
+    # the kernels must not depend on it either
+    native = blas_core()
+    if native is None:
+        pytest.skip("the bundled OpenBLAS has no scipy_openblas_get_corename64_, "
+                    "so a forced core could not be confirmed")
+    forced = "Sandybridge" if native == "Haswell" else "Haswell"
+    assert f"blas core: {forced}" in run_build_properties(OPENBLAS_CORETYPE=forced)
