@@ -1,8 +1,10 @@
 """Desk-scale tasks: a deterministic planar point-mass reach environment with
 receding-horizon stepping, N envs in lockstep or one as a view, plus synthetic
 multimodal imitation datasets whose expert chunks come from scripted
-goal-reaching controllers that swerve left or right on the way in; one
-row-vectorised planner, :func:`plan`, moves every point mass.
+goal-reaching controllers that swerve left or right on the way in.  One
+row-vectorised planner, :func:`plan`, moves the point masses of those
+closed-loop controllers; the env step runs its open-loop prefix as one
+in-place scan.
 
 Observation layout per micro-step is (position, goal, last action), d_o = 6.
 """
@@ -82,29 +84,50 @@ class VecPointMassEnv:
         rows = np.asarray(rows)
         if self.done[rows].any():
             raise RuntimeError("step after episode end")
-        n = rows.size
-        actions = clip(np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM),
-                       -1.0, 1.0)
-        h_e = actions.shape[1]
-        hist = self.history[rows]
-        goal = np.repeat(hist[:, -1:, 2:4], h_e, axis=1)
-        _, pos = plan(hist[:, -1, 0:2], h_e, lambda _, k: actions[:, k])
-        offset = pos - goal
+        n, t_o = rows.size, self.spec.history_len
+        prefixes = np.asarray(prefixes, dtype=np.float64).reshape(n, -1, ACTION_DIM)
+        h_e = prefixes.shape[1]
+        # the history followed by all H_e new observations; T_o of them are kept
+        trail = np.empty((n, t_o + h_e, OBS_DIM))
+        trail[:, :t_o] = self.history[rows]
+        new = trail[:, t_o:]
+        actions = np.maximum(prefixes, -1.0, out=new[..., 4:6])
+        np.minimum(actions, 1.0, out=actions)
+        goal = trail[:, t_o - 1, 2:4]
+        new[..., 2:4] = goal[:, None]
+        # the prefix is open loop, so the positions clip(pos + a * DT) are one
+        # in-place scan over the (H_e, N, 2) steps a * DT, three ufuncs a micro-step
+        pos = np.multiply(actions.transpose(1, 0, 2), DT, order="C")
+        prev = trail[:, t_o - 1, 0:2]
+        for step in pos:
+            np.add(prev, step, out=step)
+            np.maximum(step, -ARENA_HALF_WIDTH, out=step)
+            prev = np.minimum(step, ARENA_HALF_WIDTH, out=step)
+        new[..., 0:2] = pos.transpose(1, 0, 2)
+        offset = np.subtract(pos, goal, out=pos)
         dist = np.sqrt(np.vecdot(offset, offset))
         success = dist <= SUCCESS_THRESHOLD
-        ends = success | (self.t[rows, None] + np.arange(1, h_e + 1) >= EPISODE_CAP)
-        done = ends.any(axis=1)
-        steps = np.where(done, ends.argmax(axis=1) + 1, h_e)
-        reward = -dist if self.reward_mode == "dense" else np.where(success, 1.0, 0.0)
-        sums = np.cumsum(np.concatenate([np.zeros((n, 1)), reward], axis=1), axis=1)
-        # the history followed by all H_e new observations; keep T_o of them
-        trail = np.concatenate([hist, np.concatenate([pos, goal, actions], axis=2)], axis=1)
+        t = self.t[rows]
+        ends = success | (t + np.arange(1, h_e + 1)[:, None] >= EPISODE_CAP)
+        done = ends.any(axis=0)
+        # a row that does not end runs through its last micro-step
+        ends[-1] = True
+        last = ends.argmax(axis=0)
+        steps = last + 1
+        # a leading 0.0 and the rewards in micro-step order, summed as they come
+        sums = np.zeros((h_e + 1, n))
+        if self.reward_mode == "dense":
+            np.negative(dist, out=sums[1:])
+        else:
+            sums[1:] = success
+        np.add.accumulate(sums, axis=0, out=sums)
         every = np.arange(n)
-        self.history[rows] = trail[every[:, None], steps[:, None] + np.arange(hist.shape[1])]
-        self.t[rows] += steps
+        history = trail[every[:, None], steps[:, None] + np.arange(t_o)]
+        self.history[rows] = history
+        self.t[rows] = t + steps
         self.done[rows] = done
-        self.succeeded[rows] = success[every, steps - 1]
-        return self.history[rows], sums[every, steps], done
+        self.succeeded[rows] = success[last, every]
+        return history, sums[steps, every], done
 
 
 class PointMassEnv:
@@ -113,6 +136,8 @@ class PointMassEnv:
     ``reset(seed)`` is bitwise reproducible.  The state is read off the row;
     before the first reset the episode counts as ended.
     """
+
+    _ROW = np.zeros(1, dtype=np.intp)  # the index of the one row, made once
 
     def __init__(self, spec: ChunkSpec, reward_mode: str = "dense"):
         self.vec = VecPointMassEnv(spec, reward_mode)
@@ -137,12 +162,12 @@ class PointMassEnv:
         """Apply all H_e micro-steps of an executed prefix, summing rewards."""
         if self.done:
             raise RuntimeError("step after episode end")
-        obs, total, done = self.vec.step_prefix(np.reshape(prefix, (1, -1, ACTION_DIM)), [0])
+        obs, total, done = self.vec.step_prefix(prefix, self._ROW)
         return obs[0], float(total[0]), bool(done[0])
 
     def micro_step(self, action: np.ndarray) -> tuple[float, bool]:
         """One micro-step: the prefix of one action."""
-        _, reward, done = self.step_prefix(np.reshape(action, (1, ACTION_DIM)))
+        _, reward, done = self.step_prefix(action)
         return reward, done
 
 

@@ -20,7 +20,8 @@ from driftkit.generator import ChunkSpec, Generator, SpecError, executed_prefix
 
 from . import oracles
 from .oracles import (ScalarPointMassEnv, mode_action_scalar, mode_centers_loop,
-                      mode_coverage_loop, scripted_chunk_loop, synth_multimodal_loop)
+                      mode_coverage_loop, profiled_calls, scripted_chunk_loop,
+                      synth_multimodal_loop)
 
 SPEC = ChunkSpec(horizon=16, action_dim=2, history_len=2, exec_len=8)
 
@@ -166,10 +167,14 @@ def test_start_goal_equals_the_two_draw_sampler(seed):
 
 # 120 = 15 * 8, so with SPEC the cap lands on a prefix's last micro-step; with
 # H_e = 7 (120 = 17 * 7 + 1) it lands on a prefix's first micro-step, and the
-# last six of that prefix are thrown away
+# last six of that prefix are thrown away.  With H_e = 2 < T_o = 4 the new
+# history keeps old rows after the new ones; with H_e = 1 every prefix is one
+# micro-step
 PROPERTY_SPECS = (SPEC,
                   ChunkSpec(horizon=8, action_dim=2, history_len=1, exec_len=7),
-                  ChunkSpec(horizon=9, action_dim=2, history_len=3, exec_len=7))
+                  ChunkSpec(horizon=9, action_dim=2, history_len=3, exec_len=7),
+                  ChunkSpec(horizon=5, action_dim=2, history_len=4, exec_len=2),
+                  ChunkSpec(horizon=4, action_dim=2, history_len=2, exec_len=1))
 ENDINGS = ("mid_prefix_success", "cap_mid_prefix", "wall", "clipped_action")
 
 
@@ -256,6 +261,44 @@ def test_vector_env_comparison_covers_every_ending():
                                                          0).items():
             seen[case] += count
     assert all(seen.values()), seen
+
+
+def test_a_dense_step_on_the_goal_totals_plus_zero_as_the_scalar_loop_does():
+    # on the goal every reward is -0.0, and the loop's 0.0 + -0.0 is +0.0 (why
+    # the sum starts from 0.0: DECISIONS.md, "Evaluation runs episodes in
+    # lockstep"); the second row is off its goal
+    vec, view, single = VecPointMassEnv(SPEC), PointMassEnv(SPEC), ScalarPointMassEnv(SPEC)
+    vec.reset([5, 6])
+    view.reset(5)
+    single.reset(5)
+    for newest in (vec.history[0, -1], view.vec.history[0, -1], single._history[-1]):
+        newest[0:2] = newest[2:4]
+    single.pos = single.goal.copy()
+    prefix = np.zeros((SPEC.exec_len, 2))
+    obs, totals, done = vec.step_prefix(np.stack([prefix, prefix]), [0, 1])
+    obs_v, total_v, done_v = view.step_prefix(prefix)
+    obs_s, total_s, done_s = single.step_prefix(prefix)
+    assert total_s == 0.0 and not np.signbit(total_s) and done_s
+    assert np.array([totals[0], total_v]).tobytes() == np.array([total_s, total_s]).tobytes()
+    assert obs[0].tobytes() == obs_v.tobytes() == obs_s.tobytes()
+    assert done[0] and done_v and not done[1] and totals[1] < 0.0
+
+
+@pytest.mark.parametrize("reward_mode", ["dense", "sparse"])
+def test_a_step_makes_the_same_python_calls_at_any_row_count(reward_mode):
+    # the kernel makes no Python call per row (ROADMAP item 12's counter)
+    def calls(n: int) -> list[int]:
+        env = VecPointMassEnv(SPEC, reward_mode)
+        env.reset(list(range(n)))
+        # three prefixes move a point mass at most 24 * 0.001 * sqrt(2) < 0.4 -
+        # SUCCESS_THRESHOLD, so no episode ends
+        prefixes = np.random.default_rng(n).uniform(-0.01, 0.01, size=(n, SPEC.exec_len, 2))
+        env.step_prefix(prefixes, np.arange(n))
+        return [profiled_calls(lambda: env.step_prefix(prefixes, np.arange(n))).total_calls
+                for _ in range(2)]
+
+    one, many = calls(1), calls(64)
+    assert one[0] == one[1] == many[0] == many[1], (one, many)
 
 
 def test_env_before_its_first_reset_counts_as_ended():
